@@ -132,29 +132,6 @@ class _Receiver(SimComponent):
         }
 
 
-class _FabricClock(SimComponent):
-    """The fabric under the hot-spot kernel: steps every cycle (it is the
-    workload's clock and its metrics sampler) and tracks peak occupancy."""
-
-    name = "fabric"
-
-    def __init__(self, fabric: Fabric) -> None:
-        self.fabric = fabric
-        self.peak_in_flight = 0
-
-    def tick(self, cycle: int) -> None:
-        self.fabric.step()
-        in_flight = self.fabric.in_flight()
-        if in_flight > self.peak_in_flight:
-            self.peak_in_flight = in_flight
-
-    def quiescent(self) -> bool:
-        return self.fabric.pending() == 0
-
-    def snapshot(self):
-        return self.fabric.snapshot()
-
-
 def hotspot_params(options: EvalOptions) -> Dict:
     """The hot-spot configuration derived from the CLI options.
 
@@ -253,8 +230,9 @@ def run_hotspot(
     receiver = _Receiver(fabric, hot, interval=params["service_interval"])
     receiver.handle = kernel.register(receiver)
     receiver.handle.wake_at(receiver.interval)
-    clock = _FabricClock(fabric)
-    kernel.register(clock)
+    # The fabric steps every cycle: it is the workload's clock and its
+    # metrics sampler, and tracks peak occupancy in its stats.
+    kernel.register(fabric)
     if profiler is not None:
         kernel.attach_profiler(profiler)
 
@@ -274,7 +252,7 @@ def run_hotspot(
         "deliveries_refused": fabric.stats.deliveries_refused,
         "mean_hops": round(fabric.stats.mean_hops, 3),
         "mean_latency": round(fabric.stats.mean_latency, 3),
-        "peak_in_flight": clock.peak_in_flight,
+        "peak_in_flight": fabric.stats.peak_in_flight,
         "sends": sum(ni.stats.sends for ni in fabric.interfaces),
         "send_stalls": sum(ni.stats.send_stalls for ni in fabric.interfaces),
         "refused": sum(ni.stats.refused for ni in fabric.interfaces),

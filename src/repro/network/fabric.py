@@ -12,10 +12,12 @@ full, pushing the backpressure chain the paper describes in Section 2.1.1:
     eventually their output queues fill up."
 
 *Which* link a message takes is the routing policy's decision
-(:mod:`repro.network.routing`): for each head-of-buffer message the
-policy returns an ordered tuple of ``(next node, virtual channel)``
-candidates from the topology and the router's cycle-start congestion
-view, and the output arbitration takes the first candidate whose
+(:mod:`repro.network.routing`), made table-driven: the static part of
+each route — a pure function of (node, destination) — is looked up in
+per-node tables filled on first use, and only adaptive policies rank
+their productive ports per message against the router's cycle-start
+congestion view.  The output arbitration walks the resulting
+``(next node, virtual channel)`` candidates and takes the first whose
 physical link is still free this cycle and whose downstream buffer has
 credit.  A head with credit nowhere yields the physical link to any
 other head that can actually move over it this cycle (virtual channels
@@ -56,11 +58,11 @@ that the run timed out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
-from repro.network.router import InTransit, Router, SourceKey
-from repro.network.routing import DimensionOrder, RoutingPolicy
+from repro.network.router import InTransit, Router
+from repro.network.routing import DimensionOrder, RoutingPolicy, StaticRoute
 from repro.network.topology import Topology
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
@@ -84,6 +86,8 @@ class FabricStats:
       per refused head message per cycle, matching the sum of
       :attr:`InterfaceStats.refused` exactly (a message refused for
       five cycles counts five attempts in both places).
+    * ``peak_in_flight`` — the most messages inside routers at the end
+      of any step.
     """
 
     cycles: int = 0
@@ -91,6 +95,7 @@ class FabricStats:
     total_hops: int = 0
     total_latency: int = 0
     deliveries_refused: int = 0
+    peak_in_flight: int = 0
     #: Deliveries and hop totals partitioned by message type, so mixed
     #: workloads (e.g. collective traffic riding alongside point-to-point)
     #: can attribute fabric load per protocol.
@@ -104,6 +109,20 @@ class FabricStats:
     @property
     def mean_latency(self) -> float:
         return self.total_latency / self.delivered if self.delivered else 0.0
+
+
+class LinkPort(NamedTuple):
+    """One output port of one router, resolved once at build time."""
+
+    next_node: int
+    vc: int
+    #: The downstream (next_node, node, vc) buffer this port feeds.
+    buffer: Deque[InTransit]
+    router: Router
+
+
+#: A route-table entry: (ports the policy ranks, fixed ports after them).
+Route = Tuple[Tuple[LinkPort, ...], Tuple[LinkPort, ...]]
 
 
 class Fabric:
@@ -137,6 +156,32 @@ class Fabric:
                 num_vcs=self.routing.num_vcs,
             )
             for node in range(topology.n_nodes)
+        ]
+        self.link_buffer_depth = link_buffer_depth
+        # Route tables.  Every (node, neighbor, vc) output resolves to its
+        # downstream buffer once, here; a node's table is a flat list
+        # indexed by destination whose entries are filled on first use
+        # and interned per node, so the whole table costs one pointer per
+        # (node, destination) pair.
+        n_nodes = topology.n_nodes
+        self._ports: List[Dict[Tuple[int, int], LinkPort]] = [
+            {
+                (neighbor, vc): LinkPort(
+                    neighbor,
+                    vc,
+                    self.routers[neighbor].in_buffers[(router.node, vc)],
+                    self.routers[neighbor],
+                )
+                for neighbor in router.neighbors
+                for vc in range(router.num_vcs)
+            }
+            for router in self.routers
+        ]
+        self._tables: List[List[Optional[Route]]] = [
+            [None] * n_nodes for _ in range(n_nodes)
+        ]
+        self._interned: List[Dict[StaticRoute, Route]] = [
+            {} for _ in range(n_nodes)
         ]
         self.serialization_cycles = max(1, serialization_cycles)
         # Per-node serialization state: the head message the countdown was
@@ -182,157 +227,181 @@ class Fabric:
 
     def step(self) -> int:
         """Advance one cycle; returns the number of deliveries made."""
-        self.stats.cycles += 1
+        stats = self.stats
+        stats.cycles += 1
         delivered, link_moves = self._move_messages()
         self._inject_from_interfaces()
+        in_flight = self.in_flight()
+        if in_flight > stats.peak_in_flight:
+            stats.peak_in_flight = in_flight
         if self.metrics is not None:
             self._sample_metrics(delivered, link_moves)
         return delivered
 
-    def _choose_link(
-        self, router: Router, destination: int, outputs_used: set
-    ) -> Optional[Tuple[int, int]]:
-        """Arbitrate one message's output: the first routing candidate
-        whose physical link is free this cycle and whose downstream
-        buffer has cycle-start credit; with no credit anywhere, the
-        first free-link candidate (the caller charges a blocked move);
-        ``None`` when every candidate link is already spoken for."""
-        routers = self.routers
-        node = router.node
-
-        def free(neighbor: int, vc: int) -> int:
-            return routers[neighbor].free_slots(node, vc)
-
-        fallback = None
-        for next_node, vc in self.routing.candidates(
-            self.topology, node, destination, free
-        ):
-            if ("link", next_node) in outputs_used:
-                continue
-            if fallback is None:
-                fallback = (next_node, vc)
-            if routers[next_node].can_accept_from(node, vc):
-                return (next_node, vc)
-        return fallback
+    def route(self, node: int, destination: int) -> Route:
+        """The static route from ``node`` to ``destination`` (not itself),
+        from ``node``'s table, filled on first use."""
+        entry = self._tables[node][destination]
+        if entry is None:
+            static = self.routing.static_route(self.topology, node, destination)
+            interned = self._interned[node]
+            entry = interned.get(static)
+            if entry is None:
+                ports = self._ports[node]
+                ranked, fixed = static
+                entry = interned[static] = (
+                    tuple(ports[port] for port in ranked),
+                    tuple(ports[port] for port in fixed),
+                )
+            self._tables[node][destination] = entry
+        return entry
 
     def _move_messages(self) -> Tuple[int, int]:
-        delivered = 0
-        link_moves = 0
-        tracer = self.tracer
-        lineage = self.lineage
         # Snapshot service decisions AND credits before moving anything,
         # so a message cannot traverse two links in one cycle and a
         # buffer slot freed by an earlier move this cycle cannot be
         # consumed by a later one (drain order must not depend on router
-        # iteration order).  Routing candidates see the same cycle-start
-        # congestion view for the same reason.
-        moves: List[Tuple[Router, SourceKey, Tuple[str, int, int]]] = []
-        link_credit: Dict[Tuple[int, int, int], bool] = {}
-        eject_credit: Dict[int, bool] = {}
+        # iteration order).  Adaptive ranking reads the same cycle-start
+        # congestion view, straight from the ports' downstream buffers.
+        # Each move record carries its credit: a downstream buffer is fed
+        # by exactly one link, which carries at most one move per cycle.
+        # The loops read LinkPort fields by index (``port[0]`` next node,
+        # ``port[2]`` downstream buffer), cheaper than by name.
+        interfaces = self.interfaces
+        tables = self._tables
+        rank = self.routing.rank
+        depth = self.link_buffer_depth
+        moves: List[Tuple[Router, Deque[InTransit], Optional[LinkPort], bool]] = []
         for router in self.routers:
-            outputs_used = set()
+            if not router.occupancy:
+                continue
+            node = router.node
+            table = tables[node]
+            # Claimed outputs this cycle, by next node; ``node`` itself
+            # stands for the ejection port.
+            claimed = set()
             # Heads with no downstream credit anywhere must not claim the
             # physical link during the scan: a virtual channel exists
             # precisely so a blocked head cannot hold the link hostage
             # (without this, a full escape channel could starve the open
             # dateline channel behind it forever).  They are deferred and
             # charge a blocked move only on links no mover claimed.
-            deferred: List[Tuple[SourceKey, int, int]] = []
-            for source in router.pending_sources():
-                item = router.peek(source)
-                destination = item.message.destination
-                if destination == router.node:
-                    if ("eject", router.node) in outputs_used:
+            deferred = None
+            for buffer in router.service_order:
+                if not buffer:
+                    continue
+                destination = buffer[0].destination
+                if destination == node:
+                    if node not in claimed:
+                        claimed.add(node)
+                        moves.append(
+                            (router, buffer, None, interfaces[node].can_accept())
+                        )
+                    continue
+                entry = table[destination]
+                if entry is None:
+                    entry = self.route(node, destination)
+                ranked, candidates = entry
+                if ranked:
+                    if len(ranked) > 1:
+                        ranked = rank(
+                            ranked, [depth - len(port[2]) for port in ranked]
+                        )
+                    candidates = tuple(ranked) + candidates
+                # The first candidate with a free link and credit moves;
+                # failing that, the first free-link one is deferred.
+                fallback = None
+                for port in candidates:
+                    if port[0] in claimed:
                         continue
-                    outputs_used.add(("eject", router.node))
-                    moves.append((router, source, ("eject", router.node, 0)))
-                    eject_credit[router.node] = self.interfaces[
-                        router.node
-                    ].can_accept()
-                    continue
-                chosen = self._choose_link(router, destination, outputs_used)
-                if chosen is None:
-                    continue
-                next_node, vc = chosen
-                key = (next_node, router.node, vc)
-                if self.routers[next_node].can_accept_from(router.node, vc):
-                    outputs_used.add(("link", next_node))
-                    link_credit[key] = True
-                    moves.append((router, source, ("link", next_node, vc)))
+                    if len(port[2]) < depth:
+                        claimed.add(port[0])
+                        moves.append((router, buffer, port, True))
+                        break
+                    if fallback is None:
+                        fallback = port
                 else:
-                    deferred.append((source, next_node, vc))
-            for source, next_node, vc in deferred:
-                if ("link", next_node) in outputs_used:
-                    continue
-                outputs_used.add(("link", next_node))
-                link_credit[(next_node, router.node, vc)] = False
-                moves.append((router, source, ("link", next_node, vc)))
-        for router, source, port in moves:
-            kind, target, vc = port
-            item = router.peek(source)
-            if kind == "eject":
+                    if fallback is not None:
+                        if deferred is None:
+                            deferred = []
+                        deferred.append((buffer, fallback))
+            if deferred is not None:
+                for buffer, port in deferred:
+                    if port[0] not in claimed:
+                        claimed.add(port[0])
+                        moves.append((router, buffer, port, False))
+        return self._apply_moves(moves)
+
+    def _apply_moves(
+        self,
+        moves: List[Tuple[Router, Deque[InTransit], Optional[LinkPort], bool]],
+    ) -> Tuple[int, int]:
+        """Carry out one cycle's arbitrated moves, in order."""
+        delivered = 0
+        link_moves = 0
+        stats = self.stats
+        cycle = stats.cycles
+        tracer = self.tracer
+        lineage = self.lineage
+        for router, buffer, port, credit in moves:
+            if port is None:
+                item = buffer[0]
                 interface = self.interfaces[router.node]
                 message = item.message
                 # Diverted messages (privileged / PIN mismatch) never
                 # consume an input-queue slot, so they bypass the credit
                 # snapshot exactly as they bypass the queue itself.
-                if eject_credit[router.node] or interface.would_divert(message):
+                if credit or interface.would_divert(message):
                     accepted = interface.deliver(message)
                 else:
                     accepted = interface.refuse_delivery(message)
                 if accepted:
-                    router.take(source)
+                    buffer.popleft()
+                    router.occupancy -= 1
                     router.stats.ejected += 1
                     delivered += 1
-                    self.stats.delivered += 1
-                    self.stats.total_hops += item.hops
-                    self.stats.total_latency += self.stats.cycles - item.injected_at
+                    stats.delivered += 1
+                    stats.total_hops += item.hops
+                    stats.total_latency += cycle - item.injected_at
                     mtype = message.mtype
-                    by_type = self.stats.delivered_by_type
+                    by_type = stats.delivered_by_type
                     by_type[mtype] = by_type.get(mtype, 0) + 1
-                    hops_by = self.stats.hops_by_type
+                    hops_by = stats.hops_by_type
                     hops_by[mtype] = hops_by.get(mtype, 0) + item.hops
                     if tracer is not None:
                         tracer.emit(
-                            self.stats.cycles,
+                            cycle,
                             EJECT,
                             router.node,
                             hops=item.hops,
-                            latency=self.stats.cycles - item.injected_at,
+                            latency=cycle - item.injected_at,
                         )
                 else:
-                    self.stats.deliveries_refused += 1
+                    stats.deliveries_refused += 1
                     router.stats.blocked_moves += 1
                     if lineage is not None:
-                        lineage.on_block(message, self.stats.cycles)
+                        lineage.on_block(message, cycle)
                     if tracer is not None:
-                        tracer.emit(
-                            self.stats.cycles, BLOCK, router.node, port="eject"
-                        )
+                        tracer.emit(cycle, BLOCK, router.node, port="eject")
+            elif credit:
+                item = buffer.popleft()
+                router.occupancy -= 1
+                router.stats.forwarded += 1
+                link_moves += 1
+                item.hops += 1
+                _, vc, downstream, target = port
+                downstream.append(item)
+                target.occupancy += 1
+                if target.lineage is not None or target.tracer is not None:
+                    target.observe_hop(item, router.node, vc)
             else:
-                key = (target, router.node, vc)
-                if link_credit[key]:
-                    # One credit per link channel per cycle (only this
-                    # router feeds the (target, self, vc) buffer, but be
-                    # explicit).
-                    link_credit[key] = False
-                    self.routers[target].accept_from(
-                        router.node, router.take(source), vc
+                router.stats.blocked_moves += 1
+                if lineage is not None:
+                    lineage.on_block(buffer[0].message, cycle)
+                if tracer is not None:
+                    tracer.emit(
+                        cycle, BLOCK, router.node, port="link", to=port.next_node
                     )
-                    router.stats.forwarded += 1
-                    link_moves += 1
-                else:
-                    router.stats.blocked_moves += 1
-                    if lineage is not None:
-                        lineage.on_block(item.message, self.stats.cycles)
-                    if tracer is not None:
-                        tracer.emit(
-                            self.stats.cycles,
-                            BLOCK,
-                            router.node,
-                            port="link",
-                            to=target,
-                        )
         return delivered, link_moves
 
     def _inject_from_interfaces(self) -> None:
@@ -402,7 +471,7 @@ class Fabric:
 
     def in_flight(self) -> int:
         """Messages currently inside routers (not counting endpoint queues)."""
-        return sum(router.occupancy for router in self.routers)
+        return sum([router.occupancy for router in self.routers])
 
     def pending(self) -> int:
         """All undelivered traffic: router occupancy plus output queues."""
@@ -427,35 +496,32 @@ class Fabric:
         ``None`` when no such cycle exists — e.g. mere congestion, or an
         endpoint refusing deliveries, which backpressure resolves once
         the endpoint drains.
+
+        Candidates come from the static route tables in their static
+        order, never from the policy's dynamic ranking: detection draws
+        nothing from the routing RNG, so calling it (the kernel's stall
+        snapshot does) never changes the run it inspects.
         """
-        routers = self.routers
         # Wait-for edges between full link buffers, keyed (node, neighbor, vc).
         edges: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
         heads: Dict[Tuple[int, int, int], int] = {}
-        for router in routers:
+        for router in self.routers:
+            node = router.node
             for key, buffer in router.in_buffers.items():
                 if len(buffer) < router.link_buffer_depth:
                     continue
-                destination = buffer[0].message.destination
-                if destination == router.node:
+                destination = buffer[0].destination
+                if destination == node:
                     continue  # waiting on the endpoint, not on a buffer
-                node_key = (router.node,) + key
+                node_key = (node,) + key
                 heads[node_key] = destination
-
-                def free(neighbor: int, vc: int, _node=router.node) -> int:
-                    return routers[neighbor].free_slots(_node, vc)
-
+                ranked, fixed = self.route(node, destination)
                 waits = []
-                blocked_everywhere = True
-                for next_node, vc in self.routing.candidates(
-                    self.topology, router.node, destination, free
-                ):
-                    downstream = routers[next_node]
-                    if downstream.free_slots(router.node, vc) > 0:
-                        blocked_everywhere = False
+                for port in ranked + fixed:
+                    if len(port.buffer) < port.router.link_buffer_depth:
                         break
-                    waits.append((next_node, router.node, vc))
-                if blocked_everywhere:
+                    waits.append((port.next_node, node, port.vc))
+                else:
                     edges[node_key] = waits
         # Cycle search over the wait-for graph (iterative DFS, colours).
         WHITE, GREY, BLACK = 0, 1, 2

@@ -26,7 +26,7 @@ input queue needs no buffer of its own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import NetworkError
@@ -45,11 +45,19 @@ def _zero_clock() -> int:
 
 @dataclass
 class InTransit:
-    """A message inside the fabric, with bookkeeping for statistics."""
+    """A message inside the fabric, with bookkeeping for statistics.
+
+    ``destination`` caches ``message.destination`` (decoded from ``m0``
+    once, not per arbitration).
+    """
 
     message: Message
     injected_at: int
     hops: int = 0
+    destination: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.destination = self.message.destination
 
 
 @dataclass
@@ -105,6 +113,12 @@ class Router:
             for vc in range(num_vcs)
         }
         self.injection: Deque[InTransit] = deque()
+        #: Every buffer in :meth:`pending_sources` order, empty or not.
+        self.service_order: Tuple[Deque[InTransit], ...] = tuple(
+            self.in_buffers.values()
+        ) + (self.injection,)
+        #: Messages held in all buffers, maintained on every entry and exit.
+        self.occupancy = 0
         self.stats = RouterStats()
         self.tracer: Optional[Tracer] = None
         self.lineage = None
@@ -143,13 +157,6 @@ class Router:
             self.link_buffer_depth
         )
 
-    def free_slots(self, neighbor: int, vc: int = 0) -> int:
-        """Remaining credit on the (neighbor, vc) buffer — the congestion
-        view adaptive policies rank candidates by."""
-        return self.link_buffer_depth - len(
-            self.in_buffers[self._buffer_key(neighbor, vc)]
-        )
-
     def can_inject(self) -> bool:
         return len(self.injection) < self.injection_depth
 
@@ -169,6 +176,16 @@ class Router:
             )
         item.hops += 1
         self.in_buffers[(neighbor, vc)].append(item)
+        self.occupancy += 1
+        if self.lineage is not None or self.tracer is not None:
+            self.observe_hop(item, neighbor, vc)
+
+    def observe_hop(self, item: InTransit, neighbor: int, vc: int) -> None:
+        """Report an arrived hop to the attached lineage tracker / tracer.
+
+        The fabric's move loop appends to a buffer it resolved at build
+        time and calls this only when an observer is attached.
+        """
         if self.lineage is not None:
             self.lineage.on_hop(
                 item.message, self._clock(), item.hops, self.node, vc, neighbor
@@ -179,7 +196,7 @@ class Router:
                 HOP,
                 self.node,
                 src=neighbor,
-                dest=item.message.destination,
+                dest=item.destination,
                 hops=item.hops,
             )
 
@@ -187,6 +204,7 @@ class Router:
         if not self.can_inject():
             raise NetworkError(f"router {self.node}: injection buffer full")
         self.injection.append(item)
+        self.occupancy += 1
         self.stats.injected += 1
         if self.lineage is not None:
             self.lineage.on_inject(item.message, self._clock(), self.node)
@@ -219,21 +237,12 @@ class Router:
             source = (source, 0)
         return self.in_buffers[self._buffer_key(*source)]
 
-    def peek(self, source: SourceKey) -> InTransit:
-        buffer = self._buffer(source)
-        if not buffer:
-            raise NetworkError(f"router {self.node}: buffer {source} is empty")
-        return buffer[0]
-
     def take(self, source: SourceKey) -> InTransit:
         buffer = self._buffer(source)
         if not buffer:
             raise NetworkError(f"router {self.node}: buffer {source} is empty")
+        self.occupancy -= 1
         return buffer.popleft()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.injection) + sum(len(b) for b in self.in_buffers.values())
 
     def is_idle(self) -> bool:
         return self.occupancy == 0

@@ -11,6 +11,16 @@ interface.  This module makes that separation explicit:
   and the router's *local congestion view* to an ordered tuple of
   candidate output ports, each a ``(next node, virtual channel)`` pair.
 
+Every policy's answer splits in two.  The **static** part
+(:meth:`RoutingPolicy.static_route`) is a pure function of (topology,
+node, destination): the productive ports to rank, plus the fixed ports
+offered after them.  The **dynamic** part (:meth:`RoutingPolicy.rank`)
+orders the ranked ports by the cycle-start congestion view.  The fabric
+keeps the static part in per-node route tables (garnet2.0-style
+table-driven routing) and calls only :meth:`~RoutingPolicy.rank` per
+message; :meth:`~RoutingPolicy.candidates` composes the two and is the
+reference the tables are tested against.
+
 Three policies cover the classic design points (the gem5/Garnet sweep
 the evaluation mirrors uses the same trio):
 
@@ -36,13 +46,21 @@ bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import Callable, Tuple
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from repro.errors import RoutingError
 from repro.network.topology import Hypercube, Mesh2D, Topology, Torus2D
 
 #: One candidate output port: (next node, virtual channel).
 Port = Tuple[int, int]
+
+#: The static part of a route: (ports to rank, fixed ports offered after
+#: them).  Ranked ports are in ascending node id.
+StaticRoute = Tuple[Tuple[Port, ...], Tuple[Port, ...]]
+
+#: Whatever a caller ranks: plain :data:`Port` pairs, or the fabric's
+#: richer link records.
+P = TypeVar("P")
 
 #: The router's local congestion view: free downstream buffer slots for
 #: the link to ``next_node`` on ``vc``, as of the start of the cycle.
@@ -80,6 +98,17 @@ class RoutingPolicy:
     name: str = "policy"
     num_vcs: int = 1
 
+    def static_route(
+        self, topology: Topology, node: int, destination: int
+    ) -> StaticRoute:
+        """The congestion-independent part of the route (see module doc)."""
+        raise NotImplementedError
+
+    def rank(self, ports: Sequence[P], free: List[int]) -> Sequence[P]:
+        """Order ``ports`` (two or more, ascending node id) given each
+        one's free downstream slots ``free``; the default keeps them."""
+        return ports
+
     def candidates(
         self,
         topology: Topology,
@@ -87,8 +116,14 @@ class RoutingPolicy:
         destination: int,
         free_slots: FreeSlots,
     ) -> Tuple[Port, ...]:
-        """Ordered candidate output ports for one head-of-buffer message."""
-        raise NotImplementedError
+        """Ordered candidate output ports for one head-of-buffer message:
+        the ranked ports in :meth:`rank` order, then the fixed ports."""
+        ranked, fixed = self.static_route(topology, node, destination)
+        if len(ranked) > 1:
+            ranked = tuple(
+                self.rank(ranked, [free_slots(n, vc) for n, vc in ranked])
+            )
+        return ranked + fixed
 
 
 def minimal_neighbors(
@@ -182,14 +217,10 @@ class DimensionOrder(RoutingPolicy):
         lowest = diff & -diff
         return node ^ lowest
 
-    def candidates(
-        self,
-        topology: Topology,
-        node: int,
-        destination: int,
-        free_slots: FreeSlots,
-    ) -> Tuple[Port, ...]:
-        return ((self.next_hop(topology, node, destination), 0),)
+    def static_route(
+        self, topology: Topology, node: int, destination: int
+    ) -> StaticRoute:
+        return ((), ((self.next_hop(topology, node, destination), 0),))
 
 
 class AdaptiveRandom(RoutingPolicy):
@@ -215,13 +246,9 @@ class AdaptiveRandom(RoutingPolicy):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def _adaptive_ports(
-        self,
-        topology: Topology,
-        node: int,
-        destination: int,
-        free_slots: FreeSlots,
-    ) -> Tuple[Port, ...]:
+    def static_route(
+        self, topology: Topology, node: int, destination: int
+    ) -> StaticRoute:
         minimal = minimal_neighbors(topology, node, destination)
         if not minimal:
             raise RoutingError(
@@ -229,26 +256,21 @@ class AdaptiveRandom(RoutingPolicy):
                 f"{topology.describe()}"
             )
         vc = self.adaptive_vc
-        if len(minimal) == 1:
-            return ((minimal[0], vc),)
-        free = {neighbor: free_slots(neighbor, vc) for neighbor in minimal}
-        best = max(free.values())
-        pool = [neighbor for neighbor in minimal if free[neighbor] == best]
+        return (tuple((neighbor, vc) for neighbor in minimal), ())
+
+    def rank(self, ports: Sequence[P], free: List[int]) -> Sequence[P]:
+        # The leader is drawn from the most-free ports; the rest follow
+        # most-free first, ties in ascending node id (``ports`` arrives
+        # in that order and the sort is stable).
+        best = max(free)
+        pool = [i for i, slots in enumerate(free) if slots == best]
         leader = pool[0] if len(pool) == 1 else self._rng.choice(pool)
         rest = sorted(
-            (n for n in minimal if n != leader),
-            key=lambda n: (-free[n], n),
+            (i for i in range(len(ports)) if i != leader),
+            key=free.__getitem__,
+            reverse=True,
         )
-        return ((leader, vc),) + tuple((n, vc) for n in rest)
-
-    def candidates(
-        self,
-        topology: Topology,
-        node: int,
-        destination: int,
-        free_slots: FreeSlots,
-    ) -> Tuple[Port, ...]:
-        return self._adaptive_ports(topology, node, destination, free_slots)
+        return (ports[leader],) + tuple(ports[i] for i in rest)
 
 
 class EscapeVC(AdaptiveRandom):
@@ -328,12 +350,8 @@ class EscapeVC(AdaptiveRandom):
             crosses = self._crosses_dateline(y, dy, topology.height)
         return (hop, self.escape_vc if crosses else self.dateline_vc)
 
-    def candidates(
-        self,
-        topology: Topology,
-        node: int,
-        destination: int,
-        free_slots: FreeSlots,
-    ) -> Tuple[Port, ...]:
-        adaptive = self._adaptive_ports(topology, node, destination, free_slots)
-        return adaptive + (self._escape_port(topology, node, destination),)
+    def static_route(
+        self, topology: Topology, node: int, destination: int
+    ) -> StaticRoute:
+        adaptive, _ = super().static_route(topology, node, destination)
+        return (adaptive, (self._escape_port(topology, node, destination),))

@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol
 
 from repro.errors import MessageFormatError, QueueOverflowError, ReservedTypeError
-from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
+from repro.nic.control import (
+    CONTROL_LAYOUT,
+    STATUS_LAYOUT,
+    ControlRegister,
+    SendFullPolicy,
+    StatusRegister,
+)
 from repro.nic.dispatch import DispatchConditions, DispatchUnit, describe_dispatch
 from repro.nic.messages import (
     MESSAGE_WORDS,
@@ -51,7 +57,7 @@ from repro.obs.tracer import (
     SEND_STALL,
     Tracer,
 )
-from repro.utils.bitfield import to_word
+from repro.utils.bitfield import WORD_MASK, to_word
 
 
 def _zero_clock() -> int:
@@ -104,6 +110,27 @@ class SendResult(enum.Enum):
 # words through unchanged.
 REPLY_SUBSTITUTION = {0: 1, 1: 2}
 FORWARD_SUBSTITUTION = {2: 2, 3: 3, 4: 4}
+
+# Shifts and masks of the fields _refresh_status reads and writes, taken
+# from the register layouts (still the one source of the bit layout) so
+# the refresh is plain integer arithmetic and a single STATUS write.
+def _shift_and_max(layout, name):
+    bits = layout.field(name)
+    return bits.shift, bits.max_value
+
+
+_IQ_LEN_SHIFT, _IQ_LEN_MAX = _shift_and_max(STATUS_LAYOUT, "iq_len")
+_OQ_LEN_SHIFT, _OQ_LEN_MAX = _shift_and_max(STATUS_LAYOUT, "oq_len")
+_MSG_TYPE_SHIFT = STATUS_LAYOUT.field("msg_type").shift
+_MSG_VALID = STATUS_LAYOUT.field("msg_valid").field_mask
+_IAFULL = STATUS_LAYOUT.field("iafull").field_mask
+_OAFULL = STATUS_LAYOUT.field("oafull").field_mask
+_KEPT_BITS = WORD_MASK & ~sum(
+    STATUS_LAYOUT.field(name).field_mask
+    for name in ("msg_valid", "msg_type", "iq_len", "oq_len", "iafull", "oafull")
+)
+_IQ_THRESHOLD_SHIFT, _IQ_THRESHOLD_MAX = _shift_and_max(CONTROL_LAYOUT, "iq_threshold")
+_OQ_THRESHOLD_SHIFT, _OQ_THRESHOLD_MAX = _shift_and_max(CONTROL_LAYOUT, "oq_threshold")
 
 
 @dataclass
@@ -589,19 +616,37 @@ class NetworkInterface:
                 )
 
     def _refresh_status(self) -> None:
-        """Recompute the hardware-maintained STATUS fields."""
-        self.input_queue.set_threshold(self.control["iq_threshold"])
-        self.output_queue.set_threshold(self.control["oq_threshold"])
-        self.status["msg_valid"] = 1 if self._current is not None else 0
-        self.status["msg_type"] = self._current.mtype if self._current else 0
-        self.status["iq_len"] = min(
-            self.input_queue.depth, (1 << 5) - 1
+        """Recompute the hardware-maintained STATUS fields in one word write.
+
+        The queues' almost-full thresholds follow CONTROL; msg_valid,
+        msg_type, the queue lengths (clamped to the field) and the two
+        almost-full bits are rebuilt; every other STATUS bit is kept.
+        """
+        control = self.control.word
+        iq = self.input_queue
+        oq = self.output_queue
+        # set_threshold clamps to the capacity; comparing the clamped
+        # value lets an unchanged CONTROL skip the call.
+        threshold = (control >> _IQ_THRESHOLD_SHIFT) & _IQ_THRESHOLD_MAX
+        if min(threshold, iq.capacity) != iq.threshold:
+            iq.set_threshold(threshold)
+        threshold = (control >> _OQ_THRESHOLD_SHIFT) & _OQ_THRESHOLD_MAX
+        if min(threshold, oq.capacity) != oq.threshold:
+            oq.set_threshold(threshold)
+        iq_len = len(iq)
+        oq_len = len(oq)
+        word = (
+            (self.status.word & _KEPT_BITS)
+            | min(iq_len, _IQ_LEN_MAX) << _IQ_LEN_SHIFT
+            | min(oq_len, _OQ_LEN_MAX) << _OQ_LEN_SHIFT
         )
-        self.status["oq_len"] = min(
-            self.output_queue.depth, (1 << 5) - 1
-        )
-        self.status["iafull"] = 1 if self.input_queue.almost_full else 0
-        self.status["oafull"] = 1 if self.output_queue.almost_full else 0
+        if self._current is not None:
+            word |= _MSG_VALID | self._current.mtype << _MSG_TYPE_SHIFT
+        if iq_len > iq.threshold:
+            word |= _IAFULL
+        if oq_len > oq.threshold:
+            word |= _OAFULL
+        self.status.word = word
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

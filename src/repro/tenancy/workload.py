@@ -365,28 +365,6 @@ class _NodeServer(SimComponent):
         }
 
 
-class _FabricClock(SimComponent):
-    """The fabric under the tenancy kernel: steps every cycle."""
-
-    name = "fabric"
-
-    def __init__(self, fabric: Fabric) -> None:
-        self.fabric = fabric
-        self.peak_in_flight = 0
-
-    def tick(self, cycle: int) -> None:
-        self.fabric.step()
-        in_flight = self.fabric.in_flight()
-        if in_flight > self.peak_in_flight:
-            self.peak_in_flight = in_flight
-
-    def quiescent(self) -> bool:
-        return self.fabric.pending() == 0
-
-    def snapshot(self):
-        return self.fabric.snapshot()
-
-
 class MultiTenantRun:
     """One policy serving one tenant population for a fixed horizon."""
 
@@ -459,8 +437,7 @@ class MultiTenantRun:
         for server in self.servers:
             server.handle = self.kernel.register(server)
             server.handle.wake_at(1 + (server.node % service_interval))
-        self.clock = _FabricClock(self.fabric)
-        self.kernel.register(self.clock)
+        self.kernel.register(self.fabric)
         # Per-tenant bounded-memory latency series plus exact per-role
         # aggregates (three roles, so exact is cheap).
         self.latency: Dict[int, Histogram] = {
@@ -581,7 +558,7 @@ class MultiTenantRun:
             "switches": self.scheduler.switches,
             "redelivered": self.scheduler.redelivered,
             "diverted": dict(self.scheduler.diverted_by_reason),
-            "peak_in_flight": self.clock.peak_in_flight,
+            "peak_in_flight": self.fabric.stats.peak_in_flight,
             "roles": self.role_summary(),
             "tenant_table": self.tenant_table(),
         }

@@ -11,8 +11,9 @@ import pytest
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric
 from repro.network.router import InTransit
-from repro.network.routing import AdaptiveRandom, EscapeVC
+from repro.network.routing import AdaptiveRandom, EscapeVC, make_policy
 from repro.network.topology import Mesh2D, Torus2D
+from repro.network.traffic import run_traffic
 from repro.nic.messages import Message, pack_destination
 
 
@@ -101,6 +102,54 @@ class TestFindDeadlock:
 
     def test_empty_fabric_has_no_deadlock(self):
         assert make_fabric(AdaptiveRandom(seed=0)).find_deadlock() is None
+
+
+class TestDetectorIsPure:
+    """The detector is a diagnostic: looking must not change the run."""
+
+    def test_detection_draws_nothing_from_the_policy_rng(self):
+        # A full buffer whose head has two productive neighbors with equal
+        # free space: ranking them would consult the seeded RNG.
+        policy = AdaptiveRandom(seed=0)
+        fabric = Fabric(
+            Mesh2D(3, 3),
+            link_buffer_depth=1,
+            serialization_cycles=1,
+            routing=policy,
+        )
+        fabric.routers[4].accept_from(3, InTransit(msg(8), injected_at=0))
+        state = policy._rng.getstate()
+        assert fabric.find_deadlock() is None
+        assert "deadlock" not in fabric.snapshot()
+        assert policy._rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "policy, rate", [("adaptive-random", 0.35), ("escape-vc", 0.45)]
+    )
+    def test_mid_run_detection_leaves_the_payload_unchanged(
+        self, monkeypatch, policy, rate
+    ):
+        def run():
+            return run_traffic(
+                Mesh2D(8, 8),
+                make_policy(policy, 3),
+                "uniform",
+                rate,
+                3,
+                warmup_cycles=50,
+                measure_cycles=100,
+            )
+
+        plain = run()
+        tick = Fabric.tick
+
+        def probing_tick(self, cycle):
+            tick(self, cycle)
+            if cycle % 10 == 0:
+                self.find_deadlock()
+
+        monkeypatch.setattr(Fabric, "tick", probing_tick)
+        assert run() == plain
 
 
 class TestEscapeChannel:
