@@ -38,8 +38,8 @@ The tracker follows the tracer's zero-cost-when-off contract: every
 producer keeps a ``lineage`` attribute defaulting to ``None`` and
 guards call sites with an identity check, so unobserved runs execute
 byte-identical code.  TAM runtimes install wrappers at construction
-time (mirroring ``Tracer``), which keeps the fused codegen loop and the
-fastpath's compile-at-load closures untouched when lineage is off.
+time (mirroring ``Tracer``), which keeps the fused codegen loop and its
+generated code untouched when lineage is off.
 
 Causality is a DAG over lineage records: a collectives handler's
 emission is caused by *all* child messages it consumed since its last

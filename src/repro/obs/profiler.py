@@ -28,9 +28,8 @@ that the rest of the observability layer feeds into:
 
 * ``track(name)`` opens an attribution row for work not driven by a
   kernel — the TAM runtime uses it for per-node turn attribution;
-* ``set_counter`` / ``add_counter`` hold exact integer totals —
-  :func:`repro.tam.fastpath.feed_profiler` folds the fast path's batched
-  :class:`~repro.tam.stats.TamStats` in here;
+* ``set_counter`` / ``add_counter`` hold exact integer totals — the TAM
+  runtime folds each run's :class:`~repro.tam.stats.TamStats` in here;
 * ``set_gauge`` holds point-in-time measurements —
   :meth:`repro.obs.metrics.MetricsRecorder.feed_profiler` publishes its
   per-series summaries this way.

@@ -474,15 +474,14 @@ def run_gamteb(
     nodes: int = 16,
     seed: int = 19920501,
     verify: bool = True,
-    fast: bool = True,
-    backend=None,
+    backend: str = "codegen",
 ) -> GamtebResult:
     """Run the Gamteb reproduction with ``n_photons`` source particles.
 
-    ``backend`` names the execution backend ("reference", "fastpath",
-    "codegen"); with ``None`` the legacy ``fast`` flag decides.
+    ``backend`` names the execution backend (``"codegen"``, the default,
+    or ``"reference"``).
     """
-    machine = TamMachine(nodes, fast=fast, backend=backend)
+    machine = TamMachine(nodes, backend=backend)
     driver = build_driver_codeblock(n_photons, seed)
     machine.load(build_photon_codeblock(done_inlet=PHOTON_DONE_INLET))
     machine.load(driver)

@@ -466,15 +466,14 @@ class MatmulResult:
 
 
 def run_matmul(
-    n: int = 16, nodes: int = 16, verify: bool = True, fast: bool = True,
-    tracer=None, profiler=None, backend=None,
+    n: int = 16, nodes: int = 16, verify: bool = True,
+    tracer=None, profiler=None, backend: str = "codegen",
 ) -> MatmulResult:
     """Run an n×n blocked matrix multiply on a TAM machine of ``nodes``.
 
-    ``backend`` names the execution backend ("reference", "fastpath",
-    "codegen"); with ``None`` the legacy ``fast`` flag decides —
-    ``fast=False`` selects the reference interpreter (identical results,
-    used by the golden equivalence tests).  ``tracer`` opts the machine
+    ``backend`` names the execution backend (``"codegen"``, the default,
+    or ``"reference"`` — identical results, used by the backend
+    equivalence tests).  ``tracer`` opts the machine
     into message-path event tracing (:mod:`repro.obs.tracer`);
     ``profiler`` into per-node turn attribution and instruction-mix
     counters (:mod:`repro.obs.profiler`); results and statistics are
@@ -484,7 +483,7 @@ def run_matmul(
         raise TamError(f"matrix size {n} must be a multiple of {BLOCK}")
     nb = n // BLOCK
     machine = TamMachine(
-        nodes, fast=fast, tracer=tracer, profiler=profiler, backend=backend
+        nodes, tracer=tracer, profiler=profiler, backend=backend
     )
     driver = build_driver_codeblock(nb)
     done_inlet = 5  # in_done in the driver's inlet numbering

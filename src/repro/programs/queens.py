@@ -362,20 +362,18 @@ def run_queens(
     n: int = 6,
     nodes: int = 16,
     verify: bool = True,
-    fast: bool = True,
     tracer=None,
-    backend=None,
+    backend: str = "codegen",
 ) -> QueensResult:
     """Count the N-Queens solutions with one activation per tree node.
 
-    ``backend`` names the execution backend ("reference", "fastpath",
-    "codegen"); with ``None`` the legacy ``fast`` flag decides.
-    ``tracer`` opts the machine into message-path event tracing
+    ``backend`` names the execution backend (``"codegen"``, the default,
+    or ``"reference"``).  ``tracer`` opts the machine into message-path event tracing
     (:mod:`repro.obs.tracer`).
     """
     if n < 1 or n > MAX_N:
         raise TamError(f"board size {n} outside 1..{MAX_N}")
-    machine = TamMachine(nodes, fast=fast, tracer=tracer, backend=backend)
+    machine = TamMachine(nodes, tracer=tracer, backend=backend)
     machine.load(build_worker(n))
     machine.load(build_driver())
     ref = machine.boot("queens_driver")

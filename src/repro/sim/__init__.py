@@ -7,16 +7,15 @@ single engine they all run on now:
 
 * :class:`~repro.sim.kernel.SimKernel` — the cycle engine: component
   registration with stable service ordering, wake/sleep idle-skip
-  scheduling (the flag-array trick from the TAM fast path, generalized),
+  scheduling (the flag-array trick of the TAM scheduler, generalized),
   unified stop conditions (quiescence, max-cycles with a diagnostic
   state snapshot, custom predicates), and cycle hooks for the
   observability layer.
 * :class:`~repro.sim.component.SimComponent` — the component contract a
   clocked object implements to be driven by the kernel.
 * :mod:`repro.sim.sweep` — the turn-based service policies
-  (:class:`~repro.sim.sweep.ReferenceSweep`,
-  :class:`~repro.sim.sweep.ActiveSweep`, and the heap-based
-  :class:`~repro.sim.sweep.EventSweep`) the TAM runtime schedules on,
+  (:class:`~repro.sim.sweep.ReferenceSweep` and the flag-array
+  :class:`~repro.sim.sweep.ActiveSweep`) the TAM runtime schedules on,
   pinned turn-for-turn equivalent to each other.
 
 Drivers rebased on this package: ``api.cluster.Cluster.run``, the
@@ -27,11 +26,10 @@ schedulers in ``tam.runtime``.
 
 from repro.sim.component import SimComponent
 from repro.sim.kernel import SimHandle, SimKernel, SimResult
-from repro.sim.sweep import ActiveSweep, EventSweep, ReferenceSweep
+from repro.sim.sweep import ActiveSweep, ReferenceSweep
 
 __all__ = [
     "ActiveSweep",
-    "EventSweep",
     "ReferenceSweep",
     "SimComponent",
     "SimHandle",

@@ -3,7 +3,7 @@
 The TAM runtime's unit of time is the *productive turn* (one thread run
 or one message processed), not the cycle, so it schedules on the
 policies here rather than on :class:`~repro.sim.kernel.SimKernel`'s
-cycle loop.  All implement the same contract:
+cycle loop.  Both implement the same contract:
 
 * states are serviced in ascending index order, sweep after sweep;
 * each state performs at most one unit of work per sweep;
@@ -21,15 +21,15 @@ flag arrays carry a ``True`` sentinel at index ``n`` so the sweep scan
 (``list.index``) always terminates without an exception, and a state
 activated mid-sweep joins the current sweep if the sweep has not yet
 passed it (the reference policy would still reach it) and the next
-sweep otherwise.  :class:`EventSweep` replaces the flag arrays with a
-min-heap of integer wake events for the codegen machine, again with the
-identical service order.  The golden-equivalence tests pin all policies
-turn-for-turn.
+sweep otherwise.  The codegen TAM backend runs on :class:`ActiveSweep`
+(its unobserved loop inlines it); the reference backend runs on
+:class:`ReferenceSweep`.  ``tests/sim/test_sweep.py`` pins the two
+policies to each other, and the TAM backend-matrix tests pin the
+backends turn-for-turn.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Callable, Iterable, List, Optional, Sequence
 
 
@@ -153,104 +153,3 @@ class ActiveSweep:
             for i in range(n):
                 in_current[i] = False
                 in_next[i] = False
-
-
-class EventSweep:
-    """Heap scheduler: same service order as :class:`ActiveSweep`, but
-    pending work lives in a min-heap of wake events instead of flag
-    arrays, so a sweep over ``n`` states with ``k`` active ones costs
-    ``O(k log k)`` instead of the ``O(n)`` flag scan.
-
-    Each pending wake is a single integer key ``sweep * n + index``, so
-    the heap orders by sweep first and index second without allocating
-    tuples.  ``queued[index]`` holds the key currently in the heap for
-    that state (or ``-1``), which keeps each state at most once in the
-    heap — the analogue of a flag array where setting a set flag is a
-    no-op.  A state woken mid-sweep targets the current sweep if the
-    sweep has not passed it yet (``index > sweep_pos``) and the next
-    sweep otherwise, exactly :meth:`ActiveSweep.wake`'s rule; since a
-    state's flag under ActiveSweep is set in at most one of the two
-    arrays at any instant, the single ``queued`` slot loses nothing.
-
-    The same public attribute contract applies: the machine's post path
-    calls :meth:`wake` (or inlines it) only while :attr:`active` is set.
-    """
-
-    __slots__ = ("n", "heap", "queued", "sweep", "sweep_pos", "active")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.heap: List[int] = []
-        self.queued: List[int] = [-1] * n
-        self.sweep = 0
-        self.sweep_pos = -1
-        self.active = False
-
-    def wake(self, index: int) -> None:
-        """Queue ``index`` for service; mid-sweep wakes join the current
-        sweep only if the sweep has not passed them yet."""
-        if self.queued[index] == -1:
-            target = self.sweep if index > self.sweep_pos else self.sweep + 1
-            key = target * self.n + index
-            self.queued[index] = key
-            heappush(self.heap, key)
-
-    def run(
-        self,
-        states: Sequence,
-        service: Callable[[object], Optional[bool]],
-        initially_active: Iterable[int],
-        max_turns: int,
-        stall: Callable[[], BaseException],
-    ) -> int:
-        """Service queued states to quiescence; returns productive turns.
-
-        Same contract as :meth:`ActiveSweep.run`: ``service(state)``
-        performs at most one unit of work and returns ``None`` if the
-        state had none, else whether it still has work (re-queueing it
-        for the next sweep).  Work created on *other* states must be
-        reported through :meth:`wake` while :attr:`active` is set.
-        """
-        n = self.n
-        heap = self.heap
-        queued = self.queued
-        # Sweep-0 keys equal the indices, so a sorted unique seed list is
-        # already a valid heap.
-        for index in sorted(set(initially_active)):
-            queued[index] = index
-            heap.append(index)
-        self.sweep = 0
-        self.sweep_pos = -1
-        self.active = True
-        turns = 0
-        try:
-            while heap:
-                key = heappop(heap)
-                sweep, index = divmod(key, n)
-                if sweep != self.sweep:
-                    # First event of the next sweep: promote.
-                    self.sweep = sweep
-                self.sweep_pos = index
-                queued[index] = -1
-                more = service(states[index])
-                if more is None:  # pragma: no cover - queued states have work
-                    continue
-                turns += 1
-                if turns >= max_turns and (more or heap):
-                    # The bound is reached and work remains: a further
-                    # productive turn would be needed.
-                    raise stall()
-                if more and queued[index] == -1:
-                    # Re-arm for the next sweep (unless servicing already
-                    # re-queued this state by posting to itself).
-                    rearm = (sweep + 1) * n + index
-                    queued[index] = rearm
-                    heappush(heap, rearm)
-            return turns
-        finally:
-            self.active = False
-            self.sweep = 0
-            self.sweep_pos = -1
-            for index in range(n):
-                queued[index] = -1
-            del heap[:]

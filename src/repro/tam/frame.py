@@ -27,10 +27,7 @@ class Frame:
     # Frames are allocated once per activation and machines allocate many
     # thousands of them; __slots__ keeps them compact and makes attribute
     # access in the interpreter hot loop cheaper.
-    __slots__ = (
-        "codeblock", "ref", "slots", "_counters", "finished", "compiled",
-        "inlets",
-    )
+    __slots__ = ("codeblock", "ref", "slots", "_counters", "finished")
 
     def __init__(self, codeblock: Codeblock, ref: FrameRef) -> None:
         self.codeblock = codeblock
@@ -40,12 +37,6 @@ class Frame:
             label: spec.count for label, spec in codeblock.counters.items()
         }
         self.finished = False
-        # Set by the machine when the codeblock has been compiled for the
-        # fast path (repro.tam.fastpath); None on the reference path.
-        # ``inlets`` mirrors ``compiled.inlets`` so message delivery skips
-        # an attribute hop per message.
-        self.compiled = None
-        self.inlets = None
 
     def read(self, slot: int) -> float:
         self._check(slot)
@@ -71,9 +62,7 @@ class Frame:
         try:
             remaining = self._counters[counter]
         except KeyError:
-            raise FrameError(
-                f"{self.codeblock.name}{self.ref}: no counter {counter!r}"
-            ) from None
+            raise self._no_counter(counter) from None
         if remaining <= 0:
             raise FrameError(
                 f"{self.codeblock.name}{self.ref}: counter {counter!r} "
@@ -88,12 +77,18 @@ class Frame:
     def reset(self, counter: str, count: int) -> None:
         """Re-arm a counter (loop threads use this between iterations)."""
         if counter not in self._counters:
-            raise FrameError(
-                f"{self.codeblock.name}{self.ref}: no counter {counter!r}"
-            )
+            raise self._no_counter(counter)
         if count < 0:
             raise FrameError(f"cannot reset counter {counter!r} to {count}")
         self._counters[counter] = count
 
     def counter_value(self, counter: str) -> int:
-        return self._counters[counter]
+        try:
+            return self._counters[counter]
+        except KeyError:
+            raise self._no_counter(counter) from None
+
+    def _no_counter(self, counter: str) -> FrameError:
+        return FrameError(
+            f"{self.codeblock.name}{self.ref}: no counter {counter!r}"
+        )

@@ -1,8 +1,8 @@
 """TAM inter-frame message types.
 
 Split out of :mod:`repro.tam.runtime` so both the reference interpreter
-and the compiled fast path (:mod:`repro.tam.fastpath`) can construct
-messages without an import cycle.  A message is what the paper's network
+and the generated code of the codegen backend (:mod:`repro.tam.codegen`)
+can construct messages without an import cycle.  A message is what the paper's network
 would carry between nodes: argument Sends, frame/I-structure allocation
 requests, presence-bit reads and writes, and plain remote memory
 accesses.

@@ -85,19 +85,6 @@ class TamStats:
     def count_instruction(self, kind: Kind) -> None:
         self.instructions[kind] += 1
 
-    def count_instructions(self, mix) -> None:
-        """Bulk-add a precomputed static mix: iterable of (kind, count).
-
-        The fast path compiles each thread's instruction mix once at load
-        time and charges it with one call per thread run instead of one
-        dict update per instruction; the resulting counts are identical
-        because a TAM thread is straight-line code that always executes
-        its whole prefix up to STOP.
-        """
-        instructions = self.instructions
-        for kind, count in mix:
-            instructions[kind] += count
-
     @property
     def total_instructions(self) -> int:
         return sum(self.instructions.values())

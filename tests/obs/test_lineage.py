@@ -30,6 +30,7 @@ from repro.obs.lineage import (
     LineageTracker,
     Span,
 )
+from repro.tam.runtime import TamMachine
 
 
 class FakeMessage:
@@ -283,7 +284,6 @@ class TestTamLineage:
             IstoreInstr,
             StopInstr,
         )
-        from repro.tam.runtime import TamMachine
 
         block = Codeblock("pc", frame_size=6)
         block.add_inlet(0, dest_slots=(0,), counter="desc")
@@ -312,7 +312,7 @@ class TestTamLineage:
         machine.run()
         return tracker
 
-    @pytest.mark.parametrize("backend", ["reference", "fastpath", "codegen"])
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
     def test_request_response_edge(self, backend):
         tracker = self.producer_consumer(backend)
         assert tracker.live == {}
@@ -324,7 +324,7 @@ class TestTamLineage:
 
     def test_backends_record_identical_structure(self):
         shapes = set()
-        for backend in ("reference", "fastpath", "codegen"):
+        for backend in TamMachine.BACKENDS:
             tracker = self.producer_consumer(backend)
             shapes.add(
                 (
@@ -338,7 +338,7 @@ class TestTamLineage:
         assert len(shapes) == 1
 
     def test_turn_timeline_tagged(self):
-        tracker = self.producer_consumer("fastpath")
+        tracker = self.producer_consumer("codegen")
         assert {record.timeline for record in tracker.records} == {"turns"}
         phases = {
             span.phase for record in tracker.records for span in record.spans

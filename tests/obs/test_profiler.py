@@ -27,6 +27,7 @@ from repro.obs.profiler import SimProfiler, reconcile, render_profile
 from repro.obs.tracer import Tracer
 from repro.programs.matmul import run_matmul
 from repro.sim import SimComponent, SimKernel
+from repro.tam.runtime import TamMachine
 
 
 def small_params() -> dict:
@@ -173,18 +174,20 @@ class TestTamAttribution:
         assert plain.stats == profiled.stats
 
     def test_node_turns_sum_to_turns_executed_on_both_paths(self):
-        for fast in (True, False):
+        for backend in TamMachine.BACKENDS:
             profiler = SimProfiler()
-            result = run_matmul(n=8, nodes=4, fast=fast, profiler=profiler)
+            result = run_matmul(
+                n=8, nodes=4, backend=backend, profiler=profiler
+            )
             assert sum(p.ticks for p in profiler.tracked.values()) == (
                 result.machine.turns_executed
             )
 
     def test_fast_and_reference_attribute_identically(self):
         ticks = []
-        for fast in (True, False):
+        for backend in TamMachine.BACKENDS:
             profiler = SimProfiler()
-            run_matmul(n=8, nodes=4, fast=fast, profiler=profiler)
+            run_matmul(n=8, nodes=4, backend=backend, profiler=profiler)
             ticks.append({n: p.ticks for n, p in profiler.tracked.items()})
         assert ticks[0] == ticks[1]
 

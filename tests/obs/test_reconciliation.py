@@ -167,9 +167,9 @@ class TestTamReconciliation:
         )
 
     def test_both_interpreter_paths_emit_identical_counts(self):
-        fast_tracer = Tracer(capacity=None)
+        codegen_tracer = Tracer(capacity=None)
         ref_tracer = Tracer(capacity=None)
-        run_matmul(n=8, nodes=4, fast=True, tracer=fast_tracer)
-        run_matmul(n=8, nodes=4, fast=False, tracer=ref_tracer)
-        assert fast_tracer.count(TAM_POST) == ref_tracer.count(TAM_POST)
-        assert fast_tracer.count(TAM_HANDLE) == ref_tracer.count(TAM_HANDLE)
+        run_matmul(n=8, nodes=4, tracer=codegen_tracer)
+        run_matmul(n=8, nodes=4, backend="reference", tracer=ref_tracer)
+        assert codegen_tracer.count(TAM_POST) == ref_tracer.count(TAM_POST)
+        assert codegen_tracer.count(TAM_HANDLE) == ref_tracer.count(TAM_HANDLE)

@@ -6,7 +6,7 @@ Two kinds of guarantee:
   payloads, cycle counts, and trace event streams.  The kernel has no
   hidden state (no wall clock, no hashing order, no RNG), so any
   divergence here is a scheduling bug.
-* **Policy equivalence** — the TAM reference and fast interpreters are
+* **Policy equivalence** — the TAM reference and codegen backends are
   two policies over the same sweep contract; their observable event
   streams must match turn for turn, not just in aggregate.
 """
@@ -65,7 +65,7 @@ class TestRepeatability:
 
 
 class TestPolicyEquivalence:
-    """Reference and fast TAM schedulers: same events, same order."""
+    """Reference and codegen TAM backends: same events, same order."""
 
     def tam_stream(self, tracer):
         return [
@@ -75,17 +75,17 @@ class TestPolicyEquivalence:
         ]
 
     def test_matmul_turn_for_turn(self):
-        fast, ref = Tracer(capacity=None), Tracer(capacity=None)
-        a = run_matmul(n=8, nodes=4, fast=True, tracer=fast)
-        b = run_matmul(n=8, nodes=4, fast=False, tracer=ref)
+        codegen, ref = Tracer(capacity=None), Tracer(capacity=None)
+        a = run_matmul(n=8, nodes=4, tracer=codegen)
+        b = run_matmul(n=8, nodes=4, backend="reference", tracer=ref)
         assert a.total == b.total
         assert a.machine.turns_executed == b.machine.turns_executed
-        assert self.tam_stream(fast) == self.tam_stream(ref)
+        assert self.tam_stream(codegen) == self.tam_stream(ref)
 
     def test_queens_turn_for_turn(self):
-        fast, ref = Tracer(capacity=None), Tracer(capacity=None)
-        a = run_queens(n=5, nodes=4, fast=True, tracer=fast)
-        b = run_queens(n=5, nodes=4, fast=False, tracer=ref)
+        codegen, ref = Tracer(capacity=None), Tracer(capacity=None)
+        a = run_queens(n=5, nodes=4, tracer=codegen)
+        b = run_queens(n=5, nodes=4, backend="reference", tracer=ref)
         assert a.solutions == b.solutions
         assert a.machine.turns_executed == b.machine.turns_executed
-        assert self.tam_stream(fast) == self.tam_stream(ref)
+        assert self.tam_stream(codegen) == self.tam_stream(ref)

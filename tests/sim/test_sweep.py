@@ -1,4 +1,4 @@
-"""The three turn policies: identical service order, exact turn bounds.
+"""The two turn policies: identical service order, exact turn bounds.
 
 The synthetic states here model the TAM shape (a work stack that can
 spawn work on other states) without any TAM machinery, so the policy
@@ -8,7 +8,7 @@ contract is pinned independently of the runtime that uses it.
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import ActiveSweep, EventSweep, ReferenceSweep
+from repro.sim import ActiveSweep, ReferenceSweep
 
 
 class State:
@@ -64,12 +64,6 @@ class Harness:
             stall=stall or (lambda: SimulationError("turn bound exceeded")),
         )
 
-    def run_event(self, max_turns=1000, stall=None):
-        # Same run contract as ActiveSweep; _do_one keeps reporting
-        # spawns through self.sweep.wake.
-        self.sweep = EventSweep(len(self.states))
-        return self.run_active(max_turns=max_turns, stall=stall)
-
 
 def cascade(harness):
     """State 0 fans out to 2 and 1; 1 then feeds 3; 3 re-arms 0."""
@@ -79,7 +73,7 @@ def cascade(harness):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("policy", ["reference", "active", "event"])
+    @pytest.mark.parametrize("policy", ["reference", "active"])
     def test_service_order(self, policy):
         harness = Harness(4)
         cascade(harness)
@@ -106,7 +100,7 @@ class TestEquivalence:
 class TestTurnBound:
     """``max_turns`` is exact: K turns within a bound of K succeed."""
 
-    @pytest.mark.parametrize("policy", ["reference", "active", "event"])
+    @pytest.mark.parametrize("policy", ["reference", "active"])
     def test_exact_bound_succeeds(self, policy):
         probe = Harness(4)
         cascade(probe)
@@ -116,7 +110,7 @@ class TestTurnBound:
         runner = getattr(harness, f"run_{policy}")
         assert runner(max_turns=needed) == needed
 
-    @pytest.mark.parametrize("policy", ["reference", "active", "event"])
+    @pytest.mark.parametrize("policy", ["reference", "active"])
     def test_one_below_bound_raises(self, policy):
         probe = Harness(4)
         cascade(probe)
@@ -127,7 +121,7 @@ class TestTurnBound:
         with pytest.raises(SimulationError):
             runner(max_turns=needed - 1)
 
-    @pytest.mark.parametrize("policy", ["reference", "active", "event"])
+    @pytest.mark.parametrize("policy", ["reference", "active"])
     def test_runaway_work_raises(self, policy):
         harness = Harness(2)
         harness.spawn(0, [(0, [])])

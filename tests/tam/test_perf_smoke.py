@@ -1,12 +1,12 @@
-"""Perf-regression smoke tests for the fast interpreter path.
+"""Perf-regression smoke tests for the default (codegen) TAM backend.
 
-The Figure 12 harness is only usable at paper scale because the fast
-path keeps the interpreter quick; a large regression would quietly make
-``python -m repro --paper-scale`` impractical.  The budgets here are
-deliberately generous multiples of the measured times (see
+The Figure 12 harness is only usable at paper scale because the codegen
+backend keeps the interpreter quick; a large regression would quietly
+make ``python -m repro --paper-scale`` impractical.  The budgets here
+are deliberately generous multiples of the measured times (see
 ``BENCH_runtime.json``) so the tests stay green under CI noise but fail
-on an order-of-magnitude slip — e.g. losing compile-at-load dispatch or
-reintroducing the scan-all-nodes scheduler.
+on an order-of-magnitude slip — e.g. losing compile-at-load code
+generation or reintroducing the scan-all-nodes scheduler.
 """
 
 import time
@@ -15,9 +15,9 @@ import pytest
 
 from repro.programs.matmul import run_matmul
 
-# Measured ~0.2 s on the development machine (BENCH_runtime.json); the
-# seed interpreter took ~0.95 s.  Budget sits far above the former and
-# meaningfully below the latter.
+# The seed interpreter took ~0.95 s; the default backend is far faster
+# (BENCH_runtime.json).  Budget sits far above the latter and
+# meaningfully below the former.
 MATMUL_BUDGET_SECONDS = 2.5
 
 
@@ -28,7 +28,7 @@ def test_matmul_fast_path_within_budget():
     assert result.machine.turns_executed > 0
     assert elapsed < MATMUL_BUDGET_SECONDS, (
         f"matmul 40x40 took {elapsed:.2f}s (budget "
-        f"{MATMUL_BUDGET_SECONDS}s) — the fast path has regressed"
+        f"{MATMUL_BUDGET_SECONDS}s) — the default TAM backend has regressed"
     )
 
 

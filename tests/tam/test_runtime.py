@@ -1,4 +1,9 @@
-"""Tests for the TAM runtime: threads, inlets, counters, messages."""
+"""Tests for the TAM runtime: threads, inlets, counters, messages.
+
+Behavioural cases run on every backend and read results through the
+host API (``read_slot`` / ``write_slot`` / ``frame_view``), which both
+backends implement over their own frame representation.
+"""
 
 import pytest
 
@@ -42,12 +47,13 @@ def simple_block() -> Codeblock:
 
 
 class TestBasics:
-    def test_boot_and_run(self):
-        machine = TamMachine(1)
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_boot_and_run(self, backend):
+        machine = TamMachine(1, backend=backend)
         machine.load(simple_block())
         ref = machine.boot("simple")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(2) == 42
+        assert machine.read_slot(ref, 2) == 42
 
     def test_instruction_counts(self):
         machine = TamMachine(1)
@@ -78,8 +84,9 @@ class TestBasics:
         with pytest.raises(TamError):
             machine.run()
 
-    def test_boot_slots(self):
-        machine = TamMachine(1)
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_boot_slots(self, backend):
+        machine = TamMachine(1, backend=backend)
         block = Codeblock("args", frame_size=2)
         block.add_thread(
             "entry", [OpInstr(Op.IMUL, 1, 0, Imm(3)), StopInstr()]
@@ -87,11 +94,12 @@ class TestBasics:
         machine.load(block)
         ref = machine.boot("args", slots={0: 7})
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 21
+        assert machine.read_slot(ref, 1) == 21
 
 
 class TestControlFlow:
-    def test_fork_runs_both_threads_lifo(self):
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_fork_runs_both_threads_lifo(self, backend):
         block = Codeblock("forky", frame_size=3)
         block.add_thread(
             "entry", [ForkInstr("a"), ForkInstr("b"), StopInstr()]
@@ -99,16 +107,17 @@ class TestControlFlow:
         block.add_thread("a", [ConInstr(0, 1), StopInstr()])
         block.add_thread("b", [MovInstr(1, 0), StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = TamMachine(1, backend=backend)
         machine.load(block)
         ref = machine.boot("forky")
         machine.run()
-        frame = machine.nodes[0].frames[ref.frame_id]
+        frame = machine.frame_view(ref)
         # LIFO: b runs before a, so it copies the pre-a value of slot 0.
         assert frame.read(1) == 0
         assert frame.read(0) == 1
 
-    def test_switch_then_branch(self):
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_switch_then_branch(self, backend):
         block = Codeblock("sw", frame_size=2)
         block.add_thread(
             "entry", [ConInstr(0, 1), SwitchInstr(0, "yes", "no"), StopInstr()]
@@ -116,13 +125,14 @@ class TestControlFlow:
         block.add_thread("yes", [ConInstr(1, 100), StopInstr()])
         block.add_thread("no", [ConInstr(1, 200), StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = TamMachine(1, backend=backend)
         machine.load(block)
         ref = machine.boot("sw")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 100
+        assert machine.read_slot(ref, 1) == 100
 
-    def test_loop_with_counter_reset(self):
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_loop_with_counter_reset(self, backend):
         # Thread loops 5 times via SWITCH; accumulates into slot 1.
         block = Codeblock("loop", frame_size=3)
         block.add_thread(
@@ -140,11 +150,11 @@ class TestControlFlow:
             ],
         )
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = TamMachine(1, backend=backend)
         machine.load(block)
         ref = machine.boot("loop")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 0 + 1 + 2 + 3 + 4
+        assert machine.read_slot(ref, 1) == 0 + 1 + 2 + 3 + 4
 
 
 class TestFrameAllocationAndSends:
@@ -185,27 +195,29 @@ class TestFrameAllocationAndSends:
         block.set_entry("entry")
         return block
 
-    def run_parent_child(self, n_nodes: int) -> TamMachine:
-        machine = TamMachine(n_nodes)
+    def run_parent_child(self, n_nodes: int, backend: str) -> TamMachine:
+        machine = TamMachine(n_nodes, backend=backend)
         machine.load(self.child_block())
         machine.load(self.parent_block())
         ref = machine.boot("parent", slots={})
         # slot 3 must hold the parent's own ref so the child can reply;
         # the feed thread sends slot values, so bank it before running.
-        machine.nodes[0].frames[ref.frame_id].write(3, ref)
+        machine.write_slot(ref, 3, ref)
         self.parent_ref = ref
         machine.run()
         return machine
 
-    def test_child_computes_and_replies(self):
-        machine = self.run_parent_child(n_nodes=3)
-        frame = machine.nodes[0].frames[self.parent_ref.frame_id]
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_child_computes_and_replies(self, backend):
+        machine = self.run_parent_child(n_nodes=3, backend=backend)
+        frame = machine.frame_view(self.parent_ref)
         # child received (parent_ref, 2) at inlet 0 and 2 at inlet 1...
         # feed sent values from slots 3 (= parent ref) and 2.
         assert frame.read(1) != 0 or machine.stats.frames_allocated == 2
 
-    def test_falloc_counts_messages(self):
-        machine = self.run_parent_child(n_nodes=2)
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_falloc_counts_messages(self, backend):
+        machine = self.run_parent_child(n_nodes=2, backend=backend)
         # falloc request + frame-ref reply + two argument sends + result.
         assert machine.stats.messages.sends == 5
         assert machine.stats.frames_allocated == 2
@@ -223,7 +235,9 @@ class TestFrameAllocationAndSends:
 
 
 class TestIStructures:
-    def producer_consumer(self, n_nodes: int, produce_first: bool) -> TamMachine:
+    def producer_consumer(
+        self, n_nodes: int, produce_first: bool, backend: str = "codegen"
+    ) -> TamMachine:
         block = Codeblock("pc", frame_size=6)
         # slot 0 = descriptor, slot 1 = fetched value
         block.add_inlet(0, dest_slots=(0,), counter="desc")
@@ -249,22 +263,24 @@ class TestIStructures:
         )
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(n_nodes)
+        machine = TamMachine(n_nodes, backend=backend)
         machine.load(block)
         self.ref = machine.boot("pc")
         machine.run()
         return machine
 
-    def test_fetch_after_store_is_full(self):
-        machine = self.producer_consumer(2, produce_first=False)
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_fetch_after_store_is_full(self, backend):
+        machine = self.producer_consumer(2, produce_first=False, backend=backend)
         # LIFO: "first" thread forks second then first; first runs LAST...
         # either way the value must arrive.
-        frame = machine.nodes[0].frames[self.ref.frame_id]
+        frame = machine.frame_view(self.ref)
         assert frame.read(1) == 77
 
-    def test_fetch_before_store_defers_then_satisfies(self):
-        machine = self.producer_consumer(2, produce_first=True)
-        frame = machine.nodes[0].frames[self.ref.frame_id]
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_fetch_before_store_defers_then_satisfies(self, backend):
+        machine = self.producer_consumer(2, produce_first=True, backend=backend)
+        frame = machine.frame_view(self.ref)
         assert frame.read(1) == 77
         mix = machine.stats.messages
         assert mix.preads_full + mix.preads_empty == 1
@@ -293,7 +309,8 @@ class TestIStructures:
 
 
 class TestPlainMemory:
-    def test_write_then_read(self):
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_write_then_read(self, backend):
         block = Codeblock("mem", frame_size=4)
         block.add_inlet(0, dest_slots=(1,), counter="value")
         block.add_counter("value", 1, "done")
@@ -309,11 +326,11 @@ class TestPlainMemory:
         )
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(2)
+        machine = TamMachine(2, backend=backend)
         machine.load(block)
         ref = machine.boot("mem")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 123
+        assert machine.read_slot(ref, 1) == 123
         assert machine.nodes[1].memory.load(0x40) == 123
         assert machine.stats.messages.reads == 1
         assert machine.stats.messages.writes == 1

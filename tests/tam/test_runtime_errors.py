@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import TamError
+from repro.obs.profiler import SimProfiler
+from repro.obs.tracer import Tracer
 from repro.tam.codeblock import Codeblock
 from repro.tam.frame import FrameRef
 from repro.tam.instructions import (
     ConInstr,
+    ForkInstr,
     IfetchInstr,
     Imm,
     IstoreInstr,
@@ -52,18 +55,14 @@ class TestHostApi:
         with pytest.raises(TamError):
             machine.read_slot(FrameRef(0, 999), 0)
 
-    def test_istructure_peek(self):
-        machine = TamMachine(1)
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_istructure_peek(self, backend):
+        machine = TamMachine(1, backend=backend)
         block = Codeblock("p", frame_size=3)
         block.add_inlet(0, dest_slots=(0,), counter="d")
         block.add_counter("d", 1, "store")
         block.add_thread(
-            "entry",
-            [
-                ConInstr(1, 42),
-                # Allocate locally through the runtime for the test.
-                StopInstr(),
-            ],
+            "entry", [ConInstr(1, 42), ForkInstr("store"), StopInstr()]
         )
         block.add_thread(
             "store", [IstoreInstr(0, Imm(0), value=1), StopInstr()]
@@ -71,13 +70,10 @@ class TestHostApi:
         block.set_entry("entry")
         machine.load(block)
         ref = machine.boot("p")
-        # Allocate by hand and inject the descriptor, then run the store.
+        # Allocate by hand and inject the descriptor; the entry thread
+        # then forks the store.
         desc = machine.nodes[0].istructures.allocate(2)
-        machine.write_slot(ref, 1, 42)
         machine.write_slot(ref, 0, IStructRef(0, desc))
-        machine.nodes[0].stack.append(
-            (machine.nodes[0].frames[ref.frame_id], "store")
-        )
         machine.run()
         assert machine.istructure_peek(IStructRef(0, desc), 0) == 42
         assert machine.istructure_peek(IStructRef(0, desc), 1) is None
@@ -114,8 +110,6 @@ class TestBadReferences:
             machine.run()
 
     def test_turn_limit_guards_runaway(self):
-        from repro.tam.instructions import ForkInstr
-
         machine = TamMachine(1)
         block = Codeblock("spin", frame_size=1)
         block.add_thread("entry", [ForkInstr("entry"), StopInstr()])
@@ -126,19 +120,26 @@ class TestBadReferences:
             machine.run(max_turns=100)
 
 
+OBSERVERS = {
+    "none": dict,
+    "tracer": lambda: {"tracer": Tracer()},
+    "profiler": lambda: {"profiler": SimProfiler()},
+}
+
+
 class TestTurnBoundExactness:
     """``max_turns`` is an exact bound on productive turns.
 
     Regression pin: the pre-kernel scheduler loops tested
     ``turns > max_turns`` after incrementing, silently permitting
-    ``max_turns + 1`` productive turns before raising.
+    ``max_turns + 1`` productive turns before raising.  Run on every
+    backend, unobserved and observed, which covers both codegen loops
+    (the fused one and the callback one on ActiveSweep).
     """
 
     @staticmethod
-    def two_turn_machine(fast: bool) -> TamMachine:
-        from repro.tam.instructions import ForkInstr
-
-        machine = TamMachine(1, fast=fast)
+    def two_turn_machine(backend: str, observer: str) -> TamMachine:
+        machine = TamMachine(1, backend=backend, **OBSERVERS[observer]())
         block = Codeblock("two", frame_size=1)
         block.add_thread("entry", [ForkInstr("second"), StopInstr()])
         block.add_thread("second", [ConInstr(0, 7), StopInstr()])
@@ -147,14 +148,16 @@ class TestTurnBoundExactness:
         machine.boot("two")
         return machine
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_exact_bound_succeeds(self, fast):
-        machine = self.two_turn_machine(fast)
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_exact_bound_succeeds(self, backend, observer):
+        machine = self.two_turn_machine(backend, observer)
         machine.run(max_turns=2)
         assert machine.turns_executed == 2
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_one_below_bound_raises(self, fast):
-        machine = self.two_turn_machine(fast)
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+    def test_one_below_bound_raises(self, backend, observer):
+        machine = self.two_turn_machine(backend, observer)
         with pytest.raises(TamError):
             machine.run(max_turns=1)
