@@ -54,6 +54,13 @@ class PrivilegedStore:
     Messages are filed by PIN so the OS can requeue them when it activates
     the owning process; OS-destined (privileged-bit) messages are kept in
     their own list.
+
+    Invariant: a PIN is a key of ``by_pin`` exactly while at least one
+    message is stored for it — no method leaves an empty list behind.
+    Iterating ``by_pin`` therefore yields the processes with stored
+    work, which is how the :mod:`repro.tenancy` schedulers choose the
+    next tenant in time proportional to the waiting PINs rather than
+    to every registered one.
     """
 
     os_messages: List[Message] = field(default_factory=list)
@@ -81,10 +88,6 @@ class PrivilegedStore:
     def pending_count(self, pin: int) -> int:
         """How many messages wait for process ``pin`` (no copy)."""
         return len(self.by_pin.get(pin, ()))
-
-    def total_pending(self) -> int:
-        """All stored user messages (OS-destined ones not included)."""
-        return sum(len(batch) for batch in self.by_pin.values())
 
     def pending_for(self, pin: int) -> List[Message]:
         """Messages waiting for process ``pin``."""
@@ -125,23 +128,21 @@ class ProtectionDomain:
         """Context switch to process ``pin``.
 
         Enables PIN checking for the new process and redelivers any of its
-        messages that arrived while it was switched out.  Returns the
-        number of messages redelivered.  PIN 0 is reserved
-        (:data:`RESERVED_PIN`) and rejected.
+        messages that arrived while it was switched out.  Redelivery stops
+        at the first message the interface would refuse (full queue) or
+        divert (the tenant's occupancy cap); that message and the rest
+        stay stored in arrival order.  Returns the number of messages that
+        reached the interface.  PIN 0 is reserved (:data:`RESERVED_PIN`)
+        and rejected.
         """
-        self.interface.control.enable_pin_checking(check_pin(pin))
+        ni = self.interface
+        ni.control.enable_pin_checking(check_pin(pin))
         stored = self.store.take_for(pin)
-        redelivered = 0
-        leftover: List[Message] = []
-        for message in stored:
-            if self.interface.deliver(message):
-                redelivered += 1
-            else:
-                leftover.append(message)
-        for message in leftover:
-            # Input queue filled up mid-redelivery; keep the rest stored.
-            self.store.file(message)
-        return redelivered
+        for index, message in enumerate(stored):
+            if ni.would_divert(message) or not ni.deliver(message):
+                self.store.file_front(pin, stored[index:])
+                return index
+        return len(stored)
 
     def deactivate(self) -> None:
         """Leave no process active (all user messages divert).

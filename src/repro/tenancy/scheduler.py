@@ -111,6 +111,13 @@ class TenantPolicy(SimComponent):
     Subclasses implement :meth:`tick` (the scheduling decision) and may
     override :meth:`may_inject` (gang gates injection; the independent
     policies accept traffic for any tenant at any time).
+
+    Scheduling decisions never probe the whole tenant list: a node's
+    candidates are its store's ``by_pin`` keys filtered through the
+    PIN→position map ``_position``, and cross-node questions read
+    ``_stored``, the per-PIN stored count over all nodes (a key exactly
+    while positive), which :meth:`on_divert`, :meth:`_redeliver` and
+    :meth:`_park_resident` — the only code that changes a store — keep.
     """
 
     name = "tenancy"
@@ -127,8 +134,12 @@ class TenantPolicy(SimComponent):
         if not tenants:
             raise ProtectionError("tenant policy needs at least one tenant")
         self.tenants: List[int] = [check_pin(pin) for pin in tenants]
-        if len(set(self.tenants)) != len(self.tenants):
+        self._position: Dict[int, int] = {
+            pin: index for index, pin in enumerate(self.tenants)
+        }
+        if len(self._position) != len(self.tenants):
             raise ProtectionError("tenant PINs must be unique")
+        self._stored: Dict[int, int] = {}
         self.costs = costs or SwitchCosts()
         self.states: List[_NodeState] = [
             _NodeState(index, interface)
@@ -171,6 +182,8 @@ class TenantPolicy(SimComponent):
         )
         state = self._by_node[interface.node]
         state.store.file(message)
+        if not message.privileged:
+            self._count_stored(message.pin, 1)
         if (
             reason != DIVERT_CAP
             and self.kernel is not None
@@ -212,7 +225,7 @@ class TenantPolicy(SimComponent):
 
     def stored_messages(self) -> int:
         """User messages parked across every node's store."""
-        return sum(state.store.total_pending() for state in self.states)
+        return sum(self._stored.values())
 
     def quiescent(self) -> bool:
         return self.stored_messages() == 0
@@ -227,6 +240,23 @@ class TenantPolicy(SimComponent):
     # ------------------------------------------------------------------
     # Internals shared by the concrete policies.
     # ------------------------------------------------------------------
+
+    def _count_stored(self, pin: int, delta: int) -> None:
+        """Apply a change to ``pin``'s stored-message count over all nodes."""
+        count = self._stored.get(pin, 0) + delta
+        if count:
+            self._stored[pin] = count
+        else:
+            self._stored.pop(pin, None)
+
+    def _waiting(self, state: _NodeState) -> List[int]:
+        """Tenants other than the resident one with stored work at
+        ``state``'s node; PINs outside the tenant list never qualify."""
+        position = self._position
+        active = state.active_pin
+        return [
+            pin for pin in state.store.by_pin if pin != active and pin in position
+        ]
 
     def _redeliver(self, state: _NodeState, pin: int) -> int:
         """Move stored messages for ``pin`` back into the input queue.
@@ -250,6 +280,7 @@ class TenantPolicy(SimComponent):
                 state.store.file_front(pin, stored[index:])
                 break
             delivered += 1
+        self._count_stored(pin, -delivered)
         state.redelivered += delivered
         self.redelivered += delivered
         return delivered
@@ -276,6 +307,7 @@ class TenantPolicy(SimComponent):
             # One switch parks one tenant's state: every drained message
             # carries the resident PIN.
             state.store.file_front(drained[0].pin, drained)
+            self._count_stored(drained[0].pin, len(drained))
         ni._refresh_status()
 
     def _switch_to(self, state: _NodeState, pin: int, cycle: int) -> None:
@@ -339,17 +371,18 @@ class RoundRobinScheduler(TenantPolicy):
         self.handle.wake_at(cycle + self.quantum)
 
     def _rotate(self, state: _NodeState, cycle: int) -> None:
-        tenants = self.tenants
-        count = len(tenants)
-        for offset in range(count):
-            index = (state.rotation + offset) % count
-            pin = tenants[index]
-            if pin == state.active_pin:
-                continue
-            if state.store.pending_count(pin):
-                state.rotation = (index + 1) % count
-                self._switch_to(state, pin, cycle)
-                return
+        waiting = self._waiting(state)
+        if waiting:
+            # The first waiting tenant in PIN-list order, cyclically
+            # from the rotation pointer.
+            position = self._position
+            count = len(position)
+            pin = min(
+                waiting, key=lambda pin: (position[pin] - state.rotation) % count
+            )
+            state.rotation = (position[pin] + 1) % count
+            self._switch_to(state, pin, cycle)
+            return
         # Nobody else is waiting: keep the resident tenant and let any
         # of its cap-diverted overflow back into the freed queue slots.
         if state.active_pin:
@@ -414,11 +447,7 @@ class QuantumScheduler(TenantPolicy):
         return state.store.pending_count(pin) > 0
 
     def _consider(self, state: _NodeState, cycle: int) -> None:
-        waiting = [
-            pin
-            for pin in self.tenants
-            if pin != state.active_pin and state.store.pending_count(pin)
-        ]
+        waiting = self._waiting(state)
         if not waiting:
             if state.active_pin:
                 self._redeliver(state, state.active_pin)
@@ -537,9 +566,11 @@ class GangTenantScheduler(TenantPolicy):
     # ------------------------------------------------------------------
 
     def _has_work(self, pin: int) -> bool:
-        if self.backlog_fn(pin) or self.gang.saved_message_count(pin):
-            return True
-        return any(state.store.pending_count(pin) for state in self.states)
+        return bool(
+            self.backlog_fn(pin)
+            or self.gang.saved_message_count(pin)
+            or pin in self._stored
+        )
 
     def _interfaces_quiet(self) -> bool:
         return all(
@@ -562,15 +593,12 @@ class GangTenantScheduler(TenantPolicy):
             # start_slice, and cap-diverted store entries.
             if self.gang.saved_message_count(pin):
                 self.redelivered += self.gang.refill()
-            for state in self.states:
-                self._redeliver(state, pin)
+            if pin in self._stored:
+                for state in self.states:
+                    self._redeliver(state, pin)
             elapsed = cycle - self.slice_start
             quiet = (
-                not self.backlog_fn(pin)
-                and not self.gang.saved_message_count(pin)
-                and not any(
-                    state.store.pending_count(pin) for state in self.states
-                )
+                not self._has_work(pin)
                 and self._interfaces_quiet()
                 and self._network_quiet()
             )

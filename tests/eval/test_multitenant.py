@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.eval.multitenant import (
     compute_multitenant,
     multitenant_metrics,
@@ -79,7 +77,6 @@ class TestQuickStudy:
             assert f"{name}_completion" in metrics
 
 
-@pytest.mark.slow
 class TestFullScaleStudy:
     def test_full_grid_victim_ordering(self):
         params = multitenant_params(EvalOptions())

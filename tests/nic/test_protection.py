@@ -12,6 +12,7 @@ from repro.nic.protection import (
     ProtectionDomain,
     check_pin,
 )
+from repro.obs.tracer import REFUSE, Tracer
 
 
 def msg(pin=0, privileged=False, tag=0) -> Message:
@@ -87,6 +88,33 @@ class TestProtectionDomain:
         # input regs + 1 queue slot = 2 delivered; the rest stay stored.
         assert redelivered == 2
         assert len(domain.store.pending_for(2)) == 2
+
+    def test_activate_stops_at_first_refusal(self):
+        ni = NetworkInterface(input_capacity=1)
+        tracer = Tracer(capacity=None)
+        ni.attach_tracer(tracer)
+        domain = ProtectionDomain(ni)
+        ni.control.enable_pin_checking(1)
+        for tag in range(6):
+            ni.deliver(msg(pin=2, tag=tag))
+        assert domain.activate(2) == 2
+        # One refused attempt ends redelivery; the tail is not retried.
+        assert ni.stats.refused == 1
+        assert tracer.count(REFUSE) == 1
+        assert [m.word(1) for m in domain.store.pending_for(2)] == [2, 3, 4, 5]
+
+    def test_activate_counts_only_messages_that_reach_the_interface(self):
+        ni = NetworkInterface()
+        ni.set_tenant_cap(1)
+        domain = ProtectionDomain(ni)
+        ni.control.enable_pin_checking(1)
+        for tag in range(5):
+            ni.deliver(msg(pin=2, tag=tag))
+        # Input registers + one queue slot (the cap); the rest would be
+        # cap-diverted straight back, so they stay stored in order.
+        assert domain.activate(2) == 2
+        assert ni.stats.cap_diverted == 0
+        assert [m.word(1) for m in domain.store.pending_for(2)] == [2, 3, 4]
 
     def test_deactivate(self):
         ni = NetworkInterface()

@@ -352,7 +352,9 @@ class TestTenancyLineage:
 
         tenants = make_tenants(32, 16, 7)
         kwargs = dict(seed=7, gen_window=1500, horizon=2500)
-        for name in ("gang", "round-robin"):
+        # Quantum parks residents most often; every park reports the
+        # in-registers message to the tracker through on_drain.
+        for name in ("gang", "round-robin", "quantum"):
             observed = MultiTenantRun(name, tenants, **kwargs)
             tracker = LineageTracker(origin=name)
             observed.fabric.attach_lineage(tracker)
