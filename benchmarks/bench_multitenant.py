@@ -57,7 +57,7 @@ def _timed_run(name, tenants, params, lineage=None) -> float:
         tenant_cap=params["tenant_cap"],
     )
     if lineage is not None:
-        run.fabric.attach_lineage(lineage)
+        run.fabric.attach(lineage)
     start = time.perf_counter()
     run.run()
     return time.perf_counter() - start

@@ -53,6 +53,7 @@ from repro.nic.dispatch import (
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import Message
 from repro.nic.queues import DEFAULT_CAPACITY
+from repro.obs.observer import Observer, observer_of
 from repro.sim import SimComponent, SimKernel
 
 #: Where the engine parks each interface's dispatch table; any
@@ -78,12 +79,11 @@ class _EngineContext(HandlerContext):
 
     def emit(self, message: Message) -> None:
         self._pending.append(message)
-        lineage = self._engine.lineage
-        if lineage is not None:
-            # The NI recomposes this message at flush time, so note the
-            # causal parents now, keyed on the pending object, and bind
-            # them to the real send record in _flush_sends.
-            lineage.collective_emit(self.node, message)
+        observer = self._engine.observer
+        if observer is not None:
+            # The NI recomposes this message at flush time; _flush_sends
+            # reports the send of this pending object (on_bind).
+            observer.on_emit(self.node, message)
 
 
 @dataclass
@@ -154,7 +154,7 @@ class NicHandlerEngine(SimComponent):
         self._pending: List[Deque[Message]] = [
             deque() for _ in range(tree.n_nodes)
         ]
-        self.lineage = None
+        self.observer: Optional[Observer] = None
         self.contexts: List[_EngineContext] = [
             _EngineContext(node, tree, kind, op, self._pending[node], self)
             for node in range(tree.n_nodes)
@@ -162,10 +162,10 @@ class NicHandlerEngine(SimComponent):
         for interface in fabric.interfaces:
             interface.ip_base = ip_base
 
-    def attach_lineage(self, lineage) -> None:
-        """Opt in to causal lineage: consumed messages become parents of
-        the emissions they trigger (combining-tree fan-in/fan-out)."""
-        self.lineage = lineage
+    def attach(self, observer: Observer) -> None:
+        """Subscribe ``observer`` to the handler events, beside any earlier
+        one (lineage links each emission to the messages it consumed)."""
+        self.observer = observer_of(self.observer, observer)
 
     # ------------------------------------------------------------------
     # Processor-side surface: initiation and completion.
@@ -214,8 +214,8 @@ class NicHandlerEngine(SimComponent):
             if interface.send(message.mtype) is not SendResult.SENT:
                 return  # oafull: retry next cycle, order preserved
             pending.popleft()
-            if self.lineage is not None:
-                self.lineage.bind_deferred(message)
+            if self.observer is not None:
+                self.observer.on_bind(message)
 
     def _service(self, node: int, interface: NetworkInterface) -> None:
         ctx = self.contexts[node]
@@ -231,12 +231,12 @@ class NicHandlerEngine(SimComponent):
                 )
             message = interface.current_message
             ctx.state.events["handled"] += 1
-            lineage = self.lineage
-            if lineage is not None:
-                lineage.begin_collective_handler(node, message)
+            observer = self.observer
+            if observer is not None:
+                observer.on_handler_begin(node, message)
             program(ctx, message)
-            if lineage is not None:
-                lineage.end_collective_handler(node)
+            if observer is not None:
+                observer.on_handler_end(node)
             interface.next()
             if self.step_cycles:
                 self._busy[node] = self.step_cycles - 1
@@ -345,7 +345,7 @@ def run_nic_collective(
     tree = CombiningTree(n, root=root, arity=arity)
     engine = NicHandlerEngine(fabric, tree, kind, op, step_cycles=step_cycles)
     if lineage is not None:
-        engine.attach_lineage(lineage)
+        engine.attach(lineage)
     kernel = SimKernel()
     kernel.register(_FabricComponent(fabric))
     kernel.register(engine)

@@ -284,28 +284,19 @@ def run_hotspot(
 def _chain_timeline(
     hot: int, tracer: Optional[Tracer], metrics: Optional[MetricsRecorder]
 ) -> Dict[str, Optional[int]]:
-    """First-occurrence cycles of each stage of the backpressure chain."""
-    chain: Dict[str, Optional[int]] = {
-        "hot_iq_almost_full": None,
-        "first_refused_delivery": None,
-        "first_sender_oq_almost_full": None,
-        "first_send_stall": None,
+    """First-occurrence cycles of each stage of the backpressure chain.
+
+    The refusal and the stall come from the tracer's first timestamps,
+    not its ring: a long run evicts the ring's start.
+    """
+    crossings = metrics is not None
+    traced = tracer is not None
+    return {
+        "hot_iq_almost_full": metrics.first_crossing("iq", node=hot) if crossings else None,
+        "first_refused_delivery": tracer.first.get(REFUSE) if traced else None,
+        "first_sender_oq_almost_full": metrics.first_crossing("oq") if crossings else None,
+        "first_send_stall": tracer.first.get(SEND_STALL) if traced else None,
     }
-    if metrics is not None:
-        chain["hot_iq_almost_full"] = metrics.first_crossing("iq", node=hot)
-        chain["first_sender_oq_almost_full"] = metrics.first_crossing("oq")
-    if tracer is not None:
-        for event in tracer:
-            if event.kind == REFUSE and chain["first_refused_delivery"] is None:
-                chain["first_refused_delivery"] = event.ts
-            if event.kind == SEND_STALL and chain["first_send_stall"] is None:
-                chain["first_send_stall"] = event.ts
-            if (
-                chain["first_refused_delivery"] is not None
-                and chain["first_send_stall"] is not None
-            ):
-                break
-    return chain
 
 
 def compute_flowcontrol(params: Dict) -> Dict:

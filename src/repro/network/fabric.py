@@ -42,10 +42,10 @@ evaluation's instruction counts never depend on fabric latency (the
 paper's simulator "did not model ... any network latency"), but the
 examples and the flow-control tests exercise it.
 
-Observability is opt-in: pass ``tracer=`` / ``metrics=`` to record
-structured events (:mod:`repro.obs.tracer`) and per-cycle time series
-(:mod:`repro.obs.metrics`); with both left ``None`` the cycle loop pays
-only a pair of identity checks.
+Observability is opt-in: the fabric and each interface hold one
+``observer`` slot (:mod:`repro.obs.observer`), and with it ``None`` the
+cycle loop pays one identity check per event site.  ``tracer=`` /
+``metrics=`` / ``lineage=`` fill it; :meth:`Fabric.attach` adds others.
 
 Deadlock is a first-class diagnostic: :meth:`Fabric.find_deadlock`
 searches the buffer wait-for graph for a cycle of full buffers whose
@@ -67,8 +67,7 @@ from repro.network.topology import Topology
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
 from repro.nic.rtl import FLITS_PER_MESSAGE
-from repro.obs.metrics import MetricsRecorder
-from repro.obs.tracer import BLOCK, EJECT, Tracer
+from repro.obs.observer import Observer, observer_of
 from repro.sim.kernel import SimKernel
 
 
@@ -135,9 +134,9 @@ class Fabric:
         link_buffer_depth: int = 4,
         serialization_cycles: int = FLITS_PER_MESSAGE,
         routing: Optional[RoutingPolicy] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRecorder] = None,
-        lineage=None,
+        tracer: Optional[Observer] = None,
+        metrics: Optional[Observer] = None,
+        lineage: Optional[Observer] = None,
     ) -> None:
         self.topology = topology
         self.routing = routing if routing is not None else DimensionOrder()
@@ -188,35 +187,20 @@ class Fabric:
         # started for, plus the cycles it still occupies the channel.
         self._injection_timers: Dict[int, Tuple[Message, int]] = {}
         self.stats = FabricStats()
-        self.tracer = tracer
-        self.metrics = metrics
-        self._n_links = sum(len(r.neighbors) for r in self.routers)
-        self._almost_full_state: Dict[Tuple[int, str], bool] = {}
-        if tracer is not None:
-            clock = lambda: self.stats.cycles  # noqa: E731 - shared cycle clock
-            for router in self.routers:
-                router.attach_tracer(tracer, clock)
-            for interface in self.interfaces:
-                interface.attach_tracer(tracer, clock)
-        self.lineage = None
-        if lineage is not None:
-            self.attach_lineage(lineage)
+        self.observer: Optional[Observer] = None
+        observer = observer_of(tracer, metrics, lineage)
+        if observer is not None:
+            self.attach(observer)
 
-    def attach_lineage(self, lineage) -> None:
-        """Opt in to span-based lineage tracing (:mod:`repro.obs.lineage`).
-
-        Wires the tracker, on the fabric's cycle clock, into every
-        router and interface (and their input queues, for receive-side
-        drains) so one tracker sees the whole message path.  Off by
-        default; when off the cycle loop pays one identity check at the
-        two blocked-move charge sites and one per serialization start.
+    def attach(self, observer: Observer) -> None:
+        """Subscribe ``observer`` to the whole message path, beside any
+        earlier one: the fabric raises the router events and the end of
+        every cycle, each interface its own on the fabric's cycle clock.
         """
-        self.lineage = lineage
+        self.observer = observer_of(self.observer, observer)
         clock = lambda: self.stats.cycles  # noqa: E731 - shared cycle clock
-        for router in self.routers:
-            router.attach_lineage(lineage, clock)
         for interface in self.interfaces:
-            interface.attach_lineage(lineage, clock)
+            interface.attach(observer, clock)
 
     def interface(self, node: int) -> NetworkInterface:
         return self.interfaces[self.topology.check_node(node)]
@@ -234,8 +218,8 @@ class Fabric:
         in_flight = self.in_flight()
         if in_flight > stats.peak_in_flight:
             stats.peak_in_flight = in_flight
-        if self.metrics is not None:
-            self._sample_metrics(delivered, link_moves)
+        if self.observer is not None:
+            self.observer.on_step(stats.cycles, self, delivered, link_moves)
         return delivered
 
     def route(self, node: int, destination: int) -> Route:
@@ -341,8 +325,7 @@ class Fabric:
         link_moves = 0
         stats = self.stats
         cycle = stats.cycles
-        tracer = self.tracer
-        lineage = self.lineage
+        observer = self.observer
         for router, buffer, port, credit in moves:
             if port is None:
                 item = buffer[0]
@@ -368,21 +351,14 @@ class Fabric:
                     by_type[mtype] = by_type.get(mtype, 0) + 1
                     hops_by = stats.hops_by_type
                     hops_by[mtype] = hops_by.get(mtype, 0) + item.hops
-                    if tracer is not None:
-                        tracer.emit(
-                            cycle,
-                            EJECT,
-                            router.node,
-                            hops=item.hops,
-                            latency=cycle - item.injected_at,
-                        )
+                    if observer is not None:
+                        latency = cycle - item.injected_at
+                        observer.on_eject(cycle, router.node, message, item.hops, latency)
                 else:
                     stats.deliveries_refused += 1
                     router.stats.blocked_moves += 1
-                    if lineage is not None:
-                        lineage.on_block(message, cycle)
-                    if tracer is not None:
-                        tracer.emit(cycle, BLOCK, router.node, port="eject")
+                    if observer is not None:
+                        observer.on_block(cycle, router.node, message, None)
             elif credit:
                 item = buffer.popleft()
                 router.occupancy -= 1
@@ -392,19 +368,20 @@ class Fabric:
                 _, vc, downstream, target = port
                 downstream.append(item)
                 target.occupancy += 1
-                if target.lineage is not None or target.tracer is not None:
-                    target.observe_hop(item, router.node, vc)
+                if observer is not None:
+                    observer.on_hop(
+                        cycle, target.node, item.message, router.node, vc, item.hops
+                    )
             else:
                 router.stats.blocked_moves += 1
-                if lineage is not None:
-                    lineage.on_block(buffer[0].message, cycle)
-                if tracer is not None:
-                    tracer.emit(
-                        cycle, BLOCK, router.node, port="link", to=port.next_node
+                if observer is not None:
+                    observer.on_block(
+                        cycle, router.node, buffer[0].message, port.next_node
                     )
         return delivered, link_moves
 
     def _inject_from_interfaces(self) -> None:
+        observer = self.observer
         for node, interface in enumerate(self.interfaces):
             router = self.routers[node]
             head = interface.peek_outgoing()
@@ -422,8 +399,8 @@ class Fabric:
             entry = self._injection_timers.get(node)
             if entry is None or entry[0] is not head:
                 remaining = self.serialization_cycles
-                if self.lineage is not None:
-                    self.lineage.on_serialize_start(head, self.stats.cycles)
+                if observer is not None:
+                    observer.on_serialize_start(self.stats.cycles, node, head)
             else:
                 remaining = entry[1]
             remaining -= 1
@@ -434,36 +411,8 @@ class Fabric:
             message = interface.transmit()
             assert message is head
             router.inject(InTransit(message, injected_at=self.stats.cycles))
-
-    def _sample_metrics(self, delivered: int, link_moves: int) -> None:
-        """Record this cycle's time-series samples and threshold edges."""
-        metrics = self.metrics
-        cycle = self.stats.cycles
-        input_depth = 0
-        output_depth = 0
-        for interface in self.interfaces:
-            input_depth += interface.input_queue.depth
-            output_depth += interface.output_queue.depth
-        metrics.sample("in_flight", cycle, self.in_flight())
-        metrics.sample("input_queue_depth", cycle, input_depth)
-        metrics.sample("output_queue_depth", cycle, output_depth)
-        metrics.sample("deliveries", cycle, delivered)
-        metrics.sample(
-            "link_utilization",
-            cycle,
-            link_moves / self._n_links if self._n_links else 0.0,
-        )
-        state = self._almost_full_state
-        for interface in self.interfaces:
-            for queue_name, queue in (
-                ("iq", interface.input_queue),
-                ("oq", interface.output_queue),
-            ):
-                asserted = queue.almost_full
-                key = (interface.node, queue_name)
-                if asserted != state.get(key, False):
-                    state[key] = asserted
-                    metrics.crossing(cycle, interface.node, queue_name, asserted)
+            if observer is not None:
+                observer.on_inject(self.stats.cycles, node, message)
 
     # ------------------------------------------------------------------
     # Convenience drivers.

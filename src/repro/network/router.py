@@ -27,20 +27,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import NetworkError
 from repro.nic.messages import Message
-from repro.obs.tracer import HOP, INJECT, Tracer
 
 #: A link buffer's identity: (upstream neighbor, virtual channel).
 #: ``None`` identifies the injection buffer.  A bare neighbor id is
 #: accepted anywhere a source key is and means its channel 0.
 SourceKey = Optional[Union[int, Tuple[int, int]]]
-
-
-def _zero_clock() -> int:
-    return 0
 
 
 @dataclass
@@ -120,25 +115,6 @@ class Router:
         #: Messages held in all buffers, maintained on every entry and exit.
         self.occupancy = 0
         self.stats = RouterStats()
-        self.tracer: Optional[Tracer] = None
-        self.lineage = None
-        self._clock: Callable[[], int] = _zero_clock
-
-    def attach_tracer(
-        self, tracer: Tracer, clock: Optional[Callable[[], int]] = None
-    ) -> None:
-        """Opt in to event tracing; ``clock`` supplies the current cycle."""
-        self.tracer = tracer
-        if clock is not None:
-            self._clock = clock
-
-    def attach_lineage(
-        self, lineage, clock: Optional[Callable[[], int]] = None
-    ) -> None:
-        """Opt in to lineage span tracing (same contract as the tracer)."""
-        self.lineage = lineage
-        if clock is not None:
-            self._clock = clock
 
     def _buffer_key(self, neighbor: int, vc: int) -> Tuple[int, int]:
         key = (neighbor, vc)
@@ -168,7 +144,10 @@ class Router:
         """Take one message arriving over the link from ``neighbor``.
 
         The *sending* router's ``forwarded`` counter is maintained by the
-        fabric at the move; accepting counts only the hop itself.
+        fabric at the move; accepting counts only the hop itself.  This
+        places traffic by hand (tests, deadlock scenarios): the fabric's
+        own moves append to their resolved buffers and report each hop
+        to the fabric's observer.
         """
         if not self.can_accept_from(neighbor, vc):
             raise NetworkError(
@@ -177,28 +156,6 @@ class Router:
         item.hops += 1
         self.in_buffers[(neighbor, vc)].append(item)
         self.occupancy += 1
-        if self.lineage is not None or self.tracer is not None:
-            self.observe_hop(item, neighbor, vc)
-
-    def observe_hop(self, item: InTransit, neighbor: int, vc: int) -> None:
-        """Report an arrived hop to the attached lineage tracker / tracer.
-
-        The fabric's move loop appends to a buffer it resolved at build
-        time and calls this only when an observer is attached.
-        """
-        if self.lineage is not None:
-            self.lineage.on_hop(
-                item.message, self._clock(), item.hops, self.node, vc, neighbor
-            )
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(),
-                HOP,
-                self.node,
-                src=neighbor,
-                dest=item.destination,
-                hops=item.hops,
-            )
 
     def inject(self, item: InTransit) -> None:
         if not self.can_inject():
@@ -206,15 +163,6 @@ class Router:
         self.injection.append(item)
         self.occupancy += 1
         self.stats.injected += 1
-        if self.lineage is not None:
-            self.lineage.on_inject(item.message, self._clock(), self.node)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(),
-                INJECT,
-                self.node,
-                dest=item.message.destination,
-            )
 
     def pending_sources(self) -> List[SourceKey]:
         """Buffer keys with a message ready, in service order.

@@ -47,16 +47,7 @@ from repro.nic.messages import (
     build_gather_messages,
 )
 from repro.nic.queues import DEFAULT_CAPACITY, MessageQueue
-from repro.obs.tracer import (
-    DELIVER,
-    DISPATCH,
-    DIVERT,
-    NEXT,
-    REFUSE,
-    SEND,
-    SEND_STALL,
-    Tracer,
-)
+from repro.obs.observer import Observer, observer_of
 from repro.utils.bitfield import WORD_MASK, to_word
 
 
@@ -202,37 +193,21 @@ class NetworkInterface:
         self.tenant_cap: Optional[int] = None
         self.interrupt_hook: Optional[Callable[[], None]] = None
         self.interrupts_raised = 0
-        self.tracer: Optional[Tracer] = None
-        self.lineage = None
+        # One identity check per event site while nothing is attached.
+        self.observer: Optional[Observer] = None
         self._clock: Callable[[], int] = _zero_clock
         self._refresh_status()
 
-    def attach_tracer(
-        self, tracer: Tracer, clock: Optional[Callable[[], int]] = None
+    def attach(
+        self, observer: Observer, clock: Optional[Callable[[], int]] = None
     ) -> None:
-        """Opt in to event tracing; ``clock`` supplies the current cycle.
-
-        Standalone interfaces (no fabric) default to timestamp 0; the
-        fabric attaches its own cycle counter so interface events line up
-        with router events on the same time axis.
+        """Subscribe ``observer`` to this interface's events, beside any
+        earlier one.  ``clock`` supplies the cycle (the fabric passes its
+        own); a standalone interface stamps its events 0.
         """
-        self.tracer = tracer
+        self.observer = observer_of(self.observer, observer)
         if clock is not None:
             self._clock = clock
-
-    def attach_lineage(
-        self, lineage, clock: Optional[Callable[[], int]] = None
-    ) -> None:
-        """Opt in to span-based lineage tracing (:mod:`repro.obs.lineage`).
-
-        Same contract as :meth:`attach_tracer`: off by default, one
-        identity check per hook site when off.  The input queue shares
-        the tracker so receive-side drains (tenancy parking) are seen.
-        """
-        self.lineage = lineage
-        if clock is not None:
-            self._clock = clock
-        self.input_queue.attach_lineage(lineage, self._clock)
 
     def attach_tenant_scheduler(self, scheduler: "TenantSchedulerLike") -> None:
         """Install the receive-side scheduler (Section 2.1.3, pluggable).
@@ -405,23 +380,15 @@ class NetworkInterface:
                     f"node {self.node}: output queue full and policy is EXCEPTION"
                 )
             self.stats.send_stalls += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), SEND_STALL, self.node,
-                    dest=message.destination,
-                )
+            if self.observer is not None:
+                self.observer.on_stall(self._clock(), self.node, message)
             return SendResult.STALLED
         self.output_queue.push(message)
         self.stats.sends += 1
         self.stats.sends_by_mode[mode] += 1
-        if self.lineage is not None:
-            self.lineage.on_send(message, self.node, self._clock())
         self._refresh_status()
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(), SEND, self.node,
-                dest=message.destination, mtype=mtype, mode=mode.value,
-            )
+        if self.observer is not None:
+            self.observer.on_send(self._clock(), self.node, message, mode)
         return SendResult.SENT
 
     def send_gather(
@@ -459,10 +426,8 @@ class NetworkInterface:
         self.stats.nexts += 1
         retired = self._current
         self._current = None
-        if self.tracer is not None:
-            self.tracer.emit(self._clock(), NEXT, self.node)
-        if self.lineage is not None and retired is not None:
-            self.lineage.on_retire(retired, self._clock())
+        if self.observer is not None:
+            self.observer.on_retire(self._clock(), self.node, retired)
         self._advance()
         self._refresh_status()
 
@@ -495,20 +460,16 @@ class NetworkInterface:
         )
 
     def refuse_delivery(self, message: Message) -> bool:
-        """Record a delivery attempt refused before touching the queue.
+        """Record a refused delivery attempt; always returns False.
 
-        The fabric calls this when its cycle-start credit snapshot found
-        the input queue full: the attempt counts exactly like a
-        :meth:`deliver` refusal (statistics and trace event) but the
-        queue is never consulted, so a slot freed later in the same
-        cycle cannot be consumed out of turn.  Always returns False, the
-        same contract as a refusing ``deliver``.
+        :meth:`deliver` refuses through here, and so does the fabric
+        when its cycle-start credit snapshot found the input queue full,
+        so a slot freed later in the same cycle cannot be consumed out
+        of turn.
         """
         self.stats.refused += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(), REFUSE, self.node, dest=message.destination
-            )
+        if self.observer is not None:
+            self.observer.on_refuse(self._clock(), self.node, message)
         return False
 
     def deliver(self, message: Message) -> bool:
@@ -522,20 +483,11 @@ class NetworkInterface:
         if self._divert_if_protected(message):
             return True
         if self.input_queue.is_full:
-            self.stats.refused += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), REFUSE, self.node, dest=message.destination
-                )
-            return False
+            return self.refuse_delivery(message)
         self.input_queue.push(message)
         self.stats.delivered += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(), DELIVER, self.node, mtype=message.mtype
-            )
-        if self.lineage is not None:
-            self.lineage.on_deliver(message, self._clock())
+        if self.observer is not None:
+            self.observer.on_deliver(self._clock(), self.node, message)
         self._advance()
         self._refresh_status()
         if self.control["arrival_interrupt"] and self.interrupt_hook is not None:
@@ -553,6 +505,25 @@ class NetworkInterface:
     def peek_outgoing(self) -> Optional[Message]:
         """The oldest outgoing message without removing it."""
         return self.output_queue.peek()
+
+    def park(self) -> List[Message]:
+        """Take all unserviced input away from the processor (Section 2.1.3).
+
+        A scheduler descheduling a process calls this to save its
+        network state: the message in the input registers, then the
+        input queue, oldest first.  Each parked message is reported to
+        the observer (it leaves without a ``NEXT``) and STATUS is
+        refreshed.  Returns the parked messages in arrival order.
+        """
+        parked = [] if self._current is None else [self._current]
+        self._current = None
+        parked.extend(self.input_queue.drain())
+        if self.observer is not None:
+            now = self._clock()
+            for message in parked:
+                self.observer.on_park(now, self.node, message)
+        self._refresh_status()
+        return parked
 
     # ------------------------------------------------------------------
     # Internals.
@@ -583,8 +554,8 @@ class NetworkInterface:
                 self.input_queue.tenant_stats.on_cap_rejection(message.pin)
             reason = DIVERT_CAP
         if reason is not None:
-            if self.lineage is not None:
-                self.lineage.on_divert(message, self._clock(), reason)
+            if self.observer is not None:
+                self.observer.on_divert(self._clock(), self.node, message, reason)
             if self.tenant_scheduler is not None:
                 self.tenant_scheduler.on_divert(self, message, reason)
             elif self._accept_hook is not None:
@@ -592,28 +563,15 @@ class NetworkInterface:
             else:
                 self.privileged_store.append(message)
             self._refresh_status()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), DIVERT, self.node,
-                    privileged=message.privileged, pin=message.pin,
-                )
         return reason is not None
 
     def _advance(self) -> None:
         """Auto-load the input registers from the queue when they are empty."""
         if self._current is None:
             self._current = self.input_queue.try_pop()
-            if self._current is not None and self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), DISPATCH, self.node,
-                    mtype=self._current.mtype,
-                )
-            if self._current is not None and self.lineage is not None:
-                self.lineage.on_dispatch(
-                    self._current,
-                    self._clock(),
-                    describe_dispatch(self._current, self._conditions()),
-                )
+            if self._current is not None and self.observer is not None:
+                detail = describe_dispatch(self._current, self._conditions())
+                self.observer.on_dispatch(self._clock(), self.node, self._current, detail)
 
     def _refresh_status(self) -> None:
         """Recompute the hardware-maintained STATUS fields in one word write.

@@ -217,16 +217,11 @@ class GangScheduler:
         refiled = self._saved.pop(self.active_pin, None)
         saved: List[List[Message]] = []
         for index, interface in enumerate(self.interfaces):
-            drained: List[Message] = []
             # The message occupying the input registers is part of the
             # process's network state too.
-            if interface.current_message is not None:
-                drained.append(interface.current_message)
-                interface._current = None
-            drained.extend(interface.input_queue.drain())
+            drained = interface.park()
             if refiled is not None:
                 drained.extend(refiled[index])
-            interface._refresh_status()
             saved.append(drained)
         self._saved[self.active_pin] = saved
         self.active_pin = None

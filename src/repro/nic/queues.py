@@ -151,8 +151,6 @@ class MessageQueue:
     _items: Deque[Message] = field(default_factory=deque, repr=False)
     stats: QueueStats = field(default_factory=QueueStats, repr=False)
     tenant_stats: Optional[TenantOccupancy] = field(default=None, repr=False)
-    lineage: object = field(default=None, repr=False)
-    _lineage_clock: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -175,17 +173,6 @@ class MessageQueue:
         for message in self._items:
             tenant_stats.on_push(message.pin)
         return tenant_stats
-
-    def attach_lineage(self, lineage, clock) -> None:
-        """Opt in to lineage tracing of queue-level drains (parking).
-
-        Only :meth:`drain` reports to the tracker — pushes and pops are
-        already observed at the interface layer; the drain is the one
-        transition (receive-side parking, Section 2.1.3 drains) that
-        bypasses the interface entirely.
-        """
-        self.lineage = lineage
-        self._lineage_clock = clock
 
     def tenant_occupancy(self, pin: int) -> int:
         """Queued messages of process ``pin`` (0 with no accounting attached)."""
@@ -289,18 +276,14 @@ class MessageQueue:
     def drain(self) -> List[Message]:
         """Remove and return all queued messages, oldest first.
 
-        Used by the protection machinery when the machine drains the network
-        between time slices (Section 2.1.3).
+        Used by :meth:`NetworkInterface.park` when a scheduler takes a
+        descheduled process's input away (Section 2.1.3).
         """
         drained = list(self._items)
         self.stats.pops += len(drained)
         self._items.clear()
         if self.tenant_stats is not None:
             self.tenant_stats.reset_depths()
-        if self.lineage is not None and drained:
-            now = self._lineage_clock()
-            for message in drained:
-                self.lineage.on_drain(message, now)
         return drained
 
     def clear(self) -> None:

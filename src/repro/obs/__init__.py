@@ -2,6 +2,8 @@
 
 All pieces are zero-cost when not attached:
 
+* :mod:`repro.obs.observer` — the one message-path event interface
+  (:class:`Observer`) the tracer, metrics and lineage subscribe to;
 * :mod:`repro.obs.tracer` — ring-buffered structured event tracing with
   cycle/turn timestamps and eviction-proof per-kind counts;
 * :mod:`repro.obs.metrics` — per-cycle time-series sampling (queue
@@ -19,9 +21,10 @@ All pieces are zero-cost when not attached:
   cross-run performance database the benchmarks write and the trend /
   regression report (``python -m repro.obs.report``) built on it.
 
-The fabric, routers, interfaces, and the TAM runtime accept a tracer
-and a lineage tracker (and the fabric a metrics recorder);
-``python -m repro --trace --lineage`` and
+The interfaces, the fabric, the TAM machine and the collectives engine
+each hold one ``observer`` slot with one ``attach`` method; the public
+entry points' ``tracer=`` / ``metrics=`` / ``lineage=`` arguments fill
+it.  ``python -m repro --trace --lineage`` and
 ``benchmarks/bench_flowcontrol.py`` wire everything together.
 
 The package exports lazily (:pep:`562`): ``from repro.obs import
@@ -34,6 +37,10 @@ from typing import Dict, Tuple
 #: Exported name -> submodule that defines it.  ``__getattr__`` imports
 #: the submodule only when the name is first touched.
 _EXPORTS: Dict[str, str] = {
+    # observer
+    "EVENTS": "observer",
+    "Observer": "observer",
+    "observer_of": "observer",
     # tracer
     "ALL_KINDS": "tracer",
     "BLOCK": "tracer",

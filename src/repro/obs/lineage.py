@@ -34,12 +34,10 @@ partition its lifetime *by construction*; the reconciliation pass in
 :mod:`repro.obs.breakdown` then verifies that the hooks actually
 covered ``[inject, deliver]`` with no gaps.
 
-The tracker follows the tracer's zero-cost-when-off contract: every
-producer keeps a ``lineage`` attribute defaulting to ``None`` and
-guards call sites with an identity check, so unobserved runs execute
-byte-identical code.  TAM runtimes install wrappers at construction
-time (mirroring ``Tracer``), which keeps the fused codegen loop and its
-generated code untouched when lineage is off.
+The tracker is an :class:`~repro.obs.observer.Observer`, so it follows
+the one zero-cost-when-off contract: a component with nothing attached
+pays one identity check per event site, and a TAM machine with nothing
+attached keeps its fused codegen loop and generated code untouched.
 
 Causality is a DAG over lineage records: a collectives handler's
 emission is caused by *all* child messages it consumed since its last
@@ -52,7 +50,9 @@ id reuse.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.obs.observer import Observer
 
 __all__ = [
     "LineageRecord",
@@ -262,17 +262,16 @@ def _mtype_name(message: Any) -> Optional[str]:
     return getattr(mtype, "name", None) or str(mtype)
 
 
-class LineageTracker:
+class LineageTracker(Observer):
     """Collects :class:`LineageRecord` spans from every layer.
 
-    One tracker observes one run; fabric-side hooks use the fabric's
-    cycle clock (installed via the producers' ``attach_lineage``), and
-    TAM-side hooks use a private monotonic turn sequence (``timeline``
-    distinguishes the two in reports).  All hooks are defensive — an
-    unexpected state is absorbed, never raised — so a partially
-    observed run (lineage attached mid-flight) degrades to incomplete
-    records instead of crashing the simulation.  Strictness lives in
-    :func:`repro.obs.breakdown.reconcile_lineage`.
+    One tracker observes one run; fabric and interface events carry the
+    fabric's cycle, and TAM events are stamped with a private monotonic
+    turn sequence (``timeline`` distinguishes the two in reports).  All
+    events are defensive — an unexpected state is absorbed, never
+    raised — so a partially observed run (lineage attached mid-flight)
+    degrades to incomplete records instead of crashing the simulation.
+    Strictness lives in :func:`repro.obs.breakdown.reconcile_lineage`.
     """
 
     def __init__(self, origin: str = "run") -> None:
@@ -318,9 +317,9 @@ class LineageTracker:
         self.last_record = record
         return record
 
-    # -- fabric/NI hooks (cycle timeline) --------------------------------
+    # -- fabric/NI events (cycle timeline) -------------------------------
 
-    def on_send(self, message: Any, node: int, ts: int) -> None:
+    def on_send(self, ts, node, message, mode):
         """A message was accepted into an NI output queue."""
         record = self._new_record(
             message,
@@ -332,7 +331,7 @@ class LineageTracker:
         )
         record.state = "output"
 
-    def on_serialize_start(self, message: Any, ts: int) -> None:
+    def on_serialize_start(self, ts, node, message):
         """The message reached the head of its output queue."""
         record = self.live.get(id(message))
         if record is None or record.state != "output":
@@ -340,7 +339,7 @@ class LineageTracker:
         record.close(PHASE_INJECT_WAIT, ts, {"node": record.src})
         record.state = "serializing"
 
-    def on_inject(self, message: Any, ts: int, node: int) -> None:
+    def on_inject(self, ts, node, message):
         """The serialized message entered the injection buffer."""
         record = self.live.get(id(message))
         if record is None:
@@ -355,15 +354,7 @@ class LineageTracker:
             record.vc = None
             record.blocked.clear()
 
-    def on_hop(
-        self,
-        message: Any,
-        ts: int,
-        hops: int,
-        node: int,
-        vc: Optional[int],
-        src: Optional[int],
-    ) -> None:
+    def on_hop(self, ts, node, message, src, vc, hops):
         """The message moved one link (already counted in ``hops``)."""
         record = self.live.get(id(message))
         if record is None or record.state != "transit":
@@ -374,13 +365,13 @@ class LineageTracker:
         record.node = node
         record.vc = vc
 
-    def on_block(self, message: Any, ts: int) -> None:
+    def on_block(self, ts, node, message, to):
         """The fabric charged a blocked move for this message."""
         record = self.live.get(id(message))
         if record is not None and record.state == "transit":
             record.blocked.append(ts)
 
-    def on_deliver(self, message: Any, ts: int) -> None:
+    def on_deliver(self, ts, node, message):
         """The message landed in an NI input queue."""
         record = self.live.get(id(message))
         if record is None:
@@ -400,7 +391,7 @@ class LineageTracker:
                 record.delivered = ts
             record.state = "queued"
 
-    def on_divert(self, message: Any, ts: int, reason: str) -> None:
+    def on_divert(self, ts, node, message, reason):
         """The NI diverted the message to the system queue."""
         record = self.live.get(id(message))
         if record is None:
@@ -425,26 +416,14 @@ class LineageTracker:
         record.divert_reason = reason
         record.state = "diverted"
 
-    def on_drain(self, message: Any, ts: int) -> None:
-        """A receive-side scheduler parked the message."""
+    def on_park(self, ts, node, message):
+        """A receive-side scheduler parked the message: a divert typed
+        ``park``.  A message already diverted keeps its open span."""
         record = self.live.get(id(message))
-        if record is None:
-            return
-        if record.state == "queued":
-            record.close(PHASE_DISPATCH, max(ts, record.cursor), {"node": record.dest})
-        elif record.state == "current":
-            record.close(PHASE_HANDLER, max(ts, record.cursor), record.handler_detail)
-            record.handler_detail = None
-        elif record.state == "diverted":
-            return  # already parked/diverted; keep the open span
-        else:
-            return
-        record.divert_reason = DIVERT_PARK
-        record.state = "diverted"
+        if record is not None and record.state in ("queued", "current"):
+            self.on_divert(ts, node, message, DIVERT_PARK)
 
-    def on_dispatch(
-        self, message: Any, ts: int, detail: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def on_dispatch(self, ts, node, message, detail):
         """Hardware dispatch popped the message into the registers."""
         record = self.live.get(id(message))
         if record is None or record.state != "queued":
@@ -453,7 +432,7 @@ class LineageTracker:
         record.handler_detail = detail
         record.state = "current"
 
-    def on_retire(self, message: Any, ts: int) -> None:
+    def on_retire(self, ts, node, message):
         """The handler executed NEXT; the message is done."""
         record = self.live.pop(id(message), None)
         if record is None:
@@ -465,9 +444,9 @@ class LineageTracker:
         record.retired = ts
         record.state = "done"
 
-    # -- collectives hooks (combining-tree causality) --------------------
+    # -- collectives events (combining-tree causality) -------------------
 
-    def begin_collective_handler(self, node: int, message: Any) -> None:
+    def on_handler_begin(self, node, message):
         """A handler program starts consuming ``message`` at ``node``."""
         # A stale emitted-flag (e.g. from the processor-side enter) must
         # not cause a non-emitting combine to lose its consumed set.
@@ -476,24 +455,24 @@ class LineageTracker:
         if record is not None:
             self._consumed.setdefault(node, []).append(record)
 
-    def collective_emit(self, node: int, message: Any) -> None:
+    def on_emit(self, node, message):
         """The handler emitted ``message`` (send deferred to flush).
 
         The emitted object is *recomposed* by the NI at flush time, so
         the causal parents are noted here keyed on the pending object
-        and bound to the real record in :meth:`bind_deferred`.
+        and bound to the real record in :meth:`on_bind`.
         """
         parents = tuple(self._consumed.get(node, ()))
         self._deferred[id(message)] = (message, parents)
         self._emitted_nodes.add(node)
 
-    def end_collective_handler(self, node: int) -> None:
+    def on_handler_end(self, node):
         """The handler returned; reset consumed-set if it emitted."""
         if node in self._emitted_nodes:
             self._emitted_nodes.discard(node)
             self._consumed[node] = []
 
-    def bind_deferred(self, pending: Any) -> None:
+    def on_bind(self, pending):
         """Attach noted parents to the record of the flushed send."""
         entry = self._deferred.pop(id(pending), None)
         record = self.last_record
@@ -504,9 +483,9 @@ class LineageTracker:
                 record.parents.append(parent)
                 parent.children.append(record)
 
-    # -- TAM hooks (turn timeline) ---------------------------------------
+    # -- TAM events (turn timeline) --------------------------------------
 
-    def tam_post(self, message: Any) -> None:
+    def on_tam_post(self, message):
         """A TAM runtime posted an inter-frame message."""
         self._tam_seq += 1
         record = self._new_record(
@@ -523,23 +502,24 @@ class LineageTracker:
             record.parents.append(parent)
             parent.children.append(record)
 
-    def tam_begin_handle(self, message: Any) -> Optional[LineageRecord]:
-        """A wrapped leaf handler starts handling ``message``."""
+    def on_tam_handle_begin(self, node, message):
+        """A TAM node starts handling ``message``."""
         self._tam_seq += 1
         record = self.live.pop(id(message), None)
         if record is None:
-            return None
+            return
         record.close(PHASE_QUEUE, self._tam_seq, {"node": record.dest})
         record.delivered = self._tam_seq
         record.state = "current"
         self._tam_stack.append(record)
-        return record
 
-    def tam_end_handle(self, record: Optional[LineageRecord]) -> None:
-        if record is None:
-            return
-        if self._tam_stack and self._tam_stack[-1] is record:
-            self._tam_stack.pop()
+    def on_tam_handle_end(self, node, message):
+        """The handle of ``message`` ended; handles nest, so a tracked
+        one is on top of the stack."""
+        stack = self._tam_stack
+        if not stack or stack[-1].message is not message:
+            return  # untracked message: its begin pushed nothing
+        record = stack.pop()
         end = max(self._tam_seq, record.cursor) + 1
         self._tam_seq = end
         record.close(PHASE_HANDLER, end, {"node": record.dest})
@@ -547,9 +527,6 @@ class LineageTracker:
         record.state = "done"
 
     # -- summary ----------------------------------------------------------
-
-    def complete_records(self) -> List[LineageRecord]:
-        return [r for r in self.records if r.state == "done"]
 
     def clear(self) -> None:
         self.records.clear()
@@ -561,8 +538,3 @@ class LineageTracker:
         self._tam_stack.clear()
         self._tam_seq = 0
         self._next_lid = 0
-
-
-#: Factory used by attach points that want a clock closure paired with
-#: the tracker; kept tiny so producers can remain lineage-agnostic.
-ClockFn = Callable[[], int]

@@ -9,15 +9,18 @@ histograms and percentiles so a whole run summarises to a handful of
 numbers, while the raw series stay available for the Chrome-trace
 counter tracks and the JSON artifact.
 
-Like the tracer, metrics are opt-in: the fabric holds a ``metrics``
-reference defaulting to ``None`` and samples only when one is attached.
+The recorder is an :class:`~repro.obs.observer.Observer` that uses one
+event: at the end of every fabric cycle (``on_step``) it samples the
+series and detects the threshold edges.  Like every observer it is
+opt-in and costs an unobserved fabric one identity check per cycle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.obs.observer import Observer
 from repro.utils.rng import SplitMix64
 
 
@@ -160,14 +163,46 @@ class ThresholdCrossing(NamedTuple):
     """True for a rising edge (condition asserted), False for falling."""
 
 
-class MetricsRecorder:
+class MetricsRecorder(Observer):
     """Collects named time series and the threshold-crossing timeline."""
 
-    __slots__ = ("series", "crossings")
+    __slots__ = ("series", "crossings", "_almost_full_state", "_n_links")
 
     def __init__(self) -> None:
         self.series: Dict[str, TimeSeries] = {}
         self.crossings: List[ThresholdCrossing] = []
+        self._almost_full_state: Dict[Tuple[int, str], bool] = {}
+        self._n_links: Optional[int] = None
+
+    def on_step(self, ts: int, fabric: Any, delivered: int, link_moves: int) -> None:
+        """Record one fabric cycle's time-series samples and threshold edges."""
+        if self._n_links is None:
+            self._n_links = sum(len(r.neighbors) for r in fabric.routers)
+        input_depth = 0
+        output_depth = 0
+        for interface in fabric.interfaces:
+            input_depth += interface.input_queue.depth
+            output_depth += interface.output_queue.depth
+        self.sample("in_flight", ts, fabric.in_flight())
+        self.sample("input_queue_depth", ts, input_depth)
+        self.sample("output_queue_depth", ts, output_depth)
+        self.sample("deliveries", ts, delivered)
+        self.sample(
+            "link_utilization",
+            ts,
+            link_moves / self._n_links if self._n_links else 0.0,
+        )
+        state = self._almost_full_state
+        for interface in fabric.interfaces:
+            for queue_name, queue in (
+                ("iq", interface.input_queue),
+                ("oq", interface.output_queue),
+            ):
+                asserted = queue.almost_full
+                key = (interface.node, queue_name)
+                if asserted != state.get(key, False):
+                    state[key] = asserted
+                    self.crossing(ts, interface.node, queue_name, asserted)
 
     def sample(self, name: str, cycle: int, value: float) -> None:
         """Append one sample to series ``name`` (created on first use)."""

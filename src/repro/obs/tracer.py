@@ -25,25 +25,28 @@ kind         emitted when
 ``tam_handle`` a TAM node processed one inter-frame message
 ===========  ================================================================
 
-The tracer is opt-in and *zero-cost when off*: every instrumented hot
-path keeps a ``tracer`` reference that defaults to ``None`` and guards
-emission with an identity check (the TAM runtime goes further and only
-installs traced entry points when a tracer is supplied, so its disabled
-hot path is byte-identical to the uninstrumented one).
+The tracer is an :class:`~repro.obs.observer.Observer` (zero-cost when
+off): it turns each message-path event into one of the kinds above, so
+the kinds and their detail fields are built here and nowhere else.  TAM
+events are stamped with the tracer's own turn sequence, one step per
+post and per handled message.
 
 Events land in a bounded ring buffer so tracing a long run cannot
-exhaust memory; per-kind counts are kept separately and never evicted,
-which is what lets the reconciliation tests compare event counts against
-:class:`~repro.network.fabric.FabricStats` /
+exhaust memory.  Per-kind counts and first timestamps are kept beside
+the ring and never evicted: the reconciliation tests compare the counts
+against :class:`~repro.network.fabric.FabricStats` /
 :class:`~repro.nic.queues.QueueStats` /
 :class:`~repro.nic.interface.InterfaceStats` exactly even after the ring
-has wrapped.
+has wrapped, and the flow-control study reads the first refused
+delivery and the first ``SEND`` stall from the first timestamps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Deque, Dict, Iterator, NamedTuple, Optional
+
+from repro.obs.observer import Observer
 
 # Event kinds.  Plain strings (not an enum): emission sits on simulator
 # hot paths and exports want the string anyway.
@@ -93,14 +96,15 @@ class TraceEvent(NamedTuple):
     """Kind-specific fields (destination, hop count, message kind, ...)."""
 
 
-class Tracer:
+class Tracer(Observer):
     """A ring-buffered recorder of :class:`TraceEvent`.
 
     ``capacity`` bounds the ring; ``None`` keeps every event (tests and
-    short runs).  :attr:`counts` is exact regardless of eviction.
+    short runs).  :attr:`counts` and :attr:`first` are exact regardless
+    of eviction.
     """
 
-    __slots__ = ("events", "counts", "emitted", "capacity")
+    __slots__ = ("events", "counts", "first", "emitted", "capacity", "_turn")
 
     def __init__(self, capacity: Optional[int] = DEFAULT_RING_CAPACITY) -> None:
         if capacity is not None and capacity < 1:
@@ -108,11 +112,18 @@ class Tracer:
         self.capacity = capacity
         self.events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.counts: Dict[str, int] = {}
+        self.first: Dict[str, int] = {}
         self.emitted = 0
+        self._turn = 0
 
     def emit(self, ts: int, kind: str, node: int, **detail) -> None:
         """Record one event; evicts the oldest when the ring is full."""
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        count = self.counts.get(kind)
+        if count is None:
+            self.counts[kind] = 1
+            self.first[kind] = ts
+        else:
+            self.counts[kind] = count + 1
         self.emitted += 1
         self.events.append(TraceEvent(ts, kind, node, detail))
 
@@ -125,11 +136,59 @@ class Tracer:
         """Events evicted from the ring (still present in the counts)."""
         return self.emitted - len(self.events)
 
+    # -- the message-path events, as trace kinds --------------------------
+
+    def on_send(self, ts, node, message, mode):
+        self.emit(ts, SEND, node, dest=message.destination, mtype=message.mtype, mode=mode.value)
+
+    def on_stall(self, ts, node, message):
+        self.emit(ts, SEND_STALL, node, dest=message.destination)
+
+    def on_refuse(self, ts, node, message):
+        self.emit(ts, REFUSE, node, dest=message.destination)
+
+    def on_deliver(self, ts, node, message):
+        self.emit(ts, DELIVER, node, mtype=message.mtype)
+
+    def on_divert(self, ts, node, message, reason):
+        self.emit(ts, DIVERT, node, privileged=message.privileged, pin=message.pin)
+
+    def on_dispatch(self, ts, node, message, detail):
+        self.emit(ts, DISPATCH, node, mtype=message.mtype)
+
+    def on_retire(self, ts, node, message):
+        self.emit(ts, NEXT, node)
+
+    def on_inject(self, ts, node, message):
+        self.emit(ts, INJECT, node, dest=message.destination)
+
+    def on_hop(self, ts, node, message, src, vc, hops):
+        self.emit(ts, HOP, node, src=src, dest=message.destination, hops=hops)
+
+    def on_block(self, ts, node, message, to):
+        if to is None:
+            self.emit(ts, BLOCK, node, port="eject")
+        else:
+            self.emit(ts, BLOCK, node, port="link", to=to)
+
+    def on_eject(self, ts, node, message, hops, latency):
+        self.emit(ts, EJECT, node, hops=hops, latency=latency)
+
+    def on_tam_post(self, message):
+        self._turn += 1
+        self.emit(self._turn, TAM_POST, message.node, mkind=message.kind.name)
+
+    def on_tam_handle_begin(self, node, message):
+        self._turn += 1
+        self.emit(self._turn, TAM_HANDLE, node, mkind=message.kind.name)
+
     def clear(self) -> None:
-        """Discard all events and counts."""
+        """Discard all events, counts and first timestamps."""
         self.events.clear()
         self.counts.clear()
+        self.first.clear()
         self.emitted = 0
+        self._turn = 0
 
     def __len__(self) -> int:
         return len(self.events)

@@ -37,7 +37,7 @@ makes runs reproducible bit for bit:
 * **Profiling** — ``attach_profiler`` installs a
   :class:`~repro.obs.profiler.SimProfiler` that attributes serviced
   ticks and wall-clock time per component.  The attachment is
-  identity-guarded like the tracer: with no profiler the kernel runs the
+  identity-guarded like an observer: with no profiler the kernel runs the
   original loop unchanged (byte-identical behaviour, zero overhead) and
   never writes a profiling attribute onto any component; with one, the
   kernel switches to a separate instrumented loop with the same

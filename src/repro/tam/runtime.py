@@ -80,7 +80,7 @@ from repro.tam.messages import (
     MsgKind,
     TamMessage,
 )
-from repro.obs.tracer import TAM_HANDLE, TAM_POST, Tracer
+from repro.obs.observer import Observer, observer_of
 from repro.sim.sweep import ActiveSweep, ReferenceSweep
 from repro.tam.stats import TamStats
 from repro.utils.profiling import PROFILER
@@ -123,14 +123,13 @@ class TamMachine:
     interpreter, the executable specification).  Both produce identical
     statistics and results.
 
-    ``tracer`` opts the machine into message-path event tracing
-    (:mod:`repro.obs.tracer`): every posted inter-frame message emits a
-    ``tam_post`` event and every processed one a ``tam_handle`` event,
-    stamped with a monotonic turn sequence.  Tracing is installed by
-    swapping the posting/handling entry points for traced wrappers at
-    construction time — before any ``load()`` generates code over them
-    — so a machine built without a tracer executes byte-identical code
-    on the hot path (zero overhead when off).
+    ``tracer`` / ``lineage`` fill the machine's one ``observer`` slot
+    (:meth:`attach` adds any :class:`~repro.obs.observer.Observer`):
+    posts raise ``on_tam_post`` and handled messages
+    ``on_tam_handle_begin`` / ``on_tam_handle_end``.  The first attach
+    swaps the entry points for observed wrappers before ``load()``
+    generates code over them, so a machine with nothing attached runs
+    byte-identical hot-path code (zero overhead when off).
 
     ``profiler`` opts the machine into per-node turn attribution
     (:mod:`repro.obs.profiler`): every productive turn is timed and
@@ -145,10 +144,10 @@ class TamMachine:
     def __init__(
         self,
         n_nodes: int = 1,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Observer] = None,
         profiler: Optional["SimProfiler"] = None,
         backend: str = "codegen",
-        lineage=None,
+        lineage: Optional[Observer] = None,
     ) -> None:
         if n_nodes < 1:
             raise TamError("a TAM machine needs at least one node")
@@ -181,97 +180,54 @@ class TamMachine:
         # mix) record per thread, folded into stats after each run.
         self._cg_runs: List[int] = []
         self._cg_meta: List[Tuple[Tuple, Tuple]] = []
-        self.tracer = tracer
-        self._trace_seq = 0
-        if tracer is not None:
-            self._install_tracing()
-        # Lineage (repro.obs.lineage) uses the same construction-time
-        # wrapper swap as the tracer: posts create causal records, the
-        # seven leaf handlers bracket handler spans, and a post issued
-        # while a wrapped handler runs links request to response.
-        self.lineage = lineage
-        if lineage is not None:
-            self._install_lineage()
-        # Like the tracer, the profiler is identity-guarded: with None
+        self.observer: Optional[Observer] = None
+        observer = observer_of(tracer, lineage)
+        if observer is not None:
+            self.attach(observer)
+        # Like the observer, the profiler is identity-guarded: with None
         # the run loops use the original service callbacks unchanged.
         self.profiler = profiler
 
-    def _install_tracing(self) -> None:
-        """Swap the message entry points for traced wrappers.
-
-        Installed as *instance* attributes, which is what makes tracing
-        free when absent: the generated code captures ``machine._post``
-        at ``load()`` time and the run loops bind
-        ``self._deliver`` / ``self._on_pread`` at entry, so with no
-        tracer they resolve to the original methods and no extra branch
-        ever executes.  Only the seven leaf handlers are wrapped (not
-        ``_process_message``, which merely dispatches to them), so each
-        processed message emits exactly one ``tam_handle`` event on both
-        execution paths.
+    def attach(self, observer: Observer) -> None:
+        """Subscribe ``observer`` to posts and handled messages, beside any
+        earlier one.  Attach before :meth:`load`: generated code binds
+        the posting entry point when it is built.
         """
-        tracer = self.tracer
+        if self.codeblocks:
+            raise TamError("attach observers before loading a codeblock")
+        if self.observer is None:
+            self._install_observed_entry_points()
+        self.observer = observer_of(self.observer, observer)
+
+    def _install_observed_entry_points(self) -> None:
+        """Swap the message entry points for observed wrappers, once.
+
+        Installed as *instance* attributes, which is what makes
+        observation free when absent: the generated code captures
+        ``machine._post`` at ``load()`` time and the run loops bind
+        ``self._deliver`` / ``self._on_pread`` at entry, so with nothing
+        attached they resolve to the original methods.  Only the seven
+        leaf handlers are wrapped (not ``_process_message``, which
+        dispatches to them), so each handled message raises one
+        begin/end pair on both backends; a reply posted inside a handler
+        falls between the two, which links request to response.
+        """
         plain_post = self._post
 
-        def traced_post(message: TamMessage) -> None:
-            self._trace_seq += 1
-            tracer.emit(
-                self._trace_seq, TAM_POST, message.node, mkind=message.kind.name
-            )
+        def observed_post(message: TamMessage) -> None:
+            self.observer.on_tam_post(message)
             plain_post(message)
 
-        self._post = traced_post
-
-        def wrap_handler(handler):
-            def traced(state: _NodeState, message: TamMessage) -> None:
-                self._trace_seq += 1
-                tracer.emit(
-                    self._trace_seq,
-                    TAM_HANDLE,
-                    state.node_id,
-                    mkind=message.kind.name,
-                )
-                handler(state, message)
-
-            return traced
-
-        for name in (
-            "_deliver",
-            "_on_pread",
-            "_on_pwrite",
-            "_on_falloc",
-            "_on_ialloc",
-            "_on_read",
-            "_on_write",
-        ):
-            setattr(self, name, wrap_handler(getattr(self, name)))
-
-    def _install_lineage(self) -> None:
-        """Swap the message entry points for lineage-recording wrappers.
-
-        Same instance-attribute mechanism (and the same seven leaf
-        handlers) as :meth:`_install_tracing`, so a machine built
-        without lineage executes byte-identical hot-path code.  The
-        tracker runs on its own monotonic turn sequence; a ``_post``
-        issued while a wrapped handler is running (e.g. ``_reply``)
-        records the handled message as the new message's causal parent,
-        which is what links a request to its response in the DAG.
-        """
-        lineage = self.lineage
-        plain_post = self._post
-
-        def lineage_post(message: TamMessage) -> None:
-            lineage.tam_post(message)
-            plain_post(message)
-
-        self._post = lineage_post
+        self._post = observed_post
 
         def wrap_handler(handler):
             def observed(state: _NodeState, message: TamMessage) -> None:
-                record = lineage.tam_begin_handle(message)
+                observer = self.observer
+                observer.on_tam_handle_begin(state.node_id, message)
                 try:
                     handler(state, message)
                 finally:
-                    lineage.tam_end_handle(record)
+                    observer.on_tam_handle_end(state.node_id, message)
 
             return observed
 
@@ -511,13 +467,13 @@ class TamMachine:
         (frame list, thread function), so a thread turn is two pops and
         one call.  Unobserved runs take :meth:`_run_codegen_fused` — the
         scheduling, delivery, and presence-bit logic fused into one
-        loop; runs with a tracer, profiler, or lineage tracker keep the
+        loop; runs with an observer or a profiler attached keep the
         callback shape (:meth:`_run_codegen_generic`) so the observed
         event stream and attribution are identical to the reference
         backend's.
         """
         try:
-            if self.tracer is None and self.profiler is None and self.lineage is None:
+            if self.observer is None and self.profiler is None:
                 return self._run_codegen_fused(max_turns)
             return self._run_codegen_generic(max_turns)
         finally:
@@ -777,9 +733,9 @@ class TamMachine:
         Generated code posts through ``machine._post`` here (captured at
         ``load()``), which keeps the :class:`~repro.sim.sweep.ActiveSweep`
         flags current; delivery goes through ``self._deliver`` — the
-        traced or lineage wrapper when one is installed, else the plain
-        :meth:`_deliver_message_codegen` — so every handled message emits
-        its ``tam_handle`` event / handler span.  A profiler wraps the
+        observed wrapper when an observer is attached, else the plain
+        :meth:`_deliver_message_codegen` — so every handled message
+        raises its handle events.  A profiler wraps the
         service callback for per-node turn attribution.
         """
         nodes = self.nodes

@@ -292,23 +292,12 @@ class TenantPolicy(SimComponent):
         tenant's messages, so a switch must park them — ahead of any
         cap-diverted messages already stored, preserving arrival order.
         """
-        ni = state.interface
-        drained: List[Message] = []
-        if ni.current_message is not None:
-            drained.append(ni.current_message)
-            if ni.lineage is not None:
-                # Parking bypasses NEXT, so the in-registers message must
-                # report its handler-abort to the tracker here; queued
-                # messages are reported by the queue's own drain().
-                ni.lineage.on_drain(ni.current_message, ni._clock())
-            ni._current = None
-        drained.extend(ni.input_queue.drain())
+        drained = state.interface.park()
         if drained:
             # One switch parks one tenant's state: every drained message
             # carries the resident PIN.
             state.store.file_front(drained[0].pin, drained)
             self._count_stored(drained[0].pin, len(drained))
-        ni._refresh_status()
 
     def _switch_to(self, state: _NodeState, pin: int, cycle: int) -> None:
         """Make ``pin`` resident on ``state``'s node, charging the cost."""

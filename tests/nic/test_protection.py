@@ -92,7 +92,7 @@ class TestProtectionDomain:
     def test_activate_stops_at_first_refusal(self):
         ni = NetworkInterface(input_capacity=1)
         tracer = Tracer(capacity=None)
-        ni.attach_tracer(tracer)
+        ni.attach(tracer)
         domain = ProtectionDomain(ni)
         ni.control.enable_pin_checking(1)
         for tag in range(6):

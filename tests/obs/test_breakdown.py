@@ -23,11 +23,11 @@ class FakeMessage:
 
 def tracked_message(tracker, send_ts, deliver_ts, retire_ts, node=0):
     message = FakeMessage()
-    tracker.on_send(message, node, ts=send_ts)
-    tracker.on_inject(message, ts=send_ts, node=node)
-    tracker.on_deliver(message, ts=deliver_ts)
-    tracker.on_dispatch(message, ts=deliver_ts + 1)
-    tracker.on_retire(message, ts=retire_ts)
+    tracker.on_send(send_ts, node, message, None)
+    tracker.on_inject(send_ts, node, message)
+    tracker.on_deliver(deliver_ts, message.dest, message)
+    tracker.on_dispatch(deliver_ts + 1, message.dest, message, None)
+    tracker.on_retire(retire_ts, message.dest, message)
     return tracker.records[-1]
 
 

@@ -129,16 +129,16 @@ class TestLineageExport:
 
         tracker = LineageTracker(origin="unit")
         parent, child = Msg(), Msg()
-        tracker.on_send(parent, 0, ts=0)
-        tracker.on_inject(parent, ts=1, node=0)
-        tracker.on_deliver(parent, ts=4)
-        tracker.on_dispatch(parent, ts=5)
-        tracker.on_retire(parent, ts=6)
-        tracker.on_send(child, 1, ts=7)
-        tracker.on_inject(child, ts=8, node=1)
-        tracker.on_deliver(child, ts=11)
-        tracker.on_dispatch(child, ts=12)
-        tracker.on_retire(child, ts=13)
+        tracker.on_send(0, 0, parent, None)
+        tracker.on_inject(1, 0, parent)
+        tracker.on_deliver(4, parent.dest, parent)
+        tracker.on_dispatch(5, parent.dest, parent, None)
+        tracker.on_retire(6, parent.dest, parent)
+        tracker.on_send(7, 1, child, None)
+        tracker.on_inject(8, 1, child)
+        tracker.on_deliver(11, child.dest, child)
+        tracker.on_dispatch(12, child.dest, child, None)
+        tracker.on_retire(13, child.dest, child)
         tracker.records[1].parents.append(tracker.records[0])
         return tracker
 

@@ -28,7 +28,7 @@ def run_snippet(code: str) -> str:
 
 class TestLazyExports:
     def test_import_pulls_no_submodules(self):
-        # `import repro` itself loads obs.tracer (via repro.nic); the
+        # `import repro` itself loads obs.observer (via repro.nic); the
         # package import must add nothing beyond that baseline.
         out = run_snippet(
             "import sys\n"

@@ -45,14 +45,14 @@ class TestSpanStateMachine:
     def full_path(self):
         tracker = LineageTracker(origin="unit")
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=10)
-        tracker.on_serialize_start(message, ts=12)
-        tracker.on_inject(message, ts=14, node=0)
-        tracker.on_block(message, ts=16)
-        tracker.on_hop(message, ts=18, hops=1, node=1, vc=0, src=0)
-        tracker.on_deliver(message, ts=20)
-        tracker.on_dispatch(message, ts=22, detail={"case": 1})
-        tracker.on_retire(message, ts=25)
+        tracker.on_send(10, 0, message, None)
+        tracker.on_serialize_start(12, 0, message)
+        tracker.on_inject(14, 0, message)
+        tracker.on_block(16, 0, message, 1)
+        tracker.on_hop(18, 1, message, src=0, vc=0, hops=1)
+        tracker.on_deliver(20, message.dest, message)
+        tracker.on_dispatch(22, message.dest, message, {"case": 1})
+        tracker.on_retire(25, message.dest, message)
         return tracker, tracker.records[0]
 
     def test_phases_in_order(self):
@@ -100,11 +100,11 @@ class TestSpanStateMachine:
         # a negative span.
         tracker = LineageTracker()
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=0)
-        tracker.on_inject(message, ts=1, node=0)
-        tracker.on_deliver(message, ts=5)
-        tracker.on_dispatch(message, ts=5)
-        tracker.on_retire(message, ts=9)
+        tracker.on_send(0, 0, message, None)
+        tracker.on_inject(1, 0, message)
+        tracker.on_deliver(5, message.dest, message)
+        tracker.on_dispatch(5, message.dest, message, None)
+        tracker.on_retire(9, message.dest, message)
         reconcile_lineage(tracker, require_complete=True)
         record = tracker.records[0]
         assert record.phase_totals()[PHASE_HANDLER] == 3  # [6, 9)
@@ -112,13 +112,13 @@ class TestSpanStateMachine:
     def test_divert_opens_until_redelivery(self):
         tracker = LineageTracker()
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=0)
-        tracker.on_inject(message, ts=2, node=0)
-        tracker.on_divert(message, ts=6, reason="pin")
+        tracker.on_send(0, 0, message, None)
+        tracker.on_inject(2, 0, message)
+        tracker.on_divert(6, message.dest, message, "pin")
         assert tracker.records[0].state == "diverted"
-        tracker.on_deliver(message, ts=30)  # ordered redelivery
-        tracker.on_dispatch(message, ts=31)
-        tracker.on_retire(message, ts=33)
+        tracker.on_deliver(30, message.dest, message)  # ordered redelivery
+        tracker.on_dispatch(31, message.dest, message, None)
+        tracker.on_retire(33, message.dest, message)
         record = tracker.records[0]
         diverts = [s for s in record.spans if s.phase == PHASE_DIVERT]
         assert len(diverts) == 1
@@ -129,13 +129,13 @@ class TestSpanStateMachine:
     def test_scheduler_park_is_typed_divert(self):
         tracker = LineageTracker()
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=0)
-        tracker.on_inject(message, ts=1, node=0)
-        tracker.on_deliver(message, ts=4)
-        tracker.on_drain(message, ts=10)  # scheduler parks the queue
-        tracker.on_deliver(message, ts=50)
-        tracker.on_dispatch(message, ts=51)
-        tracker.on_retire(message, ts=52)
+        tracker.on_send(0, 0, message, None)
+        tracker.on_inject(1, 0, message)
+        tracker.on_deliver(4, message.dest, message)
+        tracker.on_park(10, message.dest, message)  # scheduler parks the queue
+        tracker.on_deliver(50, message.dest, message)
+        tracker.on_dispatch(51, message.dest, message, None)
+        tracker.on_retire(52, message.dest, message)
         record = tracker.records[0]
         parks = [s for s in record.spans if s.phase == PHASE_DIVERT]
         assert len(parks) == 1
@@ -145,9 +145,9 @@ class TestSpanStateMachine:
     def test_unknown_message_hooks_are_noops(self):
         tracker = LineageTracker()
         stranger = FakeMessage()
-        tracker.on_deliver(stranger, ts=5)
-        tracker.on_dispatch(stranger, ts=6)
-        tracker.on_retire(stranger, ts=7)
+        tracker.on_deliver(5, stranger.dest, stranger)
+        tracker.on_dispatch(6, stranger.dest, stranger, None)
+        tracker.on_retire(7, stranger.dest, stranger)
         assert tracker.records == []
 
     def test_clear_resets_everything(self):
@@ -157,7 +157,7 @@ class TestSpanStateMachine:
         assert tracker.live == {}
         assert tracker.last_record is None
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=0)
+        tracker.on_send(0, 0, message, None)
         assert tracker.records[0].lid == 0  # lid counter restarted
 
 
@@ -165,11 +165,11 @@ class TestReconciliationRejectsTampering:
     def tracked(self):
         tracker = LineageTracker()
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=0)
-        tracker.on_inject(message, ts=2, node=0)
-        tracker.on_deliver(message, ts=6)
-        tracker.on_dispatch(message, ts=8)
-        tracker.on_retire(message, ts=9)
+        tracker.on_send(0, 0, message, None)
+        tracker.on_inject(2, 0, message)
+        tracker.on_deliver(6, message.dest, message)
+        tracker.on_dispatch(8, message.dest, message, None)
+        tracker.on_retire(9, message.dest, message)
         return tracker
 
     def test_gap_detected(self):
@@ -197,7 +197,7 @@ class TestReconciliationRejectsTampering:
     def test_in_flight_record_rejected_when_complete_required(self):
         tracker = LineageTracker()
         message = FakeMessage()
-        tracker.on_send(message, 0, ts=0)
+        tracker.on_send(0, 0, message, None)
         reconcile_lineage(tracker)  # contiguity alone is fine
         with pytest.raises(ReconciliationError, match="never completed"):
             reconcile_lineage(tracker, require_complete=True)
@@ -353,14 +353,69 @@ class TestTenancyLineage:
         tenants = make_tenants(32, 16, 7)
         kwargs = dict(seed=7, gen_window=1500, horizon=2500)
         # Quantum parks residents most often; every park reports the
-        # in-registers message to the tracker through on_drain.
+        # in-registers message to the tracker through on_park.
         for name in ("gang", "round-robin", "quantum"):
             observed = MultiTenantRun(name, tenants, **kwargs)
             tracker = LineageTracker(origin=name)
-            observed.fabric.attach_lineage(tracker)
+            observed.fabric.attach(tracker)
             plain = MultiTenantRun(name, tenants, **kwargs)
             observed.run()
             plain.run()
             assert observed.payload() == plain.payload()
             summary = reconcile_lineage(tracker)
             assert summary["checked"] > 0
+
+
+class TestParking:
+    """Both schedulers park through ``NetworkInterface.park``, which
+    reports the message in the input registers too."""
+
+    def test_gang_park_from_registers_is_a_divert_span(self):
+        from repro.network.fabric import Fabric
+        from repro.nic.messages import pack_destination
+        from repro.nic.protection import GangScheduler
+
+        tracker = LineageTracker(origin="park")
+        fabric = Fabric(Mesh2D(2, 1), lineage=tracker)
+        sender, receiver = fabric.interfaces
+        gang = GangScheduler(fabric.interfaces)
+        gang.start_slice(1)
+        sender.write_output(0, pack_destination(1))
+        sender.send(2)
+        fabric.run_until_quiescent()
+        assert receiver.msg_valid  # dispatched into the registers
+        for _ in range(5):  # the handler runs a while before the switch
+            fabric.step()
+        gang.end_slice()
+        parked_at = fabric.stats.cycles
+        for _ in range(25):
+            fabric.step()
+        gang.start_slice(1)
+        receiver.next()
+        reconcile_lineage(tracker, require_complete=True)
+        (record,) = tracker.records
+        parks = [s for s in record.spans if s.phase == PHASE_DIVERT]
+        assert [(s.start, s.end, s.detail["reason"]) for s in parks] == [
+            (parked_at, parked_at + 25, DIVERT_PARK)
+        ]
+
+    def test_gang_tenancy_books_parked_time_as_divert(self):
+        from repro.tenancy import MultiTenantRun, make_tenants
+
+        tenants = make_tenants(32, 16, 7)
+        kwargs = dict(seed=7, gen_window=1500, horizon=2500)
+        observed = MultiTenantRun("gang", tenants, **kwargs)
+        tracker = LineageTracker(origin="gang")
+        observed.fabric.attach(tracker)
+        plain = MultiTenantRun("gang", tenants, **kwargs)
+        observed.run()
+        plain.run()
+        assert observed.payload() == plain.payload()
+        handler = sum(
+            span.end - span.start
+            for record in tracker.records
+            for span in record.spans
+            if span.phase == PHASE_HANDLER
+        )
+        # 147 of the 2,151 cycles once booked here were parked time.
+        assert handler == 2004

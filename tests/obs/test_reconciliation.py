@@ -153,7 +153,7 @@ class TestTamReconciliation:
     def test_posts_equal_handles(self):
         tracer = Tracer(capacity=None)
         result = run_matmul(n=8, nodes=4, tracer=tracer)
-        assert result.machine.tracer is tracer
+        assert result.machine.observer is tracer
         assert tracer.count(TAM_POST) > 0
         assert tracer.count(TAM_POST) == tracer.count(TAM_HANDLE)
 
