@@ -20,7 +20,6 @@ Options::
     python -m repro --trace           # record message-path traces
     python -m repro --trace-dir t/    # trace artifact directory (implies --trace)
     python -m repro --lineage         # per-message spans + lineage.json breakdown
-    python -m repro --perfdb          # append section timings to results/perfdb
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from repro.exp import registry
 from repro.exp.artifacts import write_artifact
-from repro.exp.runner import iter_experiments, record_outcomes
+from repro.exp.runner import iter_experiments
 from repro.exp.spec import EvalOptions
 from repro.utils.profiling import PROFILER
 
@@ -65,18 +64,6 @@ def main(argv=None) -> int:
             "per-component cycle/time attribution inside each run, printed "
             "with the section report (distinct from --profile, which times "
             "whole sections from the host side)"
-        ),
-    )
-    parser.add_argument(
-        "--perfdb",
-        type=Path,
-        nargs="?",
-        const=Path("results") / "perfdb",
-        default=None,
-        help=(
-            "append one perf record per section to this cross-run database "
-            "(default directory when given bare: results/perfdb); trend and "
-            "gate them with python -m repro.obs.report"
         ),
     )
     parser.add_argument(
@@ -180,18 +167,12 @@ def main(argv=None) -> int:
     outcomes = iter_experiments(
         specs, options, jobs=args.jobs, cache_dir=args.cache_dir
     )
-    finished = []
     for outcome in outcomes:
         banner(outcome.title)
         print(outcome.text)
         if not args.no_json:
             path = write_artifact(args.json_dir, outcome.artifact)
             print(f"[artifact] {path}")
-        finished.append(outcome)
-
-    if args.perfdb is not None:
-        for path in record_outcomes(args.perfdb, finished):
-            print(f"[perfdb] {path}")
 
     if args.profile:
         print()

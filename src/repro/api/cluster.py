@@ -109,7 +109,6 @@ class Cluster:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRecorder] = None,
         profiler: Optional[SimProfiler] = None,
-        kernel_fast_forward: bool = True,
         input_capacity: Optional[int] = None,
         output_capacity: Optional[int] = None,
     ) -> None:
@@ -146,10 +145,7 @@ class Cluster:
         # One kernel for the whole machine, registered in service order:
         # the fabric moves messages first, then every node drains what
         # arrived — the ordering guarantee the kernel pins.
-        # ``kernel_fast_forward=False`` pins the literal cycle-by-cycle
-        # loop (no idle-cycle skipping), for audits that want every
-        # cycle to execute.
-        self._kernel = SimKernel(fast_forward=kernel_fast_forward)
+        self._kernel = SimKernel()
         self._kernel.register(_FabricComponent(self.fabric))
         for node in self.nodes:
             self._kernel.register(_NodeComponent(node))

@@ -60,7 +60,6 @@ _LAZY_EXPORTS = {
     "render_survey": ("repro.eval.survey", "render_survey"),
     # Multi-tenant serving.
     "compute_multitenant": ("repro.eval.multitenant", "compute_multitenant"),
-    "multitenant_metrics": ("repro.eval.multitenant", "multitenant_metrics"),
     "multitenant_params": ("repro.eval.multitenant", "multitenant_params"),
     "render_multitenant": ("repro.eval.multitenant", "render_multitenant"),
 }

@@ -29,7 +29,6 @@ Usage::
 
     python -m repro.eval.collectives            # smoke grid, text report
     python -m repro --only collectives --paper-scale
-    python benchmarks/bench_collectives.py --smoke   # perfdb recording
 """
 
 from __future__ import annotations
@@ -84,11 +83,6 @@ def _mesh_for(n_nodes: int) -> Mesh2D:
     if side * side != n_nodes:
         raise EvaluationError(f"collectives grid wants square meshes, got {n_nodes}")
     return Mesh2D(side, side)
-
-
-def metric_name(kind: str, n_nodes: int, arity, what: str) -> str:
-    """Perfdb metric name for one cell, e.g. ``coll_barrier64_a2_overlap``."""
-    return f"coll_{kind}{n_nodes}_a{arity}_{what}"
 
 
 def _run_cell(kind: str, n_nodes: int, arity, op: str, model_keys) -> Dict:
@@ -161,25 +155,6 @@ def compute_collectives(params: Dict) -> Dict:
         "models": list(params["model_keys"]),
         "cells": cells,
     }
-
-
-def collectives_metrics(payload: Dict) -> Dict[str, float]:
-    """Flatten the grid into perfdb metrics (optimized-register pricing)."""
-    metrics: Dict[str, float] = {}
-    key = OPTIMIZED_REGISTER.key
-    for cell in payload["cells"]:
-        kind, n, arity = cell["kind"], cell["n_nodes"], cell["arity"]
-        priced = cell["priced"].get(key)
-        if priced is None:
-            continue
-        metrics[metric_name(kind, n, arity, "nic_proc_cycles")] = priced[
-            "nic_proc_cycles"
-        ]
-        metrics[metric_name(kind, n, arity, "proc_proc_cycles")] = priced[
-            "proc_proc_cycles"
-        ]
-        metrics[metric_name(kind, n, arity, "overlap")] = priced["nic_overlap"]
-    return metrics
 
 
 def render_collectives(params: Dict, payload: Dict) -> str:

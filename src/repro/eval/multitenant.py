@@ -107,19 +107,6 @@ def compute_multitenant(params: Dict) -> Dict:
     }
 
 
-def multitenant_metrics(payload: Dict) -> Dict[str, float]:
-    """Flat per-policy metrics for the perf database."""
-    metrics: Dict[str, float] = {}
-    for name, run in payload["runs"].items():
-        roles = run["roles"]
-        metrics[f"{name}_victim_p99"] = roles["victim"]["p99"]
-        metrics[f"{name}_victim_p50"] = roles["victim"]["p50"]
-        metrics[f"{name}_normal_p99"] = roles["normal"]["p99"]
-        metrics[f"{name}_completion"] = run["completion"]
-        metrics[f"{name}_dispatched"] = run["dispatched"]
-    return metrics
-
-
 def _fmt(value: float) -> object:
     """Integral floats render without the trailing ``.0``."""
     if isinstance(value, float) and value == int(value):

@@ -18,7 +18,6 @@ Usage::
 
     python -m repro.eval.netsweep              # smoke grid, text report
     python -m repro --only netsweep --paper-scale
-    python benchmarks/bench_netsweep.py --smoke   # perfdb recording
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.utils.tables import render_table
 #: The full (paper-scale) grid's node counts, per topology kind.
 FULL_CONFIGS = (("mesh", 64), ("torus", 64), ("mesh", 256), ("torus", 256))
 
-#: The smoke grid: one 8×8 mesh, three rates (CI's perf-gate feed).
+#: The smoke grid: one 8×8 mesh, three rates.
 SMOKE_CONFIGS = (("mesh", 64),)
 SMOKE_RATES = (0.05, 0.15, 0.30)
 FULL_RATES = (0.05, 0.20, 0.35, 0.50)
@@ -61,13 +60,6 @@ def netsweep_params(options: EvalOptions) -> Dict:
         "warmup_cycles": 100,
         "measure_cycles": 300,
     }
-
-
-def metric_name(kind: str, n_nodes: int, policy: str, rate: float, what: str) -> str:
-    """The perfdb metric name for one sweep point, e.g.
-    ``mesh64_escape-vc_inj0.2_throughput`` — distinct per configuration
-    so curves from different grid cells never collide in the database."""
-    return f"{kind}{n_nodes}_{policy}_inj{rate:g}_{what}"
 
 
 def compute_netsweep(params: Dict) -> Dict:
@@ -113,25 +105,6 @@ def compute_netsweep(params: Dict) -> Dict:
     }
 
 
-def sweep_metrics(payload: Dict) -> Dict[str, float]:
-    """Flatten the curves into perfdb metrics (see :func:`metric_name`)."""
-    metrics: Dict[str, float] = {}
-    for curve in payload["curves"]:
-        kind = curve["topology_kind"]
-        n = curve["n_nodes"]
-        policy = curve["routing"]
-        for point in curve["points"]:
-            rate = point["offered_rate"]
-            metrics[metric_name(kind, n, policy, rate, "throughput")] = point[
-                "throughput"
-            ]
-            metrics[metric_name(kind, n, policy, rate, "latency")] = point[
-                "mean_latency"
-            ]
-        metrics[f"{kind}{n}_{policy}_saturation"] = curve["saturation_throughput"]
-    return metrics
-
-
 def render_netsweep(params: Dict, payload: Dict) -> str:
     blocks = []
     for curve in payload["curves"]:
@@ -162,7 +135,7 @@ def render_netsweep(params: Dict, payload: Dict) -> str:
     blocks.append(
         "Rates are messages/node/cycle.  accepted < offered means the "
         "network saturated and backpressure reached the processors; the "
-        "latency column is the latency-vs-load curve the perfdb records.  "
+        "latency column is the latency-vs-load curve.  "
         "drain=deadlock marks runs whose post-injection drain closed a "
         "buffer-wait cycle (expected for adaptive-random past saturation "
         "— it has no escape path); the cycle itself is in the payload."

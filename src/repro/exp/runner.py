@@ -186,32 +186,3 @@ def run_experiments(
 ) -> List[ExperimentOutcome]:
     """:func:`iter_experiments`, fully materialised."""
     return list(iter_experiments(specs, options, jobs=jobs, cache_dir=cache_dir))
-
-
-def record_outcomes(
-    db_dir: Path, outcomes: Sequence[ExperimentOutcome]
-) -> List[Path]:
-    """Append one perfdb record per finished section (``--perfdb``).
-
-    Each section's wall clock lands in the cross-run database under
-    ``section.<name>`` so ``python -m repro.obs.report`` trends the
-    evaluation grid itself, not just the dedicated benchmarks.  A
-    section payload that carries a ``profile`` block (``--profile-sim``)
-    rides along as meta, giving the report its per-component cycle
-    attribution.
-    """
-    from repro.obs import perfdb
-
-    paths = []
-    for outcome in outcomes:
-        meta = {"title": outcome.title}
-        profile = outcome.artifact.get("data", {}).get("profile")
-        if isinstance(profile, dict):
-            meta["profile"] = profile
-        record = perfdb.make_record(
-            bench=f"section.{outcome.name}",
-            metrics={"wall_clock_seconds": outcome.wall_clock_seconds},
-            meta=meta,
-        )
-        paths.append(perfdb.append_record(db_dir, record))
-    return paths

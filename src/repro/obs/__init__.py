@@ -16,16 +16,12 @@ All pieces are zero-cost when not attached:
 * :mod:`repro.obs.lineage` / :mod:`repro.obs.breakdown` — per-message
   causal span tracing (lineage ids, typed phase spans, parent edges)
   with the exact-reconciliation latency breakdown and critical-path
-  extraction on top;
-* :mod:`repro.obs.perfdb` / :mod:`repro.obs.report` — the append-only
-  cross-run performance database the benchmarks write and the trend /
-  regression report (``python -m repro.obs.report``) built on it.
+  extraction on top.
 
 The interfaces, the fabric, the TAM machine and the collectives engine
 each hold one ``observer`` slot with one ``attach`` method; the public
 entry points' ``tracer=`` / ``metrics=`` / ``lineage=`` arguments fill
-it.  ``python -m repro --trace --lineage`` and
-``benchmarks/bench_flowcontrol.py`` wire everything together.
+it.  ``python -m repro --trace --lineage`` wires everything together.
 
 The package exports lazily (:pep:`562`): ``from repro.obs import
 Tracer`` resolves the submodule on first attribute access, so importing

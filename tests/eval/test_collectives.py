@@ -4,10 +4,8 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.eval.collectives import (
-    collectives_metrics,
     collectives_params,
     compute_collectives,
-    metric_name,
     render_collectives,
 )
 from repro.exp.spec import EvalOptions
@@ -36,17 +34,6 @@ def test_paper_scale_covers_the_node_ladder_and_flat_trees():
     assert len(params["model_keys"]) == 6
 
 
-def test_metric_names_are_distinct_per_cell():
-    names = {
-        metric_name(kind, n, arity, "overlap")
-        for kind in ("barrier", "allreduce")
-        for n in (16, 64)
-        for arity in (2, "flat")
-    }
-    assert len(names) == 8
-    assert metric_name("allreduce", 64, 2, "overlap") == "coll_allreduce64_a2_overlap"
-
-
 def test_compute_runs_both_variants_per_cell():
     payload = compute_collectives(TINY)
     assert len(payload["cells"]) == 2
@@ -62,14 +49,6 @@ def test_compute_runs_both_variants_per_cell():
 
 def test_compute_is_deterministic():
     assert compute_collectives(TINY) == compute_collectives(TINY)
-
-
-def test_metrics_flatten_the_optimized_register_pricing():
-    payload = compute_collectives(TINY)
-    metrics = collectives_metrics(payload)
-    assert len(metrics) == 3 * len(payload["cells"])
-    assert "coll_barrier16_a2_overlap" in metrics
-    assert "coll_allreduce16_a2_nic_proc_cycles" in metrics
 
 
 def test_render_mentions_every_cell():

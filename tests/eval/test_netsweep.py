@@ -4,10 +4,8 @@ from repro.eval.netsweep import (
     FULL_CONFIGS,
     FULL_RATES,
     compute_netsweep,
-    metric_name,
     netsweep_params,
     render_netsweep,
-    sweep_metrics,
 )
 from repro.exp.spec import EvalOptions
 from repro.network.routing import POLICY_NAMES
@@ -39,19 +37,6 @@ def test_paper_scale_params_cover_64_and_256_nodes():
     assert len(params["rates"]) >= 4
 
 
-def test_metric_names_are_distinct_per_cell():
-    names = {
-        metric_name(kind, n, policy, rate, "throughput")
-        for kind, n in FULL_CONFIGS
-        for policy in POLICY_NAMES
-        for rate in FULL_RATES
-    }
-    assert len(names) == len(FULL_CONFIGS) * len(POLICY_NAMES) * len(FULL_RATES)
-    assert metric_name("mesh", 64, "escape-vc", 0.2, "throughput") == (
-        "mesh64_escape-vc_inj0.2_throughput"
-    )
-
-
 def test_compute_produces_one_curve_per_cell():
     payload = compute_netsweep(TINY)
     assert len(payload["curves"]) == len(TINY["policies"])
@@ -64,16 +49,6 @@ def test_compute_produces_one_curve_per_cell():
 
 def test_compute_is_deterministic_per_seed():
     assert compute_netsweep(TINY) == compute_netsweep(TINY)
-
-
-def test_sweep_metrics_flatten_every_point():
-    payload = compute_netsweep(TINY)
-    metrics = sweep_metrics(payload)
-    per_point = len(TINY["policies"]) * len(TINY["rates"])
-    assert len(metrics) == 2 * per_point + len(TINY["policies"])
-    assert "mesh16_dimension-order_inj0.05_throughput" in metrics
-    assert "mesh16_escape-vc_inj0.2_latency" in metrics
-    assert "mesh16_escape-vc_saturation" in metrics
 
 
 def test_render_mentions_every_cell():
