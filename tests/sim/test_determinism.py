@@ -44,7 +44,7 @@ class TestRepeatability:
             payload = run_hotspot(
                 small_hotspot(), tracer=tracer, metrics=MetricsRecorder()
             )
-            runs.append((payload, list(tracer.events)))
+            runs.append((payload, list(tracer)))
         (payload_a, events_a), (payload_b, events_b) = runs
         assert payload_a == payload_b
         assert events_a == events_b
@@ -58,7 +58,7 @@ class TestRepeatability:
                 (
                     cluster.fabric.stats.cycles,
                     cluster.total_messages_handled(),
-                    list(tracer.events),
+                    list(tracer),
                 )
             )
         assert runs[0] == runs[1]
@@ -70,7 +70,7 @@ class TestPolicyEquivalence:
     def tam_stream(self, tracer):
         return [
             event
-            for event in tracer.events
+            for event in tracer
             if event.kind in (TAM_POST, TAM_HANDLE)
         ]
 

@@ -309,7 +309,7 @@ def outcome(program, backend: str, traced: bool) -> dict:
         else None,
         "stats": stats_as_dict(machine.stats),
         "turns": machine.turns_executed,
-        "events": list(tracer.events) if traced else None,
+        "events": list(tracer) if traced else None,
     }
 
 
