@@ -5,10 +5,13 @@ All pieces are zero-cost when not attached:
 * :mod:`repro.obs.observer` — the one message-path event interface
   (:class:`Observer`) the tracer, metrics and lineage subscribe to;
 * :mod:`repro.obs.tracer` — ring-buffered structured event tracing with
-  cycle/turn timestamps and eviction-proof per-kind counts;
+  cycle/turn timestamps and eviction-proof per-kind counts; the ring
+  holds flat tuples and builds each event's detail dict when it is
+  read;
 * :mod:`repro.obs.metrics` — per-cycle time-series sampling (queue
-  depths, link utilization, in-flight counts) with histograms,
-  percentiles, and the almost-full threshold-crossing timeline;
+  depths, link utilization, in-flight counts) read in one pass per
+  cycle, the almost-full threshold-crossing timeline, and histograms
+  and percentiles built from the series when they are exported;
 * :mod:`repro.obs.chrome` — Chrome ``trace_event`` JSON export, loadable
   in ``chrome://tracing`` / Perfetto;
 * :mod:`repro.obs.profiler` — kernel-attached per-component cycle/time
