@@ -15,8 +15,7 @@ Options::
     python -m repro --only figure12   # a subset of sections
     python -m repro --jobs 4          # fan sections out across processes
     python -m repro --json-dir out/   # artifact directory (default results/)
-    python -m repro --profile         # print timing spans and counters
-    python -m repro --profile-sim     # in-run per-component cycle attribution
+    python -m repro --profile         # host time per layer: where.json
     python -m repro --trace           # record message-path traces
     python -m repro --trace-dir t/    # trace artifact directory (implies --trace)
     python -m repro --lineage         # per-message spans + lineage.json breakdown
@@ -32,7 +31,6 @@ from repro.exp import registry
 from repro.exp.artifacts import write_artifact
 from repro.exp.runner import iter_experiments
 from repro.exp.spec import EvalOptions
-from repro.utils.profiling import PROFILER
 
 
 def main(argv=None) -> int:
@@ -54,16 +52,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="time each section and the TAM runtime; print a report at the end",
-    )
-    parser.add_argument(
-        "--profile-sim",
-        action="store_true",
         help=(
-            "attach the simulation profiler in sections that support it: "
-            "per-component cycle/time attribution inside each run, printed "
-            "with the section report (distinct from --profile, which times "
-            "whole sections from the host side)"
+            "time every layer boundary and component tick per section; "
+            "print the tables at the end and write <json-dir>/where.json"
         ),
     )
     parser.add_argument(
@@ -138,9 +129,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-
-    if args.profile:
-        PROFILER.enable()
+    if args.profile and args.jobs > 1:
+        parser.error("--profile times this process only; drop --jobs")
 
     selected = [
         name
@@ -154,7 +144,6 @@ def main(argv=None) -> int:
         paper_scale=args.paper_scale,
         trace=trace,
         trace_dir=str(trace_dir) if trace or args.lineage else None,
-        profile_sim=args.profile_sim,
         lineage=args.lineage,
     )
 
@@ -164,19 +153,33 @@ def main(argv=None) -> int:
         print(f"# {title}")
         print("#" * 72)
 
-    outcomes = iter_experiments(
-        specs, options, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    for outcome in outcomes:
-        banner(outcome.title)
-        print(outcome.text)
-        if not args.no_json:
-            path = write_artifact(args.json_dir, outcome.artifact)
-            print(f"[artifact] {path}")
+    if args.profile:
+        from repro.obs.where import Instrument, render_where, write_where
+
+        instrument = Instrument()
+        instrument.install()
+    where = {}
+    try:
+        outcomes = iter_experiments(
+            specs, options, jobs=args.jobs, cache_dir=args.cache_dir
+        )
+        for outcome in outcomes:
+            if args.profile:
+                where[outcome.name] = instrument.take()
+            banner(outcome.title)
+            print(outcome.text)
+            if not args.no_json:
+                path = write_artifact(args.json_dir, outcome.artifact)
+                print(f"[artifact] {path}")
+    finally:
+        if args.profile:
+            instrument.uninstall()
 
     if args.profile:
         print()
-        print(PROFILER.report())
+        print(render_where(where))
+        if not args.no_json:
+            print(f"[profile] {write_where(args.json_dir, where)}")
 
     return 0
 

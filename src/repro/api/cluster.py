@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import NetworkError
-from repro.network.fabric import Fabric
+from repro.network.fabric import Fabric, _FabricComponent
 from repro.network.topology import Mesh2D, Topology
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message, pack_destination
@@ -33,29 +33,8 @@ from repro.node.handlers import (
 )
 from repro.node.node import Node
 from repro.obs.metrics import MetricsRecorder
-from repro.obs.profiler import SimProfiler
 from repro.obs.tracer import Tracer
 from repro.sim import SimComponent, SimKernel
-
-
-class _FabricComponent(SimComponent):
-    """The fabric under the kernel: steps only while traffic is pending,
-    so node-only service rounds do not advance ``fabric.stats.cycles``."""
-
-    name = "fabric"
-
-    def __init__(self, fabric: Fabric) -> None:
-        self.fabric = fabric
-
-    def tick(self, cycle: int) -> None:
-        if self.fabric.pending():
-            self.fabric.step()
-
-    def quiescent(self) -> bool:
-        return self.fabric.pending() == 0
-
-    def snapshot(self):
-        return self.fabric.snapshot()
 
 
 class _NodeComponent(SimComponent):
@@ -108,7 +87,6 @@ class Cluster:
         serialization_cycles: int = 6,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRecorder] = None,
-        profiler: Optional[SimProfiler] = None,
         input_capacity: Optional[int] = None,
         output_capacity: Optional[int] = None,
     ) -> None:
@@ -149,11 +127,6 @@ class Cluster:
         self._kernel.register(_FabricComponent(self.fabric))
         for node in self.nodes:
             self._kernel.register(_NodeComponent(node))
-        # Per-component cycle attribution across every run() this
-        # cluster performs; None keeps the kernel's unprofiled loop.
-        self.profiler = profiler
-        if profiler is not None:
-            self._kernel.attach_profiler(profiler)
 
     def node(self, node_id: int) -> Node:
         self.topology.check_node(node_id)

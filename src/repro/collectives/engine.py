@@ -43,7 +43,7 @@ from repro.collectives.programs import (
 )
 from repro.collectives.tree import CombiningTree
 from repro.errors import CollectiveError, NetworkError
-from repro.network.fabric import Fabric
+from repro.network.fabric import Fabric, _FabricComponent
 from repro.network.topology import Topology
 from repro.nic.dispatch import (
     HANDLER_ID_NO_MESSAGE,
@@ -99,25 +99,6 @@ class DispatchStats:
         self.boundary += 1
         key = (iafull, oafull)
         self.slots[key] = self.slots.get(key, 0) + 1
-
-
-class _FabricComponent(SimComponent):
-    """The fabric under the kernel (mirrors the cluster's wrapper)."""
-
-    name = "fabric"
-
-    def __init__(self, fabric: Fabric) -> None:
-        self.fabric = fabric
-
-    def tick(self, cycle: int) -> None:
-        if self.fabric.pending():
-            self.fabric.step()
-
-    def quiescent(self) -> bool:
-        return self.fabric.pending() == 0
-
-    def snapshot(self):
-        return self.fabric.snapshot()
 
 
 class NicHandlerEngine(SimComponent):

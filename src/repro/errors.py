@@ -82,8 +82,8 @@ class EvaluationError(ReproError):
 
 
 class ReconciliationError(ReproError):
-    """Two independent accountings of the same run disagree (e.g. the
-    profiler's tick attribution versus the tracer's event counts)."""
+    """Two independent accountings of the same run disagree (e.g. a
+    message's lineage spans leave a gap or overlap in its lifetime)."""
 
 
 class SimulationError(ReproError):

@@ -37,7 +37,6 @@ from repro.exp.spec import ExperimentSpec
 from repro.impls.base import ALL_MODELS
 from repro.tam.costmap import CycleBreakdown, breakdown_all_models
 from repro.tam.stats import TamStats
-from repro.utils.profiling import PROFILER
 from repro.utils.tables import render_bar_chart, render_table
 
 __all__ = [
@@ -238,14 +237,7 @@ def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
         action="store_true",
         help="use the paper's program sizes (matmul 100, gamteb 16)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the runs and print the profiler report",
-    )
     args = parser.parse_args(argv)
-    if args.profile:
-        PROFILER.enable()
     if args.program == "both":
         programs = ["matmul", "gamteb"]
     elif args.program == "all":
@@ -258,8 +250,6 @@ def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
         stats = run_program(program, size=size, nodes=args.nodes)
         print(render_figure(program, stats, source=source))
         print()
-    if args.profile:
-        print(PROFILER.report())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,15 +37,7 @@ from repro.network.topology import Mesh2D
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import pack_destination
 from repro.obs.metrics import MetricsRecorder
-from repro.obs.profiler import SimProfiler, reconcile, render_profile
-from repro.obs.tracer import (
-    ALL_KINDS,
-    NEXT,
-    REFUSE,
-    SEND,
-    SEND_STALL,
-    Tracer,
-)
+from repro.obs.tracer import ALL_KINDS, REFUSE, SEND_STALL, Tracer
 from repro.obs.breakdown import lineage_report, write_lineage
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.lineage import LineageTracker
@@ -155,7 +147,6 @@ def hotspot_params(options: EvalOptions) -> Dict:
         "trace_dir": (
             options.trace_dir if (options.trace or options.lineage) else None
         ),
-        "profile_sim": options.profile_sim,
         "lineage": options.lineage,
     }
 
@@ -164,7 +155,6 @@ def run_hotspot(
     params: Dict,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRecorder] = None,
-    profiler: Optional[SimProfiler] = None,
     lineage=None,
 ) -> Dict:
     """Run the hot-spot workload; returns a plain (picklable) payload.
@@ -233,8 +223,6 @@ def run_hotspot(
     # The fabric steps every cycle: it is the workload's clock and its
     # metrics sampler, and tracks peak occupancy in its stats.
     kernel.register(fabric)
-    if profiler is not None:
-        kernel.attach_profiler(profiler)
 
     result = kernel.run(
         max_cycles=MAX_CYCLES, stall_error=NetworkError, label="hot-spot workload"
@@ -302,22 +290,14 @@ def _chain_timeline(
 def compute_flowcontrol(params: Dict) -> Dict:
     """Run the traced hot-spot; optionally write the trace artifacts.
 
-    The tracer, metrics recorder, and profiler live only inside this
-    function — the payload carries plain dictionaries so the section
-    stays picklable for the ``--jobs`` fan-out.
+    The tracer, metrics recorder, and lineage tracker live only inside
+    this function — the payload carries plain dictionaries so the
+    section stays picklable for the ``--jobs`` fan-out.
     """
     tracer = Tracer()
     metrics = MetricsRecorder()
-    profiler = (
-        SimProfiler(sample_interval=64) if params.get("profile_sim") else None
-    )
     lineage = LineageTracker(origin="flowcontrol") if params.get("lineage") else None
-    payload = run_hotspot(
-        params, tracer=tracer, metrics=metrics, profiler=profiler, lineage=lineage
-    )
-    if profiler is not None:
-        metrics.feed_profiler(profiler)
-        payload["profile"] = profiler.to_dict()
+    payload = run_hotspot(params, tracer=tracer, metrics=metrics, lineage=lineage)
     if lineage is not None:
         # Strict by construction: the hot-spot run retires every message,
         # so a gap or overlap anywhere in the span store is a real bug.
@@ -335,7 +315,7 @@ def compute_flowcontrol(params: Dict) -> Dict:
         directory = Path(trace_dir)
         directory.mkdir(parents=True, exist_ok=True)
         trace_path = directory / "flowcontrol_trace.json"
-        write_chrome_trace(trace_path, tracer, metrics, profiler, lineage=lineage)
+        write_chrome_trace(trace_path, tracer, metrics, lineage=lineage)
         metrics_path = directory / "flowcontrol_metrics.json"
         metrics_path.write_text(
             json.dumps(metrics.to_dict(), indent=2) + "\n"
@@ -347,46 +327,6 @@ def compute_flowcontrol(params: Dict) -> Dict:
             trace_files.append(str(lineage_path))
         payload["trace_files"] = trace_files
     return payload
-
-
-def reconcile_hotspot(
-    profiler: SimProfiler, tracer: Tracer, payload: Dict
-) -> None:
-    """Cross-validate the profiler's tick attribution against the trace.
-
-    Opt-in (tests and debugging, never the hot path).  The invariants
-    hold by construction of the workload:
-
-    * every sender tick performs exactly one SEND attempt, so the
-      senders' serviced ticks must equal the traced ``send`` plus
-      ``stall`` events;
-    * the fabric ticks every cycle, so its serviced ticks must equal the
-      run's cycle count;
-    * the receiver retires one message per successful ``NEXT``, so the
-      traced ``next`` events must equal the serviced-message total.
-
-    Raises :class:`~repro.errors.ReconciliationError` on any mismatch.
-    """
-    sender_ticks = 0
-    fabric_ticks = None
-    for profile in profiler.kernel_components:
-        if profile.name.startswith("sender"):
-            sender_ticks += profile.ticks
-        elif profile.name == "fabric":
-            fabric_ticks = profile.ticks
-    reconcile(
-        {
-            "sender ticks vs send attempts": (
-                sender_ticks,
-                tracer.count(SEND) + tracer.count(SEND_STALL),
-            ),
-            "fabric ticks vs run cycles": (fabric_ticks, payload["cycles"]),
-            "serviced messages vs NEXT events": (
-                payload["serviced"],
-                tracer.count(NEXT),
-            ),
-        }
-    )
 
 
 def render_flowcontrol(params: Dict, payload: Dict) -> str:
@@ -448,9 +388,6 @@ def render_flowcontrol(params: Dict, payload: Dict) -> str:
                 ),
             ]
         )
-    profile = payload.get("profile")
-    if profile:
-        lines.extend(["", render_profile(profile)])
     trace = payload.get("trace")
     if trace:
         lines.append(

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 
 from repro.errors import EvaluationError
 from repro.tam.stats import TamStats
-from repro.utils.profiling import PROFILER
 
 DEFAULT_SIZES = {"matmul": 40, "gamteb": 64, "queens": 6}
 PAPER_SIZES = {"matmul": 100, "gamteb": 16, "queens": 6}
@@ -81,19 +80,18 @@ def code_digest() -> str:
 
 def _execute(key: ProgramKey) -> TamStats:
     """Actually run one program; the only place evaluation executes TAM."""
-    with PROFILER.span(f"program.{key.program}"):
-        if key.program == "matmul":
-            from repro.programs.matmul import run_matmul
+    if key.program == "matmul":
+        from repro.programs.matmul import run_matmul
 
-            return run_matmul(n=key.size, nodes=key.nodes).stats
-        if key.program == "gamteb":
-            from repro.programs.gamteb import run_gamteb
+        return run_matmul(n=key.size, nodes=key.nodes).stats
+    if key.program == "gamteb":
+        from repro.programs.gamteb import run_gamteb
 
-            return run_gamteb(n_photons=key.size, nodes=key.nodes).stats
-        if key.program == "queens":
-            from repro.programs.queens import run_queens
+        return run_gamteb(n_photons=key.size, nodes=key.nodes).stats
+    if key.program == "queens":
+        from repro.programs.queens import run_queens
 
-            return run_queens(n=key.size, nodes=key.nodes).stats
+        return run_queens(n=key.size, nodes=key.nodes).stats
     raise EvaluationError(f"unknown program {key.program!r}")
 
 

@@ -32,7 +32,6 @@ from repro.exp import registry
 from repro.exp.artifacts import build_artifact, to_jsonable
 from repro.exp.runcache import ProgramKey, RunCache, get_cache, set_cache
 from repro.exp.spec import EvalOptions, ExperimentSpec
-from repro.utils.profiling import PROFILER
 
 
 @dataclass
@@ -49,15 +48,12 @@ class ExperimentOutcome:
 def run_one(spec: ExperimentSpec, params: Dict[str, Any]) -> ExperimentOutcome:
     """Execute one experiment in the current process."""
     start = time.perf_counter()
-    with PROFILER.span(f"section.{spec.name}"):
-        cache = get_cache()
-        for key in spec.required_programs(params):
-            cache.ensure(key)
-        payload = spec.compute(params)
-        text = spec.render(params, payload)
-        data = (
-            spec.artifact(params, payload) if spec.artifact else to_jsonable(payload)
-        )
+    cache = get_cache()
+    for key in spec.required_programs(params):
+        cache.ensure(key)
+    payload = spec.compute(params)
+    text = spec.render(params, payload)
+    data = spec.artifact(params, payload) if spec.artifact else to_jsonable(payload)
     wall_clock = time.perf_counter() - start
     artifact = build_artifact(spec.name, params, spec.produces, data, wall_clock)
     return ExperimentOutcome(spec.name, spec.title, text, artifact, wall_clock)

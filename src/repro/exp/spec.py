@@ -29,11 +29,6 @@ class EvalOptions:
     (a string path, not a Path object with host semantics baked in) so
     options pickle cleanly into ``--jobs`` worker processes.
 
-    ``profile_sim`` opts sections that support it into simulation-level
-    profiling (:mod:`repro.obs.profiler`): per-component cycle/time
-    attribution inside the run, reported next to the section text.  This
-    is distinct from the driver's ``--profile`` host-level span timing.
-
     ``lineage`` opts sections that support it into span-based causal
     lineage tracing (:mod:`repro.obs.lineage`): per-message phase spans,
     the exact-reconciliation latency breakdown, and the causal critical
@@ -43,7 +38,6 @@ class EvalOptions:
     paper_scale: bool = False
     trace: bool = False
     trace_dir: Optional[str] = None
-    profile_sim: bool = False
     lineage: bool = False
 
 

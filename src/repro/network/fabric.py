@@ -68,6 +68,7 @@ from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
 from repro.nic.rtl import FLITS_PER_MESSAGE
 from repro.obs.observer import Observer, observer_of
+from repro.sim.component import SimComponent
 from repro.sim.kernel import SimKernel
 
 
@@ -552,3 +553,24 @@ class Fabric:
         return kernel.run(
             max_cycles=max_cycles, stall_error=NetworkError, label="fabric"
         ).cycles
+
+
+class _FabricComponent(SimComponent):
+    """A fabric that steps only while traffic is pending, so kernel
+    cycles in which only endpoints work do not advance
+    ``fabric.stats.cycles`` (the cluster and the collectives engine)."""
+
+    name = "fabric"
+
+    def __init__(self, fabric: Fabric) -> None:
+        self.fabric = fabric
+
+    def tick(self, cycle: int) -> None:
+        if self.fabric.pending():
+            self.fabric.step()
+
+    def quiescent(self) -> bool:
+        return self.fabric.pending() == 0
+
+    def snapshot(self):
+        return self.fabric.snapshot()

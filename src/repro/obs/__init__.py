@@ -14,12 +14,15 @@ All pieces are zero-cost when not attached:
   and percentiles built from the series when they are exported;
 * :mod:`repro.obs.chrome` — Chrome ``trace_event`` JSON export, loadable
   in ``chrome://tracing`` / Perfetto;
-* :mod:`repro.obs.profiler` — kernel-attached per-component cycle/time
-  attribution plus the counter/gauge registry the other layers feed;
 * :mod:`repro.obs.lineage` / :mod:`repro.obs.breakdown` — per-message
   causal span tracing (lineage ids, typed phase spans, parent edges)
   with the exact-reconciliation latency breakdown and critical-path
-  extraction on top.
+  extraction on top, in simulated cycles;
+* :mod:`repro.obs.where` — the host-time profiler behind ``python -m
+  repro --profile``: timing wrappers on a fixed list of layer
+  boundaries and component ticks, installed only for that run and
+  written as ``where.json``.  It is not an observer and is not
+  exported here; nothing imports it unless ``--profile`` is given.
 
 The interfaces, the fabric, the TAM machine and the collectives engine
 each hold one ``observer`` slot with one ``attach`` method; the public
@@ -62,11 +65,6 @@ _EXPORTS: Dict[str, str] = {
     "MetricsRecorder": "metrics",
     "ThresholdCrossing": "metrics",
     "TimeSeries": "metrics",
-    # profiler
-    "ComponentProfile": "profiler",
-    "SimProfiler": "profiler",
-    "reconcile": "profiler",
-    "render_profile": "profiler",
     # chrome
     "chrome_trace": "chrome",
     "chrome_trace_events": "chrome",

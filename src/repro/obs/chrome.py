@@ -11,9 +11,6 @@ https://ui.perfetto.dev:
 * every metrics series becomes a *counter* track (``ph: "C"``), so queue
   depths and in-flight counts render as area charts over the events;
 * threshold crossings become instant events on a dedicated counter pid;
-* a profiler's sampled tick attribution becomes one stacked counter
-  track (``ph: "C"`` on its own pid), so per-component serviced work
-  renders as an area chart aligned with the event timeline;
 * a lineage tracker's phase spans become *complete* events (``ph: "X"``)
   on a track per message, with flow events (``ph: "s"`` / ``"f"``)
   linking the send to the delivery and each causal parent to its child,
@@ -35,15 +32,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRecorder
-from repro.obs.profiler import SimProfiler
 from repro.obs.tracer import Tracer
 
 #: pid used for per-node event tracks.
 EVENTS_PID = 0
 #: pid used for counter (metrics) tracks.
 COUNTERS_PID = 1
-#: pid used for the profiler's tick-attribution counter track.
-PROFILER_PID = 2
 #: pid used for lineage span tracks (one tid per message).
 LINEAGE_PID = 3
 
@@ -145,7 +139,6 @@ def _lineage_events(lineage) -> List[Dict[str, Any]]:
 def chrome_trace_events(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRecorder] = None,
-    profiler: Optional[SimProfiler] = None,
     lineage=None,
 ) -> List[Dict[str, Any]]:
     """The ``traceEvents`` list for the attached observers."""
@@ -231,29 +224,6 @@ def chrome_trace_events(
                     "args": {"queue": crossing.queue, "node": crossing.node},
                 }
             )
-    if profiler is not None and profiler.samples:
-        # The samples are cumulative serviced ticks; the counter track
-        # plots the per-window deltas so the chart reads as "work done
-        # per sample interval", stacked by component.
-        names = [c.name for c in profiler.kernel_components]
-        previous = (0,) * len(names)
-        for cycle, cumulative in profiler.samples:
-            args = {
-                name: cumulative[index] - previous[index]
-                for index, name in enumerate(names)
-                if index < len(cumulative)
-            }
-            previous = cumulative
-            events.append(
-                {
-                    "name": "serviced ticks",
-                    "cat": "profile",
-                    "ph": "C",
-                    "ts": cycle,
-                    "pid": PROFILER_PID,
-                    "args": args,
-                }
-            )
     if lineage is not None:
         events.extend(_lineage_events(lineage))
     return events
@@ -262,12 +232,11 @@ def chrome_trace_events(
 def chrome_trace(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRecorder] = None,
-    profiler: Optional[SimProfiler] = None,
     lineage=None,
 ) -> Dict[str, Any]:
     """The full JSON-object-format document (``chrome://tracing`` input)."""
     document: Dict[str, Any] = {
-        "traceEvents": chrome_trace_events(tracer, metrics, profiler, lineage),
+        "traceEvents": chrome_trace_events(tracer, metrics, lineage),
         "displayTimeUnit": "ms",
         "otherData": {"timebase": "1 trace microsecond = 1 simulated cycle"},
     }
@@ -285,13 +254,12 @@ def write_chrome_trace(
     path: Path,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRecorder] = None,
-    profiler: Optional[SimProfiler] = None,
     lineage=None,
 ) -> Path:
     """Write the trace document to ``path``; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps(chrome_trace(tracer, metrics, profiler, lineage)) + "\n"
+        json.dumps(chrome_trace(tracer, metrics, lineage)) + "\n"
     )
     return path

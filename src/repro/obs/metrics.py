@@ -276,23 +276,6 @@ class MetricsRecorder(Observer):
         """Per-series aggregate statistics."""
         return {name: series.summary() for name, series in self.series.items()}
 
-    def feed_profiler(self, profiler, prefix: str = "metrics.") -> None:
-        """Publish this recording into a profiler's gauge registry.
-
-        Each series contributes its mean / p99 / max as gauges and its
-        sample count as a counter, and the threshold-crossing timeline
-        contributes one counter — the point-in-time face of the same
-        recording, so one :meth:`~repro.obs.profiler.SimProfiler.to_dict`
-        payload (and the report built on it) carries both attributions.
-        """
-        for name, series in self.series.items():
-            summary = series.summary()
-            profiler.set_counter(f"{prefix}{name}.samples", int(summary["count"]))
-            profiler.set_gauge(f"{prefix}{name}.mean", summary["mean"])
-            profiler.set_gauge(f"{prefix}{name}.p99", summary["p99"])
-            profiler.set_gauge(f"{prefix}{name}.max", summary["max"])
-        profiler.set_counter(f"{prefix}crossings", len(self.crossings))
-
     def to_dict(self, include_samples: bool = True) -> Dict[str, Any]:
         """The whole recording as plain JSON types (artifact body)."""
         out: Dict[str, Any] = {

@@ -467,24 +467,20 @@ class MatmulResult:
 
 def run_matmul(
     n: int = 16, nodes: int = 16, verify: bool = True,
-    tracer=None, profiler=None, backend: str = "codegen",
+    tracer=None, backend: str = "codegen",
 ) -> MatmulResult:
     """Run an n×n blocked matrix multiply on a TAM machine of ``nodes``.
 
     ``backend`` names the execution backend (``"codegen"``, the default,
     or ``"reference"`` — identical results, used by the backend
     equivalence tests).  ``tracer`` opts the machine
-    into message-path event tracing (:mod:`repro.obs.tracer`);
-    ``profiler`` into per-node turn attribution and instruction-mix
-    counters (:mod:`repro.obs.profiler`); results and statistics are
-    identical with or without either.
+    into message-path event tracing (:mod:`repro.obs.tracer`); results
+    and statistics are identical with or without it.
     """
     if n % BLOCK:
         raise TamError(f"matrix size {n} must be a multiple of {BLOCK}")
     nb = n // BLOCK
-    machine = TamMachine(
-        nodes, tracer=tracer, profiler=profiler, backend=backend
-    )
+    machine = TamMachine(nodes, tracer=tracer, backend=backend)
     driver = build_driver_codeblock(nb)
     done_inlet = 5  # in_done in the driver's inlet numbering
     machine.load(build_block_codeblock(nb, done_inlet=done_inlet))

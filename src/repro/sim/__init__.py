@@ -9,8 +9,7 @@ single engine they all run on now:
   registration with stable service ordering, wake/sleep idle-skip
   scheduling (the flag-array trick of the TAM scheduler, generalized),
   unified stop conditions (quiescence, max-cycles with a diagnostic
-  state snapshot, custom predicates), and cycle hooks for the
-  observability layer.
+  state snapshot, custom predicates), and one run loop.
 * :class:`~repro.sim.component.SimComponent` — the component contract a
   clocked object implements to be driven by the kernel.
 * :mod:`repro.sim.sweep` — the turn-based service policies

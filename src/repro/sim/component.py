@@ -10,12 +10,11 @@ Components are duck-typed — subclassing :class:`SimComponent` is
 convenient (it supplies the defaults) but not required; any object with
 ``tick``/``quiescent``/``snapshot`` and a ``name`` can be registered.
 
-Profiling never leaks into this contract: when a
-:class:`~repro.obs.profiler.SimProfiler` is attached the kernel keeps
-every attribution row on its own side (indexed by registration order),
-so a component is never written to, subclassed, or wrapped to be
-profiled — the zero-cost-off tests assert a component's attribute set is
-identical across profiled and unprofiled runs.
+Profiling never leaks into this contract: ``python -m repro --profile``
+times each component class's ``tick`` through a class-level wrapper
+(:mod:`repro.obs.where`), so no instance is written to, and nothing is
+wrapped without ``--profile`` — ``tests/obs/test_profiler.py`` asserts
+both.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ makes runs reproducible bit for bit:
   in a min-heap of ``(cycle, index)`` events (lazily invalidated
   against the authoritative index->cycle dict), so promoting
   due wakes costs ``O(due log pending)`` instead of a scan of every
-  pending wake per cycle — and when *nothing* is awake and no hook or
-  custom predicate observes individual cycles, the kernel fast-forwards
+  pending wake per cycle — and when *nothing* is awake and no custom
+  predicate observes individual cycles, the kernel fast-forwards
   straight to the next timed wake instead of spinning through idle
   cycles.  Cycle counts, stop conditions, and stall diagnostics are
   unchanged by the skip; ``SimKernel(fast_forward=False)`` restores the
@@ -31,17 +31,10 @@ makes runs reproducible bit for bit:
   ``max_cycles`` the kernel raises with a diagnostic snapshot of every
   component's state, so a timeout is debuggable instead of a bare
   "did not finish".
-* **Hooks** — ``add_cycle_hook`` registers a callable invoked after
-  every cycle with the cycle number; this is where obs metrics sampling
-  or tracing cadence attaches without the workload loop knowing.
-* **Profiling** — ``attach_profiler`` installs a
-  :class:`~repro.obs.profiler.SimProfiler` that attributes serviced
-  ticks and wall-clock time per component.  The attachment is
-  identity-guarded like an observer: with no profiler the kernel runs the
-  original loop unchanged (byte-identical behaviour, zero overhead) and
-  never writes a profiling attribute onto any component; with one, the
-  kernel switches to a separate instrumented loop with the same
-  execution semantics.
+* **Observation** — the kernel has one run loop and no observer slot
+  of its own.  Observers attach to the components they watch
+  (:mod:`repro.obs.observer`), and ``python -m repro --profile`` times
+  every component's ``tick`` from outside (:mod:`repro.obs.where`).
 
 Stop conditions are evaluated *before* each cycle, so a machine that is
 already quiescent runs zero cycles, and the returned cycle count is
@@ -52,13 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimStallError, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses sim types)
-    from repro.obs.profiler import SimProfiler
 
 
 @dataclass
@@ -132,8 +121,6 @@ class SimKernel:
         self._timed: Dict[int, int] = {}
         self._timed_heap: List[Tuple[int, int]] = []
         self._fast_forward = fast_forward
-        self._hooks: List[Callable[[int], None]] = []
-        self._profiler: Optional["SimProfiler"] = None
         self._running = False
 
     # ------------------------------------------------------------------
@@ -155,25 +142,6 @@ class SimKernel:
         self._awake[index] = True
         self._awake.append(True)
         return handle
-
-    def add_cycle_hook(self, hook: Callable[[int], None]) -> None:
-        """Run ``hook(cycle)`` after every executed cycle."""
-        self._hooks.append(hook)
-
-    def attach_profiler(self, profiler: Optional["SimProfiler"]) -> None:
-        """Install (or with ``None`` remove) the kernel's profiler.
-
-        Attribution rows are bound to components by registration index
-        at run start, so attaching before or after registration both
-        work; attaching mid-run does not.
-        """
-        if self._running:
-            raise SimulationError("cannot attach a profiler mid-run")
-        self._profiler = profiler
-
-    @property
-    def profiler(self) -> Optional["SimProfiler"]:
-        return self._profiler
 
     @property
     def handles(self) -> List[SimHandle]:
@@ -210,20 +178,17 @@ class SimKernel:
             raise SimulationError("kernel has no registered components")
         awake = self._awake
         timed = self._timed
-        hooks = self._hooks
+        theap = self._timed_heap
         n = len(components)
         start = self.cycle
         self._running = True
         try:
-            if self._profiler is not None:
-                return self._run_profiled(max_cycles, until, stall_error, label)
-            theap = self._timed_heap
             # Idle cycles can only be fast-forwarded when nothing outside
             # the kernel observes individual cycles: no custom stop
-            # predicate and no cycle hooks.  The jump lands exactly where
-            # the per-cycle loop would have woken someone (or at the
-            # cycle bound, so stall diagnostics are unchanged).
-            skip_idle = self._fast_forward and until is None and not hooks
+            # predicate.  The jump lands exactly where the per-cycle loop
+            # would have woken someone (or at the cycle bound, so stall
+            # diagnostics are unchanged).
+            skip_idle = self._fast_forward and until is None
             while True:
                 if until is not None:
                     if until():
@@ -253,71 +218,8 @@ class SimKernel:
                 while i != n:
                     components[i].tick(cycle)
                     i = awake.index(True, i + 1)
-                for hook in hooks:
-                    hook(cycle)
         finally:
             self._running = False
-
-    def _run_profiled(
-        self,
-        max_cycles: int,
-        until: Optional[Callable[[], bool]],
-        stall_error: Callable[[str], BaseException],
-        label: str,
-    ) -> SimResult:
-        """The instrumented twin of the :meth:`run` loop.
-
-        Execution semantics are identical — same stop conditions, same
-        timed-wake promotion, same scan order — with per-tick timing and
-        attribution added.  The determinism test pins the two loops to
-        byte-identical simulation results.
-        """
-        profiler = self._profiler
-        components = self._components
-        awake = self._awake
-        timed = self._timed
-        theap = self._timed_heap
-        hooks = self._hooks
-        n = len(components)
-        start = self.cycle
-        profiles = profiler.bind_components([h.name for h in self._handles])
-        interval = profiler.sample_interval
-        next_sample = start + interval
-        profiler.runs += 1
-        try:
-            while True:
-                if until is not None:
-                    if until():
-                        return SimResult(self.cycle - start, "predicate")
-                elif all(c.quiescent() for c in components):
-                    return SimResult(self.cycle - start, "quiescent")
-                if self.cycle - start >= max_cycles:
-                    raise stall_error(self._stall_report(label, max_cycles))
-                self.cycle = cycle = self.cycle + 1
-                while theap and theap[0][0] <= cycle:
-                    at, i = heappop(theap)
-                    if timed.get(i) == at:
-                        del timed[i]
-                        awake[i] = True
-                        profiles[i].timed_wakes += 1
-                i = awake.index(True)
-                while i != n:
-                    t0 = perf_counter()
-                    components[i].tick(cycle)
-                    elapsed = perf_counter() - t0
-                    profile = profiles[i]
-                    profile.ticks += 1
-                    profile.seconds += elapsed
-                    i = awake.index(True, i + 1)
-                for hook in hooks:
-                    hook(cycle)
-                if interval and cycle >= next_sample:
-                    profiler.sample_now(cycle)
-                    next_sample = cycle + interval
-        finally:
-            profiler.cycles += self.cycle - start
-            if interval:
-                profiler.sample_now(self.cycle)
 
     # ------------------------------------------------------------------
     # Diagnostics.

@@ -42,7 +42,7 @@ references, counter underflow, missing threads, threads without STOP)
 and reproduces the reference service order exactly.  Unobserved
 machines run the fused loop in :meth:`TamMachine._run_codegen_fused`
 (the :class:`repro.sim.sweep.ActiveSweep` flag-array order, inlined);
-machines with an observer or a profiler attached post through
+machines with an observer attached post through
 ``machine._post`` captured at compile time and are driven by
 :class:`~repro.sim.sweep.ActiveSweep` itself, so a codegen run is
 bit-identical to a reference run either way
@@ -331,16 +331,16 @@ class _Emitter:
             "_ck_ifetch": _check_ifetch_ref,
             "_ck_istore": _check_istore_ref,
         }
-        # Unobserved machines (no observer, no profiler — the ones
-        # _run_codegen_fused drives) get the post transport
-        # inlined: generated message instructions append to the target
-        # inbox and set the sweep flag directly, skipping the closure
-        # call, and build plain tuples instead of TamMessages for the
-        # kinds the fused loop consumes positionally (SEND, PREAD).
+        # Unobserved machines (the ones _run_codegen_fused drives) get
+        # the post transport inlined: generated message instructions
+        # append to the target inbox and set the sweep flag directly,
+        # skipping the closure call, and build plain tuples instead of
+        # TamMessages for the kinds the fused loop consumes positionally
+        # (SEND, PREAD).
         # Observed machines keep the ``post`` call so the observed
         # wrapper sees every message and _on_pread's attribute access
         # keeps working.
-        self.inline_post = machine.observer is None and machine.profiler is None
+        self.inline_post = machine.observer is None
         if self.inline_post:
             self.namespace.update({
                 "nodes": machine.nodes,

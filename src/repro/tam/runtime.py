@@ -40,8 +40,7 @@ streams (``tests/tam/test_backend_matrix.py``,
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError, IStructureError, TamError
 from repro.node.istructure import DeferredReader, IStructureMemory
@@ -83,10 +82,6 @@ from repro.tam.messages import (
 from repro.obs.observer import Observer, observer_of
 from repro.sim.sweep import ActiveSweep, ReferenceSweep
 from repro.tam.stats import TamStats
-from repro.utils.profiling import PROFILER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profiler import SimProfiler
 
 __all__ = ["IStructRef", "MsgKind", "TamMessage", "TamMachine"]
 
@@ -130,13 +125,6 @@ class TamMachine:
     swaps the entry points for observed wrappers before ``load()``
     generates code over them, so a machine with nothing attached runs
     byte-identical hot-path code (zero overhead when off).
-
-    ``profiler`` opts the machine into per-node turn attribution
-    (:mod:`repro.obs.profiler`): every productive turn is timed and
-    charged to a ``tam.node<N>`` row, and the run's batched statistics
-    are folded into the profiler's counter registry
-    (:meth:`_feed_profiler`).  With ``None`` the run loops bind the
-    original service callbacks, so an unprofiled run pays nothing.
     """
 
     BACKENDS = ("reference", "codegen")
@@ -145,7 +133,6 @@ class TamMachine:
         self,
         n_nodes: int = 1,
         tracer: Optional[Observer] = None,
-        profiler: Optional["SimProfiler"] = None,
         backend: str = "codegen",
         lineage: Optional[Observer] = None,
     ) -> None:
@@ -184,9 +171,6 @@ class TamMachine:
         observer = observer_of(tracer, lineage)
         if observer is not None:
             self.attach(observer)
-        # Like the observer, the profiler is identity-guarded: with None
-        # the run loops use the original service callbacks unchanged.
-        self.profiler = profiler
 
     def attach(self, observer: Observer) -> None:
         """Subscribe ``observer`` to posts and handled messages, beside any
@@ -350,40 +334,13 @@ class TamMachine:
         succeeds, one needing more raises before executing the excess
         turn.  Sweeps over idle nodes are not charged against it.
         """
-        with PROFILER.span("tam.run"):
-            if self._is_codegen:
-                turns = self._run_codegen(max_turns)
-            else:
-                turns = self._run_reference(max_turns)
+        if self._is_codegen:
+            turns = self._run_codegen(max_turns)
+        else:
+            turns = self._run_reference(max_turns)
         self.turns_executed += turns
-        PROFILER.add("tam.turns", turns)
-        PROFILER.add("tam.runs", 1)
-        if self.profiler is not None:
-            self._feed_profiler()
         self._check_quiescence()
         return self.stats
-
-    def _feed_profiler(self) -> None:
-        """Fold the run's statistics into the attached profiler.
-
-        The numbers are whole-run aggregates (the codegen backend only
-        folds its batched thread counts at the end of a run); they are
-        published into the :class:`~repro.obs.profiler.SimProfiler`
-        registry as *absolute* counter stores, which keeps repeated
-        ``run()`` calls idempotent over the machine's cumulative
-        :class:`~repro.tam.stats.TamStats`.
-        """
-        stats = self.stats
-        set_counter = self.profiler.set_counter
-        set_counter("tam.turns", self.turns_executed)
-        set_counter("tam.threads_run", stats.threads_run)
-        set_counter("tam.instructions", stats.total_instructions)
-        set_counter("tam.messages", stats.messages.total_messages)
-        set_counter("tam.frames_allocated", stats.frames_allocated)
-        for name, count in stats.messages.as_dict().items():
-            set_counter(f"tam.msg.{name}", count)
-        for kind, count in stats.instructions.items():
-            set_counter(f"tam.instr.{kind.name.lower()}", count)
 
     def _turn_stall(self, max_turns: int) -> Callable[[], TamError]:
         return lambda: TamError(f"TAM run exceeded {max_turns} turns")
@@ -397,59 +354,13 @@ class TamMachine:
         the next message decrements it — the priority lives in
         ``_do_one_unit``, which both policies' callbacks share.
         """
-        do_one = self._do_one_unit
-        if self.profiler is not None:
-            do_one = self._profiled_unit(do_one)
         return self._reference_sched.run(
             self.nodes,
             has_work=lambda state: state.stack or state.inbox,
-            do_one=do_one,
+            do_one=self._do_one_unit,
             max_turns=max_turns,
             stall=self._turn_stall(max_turns),
         )
-
-    def _node_profiles(self) -> List:
-        """One profiler attribution row per node (``tam.node<N>``)."""
-        track = self.profiler.track
-        return [track(f"tam.node{n}") for n in range(self.n_nodes)]
-
-    def _profiled_unit(self, do_one: Callable) -> Callable:
-        """Wrap the reference path's unit callback with turn attribution.
-
-        Every ``do_one`` call is exactly one productive turn, so the
-        wrapper charges unconditionally.
-        """
-        profiles = self._node_profiles()
-
-        def profiled(state: _NodeState) -> None:
-            start = perf_counter()
-            do_one(state)
-            elapsed = perf_counter() - start
-            profile = profiles[state.node_id]
-            profile.ticks += 1
-            profile.seconds += elapsed
-
-        return profiled
-
-    def _profiled_service(self, service: Callable) -> Callable:
-        """Wrap the codegen service callback with turn attribution.
-
-        ``service`` returns ``None`` for a no-work scan (not a turn —
-        nothing is charged) and True/False after a productive turn.
-        """
-        profiles = self._node_profiles()
-
-        def profiled(state: _NodeState):
-            start = perf_counter()
-            more = service(state)
-            elapsed = perf_counter() - start
-            if more is not None:
-                profile = profiles[state.node_id]
-                profile.ticks += 1
-                profile.seconds += elapsed
-            return more
-
-        return profiled
 
     def _do_one_unit(self, state: _NodeState) -> None:
         """One productive turn on ``state`` via the reference dispatch."""
@@ -467,13 +378,12 @@ class TamMachine:
         (frame list, thread function), so a thread turn is two pops and
         one call.  Unobserved runs take :meth:`_run_codegen_fused` — the
         scheduling, delivery, and presence-bit logic fused into one
-        loop; runs with an observer or a profiler attached keep the
-        callback shape (:meth:`_run_codegen_generic`) so the observed
-        event stream and attribution are identical to the reference
-        backend's.
+        loop; runs with an observer attached keep the callback shape
+        (:meth:`_run_codegen_generic`) so the observed event stream is
+        identical to the reference backend's.
         """
         try:
-            if self.observer is None and self.profiler is None:
+            if self.observer is None:
                 return self._run_codegen_fused(max_turns)
             return self._run_codegen_generic(max_turns)
         finally:
@@ -735,8 +645,7 @@ class TamMachine:
         flags current; delivery goes through ``self._deliver`` — the
         observed wrapper when an observer is attached, else the plain
         :meth:`_deliver_message_codegen` — so every handled message
-        raises its handle events.  A profiler wraps the
-        service callback for per-node turn attribution.
+        raises its handle events.
         """
         nodes = self.nodes
         process = self._process_message
@@ -764,8 +673,6 @@ class TamMachine:
                 return None
             return True if (stack or state.inbox) else False
 
-        if self.profiler is not None:
-            service = self._profiled_service(service)
         return self._sched.run(
             nodes,
             service,

@@ -116,8 +116,8 @@ class TestDispatchFidelity:
         )
 
     def test_all_collective_traffic_is_type_0(self):
-        from repro.collectives.engine import NicHandlerEngine, _FabricComponent
-        from repro.network.fabric import Fabric
+        from repro.collectives.engine import NicHandlerEngine
+        from repro.network.fabric import Fabric, _FabricComponent
         from repro.sim import SimKernel
 
         fabric = Fabric(Mesh2D(4, 4))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.exp import registry, runcache
 from repro.exp.artifacts import VOLATILE_KEYS, validate_artifact
 from repro.exp.runcache import ProgramKey, RunCache
@@ -87,6 +89,48 @@ class TestCliSmoke:
     def test_bad_jobs_rejected(self, tmp_path):
         result = _run_cli("--jobs", "0", cwd=tmp_path)
         assert result.returncode != 0
+
+    def test_profile_with_jobs_rejected(self, tmp_path):
+        """The workers' timings never reach the parent, so the pair would
+        report nothing."""
+        result = _run_cli(
+            "--profile", "--jobs", "2", "--only", "table1", "--no-json", cwd=tmp_path
+        )
+        assert result.returncode == 2
+        assert "--profile" in result.stderr
+        assert "# Table 1" not in result.stdout
+
+    def test_profile_writes_where_json_and_the_same_artifacts(self, tmp_path):
+        sections = ("--only", "table1", "flowcontrol")
+        plain = _run_cli(*sections, "--json-dir", "plain", cwd=tmp_path)
+        profiled = _run_cli(
+            *sections, "--profile", "--json-dir", "profiled", cwd=tmp_path
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert profiled.returncode == 0, profiled.stderr
+        # The section reports are unchanged; the profile tables follow them.
+        report = [line for line in plain.stdout.splitlines() if "[artifact]" not in line]
+        lines = [line for line in profiled.stdout.splitlines() if "[artifact]" not in line]
+        assert lines[: len(report)] == report
+        assert "profile: flowcontrol" in "\n".join(lines[len(report):])
+        for name in ("table1.json", "flowcontrol.json"):
+            a = json.loads((tmp_path / "plain" / name).read_text())
+            b = json.loads((tmp_path / "profiled" / name).read_text())
+            for key in VOLATILE_KEYS:
+                a.pop(key), b.pop(key)
+            assert a == b, f"{name} differs under --profile"
+
+        where = json.loads((tmp_path / "profiled" / "where.json").read_text())
+        assert where["schema"] == "repro-where/v1"
+        assert list(where["sections"]) == ["table1", "flowcontrol"]
+        for name, section in where["sections"].items():
+            boundaries = section["boundaries"]
+            assert boundaries["run_one"]["calls"] == 1, name
+            own = sum(entry["self_s"] for entry in boundaries.values())
+            assert own == pytest.approx(section["total_s"]), name
+        flowcontrol = json.loads((tmp_path / "profiled" / "flowcontrol.json").read_text())
+        fabric_steps = where["sections"]["flowcontrol"]["boundaries"]["Fabric.step"]
+        assert fabric_steps["calls"] == flowcontrol["data"]["cycles"]
 
     def test_trace_writes_chrome_trace_and_metrics(self, tmp_path):
         json_dir = tmp_path / "artifacts"

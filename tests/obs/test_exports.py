@@ -82,7 +82,6 @@ class TestLazyExports:
         for required in (
             "Tracer",
             "MetricsRecorder",
-            "SimProfiler",
             "chrome_trace",
             "LineageTracker",
             "LineageRecord",

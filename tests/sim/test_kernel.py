@@ -205,13 +205,3 @@ class TestTimedWakeTies:
         assert all(run == runs[0] for run in runs)
         # ...and identical to the flag-scan (no fast-forward) loop.
         assert runs[0] == self._run_tied(fast_forward=False)
-
-
-class TestHooks:
-    def test_cycle_hook_sees_every_cycle(self):
-        seen = []
-        kernel = SimKernel()
-        kernel.register(Recorder("a", 3, []))
-        kernel.add_cycle_hook(seen.append)
-        kernel.run()
-        assert seen == [1, 2, 3]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import TamError
-from repro.obs.profiler import SimProfiler
 from repro.obs.tracer import Tracer
 from repro.tam.codeblock import Codeblock
 from repro.tam.frame import FrameRef
@@ -123,7 +122,6 @@ class TestBadReferences:
 OBSERVERS = {
     "none": dict,
     "tracer": lambda: {"tracer": Tracer()},
-    "profiler": lambda: {"profiler": SimProfiler()},
 }
 
 
