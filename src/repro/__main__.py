@@ -1,12 +1,12 @@
 """Run the whole evaluation from one entry point.
 
-``python -m repro`` regenerates every table and figure of the paper plus
-the extension studies; individual harnesses remain available as
-``python -m repro.eval.<name>``.  The driver is a thin loop over the
-experiment registry (:mod:`repro.exp`): each section is an
+``python -m repro`` is the one way to regenerate every table and figure
+of the paper plus the extension studies; ``--only`` narrows it to
+chosen sections.  The driver is a thin loop over the experiment
+registry (:mod:`repro.exp`): each section is an
 :class:`~repro.exp.spec.ExperimentSpec`, shared TAM program runs are
-served by the run cache, and every section writes a versioned JSON
-artifact next to its text report.
+served by the in-process run cache, and every section writes a
+versioned JSON artifact next to its text report.
 
 Options::
 
@@ -117,15 +117,6 @@ def main(argv=None) -> int:
             "versioned lineage.json under the trace directory"
         ),
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help=(
-            "persistent on-disk run cache for TAM executions "
-            "(default: in-process only; --jobs uses a scratch directory)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
@@ -137,6 +128,8 @@ def main(argv=None) -> int:
         for name in section_names
         if (args.only is None or name in args.only) and name not in args.skip
     ]
+    if not selected:
+        parser.error("no sections selected; check --only and --skip")
     specs = [registry.get(name) for name in selected]
     trace = args.trace or args.trace_dir is not None
     trace_dir = args.trace_dir if args.trace_dir is not None else args.json_dir / "traces"
@@ -160,10 +153,7 @@ def main(argv=None) -> int:
         instrument.install()
     where = {}
     try:
-        outcomes = iter_experiments(
-            specs, options, jobs=args.jobs, cache_dir=args.cache_dir
-        )
-        for outcome in outcomes:
+        for outcome in iter_experiments(specs, options, jobs=args.jobs):
             if args.profile:
                 where[outcome.name] = instrument.take()
             banner(outcome.title)

@@ -1,16 +1,15 @@
 """Evaluation harnesses that regenerate the paper's tables and figures.
 
 This package is the public face of the evaluation layer.  The names
-exported here are the supported surface for examples, tests, and
-benchmarks — prefer them over deep-importing ``repro.eval.<module>``.
+exported here are the supported surface for examples and tests — prefer
+them over deep-importing ``repro.eval.<module>``.  Regenerate a section
+with ``python -m repro --only <section>``.
 
 Exports resolve lazily (:pep:`562`), so importing the package does not
 pull in every study module; spec registration for the experiment
 :mod:`~repro.exp.registry` happens via
 :func:`repro.exp.registry.load_all`, which the ``python -m repro``
-driver calls explicitly.  Lazy resolution also keeps the per-study
-CLIs (``python -m repro.eval.figure12`` …) free of the runpy
-already-imported warning.
+driver calls explicitly.
 """
 
 from repro.exp import registry

@@ -158,18 +158,3 @@ register(
         artifact=_exp_artifact,
     )
 )
-
-
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Per-optimization ablation")
-    parser.add_argument("program", nargs="?", default="matmul")
-    parser.add_argument("--size", type=int, default=None)
-    args = parser.parse_args(argv)
-    stats = run_program(args.program, size=args.size)
-    print(render_ablation(args.program, run_ablation(stats)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,7 +27,7 @@ flat (star) tree.
 
 Usage::
 
-    python -m repro.eval.collectives            # smoke grid, text report
+    python -m repro --only collectives            # smoke grid
     python -m repro --only collectives --paper-scale
 """
 
@@ -217,12 +217,3 @@ register(
         render=render_collectives,
     )
 )
-
-
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    params = collectives_params(EvalOptions())
-    print(render_collectives(params, compute_collectives(params)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

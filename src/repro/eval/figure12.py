@@ -15,13 +15,11 @@ metrics the paper reports:
 
 Usage::
 
-    python -m repro.eval.figure12 [matmul|gamteb|both] [--size N]
-    python -m repro.eval.figure12 both --paper-costs
+    python -m repro --only figure12 [--paper-scale]
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -215,42 +213,3 @@ register(
         artifact=_exp_artifact,
     )
 )
-
-
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Regenerate Figure 12")
-    parser.add_argument(
-        "program",
-        nargs="?",
-        default="both",
-        choices=["matmul", "gamteb", "queens", "both", "all"],
-    )
-    parser.add_argument("--size", type=int, default=None)
-    parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument(
-        "--paper-costs",
-        action="store_true",
-        help="price messages with the paper's Table 1 instead of measured",
-    )
-    parser.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="use the paper's program sizes (matmul 100, gamteb 16)",
-    )
-    args = parser.parse_args(argv)
-    if args.program == "both":
-        programs = ["matmul", "gamteb"]
-    elif args.program == "all":
-        programs = ["matmul", "gamteb", "queens"]
-    else:
-        programs = [args.program]
-    source = "paper" if args.paper_costs else "measured"
-    for program in programs:
-        size = args.size or (PAPER_SIZES[program] if args.paper_scale else None)
-        stats = run_program(program, size=size, nodes=args.nodes)
-        print(render_figure(program, stats, source=source))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

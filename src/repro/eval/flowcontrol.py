@@ -19,7 +19,7 @@ other artifacts, so the whole cascade can be inspected in a trace viewer.
 
 Usage::
 
-    python -m repro.eval.flowcontrol          # text report
+    python -m repro --only flowcontrol
     python -m repro --only flowcontrol --trace
 """
 
@@ -414,12 +414,3 @@ register(
         render=render_flowcontrol,
     )
 )
-
-
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    params = hotspot_params(EvalOptions())
-    print(render_flowcontrol(params, compute_flowcontrol(params)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,12 +9,11 @@ interface model, where the communication-overhead share crosses below
 
 Usage::
 
-    python -m repro.eval.grain [--flops 1 3 10 30 100 300]
+    python -m repro --only grain
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -113,14 +112,3 @@ register(
         },
     )
 )
-
-
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Grain-size sensitivity")
-    parser.add_argument("--flops", type=int, nargs="+", default=list(DEFAULT_FLOPS))
-    args = parser.parse_args(argv)
-    print(render_grain(sweep(args.flops)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

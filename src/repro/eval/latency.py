@@ -12,12 +12,11 @@ the 2-cycle baseline.
 
 Usage::
 
-    python -m repro.eval.latency [matmul|gamteb] [--latencies 2 4 8 16]
+    python -m repro --only latency [--paper-scale]
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -167,19 +166,3 @@ register(
         artifact=_exp_artifact,
     )
 )
-
-
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Off-chip latency sweep")
-    parser.add_argument("program", nargs="?", default="matmul")
-    parser.add_argument("--size", type=int, default=None)
-    parser.add_argument(
-        "--latencies", type=int, nargs="+", default=[2, 4, 6, 8, 12, 16]
-    )
-    args = parser.parse_args(argv)
-    stats = run_program(args.program, size=args.size)
-    print(render_sweep(args.program, sweep(stats, args.latencies)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

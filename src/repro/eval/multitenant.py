@@ -30,7 +30,6 @@ seed — repeat runs are byte-identical.
 
 Usage::
 
-    python -m repro.eval.multitenant          # text report
     python -m repro --only multitenant
 """
 
@@ -229,12 +228,3 @@ register(
         render=render_multitenant,
     )
 )
-
-
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    params = multitenant_params(EvalOptions())
-    print(render_multitenant(params, compute_multitenant(params)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,7 @@ four rates at 64 **and** 256 nodes.
 
 Usage::
 
-    python -m repro.eval.netsweep              # smoke grid, text report
+    python -m repro --only netsweep                # smoke grid
     python -m repro --only netsweep --paper-scale
 """
 
@@ -153,12 +153,3 @@ register(
         render=render_netsweep,
     )
 )
-
-
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    params = netsweep_params(EvalOptions())
-    print(render_netsweep(params, compute_netsweep(params)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,7 +9,7 @@ into those end-to-end figures — the per-operation version of the paper's
 
 Usage::
 
-    python -m repro.eval.roundtrip
+    python -m repro --only roundtrip
 """
 
 from __future__ import annotations
@@ -127,16 +127,3 @@ register(
         artifact=_exp_artifact,
     )
 )
-
-
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Round-trip operation costs")
-    parser.add_argument("--paper-costs", action="store_true")
-    args = parser.parse_args(argv)
-    print(render_roundtrips(source="paper" if args.paper_costs else "measured"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,12 +7,11 @@ handler time), on one cycle axis.
 
 Usage::
 
-    python -m repro.eval.survey [--clock-mhz 25]
+    python -m repro --only survey
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
 from repro.exp.registry import register
@@ -117,14 +116,3 @@ register(
         },
     )
 )
-
-
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Survey comparison")
-    parser.add_argument("--clock-mhz", type=float, default=DEFAULT_CLOCK_MHZ)
-    args = parser.parse_args(argv)
-    print(render_survey(args.clock_mhz))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -4,7 +4,7 @@ Runs every handler kernel on the behavioural machine under all six
 interface models and prints the measured cycle counts next to the paper's
 published values.  Usage::
 
-    python -m repro.eval.table1
+    python -m repro --only table1
 """
 
 from __future__ import annotations
@@ -180,22 +180,3 @@ register(
         },
     )
 )
-
-
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(description="Regenerate Table 1")
-    parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable records"
-    )
-    args = parser.parse_args(argv)
-    if args.json:
-        print(json.dumps(rows_as_records(), indent=2))
-    else:
-        print(render_report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

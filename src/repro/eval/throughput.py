@@ -9,7 +9,7 @@ slack — the consistency the test suite asserts.
 
 Usage::
 
-    python -m repro.eval.throughput
+    python -m repro --only throughput
 """
 
 from __future__ import annotations
@@ -119,11 +119,3 @@ register(
         artifact=_exp_artifact,
     )
 )
-
-
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    print(render_throughput())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

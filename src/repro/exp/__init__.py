@@ -8,11 +8,11 @@ package turns that grid into data:
   of one experiment (name, params, required program runs, pure compute,
   text rendering, JSON artifact).
 * :mod:`repro.exp.registry` — the decorator registry every
-  ``repro.eval`` module registers its spec into; ``python -m repro`` is a
-  thin driver over it.
-* :mod:`repro.exp.runcache` — a content-addressed in-process + on-disk
-  cache keyed on ``(program, size, nodes, code_digest)`` so one TAM
-  execution feeds every experiment that prices it.
+  ``repro.eval`` module registers its spec into; ``python -m repro``, the
+  one evaluation driver, is a thin loop over it.
+* :mod:`repro.exp.runcache` — an in-process cache keyed on
+  ``(program, size, nodes)`` so one TAM execution feeds every experiment
+  that prices it.
 * :mod:`repro.exp.runner` — serial or ``ProcessPoolExecutor`` fan-out
   with deterministic, registry-ordered output.
 * :mod:`repro.exp.artifacts` — versioned JSON results under
@@ -32,7 +32,6 @@ from repro.exp.runcache import (
     PAPER_SIZES,
     ProgramKey,
     RunCache,
-    code_digest,
     get_cache,
     resolve_key,
     run_program,
@@ -56,7 +55,6 @@ __all__ = [
     "PAPER_SIZES",
     "ProgramKey",
     "RunCache",
-    "code_digest",
     "get_cache",
     "resolve_key",
     "run_program",

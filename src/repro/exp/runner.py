@@ -5,12 +5,14 @@ TAM programs are pure-Python and CPU-bound, so ``--jobs N`` uses a
 dependency-aware, not phased:
 
 * The deduplicated union of every selected experiment's required
-  :class:`ProgramKey` runs is submitted first, each worker writing its
-  pickled stats into the shared on-disk run cache.  Submitting programs
-  exactly once from the parent is what guarantees at-most-one execution
-  per parameter set even across process boundaries.
+  :class:`ProgramKey` runs is submitted first; each worker returns the
+  run's :class:`~repro.tam.stats.TamStats` through its future.
+  Submitting programs exactly once from the parent is what guarantees
+  at-most-one execution per parameter set even across process
+  boundaries.
 * Each experiment is submitted the moment its required program runs
-  have completed (immediately, for experiments that need none), so
+  have completed (immediately, for experiments that need none), with
+  their stats as an argument that seeds the worker's run cache, so
   cheap kernel-measurement sections overlap the long program
   executions instead of waiting behind a global barrier.
 * Results are yielded in registry order regardless of completion order,
@@ -20,18 +22,16 @@ dependency-aware, not phased:
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
 
 from repro.exp import registry
 from repro.exp.artifacts import build_artifact, to_jsonable
-from repro.exp.runcache import ProgramKey, RunCache, get_cache, set_cache
+from repro.exp.runcache import ProgramKey, get_cache
 from repro.exp.spec import EvalOptions, ExperimentSpec
+from repro.tam.stats import TamStats
 
 
 @dataclass
@@ -59,36 +59,21 @@ def run_one(spec: ExperimentSpec, params: Dict[str, Any]) -> ExperimentOutcome:
     return ExperimentOutcome(spec.name, spec.title, text, artifact, wall_clock)
 
 
-def _ordered_program_keys(
-    specs: Sequence[ExperimentSpec], params_by_name: Dict[str, Dict[str, Any]]
-) -> List[ProgramKey]:
-    """The deduplicated union of required runs, in first-use order."""
-    keys: List[ProgramKey] = []
-    seen = set()
-    for spec in specs:
-        for key in spec.required_programs(params_by_name[spec.name]):
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    return keys
-
-
 # ---------------------------------------------------------------------------
 # Worker-process entry points (must be module-level for pickling).
 # ---------------------------------------------------------------------------
 
 
-def _worker_init(cache_dir: Optional[str]) -> None:
-    set_cache(RunCache(disk_dir=cache_dir))
-    registry.load_all()
+def _worker_program(key: ProgramKey) -> TamStats:
+    return get_cache().ensure(key)
 
 
-def _worker_program(key: ProgramKey) -> ProgramKey:
-    get_cache().ensure(key)
-    return key
-
-
-def _worker_experiment(name: str, params: Dict[str, Any]) -> ExperimentOutcome:
+def _worker_experiment(
+    name: str, params: Dict[str, Any], stats: Dict[ProgramKey, TamStats]
+) -> ExperimentOutcome:
+    cache = get_cache()
+    for key, value in stats.items():
+        cache.put(key, value)
     return run_one(registry.get(name), params)
 
 
@@ -103,10 +88,7 @@ def effective_jobs(jobs: int) -> int:
 
 
 def iter_experiments(
-    specs: Sequence[ExperimentSpec],
-    options: EvalOptions,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
+    specs: Sequence[ExperimentSpec], options: EvalOptions, jobs: int = 1
 ) -> Iterator[ExperimentOutcome]:
     """Yield outcomes for ``specs`` in order; parallel when ``jobs > 1``.
 
@@ -118,67 +100,47 @@ def iter_experiments(
     jobs = effective_jobs(jobs)
     params_by_name = {spec.name: spec.params(options) for spec in specs}
     if jobs <= 1:
-        cache = get_cache()
-        if cache_dir is not None and cache.disk_dir is None:
-            cache.disk_dir = Path(cache_dir)
         for spec in specs:
             yield run_one(spec, params_by_name[spec.name])
         return
 
-    # Parallel: the workers communicate through a shared disk cache.
-    scratch: Optional[str] = None
-    if cache_dir is None:
-        cache_dir = get_cache().disk_dir
-    if cache_dir is None:
-        scratch = tempfile.mkdtemp(prefix="repro-runcache-")
-        cache_dir = Path(scratch)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(str(cache_dir),),
-        ) as pool:
-            keys = _ordered_program_keys(specs, params_by_name)
-            # Every required program run, submitted exactly once.
-            program_futures: Dict[ProgramKey, Future] = {
-                key: pool.submit(_worker_program, key) for key in keys
-            }
-            # Experiments launch as soon as their program runs land in
-            # the shared cache; ones with no requirements launch now.
-            exp_futures: Dict[str, Future] = {}
-            pending = list(specs)
+    with ProcessPoolExecutor(max_workers=jobs, initializer=registry.load_all) as pool:
+        # Every required program run, submitted exactly once.
+        keys = dict.fromkeys(
+            key
+            for spec in specs
+            for key in spec.required_programs(params_by_name[spec.name])
+        )
+        program_futures: Dict[ProgramKey, Future] = {
+            key: pool.submit(_worker_program, key) for key in keys
+        }
+        # Experiments launch as soon as their program runs have returned
+        # (a failed run raises here); ones with no requirements launch now.
+        exp_futures: Dict[str, Future] = {}
+        pending = list(specs)
 
-            def submit_ready() -> None:
-                for spec in pending[:]:
-                    deps = [
-                        program_futures[key]
-                        for key in spec.required_programs(params_by_name[spec.name])
-                    ]
-                    if all(future.done() for future in deps):
-                        exp_futures[spec.name] = pool.submit(
-                            _worker_experiment, spec.name, params_by_name[spec.name]
-                        )
-                        pending.remove(spec)
+        def submit_ready() -> None:
+            for spec in pending[:]:
+                params = params_by_name[spec.name]
+                deps = {key: program_futures[key] for key in spec.required_programs(params)}
+                if all(future.done() for future in deps.values()):
+                    stats = {key: future.result() for key, future in deps.items()}
+                    exp_futures[spec.name] = pool.submit(
+                        _worker_experiment, spec.name, params, stats
+                    )
+                    pending.remove(spec)
 
+        submit_ready()
+        unfinished = set(program_futures.values())
+        while pending:
+            _, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
             submit_ready()
-            unfinished = set(program_futures.values())
-            while pending:
-                done, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()  # propagate program failures eagerly
-                submit_ready()
-            for spec in specs:
-                yield exp_futures[spec.name].result()
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
+        for spec in specs:
+            yield exp_futures[spec.name].result()
 
 
 def run_experiments(
-    specs: Sequence[ExperimentSpec],
-    options: EvalOptions,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
+    specs: Sequence[ExperimentSpec], options: EvalOptions, jobs: int = 1
 ) -> List[ExperimentOutcome]:
     """:func:`iter_experiments`, fully materialised."""
-    return list(iter_experiments(specs, options, jobs=jobs, cache_dir=cache_dir))
+    return list(iter_experiments(specs, options, jobs=jobs))

@@ -120,8 +120,8 @@ class TamStats:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary (instruction mix, message mix, derived).
 
-        ``TamStats`` objects also cross process boundaries whole (the
-        experiment runner pickles them through its on-disk run cache);
+        ``TamStats`` objects also cross process boundaries whole (a
+        ``--jobs`` program worker returns them through its future);
         this is the flattened form the JSON artifacts embed.
         """
         messages = self.messages.total_messages

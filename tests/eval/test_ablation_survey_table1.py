@@ -65,6 +65,7 @@ class TestSurvey:
         for name in ("iPSC/2", "CM-5", "MDP"):
             assert name in text
         assert "this work" in text
+        assert len(SURVEY) >= 7
 
     def test_os_dma_orders_of_magnitude_slower(self):
         cycles = {i.name: i.cycles() for i in SURVEY}

@@ -12,8 +12,10 @@ def results():
 
 class TestGrainSweep:
     def test_overhead_share_shrinks_with_grain(self, results):
-        fractions = [r.overhead_fraction_basic_offchip for r in results]
-        assert fractions[0] > fractions[-1]
+        for model in ("basic_offchip", "optimized_register"):
+            fractions = [getattr(r, f"overhead_fraction_{model}") for r in results]
+            assert fractions == sorted(fractions, reverse=True), model
+            assert fractions[0] > fractions[-1], model
 
     def test_optimized_always_lower_share(self, results):
         for r in results:
@@ -23,6 +25,8 @@ class TestGrainSweep:
             )
 
     def test_speedup_approaches_one(self, results):
+        speedups = [r.speedup_basic_to_optimized for r in results]
+        assert speedups == sorted(speedups, reverse=True)
         assert results[-1].speedup_basic_to_optimized < results[0].speedup_basic_to_optimized
         assert results[-1].speedup_basic_to_optimized >= 1.0
 

@@ -1,6 +1,7 @@
 """End-to-end driver tests: at-most-once execution, artifacts, fan-out."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 
 from repro.exp import registry, runcache
 from repro.exp.artifacts import VOLATILE_KEYS, validate_artifact
-from repro.exp.runcache import ProgramKey, RunCache
-from repro.exp.runner import run_experiments
+from repro.exp.runcache import ProgramKey, RunCache, run_program
+from repro.exp.runner import _worker_experiment, run_experiments
 from repro.exp.spec import EvalOptions
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -53,6 +54,42 @@ class TestProgramsExecuteAtMostOnce:
             key=str,
         )
 
+    def test_worker_reads_the_runs_it_was_given(self, monkeypatch):
+        """A ``--jobs`` experiment worker prices the stats its parent
+        handed it and executes no program itself."""
+        registry.load_all()
+        params = registry.get("latency").params(EvalOptions())
+        key = ProgramKey("matmul", params["size"], params["nodes"])
+        stats = run_program("matmul", size=params["size"], nodes=params["nodes"])
+        fresh = RunCache()
+        monkeypatch.setattr(runcache, "_CACHE", fresh)
+        outcome = _worker_experiment("latency", params, {key: stats})
+        assert fresh.execution_log == []
+        assert fresh.get(key) is stats
+        assert outcome.artifact["data"]["points"]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched executor",
+    )
+    def test_each_run_executes_once_across_workers(self, tmp_path, monkeypatch):
+        """Under ``--jobs`` one worker executes each run; the sections
+        that price it, in any worker, execute nothing."""
+        log = tmp_path / "executions"
+        execute = runcache._execute
+
+        def logged(key):
+            with log.open("a") as out:
+                out.write(f"{key.program}@{key.size}\n")
+            return execute(key)
+
+        registry.load_all()
+        monkeypatch.setattr(runcache, "_CACHE", RunCache())
+        monkeypatch.setattr(runcache, "_execute", logged)
+        specs = [registry.get(name) for name in ("figure12", "latency", "ablation")]
+        run_experiments(specs, EvalOptions(), jobs=2)
+        assert sorted(log.read_text().split()) == ["gamteb@64", "matmul@24", "matmul@40"]
+
 
 class TestCliSmoke:
     def test_only_survey_with_json_dir(self, tmp_path):
@@ -89,6 +126,18 @@ class TestCliSmoke:
     def test_bad_jobs_rejected(self, tmp_path):
         result = _run_cli("--jobs", "0", cwd=tmp_path)
         assert result.returncode != 0
+
+    @pytest.mark.parametrize(
+        "selection",
+        [("--only",), ("--only", "survey", "--skip", "survey")],
+        ids=["only-nothing", "skip-everything-selected"],
+    )
+    def test_empty_selection_rejected(self, tmp_path, selection):
+        result = _run_cli(*selection, "--profile", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "no sections selected" in result.stderr
+        assert result.stdout == ""
+        assert not (tmp_path / "results").exists()
 
     def test_profile_with_jobs_rejected(self, tmp_path):
         """The workers' timings never reach the parent, so the pair would
@@ -165,9 +214,13 @@ class TestCliSmoke:
 
 class TestParallelEquivalence:
     def test_jobs_output_matches_serial(self, tmp_path):
+        """figure12, latency and ablation read program runs, so their
+        workers price stats that another worker executed."""
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        sections = ("--only", "table1", "throughput", "survey")
+        sections = (
+            "--only", "table1", "throughput", "survey", "figure12", "latency", "ablation",
+        )
 
         serial = _run_cli(*sections, "--json-dir", str(serial_dir), cwd=tmp_path)
         parallel = _run_cli(
