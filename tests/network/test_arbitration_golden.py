@@ -12,6 +12,9 @@ deferred pass, which the dimension-order hot-spot never exercises.
 
 Every digest was captured on the tree before the fabric's arbitration
 became table-driven; a refactor of the cycle loop must reproduce them.
+The hypercube payloads (where ``rank`` sees up to six ports) and the two
+deadlocked runs (whose ``deadlock`` string is built from the route
+tables) were captured before route tables were filled in closed form.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from repro.eval.flowcontrol import hotspot_params, run_hotspot
 from repro.exp.spec import EvalOptions
 from repro.network.fabric import Fabric
 from repro.network.routing import make_policy
-from repro.network.topology import Mesh2D, Torus2D
+from repro.network.topology import Hypercube, Mesh2D, Torus2D
 from repro.network.traffic import TrafficSink, TrafficSource, run_traffic
 from repro.nic.interface import NetworkInterface
 from repro.obs.metrics import MetricsRecorder
@@ -46,25 +49,65 @@ GOLDEN_TRAFFIC_STREAMS = {
     ),
 }
 
-#: (policy, topology, rate) -> sha256 of the run_traffic payload.
+#: (policy, topology, rate, seed, drains) -> sha256 of the run_traffic
+#: payload.  A run that does not drain deadlocks, and its payload names
+#: the buffer-wait cycle.
 GOLDEN_TRAFFIC = [
     (
         "escape-vc",
         Torus2D(4, 4),
         0.5,
+        5,
+        True,
         "35c3bc8628f3f9c39c99adaf25b66f20732c79c67d2c93ecc06100fd5223d169",
     ),
     (
         "escape-vc",
         Mesh2D(8, 8),
         0.3,
+        5,
+        True,
         "6094183f8e9382ab983a374748798823ed06ddd01a50f9e7cbef0dca3a742432",
     ),
     (
         "adaptive-random",
         Mesh2D(8, 8),
         0.2,
+        5,
+        True,
         "8ef831b006823d0fcdc4e6944a02077dc537948ed909ab306b1a2730cdffec7d",
+    ),
+    (
+        "adaptive-random",
+        Hypercube(6),
+        0.3,
+        5,
+        True,
+        "abd34760bc93d686d082433299de61d9ce8f5e06172f57709c66e191049e12b5",
+    ),
+    (
+        "escape-vc",
+        Hypercube(6),
+        0.3,
+        5,
+        True,
+        "89d7d97a4237207065fcfe72d8111d973278eb89f1664b7d8aed63c0e77c519e",
+    ),
+    (
+        "adaptive-random",
+        Mesh2D(8, 8),
+        0.5,
+        5,
+        False,
+        "847927da3546c7d99c5ff798a9ceb6696278127534f0e55e4717d60da2894c31",
+    ),
+    (
+        "dimension-order",
+        Torus2D(8, 8),
+        0.5,
+        42,
+        False,
+        "026d814a4e9b761a476c6e9ddb378c2b3adbb2cda3898edd5d81cc374fc96b3c",
     ),
 ]
 
@@ -128,19 +171,21 @@ def test_single_vc_traffic_event_stream_matches_golden(policy):
 
 
 @pytest.mark.parametrize(
-    "policy, topology, rate, digest",
+    "policy, topology, rate, seed, drains, digest",
     GOLDEN_TRAFFIC,
-    ids=[f"{p}-{t.describe()}-{r}" for p, t, r, _ in GOLDEN_TRAFFIC],
+    ids=[f"{p}-{t.describe()}-{r}" for p, t, r, *_ in GOLDEN_TRAFFIC],
 )
-def test_traffic_payload_matches_golden(policy, topology, rate, digest):
+def test_traffic_payload_matches_golden(policy, topology, rate, seed, drains, digest):
     payload = run_traffic(
         topology,
-        make_policy(policy, 5),
+        make_policy(policy, seed),
         "uniform",
         rate,
-        5,
+        seed,
         warmup_cycles=50,
         measure_cycles=150,
     )
-    assert payload["drained"]
+    assert payload["drained"] == drains
+    if not drains:
+        assert payload["deadlock"]
     assert payload_digest(payload) == digest
