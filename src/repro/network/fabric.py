@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, RoutingError
 from repro.network.router import InTransit, Router
 from repro.network.routing import DimensionOrder, RoutingPolicy, StaticRoute
 from repro.network.topology import Topology
@@ -235,8 +235,8 @@ class Fabric:
                 ports = self._ports[node]
                 ranked, fixed = static
                 entry = interned[static] = (
-                    tuple(ports[port] for port in ranked),
-                    tuple(ports[port] for port in fixed),
+                    tuple([ports[port] for port in ranked]),
+                    tuple([ports[port] for port in fixed]),
                 )
             self._tables[node][destination] = entry
         return entry
@@ -383,6 +383,7 @@ class Fabric:
 
     def _inject_from_interfaces(self) -> None:
         observer = self.observer
+        n_nodes = self.topology.n_nodes
         for node, interface in enumerate(self.interfaces):
             router = self.routers[node]
             head = interface.peek_outgoing()
@@ -409,9 +410,17 @@ class Fabric:
                 self._injection_timers[node] = (head, remaining)
                 continue
             self._injection_timers.pop(node, None)
+            # The route tables cover only the topology's nodes: a head
+            # addressed past them stays in its output queue, unsent.
+            item = InTransit(head, injected_at=self.stats.cycles)
+            if item.destination >= n_nodes:
+                raise RoutingError(
+                    f"node {node} sent to node {item.destination}, outside "
+                    f"{self.topology.describe()} of {n_nodes} nodes"
+                )
             message = interface.transmit()
             assert message is head
-            router.inject(InTransit(message, injected_at=self.stats.cycles))
+            router.inject(item)
             if observer is not None:
                 observer.on_inject(self.stats.cycles, node, message)
 

@@ -1,0 +1,123 @@
+"""Closed-form routing against its references.
+
+Each topology computes :meth:`~repro.network.topology.Topology.minimal_neighbors`
+by arithmetic; the base class's distance search is the reference it must
+equal on every (node, destination) pair.  ``AdaptiveRandom.rank`` orders
+two ports by comparing their free slots; the general most-free ranking,
+kept here as it was before that shortcut, is the reference for any
+number of ports, RNG state included.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import RoutingError
+from repro.network.routing import AdaptiveRandom, EscapeVC
+from repro.network.topology import Hypercube, Mesh2D, Topology, Torus2D
+from repro.network.traffic import run_traffic
+
+sides = st.integers(1, 9)
+topologies = st.one_of(
+    st.builds(Mesh2D, sides, sides),
+    st.builds(Torus2D, sides, sides),
+    st.builds(Hypercube, st.integers(0, 7)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(topologies)
+def test_closed_form_equals_distance_search(topology):
+    search = Topology.minimal_neighbors
+    for node in range(topology.n_nodes):
+        for destination in range(topology.n_nodes):
+            assert topology.minimal_neighbors(node, destination) == search(
+                topology, node, destination
+            )
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [Mesh2D(3, 2), Torus2D(3, 2), Hypercube(3)],
+    ids=lambda t: t.describe(),
+)
+def test_closed_forms_check_both_nodes(topology):
+    n = topology.n_nodes
+    for node, destination in ((n, 0), (0, n), (-1, 0), (0, -1)):
+        with pytest.raises(RoutingError, match="outside"):
+            topology.minimal_neighbors(node, destination)
+
+
+def general_rank(rng, ports, free):
+    """The most-free ranking: a leader drawn from the most-free ports,
+    the rest most-free first, ties in the order given."""
+    best = max(free)
+    pool = [i for i, slots in enumerate(free) if slots == best]
+    leader = pool[0] if len(pool) == 1 else rng.choice(pool)
+    rest = sorted(
+        (i for i in range(len(ports)) if i != leader),
+        key=free.__getitem__,
+        reverse=True,
+    )
+    return (ports[leader],) + tuple(ports[i] for i in rest)
+
+
+free_lists = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.sampled_from([AdaptiveRandom, EscapeVC]),
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(free_lists, min_size=1, max_size=20),
+)
+def test_rank_matches_general_ranking_and_rng_state(policy, seed, calls):
+    ranker = policy(seed=seed)
+    reference = random.Random(seed)
+    for free in calls:
+        ports = tuple((10 + i, ranker.adaptive_vc) for i in range(len(free)))
+        want = general_rank(reference, ports, free)
+        assert tuple(ranker.rank(ports, list(free))) == want
+        assert ranker._rng.getstate() == reference.getstate()
+
+
+class Ring(Topology):
+    """A bidirectional ring with no closed form of its own."""
+
+    def __init__(self, n_nodes: int) -> None:
+        self.n_nodes = n_nodes
+
+    def neighbors(self, node):
+        self.check_node(node)
+        n = self.n_nodes
+        return tuple(sorted({(node - 1) % n, (node + 1) % n} - {node}))
+
+    def distance(self, source, destination):
+        self.check_node(source)
+        self.check_node(destination)
+        span = abs(source - destination)
+        return min(span, self.n_nodes - span)
+
+    def diameter(self):
+        return self.n_nodes // 2
+
+
+def test_topology_without_closed_form_routes_adaptively():
+    ring = Ring(8)
+    assert ring.minimal_neighbors(0, 4) == (1, 7)
+    assert ring.minimal_neighbors(0, 3) == (1,)
+    payload = run_traffic(
+        ring,
+        AdaptiveRandom(seed=3),
+        "uniform",
+        0.1,
+        seed=3,
+        warmup_cycles=20,
+        measure_cycles=60,
+    )
+    assert payload["drained"]
+    assert payload["delivered"] > 0

@@ -1,10 +1,12 @@
-"""The fabric's route tables against the routing policies' reference.
+"""The fabric's route tables against the routing policies' answers.
 
 The fabric looks up each route's static part in per-node tables instead
-of asking the policy per message; :meth:`RoutingPolicy.candidates`
-stays the reference.  For every (node, destination) pair the table entry
-must equal the static part of ``candidates()`` from a fresh policy, and
-every port must resolve to the downstream buffer it names.
+of asking the policy per message.  For every (node, destination) pair
+the table entry must equal the static part of
+:meth:`RoutingPolicy.candidates` from a fresh policy, and every port
+must resolve to the downstream buffer it names.  Both sides compute
+their routes in closed form; ``test_closed_forms.py`` checks those
+against the base topology's distance search.
 """
 
 import pytest
@@ -14,7 +16,16 @@ from repro.network.routing import POLICY_NAMES, RoutingPolicy, make_policy
 from repro.network.topology import Hypercube, Mesh2D, Torus2D
 from repro.network.traffic import run_traffic
 
-TOPOLOGIES = [Mesh2D(4, 4), Mesh2D(5, 3), Torus2D(4, 4), Torus2D(8, 1), Hypercube(4)]
+TOPOLOGIES = [
+    Mesh2D(4, 4),
+    Mesh2D(5, 3),
+    Torus2D(4, 4),
+    Torus2D(8, 1),
+    Torus2D(2, 3),
+    Torus2D(6, 6),
+    Hypercube(4),
+    Hypercube(6),
+]
 
 
 def plenty(neighbor: int, vc: int) -> int:

@@ -9,7 +9,6 @@ from repro.network.routing import (
     DimensionOrder,
     EscapeVC,
     make_policy,
-    minimal_neighbors,
 )
 from repro.network.topology import Hypercube, Mesh2D, Topology, Torus2D
 
@@ -48,7 +47,7 @@ class TestMinimalNeighbors:
     def test_strictly_closer_and_sorted(self):
         mesh = Mesh2D(4, 4)
         for source, destination in all_pairs(mesh):
-            minimal = minimal_neighbors(mesh, source, destination)
+            minimal = mesh.minimal_neighbors(source, destination)
             assert minimal == tuple(sorted(minimal))
             here = mesh.distance(source, destination)
             for neighbor in minimal:
@@ -57,10 +56,10 @@ class TestMinimalNeighbors:
     def test_two_productive_directions_off_axis(self):
         mesh = Mesh2D(4, 4)
         # From the corner toward the opposite corner both axes help.
-        assert minimal_neighbors(mesh, 0, 15) == (1, 4)
+        assert mesh.minimal_neighbors(0, 15) == (1, 4)
 
     def test_empty_at_destination(self):
-        assert minimal_neighbors(Mesh2D(3, 3), 4, 4) == ()
+        assert Mesh2D(3, 3).minimal_neighbors(4, 4) == ()
 
 
 class TestDimensionOrder:
@@ -107,7 +106,7 @@ class TestAdaptiveRandom:
         policy = AdaptiveRandom(seed=1)
         for source, destination in all_pairs(mesh):
             candidates = policy.candidates(mesh, source, destination, plenty)
-            minimal = minimal_neighbors(mesh, source, destination)
+            minimal = mesh.minimal_neighbors(source, destination)
             assert sorted(n for n, _ in candidates) == sorted(minimal)
             assert all(vc == 0 for _, vc in candidates)
 
