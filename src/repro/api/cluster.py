@@ -134,20 +134,9 @@ class Cluster:
 
     @property
     def kernel(self) -> SimKernel:
-        """The cluster's shared simulation kernel (read-only access)."""
+        """The cluster's shared simulation kernel.  A component
+        registered on it ticks after the fabric and the nodes."""
         return self._kernel
-
-    def add_component(self, component: SimComponent):
-        """Register an extra component on the cluster's kernel.
-
-        Components registered here tick *after* the fabric and the nodes
-        — a receive-side tenant scheduler
-        (:class:`~repro.tenancy.scheduler.TenantPolicy`) or a custom
-        traffic source slots into the same cycle loop the built-in
-        machinery uses.  Returns the component's
-        :class:`~repro.sim.kernel.SimHandle`.
-        """
-        return self._kernel.register(component)
 
     @property
     def n_nodes(self) -> int:

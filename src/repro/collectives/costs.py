@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
 
 from repro.collectives.engine import CollectiveRun
 from repro.impls.base import InterfaceModel
@@ -107,8 +106,3 @@ def price_run(run: CollectiveRun, model: InterfaceModel) -> PricedRun:
         proc_cycles_per_node=round(proc_cycles / n, 3),
         overlap=round(1.0 - proc_cycles / total, 4) if total else 0.0,
     )
-
-
-def price_table(run: CollectiveRun, models) -> Dict[str, PricedRun]:
-    """Price one run under every model in ``models``, keyed by model key."""
-    return {model.key: price_run(run, model) for model in models}

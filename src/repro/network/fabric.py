@@ -206,6 +206,42 @@ class Fabric:
     def interface(self, node: int) -> NetworkInterface:
         return self.interfaces[self.topology.check_node(node)]
 
+    def place(
+        self,
+        node: int,
+        item: InTransit,
+        *,
+        neighbor: Optional[int] = None,
+        vc: int = 0,
+    ) -> None:
+        """Put ``item`` into ``node``'s router by hand: into its link
+        buffer from ``neighbor`` on channel ``vc``, through the port a
+        move from that neighbor uses, or without a neighbor into its
+        injection buffer.
+
+        Counted as the fabric counts its own entries: a link placement
+        is one hop (the neighbor's ``forwarded`` is left alone), an
+        injection one ``injected``.  A full buffer or a missing link
+        raises :class:`NetworkError`.
+        """
+        if neighbor is None:
+            self.routers[self.topology.check_node(node)].inject(item)
+            return
+        port = (
+            self._ports[neighbor].get((node, vc))
+            if 0 <= neighbor < len(self._ports)
+            else None
+        )
+        if port is None:
+            raise NetworkError(f"router {node} has no link from {neighbor} vc{vc}")
+        if len(port.buffer) >= self.link_buffer_depth:
+            raise NetworkError(
+                f"router {node}: link buffer from {neighbor} vc{vc} is full"
+            )
+        item.hops += 1
+        port.buffer.append(item)
+        port.router.occupancy += 1
+
     # ------------------------------------------------------------------
     # Cycle advance.
     # ------------------------------------------------------------------

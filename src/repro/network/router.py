@@ -17,25 +17,24 @@ policies spread over channels, :class:`~repro.network.routing.EscapeVC`
 reserves channel 0 as the dimension-order escape path).  With the
 default single channel the router is byte-identical to its pre-VC self.
 
-A buffer is identified by its *source key*: ``(neighbor, vc)`` for a
-link channel, ``None`` for the injection buffer fed by the local
-interface's output queue.  The ejection path into the local interface's
-input queue needs no buffer of its own.
+Link buffers are keyed ``(upstream neighbor, vc)``; the injection
+buffer is fed by the local interface's output queue.  The ejection path
+into the local interface's input queue needs no buffer of its own.
+Only the fabric moves messages between buffers; traffic placed by hand
+goes in through :meth:`~repro.network.fabric.Fabric.place`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, Tuple
 
 from repro.errors import NetworkError
 from repro.nic.messages import Message
 
-#: A link buffer's identity: (upstream neighbor, virtual channel).
-#: ``None`` identifies the injection buffer.  A bare neighbor id is
-#: accepted anywhere a source key is and means its channel 0.
-SourceKey = Optional[Union[int, Tuple[int, int]]]
+#: Messages the injection buffer holds.
+INJECTION_DEPTH = 4
 
 
 @dataclass
@@ -88,17 +87,15 @@ class Router:
         node: int,
         neighbors: Tuple[int, ...],
         link_buffer_depth: int = 4,
-        injection_depth: int = 4,
         num_vcs: int = 1,
     ) -> None:
-        if link_buffer_depth < 1 or injection_depth < 1:
+        if link_buffer_depth < 1:
             raise NetworkError("router buffers must hold at least one message")
         if num_vcs < 1:
             raise NetworkError("routers need at least one virtual channel")
         self.node = node
         self.neighbors = tuple(neighbors)
         self.link_buffer_depth = link_buffer_depth
-        self.injection_depth = injection_depth
         self.num_vcs = num_vcs
         # Neighbor-major, channel-minor: with one VC the iteration order
         # is exactly the old per-neighbor order.
@@ -108,7 +105,10 @@ class Router:
             for vc in range(num_vcs)
         }
         self.injection: Deque[InTransit] = deque()
-        #: Every buffer in :meth:`pending_sources` order, empty or not.
+        #: Every buffer, empty or not, in service order: link channels
+        #: neighbor-major, channel-minor, then the injection buffer, so
+        #: network traffic drains ahead of new load (the usual
+        #: anti-livelock priority).
         self.service_order: Tuple[Deque[InTransit], ...] = tuple(
             self.in_buffers.values()
         ) + (self.injection,)
@@ -116,46 +116,8 @@ class Router:
         self.occupancy = 0
         self.stats = RouterStats()
 
-    def _buffer_key(self, neighbor: int, vc: int) -> Tuple[int, int]:
-        key = (neighbor, vc)
-        if key not in self.in_buffers:
-            raise NetworkError(
-                f"router {self.node} has no link from {neighbor} vc{vc}"
-            )
-        return key
-
-    # ------------------------------------------------------------------
-    # Capacity checks (credits).
-    # ------------------------------------------------------------------
-
-    def can_accept_from(self, neighbor: int, vc: int = 0) -> bool:
-        return len(self.in_buffers[self._buffer_key(neighbor, vc)]) < (
-            self.link_buffer_depth
-        )
-
     def can_inject(self) -> bool:
-        return len(self.injection) < self.injection_depth
-
-    # ------------------------------------------------------------------
-    # Data movement.
-    # ------------------------------------------------------------------
-
-    def accept_from(self, neighbor: int, item: InTransit, vc: int = 0) -> None:
-        """Take one message arriving over the link from ``neighbor``.
-
-        The *sending* router's ``forwarded`` counter is maintained by the
-        fabric at the move; accepting counts only the hop itself.  This
-        places traffic by hand (tests, deadlock scenarios): the fabric's
-        own moves append to their resolved buffers and report each hop
-        to the fabric's observer.
-        """
-        if not self.can_accept_from(neighbor, vc):
-            raise NetworkError(
-                f"router {self.node}: link buffer from {neighbor} vc{vc} is full"
-            )
-        item.hops += 1
-        self.in_buffers[(neighbor, vc)].append(item)
-        self.occupancy += 1
+        return len(self.injection) < INJECTION_DEPTH
 
     def inject(self, item: InTransit) -> None:
         if not self.can_inject():
@@ -163,34 +125,3 @@ class Router:
         self.injection.append(item)
         self.occupancy += 1
         self.stats.injected += 1
-
-    def pending_sources(self) -> List[SourceKey]:
-        """Buffer keys with a message ready, in service order.
-
-        Link channels are served neighbor-major, channel-minor, before
-        the injection buffer (``None``) so network traffic drains ahead
-        of new load — the usual anti-livelock priority.
-        """
-        order: List[SourceKey] = [
-            key for key, buffer in self.in_buffers.items() if buffer
-        ]
-        if self.injection:
-            order.append(None)
-        return order
-
-    def _buffer(self, source: SourceKey) -> Deque[InTransit]:
-        if source is None:
-            return self.injection
-        if isinstance(source, int):
-            source = (source, 0)
-        return self.in_buffers[self._buffer_key(*source)]
-
-    def take(self, source: SourceKey) -> InTransit:
-        buffer = self._buffer(source)
-        if not buffer:
-            raise NetworkError(f"router {self.node}: buffer {source} is empty")
-        self.occupancy -= 1
-        return buffer.popleft()
-
-    def is_idle(self) -> bool:
-        return self.occupancy == 0

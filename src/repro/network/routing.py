@@ -28,8 +28,8 @@ Three policies cover the classic design points (the gem5/Garnet sweep
 the evaluation mirrors uses the same trio):
 
 * :class:`DimensionOrder` — deterministic minimal routing, one
-  candidate, one virtual channel.  Byte-identical to the pre-refactor
-  behaviour where each topology baked in its own ``next_hop``.
+  candidate, one virtual channel: the topology's closed-form
+  :meth:`~repro.network.topology.Topology.dimension_order_hop`.
 * :class:`AdaptiveRandom` — minimal-adaptive: every productive neighbor
   is a candidate, preferred by downstream buffer space, ties broken by
   a seeded RNG so runs stay reproducible.  No escape path — this policy
@@ -52,7 +52,7 @@ import random
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from repro.errors import RoutingError
-from repro.network.topology import Hypercube, Mesh2D, Topology, Torus2D
+from repro.network.topology import Topology, Torus2D
 
 #: One candidate output port: (next node, virtual channel).
 Port = Tuple[int, int]
@@ -130,11 +130,12 @@ class RoutingPolicy:
 
 
 class DimensionOrder(RoutingPolicy):
-    """Deterministic dimension-order routing; the pre-refactor behaviour.
+    """Deterministic dimension-order routing, by the topology's
+    :meth:`~repro.network.topology.Topology.dimension_order_hop`.
 
     * Mesh: correct X to the destination column, then Y.
     * Torus: same, but each axis steps in its shortest wrap direction
-      (ties break toward +1, exactly the legacy ``_step_toward``).
+      (ties break toward +1).
     * Hypercube: flip the lowest differing address bit.
 
     One candidate, virtual channel 0, ignoring congestion — a blocked
@@ -145,69 +146,10 @@ class DimensionOrder(RoutingPolicy):
     name = "dimension-order"
     num_vcs = 1
 
-    def next_hop(self, topology: Topology, node: int, destination: int) -> int:
-        """The single deterministic next node toward ``destination``."""
-        topology.check_node(node)
-        topology.check_node(destination)
-        if node == destination:
-            raise RoutingError(f"next_hop called at the destination {node}")
-        # Torus before Mesh: Torus2D subclasses Mesh2D.
-        if isinstance(topology, Torus2D):
-            return self._torus_hop(topology, node, destination)
-        if isinstance(topology, Mesh2D):
-            return self._mesh_hop(topology, node, destination)
-        if isinstance(topology, Hypercube):
-            return self._hypercube_hop(node, destination)
-        raise RoutingError(
-            f"dimension-order routing does not know {type(topology).__name__}"
-        )
-
-    # The per-topology hops take two distinct nodes that next_hop has
-    # checked, so they decode coordinates without checking again.
-
-    @staticmethod
-    def _mesh_hop(topology: Mesh2D, node: int, destination: int) -> int:
-        width = topology.width
-        x = node % width
-        dx = destination % width
-        if x < dx:
-            return node + 1
-        if x > dx:
-            return node - 1
-        # Same column: the lower id is the lower row.
-        return node + width if node < destination else node - width
-
-    @staticmethod
-    def _step_toward(position: int, target: int, size: int) -> int:
-        """One wrap-aware step along a torus axis; ties go forward (+1)."""
-        forward = (target - position) % size
-        backward = (position - target) % size
-        if forward == 0:
-            return position
-        if forward <= backward:
-            return (position + 1) % size
-        return (position - 1) % size
-
-    @classmethod
-    def _torus_hop(cls, topology: Torus2D, node: int, destination: int) -> int:
-        width = topology.width
-        y, x = divmod(node, width)
-        dy, dx = divmod(destination, width)
-        nx = cls._step_toward(x, dx, width)
-        if nx != x:
-            return node - x + nx
-        return cls._step_toward(y, dy, topology.height) * width + x
-
-    @staticmethod
-    def _hypercube_hop(node: int, destination: int) -> int:
-        diff = node ^ destination
-        lowest = diff & -diff
-        return node ^ lowest
-
     def static_route(
         self, topology: Topology, node: int, destination: int
     ) -> StaticRoute:
-        return ((), ((self.next_hop(topology, node, destination), 0),))
+        return ((), ((topology.dimension_order_hop(node, destination), 0),))
 
 
 class AdaptiveRandom(RoutingPolicy):
@@ -310,7 +252,6 @@ class EscapeVC(AdaptiveRandom):
 
     def __init__(self, seed: int = 0, dateline: bool = True) -> None:
         super().__init__(seed=seed)
-        self._escape = DimensionOrder()
         self.dateline = dateline
         if not dateline:
             self.num_vcs = 2
@@ -319,7 +260,7 @@ class EscapeVC(AdaptiveRandom):
     def _crosses_dateline(position: int, target: int, size: int) -> bool:
         """Whether the remaining ring leg still traverses the wrap link.
 
-        Travel direction matches :meth:`DimensionOrder._step_toward`
+        Travel direction matches :meth:`Torus2D.dimension_order_hop`
         (shortest way round, ties forward): moving forward the dateline
         is the ``size-1 -> 0`` link, crossed iff ``target < position``;
         moving backward it is ``0 -> size-1``, crossed iff
@@ -335,10 +276,10 @@ class EscapeVC(AdaptiveRandom):
         self, topology: Topology, node: int, destination: int
     ) -> Port:
         """The dimension-order escape candidate with its dateline channel."""
-        hop = self._escape.next_hop(topology, node, destination)
+        hop = topology.dimension_order_hop(node, destination)
         if not self.dateline or not isinstance(topology, Torus2D):
             return (hop, self.escape_vc)
-        # next_hop has checked both nodes: decode without checking.
+        # The hop has checked both nodes: decode without checking.
         width = topology.width
         y, x = divmod(node, width)
         dy, dx = divmod(destination, width)

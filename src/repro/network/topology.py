@@ -17,18 +17,17 @@ Three classic direct topologies are provided:
 
 Each computes :meth:`~Topology.minimal_neighbors` in closed form; the
 base class's distance search is the default for any other topology and
-the reference the closed forms are tested against.
-
-``next_hop`` / ``route`` remain as thin conveniences that delegate to
-the canonical :class:`~repro.network.routing.DimensionOrder` policy, so
-existing callers and tests read the same as before the routing layer
-became pluggable.
+the reference the closed forms are tested against.  Each also computes
+its :meth:`~Topology.dimension_order_hop`, the one next node that
+:class:`~repro.network.routing.DimensionOrder` and the escape channel of
+:class:`~repro.network.routing.EscapeVC` route by; any other topology
+has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Tuple
 
 from repro.errors import RoutingError
 
@@ -71,65 +70,21 @@ class Topology:
             )
         )
 
+    def dimension_order_hop(self, node: int, destination: int) -> int:
+        """The dimension-order next node from ``node`` toward a
+        different ``destination``: one of :meth:`minimal_neighbors`, the
+        one that corrects the lowest dimension not yet resolved.  Only
+        topologies with dimensions define it."""
+        raise RoutingError(
+            f"dimension-order routing does not know {type(self).__name__}"
+        )
+
     def check_node(self, node: int) -> int:
         if node < 0 or node >= self.n_nodes:
             raise RoutingError(
                 f"node {node} outside {self.describe()} of {self.n_nodes} nodes"
             )
         return node
-
-    def next_hop(self, node: int, destination: int) -> int:
-        """The dimension-order next node (legacy convenience).
-
-        Pluggable policies live in :mod:`repro.network.routing`; this
-        delegates to the canonical deterministic one.
-        """
-        return _dimension_order().next_hop(self, node, destination)
-
-    def route(
-        self, source: int, destination: int, max_hops: Optional[int] = None
-    ) -> List[int]:
-        """The full dimension-order route, endpoints included.
-
-        ``max_hops`` defaults to the topology's diameter — dimension-order
-        routes are minimal, so a longer walk is a routing bug, reported
-        with the topology named rather than after 10,000 silent hops.
-        """
-        self.check_node(source)
-        self.check_node(destination)
-        if max_hops is None:
-            max_hops = self.diameter()
-        policy = _dimension_order()
-        path = [source]
-        current = source
-        while current != destination:
-            current = policy.next_hop(self, current, destination)
-            path.append(current)
-            if len(path) - 1 > max_hops:
-                raise RoutingError(
-                    f"route {source}->{destination} exceeded {max_hops} hops "
-                    f"in {self.describe()}"
-                )
-        return path
-
-    def links(self) -> Iterable[Tuple[int, int]]:
-        """All directed links as (from, to) pairs."""
-        for node in range(self.n_nodes):
-            for neighbor in self.neighbors(node):
-                yield node, neighbor
-
-
-def _dimension_order():
-    """The shared DimensionOrder policy (lazy: routing imports topology)."""
-    from repro.network.routing import DimensionOrder
-
-    global _DIMENSION_ORDER
-    if _DIMENSION_ORDER is None:
-        _DIMENSION_ORDER = DimensionOrder()
-    return _DIMENSION_ORDER
-
-
-_DIMENSION_ORDER = None
 
 
 @dataclass
@@ -204,6 +159,22 @@ class Mesh2D(Topology):
             steps.append(node + width)
         return tuple(steps)
 
+    def dimension_order_hop(self, node: int, destination: int) -> int:
+        # X, then Y.
+        self.check_node(node)
+        self.check_node(destination)
+        if node == destination:
+            raise RoutingError(f"no dimension-order hop at the destination {node}")
+        width = self.width
+        x = node % width
+        dx = destination % width
+        if x < dx:
+            return node + 1
+        if x > dx:
+            return node - 1
+        # Same column: the lower id is the lower row.
+        return node + width if node < destination else node - width
+
 
 @dataclass
 class Torus2D(Mesh2D):
@@ -240,7 +211,8 @@ class Torus2D(Mesh2D):
     @staticmethod
     def _ring_steps(position: int, target: int, size: int) -> Tuple[int, ...]:
         """Positions one step the shorter way round a ring toward
-        ``target``: both ways at a half-ring tie, none when there."""
+        ``target``: both ways at a half-ring tie (backward, then
+        forward), none when there."""
         forward = (target - position) % size
         if forward == 0:
             return ()
@@ -265,6 +237,20 @@ class Torus2D(Mesh2D):
         for ny in self._ring_steps(y, dy, self.height):
             steps.add(ny * width + x)
         return tuple(sorted(steps))
+
+    def dimension_order_hop(self, node: int, destination: int) -> int:
+        # The X ring, then the Y ring; a ring's last step is the forward
+        # one at a half-ring tie.
+        self.check_node(node)
+        self.check_node(destination)
+        if node == destination:
+            raise RoutingError(f"no dimension-order hop at the destination {node}")
+        width = self.width
+        y, x = divmod(node, width)
+        dy, dx = divmod(destination, width)
+        if x != dx:
+            return node - x + self._ring_steps(x, dx, width)[-1]
+        return self._ring_steps(y, dy, self.height)[-1] * width + x
 
 
 @dataclass
@@ -317,6 +303,15 @@ class Hypercube(Topology):
             flips.append(node ^ bit)
             differ ^= bit
         return tuple(sorted(flips))
+
+    def dimension_order_hop(self, node: int, destination: int) -> int:
+        # Flip the lowest differing address bit.
+        self.check_node(node)
+        self.check_node(destination)
+        if node == destination:
+            raise RoutingError(f"no dimension-order hop at the destination {node}")
+        differ = node ^ destination
+        return node ^ (differ & -differ)
 
 
 def build_topology(kind: str, n_nodes: int) -> Topology:

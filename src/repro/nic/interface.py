@@ -218,9 +218,6 @@ class NetworkInterface:
         """
         self.tenant_scheduler = scheduler
 
-    def detach_tenant_scheduler(self) -> None:
-        self.tenant_scheduler = None
-
     def set_tenant_cap(self, cap: Optional[int]) -> None:
         """Cap any one tenant's occupancy of the shared input queue.
 

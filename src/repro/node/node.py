@@ -76,10 +76,6 @@ class Node:
         self.inlets[ip] = fn
         return ip
 
-    def register_handler(self, mtype: int, handler: Handler) -> None:
-        """Install or replace the handler for a message type."""
-        self.handlers[mtype] = handler
-
     def register_escape_handler(self, escape_id: int, handler: Handler) -> None:
         """Install a handler for a rare message kind (Section 2.2.1).
 

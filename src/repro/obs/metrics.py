@@ -272,10 +272,6 @@ class MetricsRecorder(Observer):
             return event.cycle
         return None
 
-    def summaries(self) -> Dict[str, Dict[str, float]]:
-        """Per-series aggregate statistics."""
-        return {name: series.summary() for name, series in self.series.items()}
-
     def to_dict(self, include_samples: bool = True) -> Dict[str, Any]:
         """The whole recording as plain JSON types (artifact body)."""
         out: Dict[str, Any] = {

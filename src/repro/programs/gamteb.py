@@ -68,14 +68,6 @@ LCG_ADD = 12345
 LCG_MOD = 2**31
 
 
-def scatter_sigma(group: int) -> float:
-    return 0.5 + 0.04 * group
-
-
-def absorb_sigma(group: int) -> float:
-    return 0.2 + 0.02 * (GROUPS - group)
-
-
 # ---------------------------------------------------------------------------
 # The photon codeblock.
 # ---------------------------------------------------------------------------

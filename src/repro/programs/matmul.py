@@ -57,14 +57,6 @@ BLOCK = 4
 BLOCK_ELEMS = BLOCK * BLOCK
 
 
-def a_value(i: int, j: int) -> float:
-    return 0.5 * i + 0.25 * j + 1.0
-
-
-def b_value(i: int, j: int) -> float:
-    return 0.125 * i - 0.0625 * j + 2.0
-
-
 def reference_matrices(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The NumPy ground truth for an n×n run."""
     i = np.arange(n).reshape(-1, 1)

@@ -392,9 +392,6 @@ class _Emitter:
         self.namespace[name] = value
         return name
 
-    def in_range(self, slot) -> bool:
-        return not isinstance(slot, Imm) and 0 <= slot < self.frame_size
-
     def slot_expr(self, slot: int) -> str:
         return f"f[{SLOT_BASE + slot}]"
 

@@ -43,8 +43,8 @@ def make_fabric(routing, **kwargs) -> Fabric:
 
 def place_ring(fabric: Fabric, vc: int = 0) -> None:
     for router_node, from_node, dest in RING:
-        fabric.routers[router_node].accept_from(
-            from_node, InTransit(msg(dest), injected_at=0), vc
+        fabric.place(
+            router_node, InTransit(msg(dest), injected_at=0), neighbor=from_node, vc=vc
         )
 
 
@@ -88,8 +88,8 @@ class TestFindDeadlock:
             serialization_cycles=1,
             routing=AdaptiveRandom(seed=0),
         )
-        fabric.routers[1].accept_from(0, InTransit(msg(3), injected_at=0))
-        fabric.routers[2].accept_from(1, InTransit(msg(3), injected_at=0))
+        fabric.place(1, InTransit(msg(3), injected_at=0), neighbor=0)
+        fabric.place(2, InTransit(msg(3), injected_at=0), neighbor=1)
         assert fabric.find_deadlock() is None
         assert "deadlock" not in fabric.snapshot()
 
@@ -97,7 +97,7 @@ class TestFindDeadlock:
         # A full buffer whose head is at its destination waits on the
         # endpoint, which backpressure resolves — never a routing deadlock.
         fabric = make_fabric(AdaptiveRandom(seed=0))
-        fabric.routers[1].accept_from(0, InTransit(msg(1), injected_at=0))
+        fabric.place(1, InTransit(msg(1), injected_at=0), neighbor=0)
         assert fabric.find_deadlock() is None
 
     def test_empty_fabric_has_no_deadlock(self):
@@ -117,7 +117,7 @@ class TestDetectorIsPure:
             serialization_cycles=1,
             routing=policy,
         )
-        fabric.routers[4].accept_from(3, InTransit(msg(8), injected_at=0))
+        fabric.place(4, InTransit(msg(8), injected_at=0), neighbor=3)
         state = policy._rng.getstate()
         assert fabric.find_deadlock() is None
         assert "deadlock" not in fabric.snapshot()
@@ -188,10 +188,11 @@ class TestTorusDateline:
         # hops, so its only productive neighbor is the next full router.
         for node in range(8):
             for vc in (0, 1):
-                fabric.routers[node].accept_from(
-                    (node - 1) % 8,
+                fabric.place(
+                    node,
                     InTransit(msg((node + 3) % 8, tag=vc), injected_at=0),
-                    vc,
+                    neighbor=(node - 1) % 8,
+                    vc=vc,
                 )
         return fabric
 

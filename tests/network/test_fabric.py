@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetworkError, RoutingError
 from repro.network.fabric import Fabric
-from repro.network.router import InTransit, Router
+from repro.network.router import INJECTION_DEPTH, InTransit
 from repro.network.topology import Mesh2D
 from repro.nic.messages import Message, pack_destination
 
@@ -14,45 +14,58 @@ def msg(dest: int, tag: int = 0) -> Message:
 
 
 class TestRouter:
-    def make(self) -> Router:
-        return Router(0, neighbors=(1, 2), link_buffer_depth=2)
+    """Router buffers, filled by hand through ``Fabric.place``."""
 
-    def test_accept_and_take(self):
-        router = self.make()
-        router.accept_from(1, InTransit(msg(0), 0))
-        assert router.occupancy == 1
-        item = router.take(1)
+    def make(self) -> Fabric:
+        # Node 0 of a 2x2 mesh has links from nodes 1 and 2 only.
+        return Fabric(Mesh2D(2, 2), link_buffer_depth=2)
+
+    def test_placement_counts_one_hop(self):
+        fabric = self.make()
+        item = InTransit(msg(0), 0)
+        fabric.place(0, item, neighbor=1)
+        router = fabric.routers[0]
         assert item.hops == 1
+        assert router.occupancy == 1
+        assert router.in_buffers[(1, 0)][0] is item
+        assert fabric.routers[1].stats.forwarded == 0
 
     def test_link_buffer_bounded(self):
-        router = self.make()
-        router.accept_from(1, InTransit(msg(0), 0))
-        router.accept_from(1, InTransit(msg(0), 0))
-        assert not router.can_accept_from(1)
-        with pytest.raises(NetworkError):
-            router.accept_from(1, InTransit(msg(0), 0))
+        fabric = self.make()
+        fabric.place(0, InTransit(msg(0), 0), neighbor=1)
+        fabric.place(0, InTransit(msg(0), 0), neighbor=1)
+        with pytest.raises(NetworkError, match="link buffer from 1 vc0 is full"):
+            fabric.place(0, InTransit(msg(0), 0), neighbor=1)
+        assert fabric.routers[0].occupancy == 2
 
     def test_unknown_link_rejected(self):
-        with pytest.raises(NetworkError):
-            self.make().can_accept_from(9)
+        fabric = self.make()
+        # Diagonal, outside the mesh either way, and a channel the
+        # one-VC fabric does not have.
+        for neighbor, vc in ((3, 0), (9, 0), (-1, 0), (1, 1)):
+            with pytest.raises(NetworkError, match="has no link"):
+                fabric.place(0, InTransit(msg(0), 0), neighbor=neighbor, vc=vc)
+        assert fabric.in_flight() == 0
 
     def test_injection_bounded(self):
-        router = Router(0, neighbors=(), injection_depth=1)
-        router.inject(InTransit(msg(0), 0))
-        with pytest.raises(NetworkError):
-            router.inject(InTransit(msg(0), 0))
+        fabric = self.make()
+        for _ in range(INJECTION_DEPTH):
+            fabric.place(0, InTransit(msg(0), 0))
+        with pytest.raises(NetworkError, match="injection buffer full"):
+            fabric.place(0, InTransit(msg(0), 0))
+        router = fabric.routers[0]
+        assert router.stats.injected == router.occupancy == INJECTION_DEPTH
 
     def test_links_served_before_injection(self):
-        router = self.make()
-        router.inject(InTransit(msg(0), 0))
-        router.accept_from(2, InTransit(msg(0), 0))
-        order = router.pending_sources()
-        assert order[-1] is None
-        assert (2, 0) in order
-
-    def test_empty_take_rejected(self):
-        with pytest.raises(NetworkError):
-            self.make().take(1)
+        fabric = self.make()
+        router = fabric.routers[0]
+        assert router.service_order[-1] is router.injection
+        # Both heads want node 0's one ejection port: the link's wins.
+        fabric.place(0, InTransit(msg(0, tag=1), 0))
+        fabric.place(0, InTransit(msg(0, tag=2), 0), neighbor=2)
+        fabric.step()
+        assert fabric.interface(0).read_input(1) == 2
+        assert len(router.injection) == 1
 
 
 class TestFabricDelivery:

@@ -68,9 +68,9 @@ class TestConservation:
             ni = fabric.interface(source)
             ni.write_output(0, pack_destination(dest))
             ni.send(2)
-            # Deterministic routing: distance + 1 ejection hop... the
-            # router counts each accept_from as a hop; ejection is not a
-            # hop, injection is not a hop.
+            # Dimension-order routes are minimal: each link move is one
+            # hop, injection and ejection are none, so a message makes
+            # exactly its distance in hops.
             expected_hops += topology.distance(source, dest)
         for _ in range(5000):
             fabric.step()

@@ -46,8 +46,8 @@ class TestCreditSnapshot:
         fabric = self.make()
         # Router 1 already holds a message from node 2 (its from-2 buffer
         # is full); router 2 holds another, wanting that same buffer.
-        fabric.routers[1].accept_from(2, InTransit(msg(0), 0))
-        fabric.routers[2].inject(InTransit(msg(0), 0))
+        fabric.place(1, InTransit(msg(0), 0), neighbor=2)
+        fabric.place(2, InTransit(msg(0), 0))
         fabric.step()
         # The first message moved 1 -> 0, freeing the from-2 buffer, but
         # the credit snapshot was taken before any move: the second
@@ -66,8 +66,8 @@ class TestCreditSnapshot:
         # router (1) is iterated *after* the upstream one... the upstream
         # message must be blocked identically in both orientations.
         fabric = self.make()
-        fabric.routers[1].accept_from(0, InTransit(msg(2), 0))
-        fabric.routers[0].inject(InTransit(msg(2), 0))
+        fabric.place(1, InTransit(msg(2), 0), neighbor=0)
+        fabric.place(0, InTransit(msg(2), 0))
         fabric.step()
         assert fabric.routers[0].occupancy == 1
         assert fabric.routers[0].stats.blocked_moves == 1

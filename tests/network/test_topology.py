@@ -1,6 +1,5 @@
 """Tests for topologies and deterministic routing."""
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +8,31 @@ from repro.errors import RoutingError
 from repro.network.topology import Hypercube, Mesh2D, Torus2D, build_topology
 
 
-def to_networkx(topology):
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(topology.n_nodes))
-    graph.add_edges_from(topology.links())
-    return graph
+def hop_counts(topology, source):
+    """Shortest-path hop count from ``source`` to every node: a
+    breadth-first search over ``neighbors()``."""
+    counts = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for node in frontier:
+            for neighbor in topology.neighbors(node):
+                if neighbor not in counts:
+                    counts[neighbor] = counts[node] + 1
+                    reached.append(neighbor)
+        frontier = reached
+    return counts
+
+
+def route(topology, source, destination):
+    """The dimension-order route, endpoints included, stepped with
+    ``dimension_order_hop``; it is minimal, so never longer than the
+    diameter."""
+    path = [source]
+    while path[-1] != destination:
+        path.append(topology.dimension_order_hop(path[-1], destination))
+        assert len(path) - 1 <= topology.diameter()
+    return path
 
 
 class TestMesh2D:
@@ -35,14 +54,14 @@ class TestMesh2D:
     def test_dimension_order_route(self):
         mesh = Mesh2D(4, 4)
         # X first, then Y.
-        assert mesh.route(0, 10) == [0, 1, 2, 6, 10]
+        assert route(mesh, 0, 10) == [0, 1, 2, 6, 10]
 
     def test_distance_is_manhattan(self):
         mesh = Mesh2D(5, 5)
         assert mesh.distance(0, 24) == 8
 
     def test_route_to_self(self):
-        assert Mesh2D(2, 2).route(3, 3) == [3]
+        assert route(Mesh2D(2, 2), 3, 3) == [3]
 
     def test_invalid_dimensions(self):
         with pytest.raises(RoutingError):
@@ -50,11 +69,11 @@ class TestMesh2D:
 
     def test_out_of_range_node(self):
         with pytest.raises(RoutingError):
-            Mesh2D(2, 2).route(0, 9)
+            Mesh2D(2, 2).dimension_order_hop(0, 9)
 
     def test_next_hop_at_destination_rejected(self):
         with pytest.raises(RoutingError):
-            Mesh2D(2, 2).next_hop(1, 1)
+            Mesh2D(2, 2).dimension_order_hop(1, 1)
 
     @given(
         src=st.integers(min_value=0, max_value=15),
@@ -62,14 +81,13 @@ class TestMesh2D:
     )
     def test_route_matches_shortest_path_length(self, src, dst):
         mesh = Mesh2D(4, 4)
-        graph = to_networkx(mesh)
-        expected = nx.shortest_path_length(graph, src, dst)
-        assert mesh.distance(src, dst) == expected
+        assert mesh.distance(src, dst) == hop_counts(mesh, src)[dst]
 
     def test_links_are_bidirectional(self):
         mesh = Mesh2D(3, 3)
-        links = set(mesh.links())
-        assert all((b, a) in links for a, b in links)
+        for node in range(mesh.n_nodes):
+            for neighbor in mesh.neighbors(node):
+                assert node in mesh.neighbors(neighbor)
 
 
 class TestTorus2D:
@@ -89,8 +107,7 @@ class TestTorus2D:
     )
     def test_route_minimal(self, src, dst):
         torus = Torus2D(4, 4)
-        graph = to_networkx(torus)
-        assert torus.distance(src, dst) == nx.shortest_path_length(graph, src, dst)
+        assert torus.distance(src, dst) == hop_counts(torus, src)[dst]
 
     def test_small_torus_degenerate(self):
         torus = Torus2D(2, 2)
@@ -103,28 +120,28 @@ class TestTorus2D:
         assert set(torus.neighbors(0)) == {1, 2}
 
     def test_equidistant_tie_steps_forward(self):
-        # Width 4, 0 -> 2: both directions are two hops; the legacy
-        # tie-break goes +1, never the wraparound.
+        # Width 4, 0 -> 2: both directions are two hops; the tie-break
+        # goes +1, never the wraparound.
         torus = Torus2D(4, 1)
-        assert torus.next_hop(0, 2) == 1
-        assert torus.route(0, 2) == [0, 1, 2]
+        assert torus.dimension_order_hop(0, 2) == 1
+        assert route(torus, 0, 2) == [0, 1, 2]
 
     def test_just_past_halfway_wraps(self):
         torus = Torus2D(5, 1)
         # 0 -> 3 is two hops backward through the wraparound, three forward.
         assert torus.distance(0, 3) == 2
-        assert torus.route(0, 3) == [0, 4, 3]
+        assert route(torus, 0, 3) == [0, 4, 3]
 
     def test_single_row_torus_is_a_ring(self):
         torus = Torus2D(8, 1)
         assert set(torus.neighbors(0)) == {1, 7}
-        assert torus.route(0, 7) == [0, 7]
+        assert route(torus, 0, 7) == [0, 7]
         assert torus.diameter() == 4
 
     def test_single_column_torus_is_a_ring(self):
         torus = Torus2D(1, 8)
         assert set(torus.neighbors(0)) == {1, 7}
-        assert torus.route(0, 5) == [0, 7, 6, 5]
+        assert route(torus, 0, 5) == [0, 7, 6, 5]
 
     def test_diameter_is_half_each_axis(self):
         assert Torus2D(4, 4).diameter() == 4
@@ -146,7 +163,7 @@ class TestHypercube:
 
     def test_route_flips_lowest_bit_first(self):
         cube = Hypercube(3)
-        assert cube.route(0b000, 0b101) == [0b000, 0b001, 0b101]
+        assert route(cube, 0b000, 0b101) == [0b000, 0b001, 0b101]
 
     @given(
         src=st.integers(min_value=0, max_value=31),
@@ -192,11 +209,7 @@ class TestDiagnostics:
         # Dimension-order routes are minimal, so the diameter bound is
         # never hit on a healthy topology — even corner to corner.
         mesh = Mesh2D(8, 8)
-        assert len(mesh.route(0, 63)) - 1 == mesh.diameter()
-
-    def test_route_reports_exceeded_hop_budget(self):
-        with pytest.raises(RoutingError, match=r"exceeded 2 hops in Mesh2D 4x4"):
-            Mesh2D(4, 4).route(0, 15, max_hops=2)
+        assert len(route(mesh, 0, 63)) - 1 == mesh.diameter()
 
     def test_diameters(self):
         assert Mesh2D(8, 8).diameter() == 14

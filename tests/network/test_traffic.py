@@ -120,9 +120,10 @@ class TestCensoredAges:
 
         fabric = Fabric(Mesh2D(2, 2), serialization_cycles=1)
         # One message inside a router (stamped at injection)...
-        fabric.routers[1].accept_from(
-            0, InTransit(Message(3, (pack_destination(3), 0, 0, 0, 0)),
-                         injected_at=5)
+        fabric.place(
+            1,
+            InTransit(Message(3, (pack_destination(3), 0, 0, 0, 0)), injected_at=5),
+            neighbor=0,
         )
         # ...and one still in an output queue (cycle stamp in word 1).
         ni = fabric.interfaces[2]
