@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.impls.base import BASIC_ON_CHIP, OPTIMIZED_ON_CHIP, InterfaceModel
 from repro.nic.messages import MESSAGE_WORDS
-from repro.nic.mmio import REGISTER_NAMES
+from repro.nic.interface import REGISTER_NAMES
 from repro.nic.queues import DEFAULT_CAPACITY
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.impls.base import BASIC_REGISTER, OPTIMIZED_REGISTER, InterfaceModel
-from repro.isa.registers import NI_REGISTERS
+from repro.nic.interface import REGISTER_NAMES
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ RIDER_BITS = 7
 """SEND mode (2) + type (4) + NEXT (1): 'these commands ... take up only
 seven bits' (Section 3)."""
 
-MAPPED_REGISTERS = tuple(NI_REGISTERS)
+MAPPED_REGISTERS = REGISTER_NAMES
 """The architectural names occupying register-file slots."""
 
 

@@ -16,6 +16,13 @@ The machine is configured with a *placement* (paper Section 3):
 * ``REGISTER`` — interface registers are general registers; any instruction
   may name them and any triadic instruction may carry riders; NILOAD /
   NISTORE are rejected because there is nothing to memory-map.
+
+Either way the registers are the interface's own
+(:meth:`~repro.nic.interface.NetworkInterface.read_register` /
+:meth:`~repro.nic.interface.NetworkInterface.write_register`); the
+placements differ only in that a write to a read-only register is a
+:class:`~repro.errors.MachineError` in the register file and ignored
+through the address decoder.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ class Machine:
                     f"{name} is not a general register under the "
                     f"{self.placement.value} placement; use NILOAD"
                 )
-            return self._read_ni(name)
+            return self.interface.read_register(name)
         return self.registers.read(name)
 
     def write_reg(self, name: str, value: int) -> None:
@@ -130,41 +137,10 @@ class Machine:
                     f"{name} is not a general register under the "
                     f"{self.placement.value} placement; use NISTORE"
                 )
-            self._write_ni(name, value)
+            if not self.interface.write_register(name, value):
+                raise MachineError(f"interface register {name} is read-only")
             return
         self.registers.write(name, value)
-
-    def _read_ni(self, name: str) -> int:
-        ni = self.interface
-        if name.startswith("i"):
-            return ni.read_input(int(name[1]))
-        if name.startswith("o"):
-            return ni.read_output(int(name[1]))
-        if name == "STATUS":
-            return ni.status.word
-        if name == "CONTROL":
-            return ni.control.word
-        if name == "MsgIp":
-            return ni.msg_ip
-        if name == "NextMsgIp":
-            return ni.next_msg_ip
-        if name == "IpBase":
-            return ni.ip_base
-        raise MachineError(f"unreadable interface register {name}")
-
-    def _write_ni(self, name: str, value: int) -> None:
-        ni = self.interface
-        if name.startswith("o"):
-            ni.write_output(int(name[1]), value)
-        elif name == "CONTROL":
-            ni.control.word = value
-        elif name == "IpBase":
-            ni.ip_base = value
-        elif name == "STATUS":
-            if value == 0:
-                ni.status.clear_exceptions()
-        else:
-            raise MachineError(f"interface register {name} is read-only")
 
     # ------------------------------------------------------------------
     # Execution.

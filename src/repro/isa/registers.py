@@ -3,8 +3,8 @@
 The model keeps the 88100's shape — thirty-two 32-bit general registers
 with ``r0`` hard-wired to zero — plus, in the register-file-mapped
 implementation (paper Section 3.3), the fifteen interface registers mapped
-into the register file under their architectural names (``o0..o4``,
-``i0..i4``, ``STATUS``, ``CONTROL``, ``MsgIp``, ``NextMsgIp``, ``IpBase``).
+into the register file under their architectural names
+(:data:`repro.nic.interface.REGISTER_NAMES`).
 
 General registers are referred to symbolically throughout the handler
 kernels (``a`` for an address, ``fp`` for a frame pointer, ...); symbolic
@@ -17,13 +17,11 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import MachineError
+from repro.nic.interface import REGISTER_NAMES
 
 GENERAL_REGISTERS = tuple(f"r{i}" for i in range(32))
 
-NI_INPUT_REGISTERS = ("i0", "i1", "i2", "i3", "i4")
-NI_OUTPUT_REGISTERS = ("o0", "o1", "o2", "o3", "o4")
-NI_SPECIAL_REGISTERS = ("STATUS", "CONTROL", "MsgIp", "NextMsgIp", "IpBase")
-NI_REGISTERS = NI_INPUT_REGISTERS + NI_OUTPUT_REGISTERS + NI_SPECIAL_REGISTERS
+_NI_REGISTERS = frozenset(REGISTER_NAMES)
 
 # The symbolic scratch names the handler kernels use, pinned to concrete
 # general registers.  r1 is reserved as the subroutine return pointer on
@@ -61,7 +59,7 @@ SYMBOLIC_ASSIGNMENT: Dict[str, str] = {
 
 def is_ni_register(name: str) -> bool:
     """Whether ``name`` is one of the fifteen interface registers."""
-    return name in NI_REGISTERS
+    return name in _NI_REGISTERS
 
 
 def resolve(name: str) -> str:
@@ -70,7 +68,7 @@ def resolve(name: str) -> str:
     Interface registers and ``rN`` names resolve to themselves; symbolic
     scratch names resolve through :data:`SYMBOLIC_ASSIGNMENT`.
     """
-    if name in NI_REGISTERS or name in GENERAL_REGISTERS:
+    if name in _NI_REGISTERS or name in GENERAL_REGISTERS:
         return name
     try:
         return SYMBOLIC_ASSIGNMENT[name]

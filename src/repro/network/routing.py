@@ -256,22 +256,6 @@ class EscapeVC(AdaptiveRandom):
         if not dateline:
             self.num_vcs = 2
 
-    @staticmethod
-    def _crosses_dateline(position: int, target: int, size: int) -> bool:
-        """Whether the remaining ring leg still traverses the wrap link.
-
-        Travel direction matches :meth:`Torus2D.dimension_order_hop`
-        (shortest way round, ties forward): moving forward the dateline
-        is the ``size-1 -> 0`` link, crossed iff ``target < position``;
-        moving backward it is ``0 -> size-1``, crossed iff
-        ``target > position``.
-        """
-        forward = (target - position) % size
-        backward = (position - target) % size
-        if forward <= backward:
-            return target < position
-        return target > position
-
     def _escape_port(
         self, topology: Topology, node: int, destination: int
     ) -> Port:
@@ -284,9 +268,16 @@ class EscapeVC(AdaptiveRandom):
         y, x = divmod(node, width)
         dy, dx = divmod(destination, width)
         if hop % width != x:  # routing the X ring
-            crosses = self._crosses_dateline(x, dx, width)
+            position, target, size, step = x, dx, width, hop % width
         else:  # X done; routing the Y ring
-            crosses = self._crosses_dateline(y, dy, topology.height)
+            position, target, size, step = y, dy, topology.height, hop // width
+        # Whether the rest of the leg crosses the ring's wrap link, in the
+        # direction the hop takes: forward (the +1 neighbour) the dateline
+        # is the size-1 -> 0 link, backward it is 0 -> size-1.
+        if step == (position + 1) % size:
+            crosses = target < position
+        else:
+            crosses = target > position
         return (hop, self.escape_vc if crosses else self.dateline_vc)
 
     def static_route(

@@ -19,6 +19,13 @@ whenever the input registers are empty, so the oldest arrived message is
 always visible to polling software and to the ``MsgIp`` computation without
 a priming ``NEXT``.
 
+The interface owns its register file.  ``STATUS`` stores only the bits
+written to it and computes the rest from the queues and input registers
+when read; ``CONTROL`` sets the queues' almost-full thresholds when
+written.  Every placement reaches the fifteen registers
+(:data:`REGISTER_NAMES`) through :meth:`NetworkInterface.read_register` /
+:meth:`NetworkInterface.write_register`.
+
 Timing is deliberately absent from this model — the per-placement cycle
 costs live in :mod:`repro.impls` and the clocked model in
 :mod:`repro.nic.rtl`.  This class defines *what* the interface does; those
@@ -32,13 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol
 
 from repro.errors import MessageFormatError, QueueOverflowError, ReservedTypeError
-from repro.nic.control import (
-    CONTROL_LAYOUT,
-    STATUS_LAYOUT,
-    ControlRegister,
-    SendFullPolicy,
-    StatusRegister,
-)
+from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
 from repro.nic.dispatch import DispatchConditions, DispatchUnit, describe_dispatch
 from repro.nic.messages import (
     MESSAGE_WORDS,
@@ -48,7 +49,7 @@ from repro.nic.messages import (
 )
 from repro.nic.queues import DEFAULT_CAPACITY, MessageQueue
 from repro.obs.observer import Observer, observer_of
-from repro.utils.bitfield import WORD_MASK, to_word
+from repro.utils.bitfield import to_word
 
 
 def _zero_clock() -> int:
@@ -102,26 +103,17 @@ class SendResult(enum.Enum):
 REPLY_SUBSTITUTION = {0: 1, 1: 2}
 FORWARD_SUBSTITUTION = {2: 2, 3: 3, 4: 4}
 
-# Shifts and masks of the fields _refresh_status reads and writes, taken
-# from the register layouts (still the one source of the bit layout) so
-# the refresh is plain integer arithmetic and a single STATUS write.
-def _shift_and_max(layout, name):
-    bits = layout.field(name)
-    return bits.shift, bits.max_value
-
-
-_IQ_LEN_SHIFT, _IQ_LEN_MAX = _shift_and_max(STATUS_LAYOUT, "iq_len")
-_OQ_LEN_SHIFT, _OQ_LEN_MAX = _shift_and_max(STATUS_LAYOUT, "oq_len")
-_MSG_TYPE_SHIFT = STATUS_LAYOUT.field("msg_type").shift
-_MSG_VALID = STATUS_LAYOUT.field("msg_valid").field_mask
-_IAFULL = STATUS_LAYOUT.field("iafull").field_mask
-_OAFULL = STATUS_LAYOUT.field("oafull").field_mask
-_KEPT_BITS = WORD_MASK & ~sum(
-    STATUS_LAYOUT.field(name).field_mask
-    for name in ("msg_valid", "msg_type", "iq_len", "oq_len", "iafull", "oafull")
+#: The fifteen interface registers of Figure 1, in the register-number
+#: order the Figure 9 address bits select them by.  Every placement names
+#: them from here and reaches them through
+#: :meth:`NetworkInterface.read_register` / :meth:`~NetworkInterface.write_register`.
+REGISTER_NAMES = (
+    "o0", "o1", "o2", "o3", "o4",
+    "i0", "i1", "i2", "i3", "i4",
+    "STATUS", "CONTROL", "MsgIp", "NextMsgIp", "IpBase",
 )
-_IQ_THRESHOLD_SHIFT, _IQ_THRESHOLD_MAX = _shift_and_max(CONTROL_LAYOUT, "iq_threshold")
-_OQ_THRESHOLD_SHIFT, _OQ_THRESHOLD_MAX = _shift_and_max(CONTROL_LAYOUT, "oq_threshold")
+_OUTPUT_NAMES = REGISTER_NAMES[:MESSAGE_WORDS]
+_INPUT_NAMES = REGISTER_NAMES[MESSAGE_WORDS : 2 * MESSAGE_WORDS]
 
 
 @dataclass
@@ -152,10 +144,9 @@ class NetworkInterface:
         needed by handler conventions and reporting.
     input_capacity, output_capacity:
         Queue depths in messages (default 16, Section 3.2).
-    accept_hook:
-        Optional callback invoked with each privileged or PIN-mismatched
-        message instead of queueing it (Section 2.1.3); when absent such
-        messages go to :attr:`privileged_store`.
+
+    Privileged and PIN-mismatched messages (Section 2.1.3) go to
+    :attr:`privileged_store` unless a tenant scheduler is attached.
     """
 
     def __init__(
@@ -163,27 +154,21 @@ class NetworkInterface:
         node: int = 0,
         input_capacity: int = DEFAULT_CAPACITY,
         output_capacity: int = DEFAULT_CAPACITY,
-        accept_hook: Optional[Callable[[Message], None]] = None,
     ) -> None:
         self.node = node
-        self.status = StatusRegister()
-        self.control = ControlRegister()
+        self.input_queue = MessageQueue(f"node{node}.iq", capacity=input_capacity)
+        self.output_queue = MessageQueue(f"node{node}.oq", capacity=output_capacity)
+        # STATUS reads the queues and the input registers; CONTROL sets
+        # the queues' almost-full thresholds.
+        self.status = StatusRegister(self)
+        self.control = ControlRegister(
+            queues=(self.input_queue, self.output_queue)
+        )
         self.dispatch = DispatchUnit()
-        self.input_queue = MessageQueue(
-            f"node{node}.iq",
-            capacity=input_capacity,
-            threshold=self.control["iq_threshold"],
-        )
-        self.output_queue = MessageQueue(
-            f"node{node}.oq",
-            capacity=output_capacity,
-            threshold=self.control["oq_threshold"],
-        )
         self.output_registers: List[int] = [0] * MESSAGE_WORDS
         self._current: Optional[Message] = None
         self.stats = InterfaceStats()
         self.privileged_store: List[Message] = []
-        self._accept_hook = accept_hook
         # The pluggable receive-side scheduler (Section 2.1.3 generalised):
         # when attached it observes every diverted delivery with the
         # divert reason and owns redelivery; see repro.tenancy.
@@ -196,7 +181,6 @@ class NetworkInterface:
         # One identity check per event site while nothing is attached.
         self.observer: Optional[Observer] = None
         self._clock: Callable[[], int] = _zero_clock
-        self._refresh_status()
 
     def attach(
         self, observer: Observer, clock: Optional[Callable[[], int]] = None
@@ -213,7 +197,7 @@ class NetworkInterface:
         """Install the receive-side scheduler (Section 2.1.3, pluggable).
 
         Every diverted delivery is handed to ``scheduler.on_divert`` with
-        its reason instead of the legacy accept hook / privileged store.
+        its reason instead of going to the privileged store.
         One scheduler per interface; attaching replaces any previous one.
         """
         self.tenant_scheduler = scheduler
@@ -279,6 +263,48 @@ class NetworkInterface:
         if index < 0 or index >= MESSAGE_WORDS:
             raise MessageFormatError(f"no output register o{index}")
         return self.output_registers[index]
+
+    def read_register(self, name: str) -> int:
+        """Read interface register ``name``, one of :data:`REGISTER_NAMES`."""
+        if name == "STATUS":
+            return self.status.word
+        if name == "CONTROL":
+            return self.control.word
+        if name == "MsgIp":
+            return self.msg_ip
+        if name == "NextMsgIp":
+            return self.next_msg_ip
+        if name == "IpBase":
+            return self.ip_base
+        if name in _OUTPUT_NAMES:
+            return self.output_registers[int(name[1])]
+        if name in _INPUT_NAMES:
+            return self.read_input(int(name[1]))
+        raise MessageFormatError(f"no interface register {name!r}")
+
+    def write_register(self, name: str, value: int) -> bool:
+        """Write interface register ``name``; False if it is read-only.
+
+        STATUS is hardware-maintained: writing 0 clears its exception
+        bits (the exception handler's acknowledgement) and any other
+        value is ignored.  A write to an input or dispatch register
+        changes nothing and returns False; each placement decides
+        whether that traps.
+        """
+        if name == "CONTROL":
+            self.control.word = value
+        elif name == "IpBase":
+            self.ip_base = value
+        elif name == "STATUS":
+            if value == 0:
+                self.status.clear_exceptions()
+        elif name in _OUTPUT_NAMES:
+            self.write_output(int(name[1]), value)
+        elif name in REGISTER_NAMES:
+            return False
+        else:
+            raise MessageFormatError(f"no interface register {name!r}")
+        return True
 
     @property
     def current_message(self) -> Optional[Message]:
@@ -372,7 +398,6 @@ class NetworkInterface:
         if self.output_queue.is_full:
             if self.control.full_policy is SendFullPolicy.EXCEPTION:
                 self.status.raise_exception("exc_output_overflow")
-                self._refresh_status()
                 raise QueueOverflowError(
                     f"node {self.node}: output queue full and policy is EXCEPTION"
                 )
@@ -383,7 +408,6 @@ class NetworkInterface:
         self.output_queue.push(message)
         self.stats.sends += 1
         self.stats.sends_by_mode[mode] += 1
-        self._refresh_status()
         if self.observer is not None:
             self.observer.on_send(self._clock(), self.node, message, mode)
         return SendResult.SENT
@@ -426,7 +450,6 @@ class NetworkInterface:
         if self.observer is not None:
             self.observer.on_retire(self._clock(), self.node, retired)
         self._advance()
-        self._refresh_status()
 
     # ------------------------------------------------------------------
     # Network-side operations (called by the fabric / router).
@@ -486,7 +509,6 @@ class NetworkInterface:
         if self.observer is not None:
             self.observer.on_deliver(self._clock(), self.node, message)
         self._advance()
-        self._refresh_status()
         if self.control["arrival_interrupt"] and self.interrupt_hook is not None:
             self.interrupts_raised += 1
             self.interrupt_hook()
@@ -494,10 +516,7 @@ class NetworkInterface:
 
     def transmit(self) -> Optional[Message]:
         """Remove and return the oldest outgoing message (network side)."""
-        message = self.output_queue.try_pop()
-        if message is not None:
-            self._refresh_status()
-        return message
+        return self.output_queue.try_pop()
 
     def peek_outgoing(self) -> Optional[Message]:
         """The oldest outgoing message without removing it."""
@@ -509,8 +528,8 @@ class NetworkInterface:
         A scheduler descheduling a process calls this to save its
         network state: the message in the input registers, then the
         input queue, oldest first.  Each parked message is reported to
-        the observer (it leaves without a ``NEXT``) and STATUS is
-        refreshed.  Returns the parked messages in arrival order.
+        the observer (it leaves without a ``NEXT``).  Returns the parked
+        messages in arrival order.
         """
         parked = [] if self._current is None else [self._current]
         self._current = None
@@ -519,7 +538,6 @@ class NetworkInterface:
             now = self._clock()
             for message in parked:
                 self.observer.on_park(now, self.node, message)
-        self._refresh_status()
         return parked
 
     # ------------------------------------------------------------------
@@ -555,11 +573,8 @@ class NetworkInterface:
                 self.observer.on_divert(self._clock(), self.node, message, reason)
             if self.tenant_scheduler is not None:
                 self.tenant_scheduler.on_divert(self, message, reason)
-            elif self._accept_hook is not None:
-                self._accept_hook(message)
             else:
                 self.privileged_store.append(message)
-            self._refresh_status()
         return reason is not None
 
     def _advance(self) -> None:
@@ -569,39 +584,6 @@ class NetworkInterface:
             if self._current is not None and self.observer is not None:
                 detail = describe_dispatch(self._current, self._conditions())
                 self.observer.on_dispatch(self._clock(), self.node, self._current, detail)
-
-    def _refresh_status(self) -> None:
-        """Recompute the hardware-maintained STATUS fields in one word write.
-
-        The queues' almost-full thresholds follow CONTROL; msg_valid,
-        msg_type, the queue lengths (clamped to the field) and the two
-        almost-full bits are rebuilt; every other STATUS bit is kept.
-        """
-        control = self.control.word
-        iq = self.input_queue
-        oq = self.output_queue
-        # set_threshold clamps to the capacity; comparing the clamped
-        # value lets an unchanged CONTROL skip the call.
-        threshold = (control >> _IQ_THRESHOLD_SHIFT) & _IQ_THRESHOLD_MAX
-        if min(threshold, iq.capacity) != iq.threshold:
-            iq.set_threshold(threshold)
-        threshold = (control >> _OQ_THRESHOLD_SHIFT) & _OQ_THRESHOLD_MAX
-        if min(threshold, oq.capacity) != oq.threshold:
-            oq.set_threshold(threshold)
-        iq_len = len(iq)
-        oq_len = len(oq)
-        word = (
-            (self.status.word & _KEPT_BITS)
-            | min(iq_len, _IQ_LEN_MAX) << _IQ_LEN_SHIFT
-            | min(oq_len, _OQ_LEN_MAX) << _OQ_LEN_SHIFT
-        )
-        if self._current is not None:
-            word |= _MSG_VALID | self._current.mtype << _MSG_TYPE_SHIFT
-        if iq_len > iq.threshold:
-            word |= _IAFULL
-        if oq_len > oq.threshold:
-            word |= _OAFULL
-        self.status.word = word
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,27 +25,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import MessageFormatError
-from repro.nic.interface import NetworkInterface, SendMode, SendResult
-from repro.utils.bitfield import BitField, BitLayout, to_word
-
-# The 15 interface registers of Figure 1, in their register-number order.
-REGISTER_NAMES = (
-    "o0",
-    "o1",
-    "o2",
-    "o3",
-    "o4",
-    "i0",
-    "i1",
-    "i2",
-    "i3",
-    "i4",
-    "STATUS",
-    "CONTROL",
-    "MsgIp",
-    "NextMsgIp",
-    "IpBase",
+from repro.nic.interface import (
+    REGISTER_NAMES,
+    NetworkInterface,
+    SendMode,
+    SendResult,
 )
+from repro.utils.bitfield import BitField, BitLayout, to_word
 
 REGISTER_NUMBERS = {name: number for number, name in enumerate(REGISTER_NAMES)}
 
@@ -164,7 +150,10 @@ class MemoryMappedInterface:
     The ordering within a single access follows the NIC design: the register
     read/write uses the *pre-command* state (so a load of ``i1`` combined
     with ``NEXT`` returns the current message's word before advancing), then
-    ``SEND``, then ``NEXT``.
+    ``SEND``, then ``NEXT``.  The register access itself is the
+    interface's own :meth:`~NetworkInterface.read_register` /
+    :meth:`~NetworkInterface.write_register`; a store to a read-only
+    register is ignored, as on the NIC chip.
     """
 
     def __init__(
@@ -183,14 +172,14 @@ class MemoryMappedInterface:
     def load(self, address: int) -> int:
         """A processor load from the interface region."""
         access = decode_address(address, self.base)
-        value = self._read_register(access.register)
+        value = self.interface.read_register(access.register)
         self._run_commands(access)
         return value
 
     def store(self, address: int, value: int) -> None:
         """A processor store to the interface region."""
         access = decode_address(address, self.base)
-        self._write_register(access.register, value)
+        self.interface.write_register(access.register, value)
         self._run_commands(access)
 
     def _run_commands(self, access: DecodedAccess) -> None:
@@ -200,42 +189,3 @@ class MemoryMappedInterface:
             )
         if access.do_next:
             self.interface.next()
-
-    def _read_register(self, name: str) -> int:
-        ni = self.interface
-        if name.startswith("o"):
-            return ni.read_output(int(name[1]))
-        if name.startswith("i"):
-            return ni.read_input(int(name[1]))
-        if name == "STATUS":
-            return ni.status.word
-        if name == "CONTROL":
-            return ni.control.word
-        if name == "MsgIp":
-            return ni.msg_ip
-        if name == "NextMsgIp":
-            return ni.next_msg_ip
-        if name == "IpBase":
-            return ni.ip_base
-        raise MessageFormatError(f"unreadable interface register {name!r}")
-
-    def _write_register(self, name: str, value: int) -> None:
-        ni = self.interface
-        if name.startswith("o"):
-            ni.write_output(int(name[1]), value)
-        elif name == "CONTROL":
-            ni.control.word = value
-        elif name == "IpBase":
-            ni.ip_base = value
-        elif name == "STATUS":
-            # Only the exception bits are software-writable (to clear them);
-            # the rest of STATUS is hardware-maintained and a write is
-            # ignored, as on the NIC chip.
-            if value == 0:
-                ni.status.clear_exceptions()
-        elif name.startswith("i") or name in ("MsgIp", "NextMsgIp"):
-            # Input and dispatch registers are read-only; hardware ignores
-            # the write rather than trapping.
-            pass
-        else:
-            raise MessageFormatError(f"unwritable interface register {name!r}")

@@ -36,6 +36,7 @@ from typing import Deque, List, Optional
 from repro.errors import MessageFormatError
 from repro.nic.interface import NetworkInterface, SendMode, SendResult
 from repro.nic.messages import MESSAGE_WORDS, Message
+from repro.nic.mmio import MemoryMappedInterface
 
 
 class FlitKind(enum.Enum):
@@ -202,6 +203,8 @@ class ClockedNIC:
 
     def __init__(self, interface: Optional[NetworkInterface] = None) -> None:
         self.interface = interface or NetworkInterface()
+        # The Figure 9 decoder on the cache bus, one per chip.
+        self.bus = MemoryMappedInterface(self.interface)
         self.rx = ReceivePort(self.interface)
         self.tx = TransmitPort(self.interface)
         self.cycle = 0
@@ -252,9 +255,7 @@ class ClockedNIC:
 
     def selects(self, address: int) -> bool:
         """Whether a bus address's upper bits select this chip."""
-        from repro.nic.mmio import matches_base
-
-        return matches_base(address)
+        return self.bus.selects(address)
 
     def bus_read(self, address: int) -> tuple[int, Optional[Flit]]:
         """One bus read cycle: Figure 9 decode, commands, and a clock tick.
@@ -263,32 +264,24 @@ class ClockedNIC:
         this is exactly the §3.1 example, where a single load returns a
         register, sends a reply, and advances the input registers.
         """
-        from repro.nic.mmio import MemoryMappedInterface
-
-        shim = MemoryMappedInterface(self.interface)
-        value = shim.load(address)
+        value = self.bus.load(address)
         flit, _ = self.tick()
         return value, flit
 
     def bus_write(self, address: int, value: int) -> Optional[Flit]:
         """One bus write cycle: decode, register write, commands, tick."""
-        from repro.nic.mmio import MemoryMappedInterface
-
-        shim = MemoryMappedInterface(self.interface)
-        shim.store(address, value)
+        self.bus.store(address, value)
         flit, _ = self.tick()
         return flit
 
     def _processor_cycle(self, access: ProcessorAccess) -> ProcessorReply:
-        from repro.nic.mmio import MemoryMappedInterface  # local to avoid cycle
-
         reply = ProcessorReply()
-        shim = MemoryMappedInterface(self.interface)
         if access.register is not None:
+            # A write to a read-only register is ignored, as on the bus.
             if access.write_value is not None:
-                shim._write_register(access.register, access.write_value)
+                self.interface.write_register(access.register, access.write_value)
             else:
-                reply.read_value = shim._read_register(access.register)
+                reply.read_value = self.interface.read_register(access.register)
         if access.send_mode is not None:
             reply.send_result = self.interface.send(
                 access.send_type, access.send_mode

@@ -151,7 +151,6 @@ class Node:
                 self._exception_handler(self, pending)
             self.stats.exceptions_handled += 1
             self.interface.status.clear_exceptions()
-            self.interface._refresh_status()
             return True
         message = self.interface.current_message
         if message is None:

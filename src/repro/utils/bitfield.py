@@ -167,7 +167,9 @@ class Register:
     """A mutable 32-bit register with a :class:`BitLayout`.
 
     Used for the NI's ``STATUS`` and ``CONTROL`` registers, where software
-    and hardware both read and write individual fields.
+    and hardware both read and write individual fields.  Every write goes
+    through the :attr:`word` setter, so a subclass that acts on writes
+    overrides that one property.
     """
 
     def __init__(self, layout: BitLayout, initial: int = 0):
@@ -187,15 +189,15 @@ class Register:
         return self.layout.get(self._word, name)
 
     def __setitem__(self, name: str, value: int) -> None:
-        self._word = self.layout.update(self._word, **{name: value})
+        self.word = self.layout.update(self._word, **{name: value})
 
     def load(self, values: Mapping[str, int]) -> None:
         """Set several fields at once."""
-        self._word = self.layout.update(self._word, **dict(values))
+        self.word = self.layout.update(self._word, **dict(values))
 
     def as_dict(self) -> Dict[str, int]:
         """All fields of the current value."""
-        return self.layout.unpack(self._word)
+        return self.layout.unpack(self.word)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.layout.describe(self._word)
+        return self.layout.describe(self.word)

@@ -5,12 +5,12 @@ import pytest
 from repro.errors import MachineError
 from repro.isa.registers import (
     GENERAL_REGISTERS,
-    NI_REGISTERS,
     SYMBOLIC_ASSIGNMENT,
     RegisterFile,
     is_ni_register,
     resolve,
 )
+from repro.nic.interface import REGISTER_NAMES
 
 
 class TestNaming:
@@ -18,7 +18,8 @@ class TestNaming:
         assert len(GENERAL_REGISTERS) == 32
 
     def test_fifteen_ni_registers(self):
-        assert len(NI_REGISTERS) == 15
+        assert len(REGISTER_NAMES) == 15
+        assert all(is_ni_register(name) for name in REGISTER_NAMES)
 
     def test_is_ni_register(self):
         assert is_ni_register("i3")

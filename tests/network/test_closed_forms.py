@@ -7,6 +7,10 @@ one of those neighbors, change only the lowest dimension not yet
 resolved and, at a half-ring tie, go forward: together the three fix it
 uniquely.
 
+``EscapeVC`` reads a torus leg's direction from that hop; the ring rule
+(shorter way round, ties forward) restated here is the reference for its
+escape port and dateline channel.
+
 ``AdaptiveRandom.rank`` orders two ports by comparing their free slots;
 the general most-free ranking, kept here as it was before that
 shortcut, is the reference for any number of ports, RNG state included.
@@ -89,6 +93,40 @@ def test_closed_forms_check_both_nodes(topology):
         for closed_form in (topology.minimal_neighbors, topology.dimension_order_hop):
             with pytest.raises(RoutingError, match="outside"):
                 closed_form(node, destination)
+
+
+def crosses_dateline(position, target, size):
+    """Whether the rest of a ring leg traverses the wrap link, travelling
+    the shorter way round with ties forward: forward the dateline is the
+    ``size-1 -> 0`` link, backward ``0 -> size-1``."""
+    forward = (target - position) % size
+    backward = (position - target) % size
+    if forward <= backward:
+        return target < position
+    return target > position
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (2, 5), (3, 3), (4, 4), (5, 2), (8, 1), (8, 8)], ids=str
+)
+def test_escape_port_follows_the_ring_rule(shape):
+    topology = Torus2D(*shape)
+    policy = EscapeVC(seed=0)
+    width = topology.width
+    for node in range(topology.n_nodes):
+        y, x = divmod(node, width)
+        for destination in range(topology.n_nodes):
+            if node == destination:
+                continue
+            dy, dx = divmod(destination, width)
+            hop = topology.dimension_order_hop(node, destination)
+            if hop % width != x:
+                crosses = crosses_dateline(x, dx, width)
+            else:
+                crosses = crosses_dateline(y, dy, topology.height)
+            vc = policy.escape_vc if crosses else policy.dateline_vc
+            _, fixed = policy.static_route(topology, node, destination)
+            assert fixed == ((hop, vc),)
 
 
 def general_rank(rng, ports, free):

@@ -1,30 +1,44 @@
 """Tests for the STATUS / CONTROL register layouts."""
 
+from fnmatch import fnmatch
+from pathlib import Path
+
+import pytest
+
 from repro.nic.control import (
     CONTROL_LAYOUT,
     EXCEPTION_FIELDS,
     STATUS_LAYOUT,
     ControlRegister,
     SendFullPolicy,
-    StatusRegister,
 )
+from repro.nic.interface import NetworkInterface
+from repro.nic.messages import Message, pack_destination
+
+
+def status_with_input(messages: int, capacity: int = 16):
+    """The STATUS of an interface that has received ``messages`` messages."""
+    ni = NetworkInterface(input_capacity=capacity)
+    for _ in range(messages):
+        assert ni.deliver(Message(2, (pack_destination(0), 0, 0, 0, 0)))
+    return ni.status
 
 
 class TestStatusRegister:
     def test_initially_clear(self):
-        status = StatusRegister()
+        status = NetworkInterface().status
         assert status.word == 0
         assert not status.has_exception
 
     def test_raise_exception_sets_summary(self):
-        status = StatusRegister()
+        status = NetworkInterface().status
         status.raise_exception("exc_input_error")
         assert status["exc_input_error"] == 1
         assert status["exc_any"] == 1
         assert status.has_exception
 
     def test_pending_exceptions(self):
-        status = StatusRegister()
+        status = NetworkInterface().status
         status.raise_exception("exc_pin_mismatch")
         status.raise_exception("exc_output_overflow")
         assert set(status.pending_exceptions()) == {
@@ -33,7 +47,7 @@ class TestStatusRegister:
         }
 
     def test_clear_exceptions(self):
-        status = StatusRegister()
+        status = NetworkInterface().status
         for name in EXCEPTION_FIELDS:
             status.raise_exception(name)
         status.clear_exceptions()
@@ -41,25 +55,21 @@ class TestStatusRegister:
         assert status.pending_exceptions() == ()
 
     def test_clear_preserves_other_fields(self):
-        status = StatusRegister()
-        status["msg_valid"] = 1
-        status["iq_len"] = 7
+        # One message in the input registers, seven queued behind it.
+        status = status_with_input(8)
         status.raise_exception("exc_input_error")
         status.clear_exceptions()
         assert status["msg_valid"] == 1
         assert status["iq_len"] == 7
 
     def test_queue_length_fields_hold_31(self):
-        status = StatusRegister()
-        status["iq_len"] = 31
-        status["oq_len"] = 31
+        status = status_with_input(32, capacity=32)
         assert status["iq_len"] == 31
 
     def test_layout_has_no_overlap_with_type_field(self):
         # msg_type must be readable independently of msg_valid.
-        status = StatusRegister()
-        status["msg_type"] = 0xF
-        assert status["msg_valid"] == 0
+        word = STATUS_LAYOUT.pack(msg_type=0xF)
+        assert STATUS_LAYOUT.get(word, "msg_valid") == 0
 
 
 class TestControlRegister:
@@ -120,3 +130,59 @@ class TestLayouts:
     def test_policy_enum_values(self):
         assert int(SendFullPolicy.STALL) == 0
         assert int(SendFullPolicy.EXCEPTION) == 1
+
+
+MANUAL = Path(__file__).resolve().parents[2] / "docs" / "MANUAL.md"
+
+
+def manual_rows(heading: str):
+    """``(bits, field)`` cells of the field table under ``heading``."""
+    lines = MANUAL.read_text().split(heading, 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start + 2 :]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        bits, name = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows.append((bits, name.strip("`")))
+    return rows
+
+
+def bit_mask(bits: str) -> int:
+    """The mask of a table's bits cell: ``4:1`` (msb:lsb), ``17–20`` or ``0``."""
+    if ":" in bits:
+        high, low = map(int, bits.split(":"))
+    elif "–" in bits:
+        low, high = map(int, bits.split("–"))
+    else:
+        high = low = int(bits)
+    return ((1 << (high - low + 1)) - 1) << low
+
+
+class TestManualTables:
+    """MANUAL section 1 gives every field of both registers its bits."""
+
+    @pytest.mark.parametrize(
+        "heading, layout",
+        [
+            ("### STATUS fields (`repro.nic.control.STATUS_LAYOUT`)", STATUS_LAYOUT),
+            ("### CONTROL fields (`repro.nic.control.CONTROL_LAYOUT`)", CONTROL_LAYOUT),
+        ],
+        ids=["STATUS", "CONTROL"],
+    )
+    def test_rows_match_layout(self, heading, layout):
+        rows = manual_rows(heading)
+        named = {name for _, name in rows if "*" not in name}
+        covered = []
+        for bits, name in rows:
+            # A wildcard row stands for the fields no other row names.
+            fields = [
+                field
+                for field in layout
+                if field.name == name
+                or ("*" in name and fnmatch(field.name, name) and field.name not in named)
+            ]
+            assert fields, f"{layout.name} has no field {name!r}"
+            assert sum(field.field_mask for field in fields) == bit_mask(bits), name
+            covered += [field.name for field in fields]
+        assert sorted(covered) == sorted(field.name for field in layout)

@@ -254,7 +254,6 @@ class TestDispatchIntegration:
         ni = make_ni()
         ni.deliver(request(mtype=5))
         ni.status.raise_exception("exc_input_error")
-        ni._refresh_status()
         assert decode_table_address(ni.msg_ip)[0] == 1
 
     def test_iafull_selects_handler_version(self):

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.errors import MessageFormatError
-from repro.nic.interface import NetworkInterface, SendMode
+from repro.nic.interface import REGISTER_NAMES, NetworkInterface, SendMode
 from repro.nic.messages import Message, pack_destination
 from repro.nic.mmio import (
     DEFAULT_BASE_ADDRESS,
-    REGISTER_NAMES,
     MemoryMappedInterface,
     decode_address,
     encode_address,

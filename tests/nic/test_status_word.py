@@ -1,7 +1,8 @@
-"""The one-word STATUS refresh against field-by-field layout updates.
+"""The STATUS word against field-by-field layout updates.
 
-``NetworkInterface._refresh_status`` rebuilds the hardware-maintained
-STATUS fields with shifts and masks derived from the register layouts.
+STATUS stores only the bits written to it (the exception bits, in use)
+and computes the six hardware-maintained fields from the interface when
+it is read, with shifts and masks derived from the register layouts.
 The reference here is the obvious implementation: set each field through
 ``STATUS_LAYOUT.update`` on the preset word.  The two must agree bit for
 bit — queue lengths past the 5-bit clamp, any CONTROL thresholds, with
@@ -12,7 +13,8 @@ bits already set.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nic.control import QUEUE_LEN_BITS, STATUS_LAYOUT
+from repro.nic.control import CONTROL_LAYOUT, QUEUE_LEN_BITS, STATUS_LAYOUT
+from repro.nic.dispatch import decode_table_address
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message, pack_destination
 
@@ -25,12 +27,11 @@ def msg(mtype: int = 2) -> Message:
 
 @st.composite
 def queue(draw):
-    """(capacity, depth, CONTROL threshold, stale queue threshold)."""
+    """(capacity, depth, CONTROL threshold)."""
     capacity = draw(st.integers(min_value=1, max_value=40))
     depth = draw(st.integers(min_value=0, max_value=capacity))
     threshold = draw(st.integers(min_value=0, max_value=LEN_MAX))
-    stale = draw(st.integers(min_value=0, max_value=capacity))
-    return capacity, depth, threshold, stale
+    return capacity, depth, threshold
 
 
 @settings(max_examples=300, deadline=None)
@@ -40,9 +41,9 @@ def queue(draw):
     current=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
     preset=st.integers(min_value=0, max_value=0xFFFF_FFFF),
 )
-def test_refresh_writes_the_field_by_field_word(iq, oq, current, preset):
-    iq_capacity, iq_depth, iq_threshold, iq_stale = iq
-    oq_capacity, oq_depth, oq_threshold, oq_stale = oq
+def test_status_reads_the_field_by_field_word(iq, oq, current, preset):
+    iq_capacity, iq_depth, iq_threshold = iq
+    oq_capacity, oq_depth, oq_threshold = oq
     ni = NetworkInterface(
         node=0, input_capacity=iq_capacity, output_capacity=oq_capacity
     )
@@ -52,12 +53,8 @@ def test_refresh_writes_the_field_by_field_word(iq, oq, current, preset):
         ni.output_queue.push(msg())
     ni.control["iq_threshold"] = iq_threshold
     ni.control["oq_threshold"] = oq_threshold
-    ni.input_queue.set_threshold(iq_stale)
-    ni.output_queue.set_threshold(oq_stale)
     ni._current = None if current is None else msg(current)
     ni.status.word = preset
-
-    ni._refresh_status()
 
     iq_effective = min(iq_threshold, iq_capacity)
     oq_effective = min(oq_threshold, oq_capacity)
@@ -72,7 +69,34 @@ def test_refresh_writes_the_field_by_field_word(iq, oq, current, preset):
     ):
         expected = STATUS_LAYOUT.update(expected, **{name: value})
     assert ni.status.word == expected
+    assert ni.read_register("STATUS") == expected
     assert ni.input_queue.threshold == iq_effective
     assert ni.output_queue.threshold == oq_effective
     assert ni.input_queue.almost_full == bool(ni.status["iafull"])
     assert ni.output_queue.almost_full == bool(ni.status["oafull"])
+
+
+def test_control_threshold_write_takes_effect_at_once():
+    """A threshold written to CONTROL reaches STATUS and the MsgIp
+    version bits before any queue operation."""
+    ni = NetworkInterface()
+    ni.ip_base = 0x10_0000
+    ni.deliver(msg(5))
+    ni.deliver(msg(5))  # one message in i0..i4, one queued
+    ni.send(2)
+    assert (ni.status["iafull"], ni.status["oafull"]) == (0, 0)
+    assert decode_table_address(ni.msg_ip) == (5, False, False)
+
+    ni.control["iq_threshold"] = 0
+    assert (ni.status["iafull"], ni.status["oafull"]) == (1, 0)
+    assert decode_table_address(ni.msg_ip) == (5, True, False)
+
+    ni.control.word = CONTROL_LAYOUT.update(ni.control.word, oq_threshold=0)
+    assert (ni.status["iafull"], ni.status["oafull"]) == (1, 1)
+    assert decode_table_address(ni.msg_ip) == (5, True, True)
+    assert decode_table_address(ni.next_msg_ip) == (5, True, True)
+
+    ni.control["iq_threshold"] = 1
+    ni.control["oq_threshold"] = 1
+    assert (ni.status["iafull"], ni.status["oafull"]) == (0, 0)
+    assert decode_table_address(ni.msg_ip) == (5, False, False)

@@ -13,6 +13,7 @@ from repro.tam.instructions import (
     Imm,
     IstoreInstr,
     StopInstr,
+    WriteInstr,
 )
 from repro.tam.runtime import IStructRef, TamMachine
 
@@ -117,6 +118,83 @@ class TestBadReferences:
         machine.boot("spin")
         with pytest.raises(TamError):
             machine.run(max_turns=100)
+
+
+def failure(backend, block, n_nodes=1, descriptor=False):
+    """The exception type and message running ``block`` raises.
+
+    ``descriptor`` puts a fresh two-element I-structure's reference in
+    slot 0 before the run.
+    """
+    machine = TamMachine(n_nodes, backend=backend)
+    machine.load(block)
+    ref = machine.boot(block.name)
+    if descriptor:
+        desc = machine.nodes[0].istructures.allocate(2)
+        machine.write_slot(ref, 0, IStructRef(0, desc))
+    with pytest.raises(Exception) as info:
+        machine.run()
+    return type(info.value), str(info.value)
+
+
+class TestCodegenColdPaths:
+    """Each raising helper of the generated code reports the reference
+    interpreter's exact error for a minimal malformed codeblock."""
+
+    @staticmethod
+    def same_failure(block_factory, **kwargs):
+        reference = failure("reference", block_factory(), **kwargs)
+        assert failure("codegen", block_factory(), **kwargs) == reference
+        return reference
+
+    def test_slot_past_the_frame(self):
+        def block():
+            bad = Codeblock("oob", frame_size=2)
+            bad.add_thread("entry", [ConInstr(5, 1), StopInstr()])
+            return bad.set_entry("entry")
+
+        kind, message = self.same_failure(block)
+        assert "slot 5 outside frame of 2" in message
+
+    def test_post_to_a_missing_node(self):
+        def block():
+            bad = Codeblock("far", frame_size=2)
+            bad.add_thread(
+                "entry", [ConInstr(0, 7), WriteInstr(0, Imm(0), 1), StopInstr()]
+            )
+            return bad.set_entry("entry")
+
+        kind, message = self.same_failure(block, n_nodes=2)
+        assert (kind, message) == (TamError, "message addressed to unknown node 7")
+
+    def test_ifetch_reply_to_a_missing_inlet(self):
+        def block():
+            bad = Codeblock("noinlet", frame_size=2)
+            bad.add_thread(
+                "entry",
+                [
+                    ConInstr(1, 42),
+                    IstoreInstr(0, Imm(0), value=1),
+                    IfetchInstr(0, Imm(0), reply_inlet=9),
+                    StopInstr(),
+                ],
+            )
+            return bad.set_entry("entry")
+
+        kind, message = self.same_failure(block, descriptor=True)
+        assert (kind, message) == (TamError, "codeblock 'noinlet' has no inlet 9")
+
+    def test_fork_to_a_missing_thread(self):
+        def block():
+            bad = Codeblock("nothread", frame_size=1)
+            bad.add_thread("entry", [ForkInstr("nowhere"), StopInstr()])
+            return bad.set_entry("entry")
+
+        kind, message = self.same_failure(block)
+        assert (kind, message) == (
+            TamError,
+            "codeblock 'nothread' has no thread 'nowhere'",
+        )
 
 
 OBSERVERS = {
