@@ -3,7 +3,8 @@
 
 The paper's authors built and simulated the off-chip NIC at RTL; this
 example clocks the reproduction's equivalent through a complete remote
-write: the sender's processor port composes the message, the transmit
+write: the sender's processor composes the message in three Figure 9 bus
+cycles, the transmit
 port serialises it one flit per cycle, the wire carries it to the
 receiver's receive port, and the dispatch logic's MsgIp output changes
 the cycle the message lands.
@@ -14,7 +15,8 @@ Run:  python examples/rtl_walkthrough.py
 from repro.nic.dispatch import decode_table_address
 from repro.nic.interface import NetworkInterface, SendMode
 from repro.nic.messages import pack_destination
-from repro.nic.rtl import ClockedNIC, ProcessorAccess
+from repro.nic.mmio import encode_address
+from repro.nic.rtl import ClockedNIC
 
 TYPE_WRITE = 3
 
@@ -26,25 +28,31 @@ def main() -> None:
     receiver = ClockedNIC(receiver_ni)
 
     # --- processor side: three bus cycles compose and send -------------
-    # The transmit port can start serialising in the same cycle the SEND
-    # lands, so every sender tick's output goes onto the wire.
-    print("sender processor port:")
+    # Each bus write is one sender clock edge.  The transmit port can
+    # start serialising in the same cycle the SEND lands, so every sender
+    # edge's output goes onto the wire while the receiver clocks alongside.
+    print("sender processor port (Figure 9 bus writes):")
     wire = None
 
-    def clock_pair(access=None):
+    def clock_receiver(out_flit):
         nonlocal wire
-        out_flit, reply = sender.tick(access=access)
         receiver.tick(rx_flit=wire)
         wire = out_flit
-        return out_flit, reply
 
-    for access in [
-        ProcessorAccess(register="o0", write_value=pack_destination(1, 0x40)),
-        ProcessorAccess(register="o1", write_value=0xBEEF),
-        ProcessorAccess(send_mode=SendMode.NORMAL, send_type=TYPE_WRITE),
+    for label, address, value in [
+        ("o0 <- dest|address", encode_address(register="o0"), pack_destination(1, 0x40)),
+        ("o1 <- value", encode_address(register="o1"), 0xBEEF),
+        # A command-only store names an input register, whose writes the
+        # interface ignores.
+        (
+            f"SEND type={TYPE_WRITE}",
+            encode_address("i0", send_mode=SendMode.NORMAL, send_type=TYPE_WRITE),
+            0,
+        ),
     ]:
-        out_flit, _ = clock_pair(access)
-        print(f"  cycle {sender.cycle}: {access}")
+        sent, out_flit = sender.bus_write(address, value)
+        clock_receiver(out_flit)
+        print(f"  cycle {sender.cycle}: {label}" + (f" ({sent.value})" if sent else ""))
         if out_flit is not None:
             print(
                 f"  cycle {sender.cycle:2d}: tx {out_flit.kind.value:4s} "
@@ -54,7 +62,8 @@ def main() -> None:
     # --- the wire: one flit per cycle -----------------------------------
     print("\nlink (HEAD + five DATA flits):")
     for _ in range(20):
-        out_flit, _ = clock_pair()
+        out_flit = sender.tick()
+        clock_receiver(out_flit)
         if out_flit is not None:
             print(
                 f"  cycle {sender.cycle:2d}: {out_flit.kind.value:4s} "
@@ -72,10 +81,8 @@ def main() -> None:
     assert handler == TYPE_WRITE
 
     # --- receiver processor port: read the message out ------------------
-    _, reply = receiver.tick(access=ProcessorAccess(register="i0"))
-    address = reply.read_value
-    _, reply = receiver.tick(access=ProcessorAccess(register="i1", do_next=True))
-    value = reply.read_value
+    address, _, _ = receiver.bus_read(encode_address(register="i0"))
+    value, _, _ = receiver.bus_read(encode_address(register="i1", do_next=True))
     print(
         f"receiver read i0={address:#010x} (dest|address), i1={value:#06x}, "
         "and issued NEXT in the same bus cycle"

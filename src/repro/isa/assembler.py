@@ -17,17 +17,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import AssemblyError
-from repro.isa.instructions import (
-    AluFn,
-    Cond,
-    Instruction,
-    Opcode,
-    Riders,
-    Sequence,
-)
+from repro.isa.instructions import AluFn, Cond, Instruction, Opcode, Sequence
 from repro.isa.machine import Placement
 from repro.isa.registers import is_ni_register
-from repro.nic.interface import SendMode
+from repro.nic.interface import Riders, SendMode
 
 
 class SequenceBuilder:
@@ -46,14 +39,6 @@ class SequenceBuilder:
     @property
     def is_register_placement(self) -> bool:
         return self.placement is Placement.REGISTER
-
-    def _riders(
-        self,
-        send_mode: Optional[SendMode],
-        send_type: int,
-        do_next: bool,
-    ) -> Riders:
-        return Riders(send_mode=send_mode, send_type=send_type, do_next=do_next)
 
     def _emit(self, instr: Instruction) -> "SequenceBuilder":
         if self._pending_label is not None:
@@ -98,7 +83,7 @@ class SequenceBuilder:
                 rs1=rs1,
                 rs2=rs2,
                 fn=fn,
-                riders=self._riders(send_mode, send_type, do_next),
+                riders=Riders(send_mode, send_type, do_next),
                 note=note,
             )
         )
@@ -121,7 +106,7 @@ class SequenceBuilder:
                 rs1=rs1,
                 imm=imm,
                 fn=fn,
-                riders=self._riders(send_mode, send_type, do_next),
+                riders=Riders(send_mode, send_type, do_next),
                 note=note,
             )
         )
@@ -183,7 +168,7 @@ class SequenceBuilder:
                 rs1=base,
                 imm=offset,
                 masked=masked,
-                riders=self._riders(send_mode, send_type, do_next),
+                riders=Riders(send_mode, send_type, do_next),
                 note=note,
             )
         )
@@ -204,7 +189,7 @@ class SequenceBuilder:
                 rs1=base,
                 rs2=value,
                 imm=offset,
-                riders=self._riders(send_mode, send_type, do_next),
+                riders=Riders(send_mode, send_type, do_next),
                 note=note,
             )
         )
@@ -231,7 +216,7 @@ class SequenceBuilder:
         """
         if not is_ni_register(ni_register):
             raise AssemblyError(f"{ni_register!r} is not an interface register")
-        riders = self._riders(send_mode, send_type, do_next)
+        riders = Riders(send_mode, send_type, do_next)
         if self.is_register_placement:
             return self._emit(
                 Instruction(
@@ -267,7 +252,7 @@ class SequenceBuilder:
         """Move a general register's value into an interface register."""
         if not is_ni_register(ni_register):
             raise AssemblyError(f"{ni_register!r} is not an interface register")
-        riders = self._riders(send_mode, send_type, do_next)
+        riders = Riders(send_mode, send_type, do_next)
         if self.is_register_placement:
             return self._emit(
                 Instruction(
@@ -303,7 +288,7 @@ class SequenceBuilder:
         the memory-mapped placements, a rider-carrying no-op (``or r0, r0,
         r0``) in the register placement.
         """
-        riders = self._riders(send_mode, send_type, do_next)
+        riders = Riders(send_mode, send_type, do_next)
         if not riders.any:
             raise AssemblyError("ni_command needs at least one command")
         if self.is_register_placement:

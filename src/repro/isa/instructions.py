@@ -3,7 +3,8 @@
 The model keeps exactly the features the paper's cycle counts depend on:
 
 * triadic register-register ALU operations, which in the register-file
-  implementation carry the ``SEND`` / ``NEXT`` *rider* bits in their unused
+  implementation carry the ``SEND`` / ``NEXT`` *rider* bits (the
+  interface's :class:`~repro.nic.interface.Riders` record) in their unused
   encoding space (paper Section 3.3);
 * loads and stores, which in the memory-mapped implementations address the
   interface through the Figure 9 command encoding;
@@ -29,7 +30,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.nic.interface import SendMode
+from repro.nic.interface import NO_RIDERS, Riders
 
 
 class Opcode(enum.Enum):
@@ -70,37 +71,6 @@ class Cond(enum.Enum):
     NE = "ne"
     LT = "lt"
     GE = "ge"
-
-
-@dataclass(frozen=True)
-class Riders:
-    """The command bits a single instruction can carry.
-
-    In the register-file implementation these ride in unused bits of any
-    triadic instruction; in the memory-mapped implementations they ride in
-    the low bits of an interface address (Figure 9).  Either way they add
-    no cycles.
-    """
-
-    send_mode: Optional[SendMode] = None
-    send_type: int = 0
-    do_next: bool = False
-
-    @property
-    def any(self) -> bool:
-        return self.send_mode is not None or self.do_next
-
-    def describe(self) -> str:
-        parts = []
-        if self.send_mode is not None:
-            mode = "" if self.send_mode is SendMode.NORMAL else f"-{self.send_mode.value}"
-            parts.append(f"SEND{mode} type={self.send_type}")
-        if self.do_next:
-            parts.append("NEXT")
-        return ", ".join(parts)
-
-
-NO_RIDERS = Riders()
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,17 @@ The machine is configured with a *placement* (paper Section 3):
   riders in the address bits); using an interface register as an ALU
   operand is rejected.
 * ``REGISTER`` — interface registers are general registers; any instruction
-  may name them and any triadic instruction may carry riders; NILOAD /
-  NISTORE are rejected because there is nothing to memory-map.
+  may name them and any triadic instruction may carry riders, which run
+  after its register work; NILOAD / NISTORE are rejected because there is
+  nothing to memory-map.
 
 Either way the registers are the interface's own
 (:meth:`~repro.nic.interface.NetworkInterface.read_register` /
-:meth:`~repro.nic.interface.NetworkInterface.write_register`); the
-placements differ only in that a write to a read-only register is a
-:class:`~repro.errors.MachineError` in the register file and ignored
+:meth:`~repro.nic.interface.NetworkInterface.write_register`) and an
+instruction's riders run through
+:meth:`~repro.nic.interface.NetworkInterface.run_commands`, SEND then
+NEXT; the placements differ only in that a write to a read-only register
+is a :class:`~repro.errors.MachineError` in the register file and ignored
 through the address decoder.
 """
 
@@ -222,6 +225,7 @@ class Machine:
             )
         # --- semantics ---------------------------------------------------
         next_pc = pc + 1
+        sent = None  # the result of a SEND the instruction carries
         op = instr.opcode
         if op is Opcode.ALU:
             value = _alu(instr.fn, self.read_reg(instr.rs1), self.read_reg(instr.rs2))
@@ -242,12 +246,16 @@ class Machine:
             address = self._local(self.read_reg(instr.rs1) + instr.imm)
             self.memory.store(address, self.read_reg(instr.rs2))
         elif op is Opcode.NILOAD:
-            self.write_reg(instr.rd, self._ni_access(instr, None, result))
+            loaded, sent = self._mmio.load(self._ni_address(instr))
+            self.write_reg(instr.rd, loaded)
             self._mark_ready(instr, issue, ready_at)
         elif op is Opcode.NISTORE:
-            self._ni_access(instr, self.read_reg(instr.rs2), result)
+            sent = self._mmio.store(self._ni_address(instr), self.read_reg(instr.rs2))
         elif op is Opcode.NICMD:
-            self._ni_access(instr, 0, result, bare=True)
+            # A bare command store still names a register in the Figure 9
+            # encoding; software aims it at an input register, whose
+            # writes the interface ignores.
+            sent = self._mmio.store(self._ni_address(instr, "i0"), 0)
         elif op is Opcode.JUMPREG:
             target = self.read_reg(instr.rs1)
             resolved = resolve_jump(target) if resolve_jump else None
@@ -268,12 +276,13 @@ class Machine:
             pass
         else:  # pragma: no cover - exhaustive over Opcode
             raise MachineError(f"unimplemented opcode {op}")
-        # --- riders (register placement; mm riders run inside _ni_access)
-        if instr.riders.any and (
-            self.placement is Placement.REGISTER
-            or op not in (Opcode.NILOAD, Opcode.NISTORE, Opcode.NICMD)
-        ):
-            self._run_riders(instr, result)
+        # --- riders: the register placement runs them after the register
+        # work; memory-mapped ones ride in the address bits (above), and
+        # _validate rejects them on any other instruction.
+        if self._mmio is None and instr.riders.any:
+            sent = self.interface.run_commands(instr.riders)
+        if sent is not None:
+            result.send_results.append(sent)
         return next_pc
 
     @staticmethod
@@ -325,40 +334,15 @@ class Machine:
                     "in interface address bits (Figure 9)"
                 )
 
-    def _ni_access(
-        self,
-        instr: Instruction,
-        value: Optional[int],
-        result: RunResult,
-        bare: bool = False,
-    ):
-        assert self._mmio is not None
-        # A bare command store still names a register in the Figure 9
-        # encoding; software aims it at an input register, whose writes the
-        # interface ignores.
-        address = encode_address(
-            register="i0" if bare else instr.ni_register,
+    @staticmethod
+    def _ni_address(instr: Instruction, register: Optional[str] = None) -> int:
+        """The Figure 9 address of ``instr``'s interface access."""
+        return encode_address(
+            register=register or instr.ni_register,
             send_mode=instr.riders.send_mode,
             send_type=instr.riders.send_type,
             do_next=instr.riders.do_next,
         )
-        self._mmio.last_send_result = None
-        if value is None:
-            loaded = self._mmio.load(address)
-        else:
-            self._mmio.store(address, value)
-            loaded = None
-        if self._mmio.last_send_result is not None:
-            result.send_results.append(self._mmio.last_send_result)
-        return loaded
-
-    def _run_riders(self, instr: Instruction, result: RunResult) -> None:
-        if instr.riders.send_mode is not None:
-            result.send_results.append(
-                self.interface.send(instr.riders.send_type, instr.riders.send_mode)
-            )
-        if instr.riders.do_next:
-            self.interface.next()
 
 
 def _alu(fn: AluFn, a: int, b: int) -> int:

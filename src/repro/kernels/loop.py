@@ -165,10 +165,6 @@ class StreamMeasurement:
     instructions: int
     handled: int
 
-    @property
-    def cycles_per_message(self) -> float:
-        return self.cycles / self.handled if self.handled else 0.0
-
 
 def measure_stream(
     model: InterfaceModel, stream: Seq[str], handlers: Seq[str] = ("send1", "read", "write")

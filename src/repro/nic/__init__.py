@@ -3,7 +3,9 @@
 Public surface of the subpackage:
 
 * :class:`~repro.nic.interface.NetworkInterface` — the architectural model
-  (Figure 1): registers, queues, SEND / NEXT, REPLY / FORWARD modes.
+  (Figure 1): registers, queues, SEND / NEXT, REPLY / FORWARD modes, and
+  :class:`~repro.nic.interface.Riders`, the SEND/NEXT record every
+  placement issues.
 * :class:`~repro.nic.messages.Message` — the five-word message (Figure 2).
 * :mod:`~repro.nic.dispatch` — MsgIp / NextMsgIp hardware dispatch (Figure 7).
 * :mod:`~repro.nic.mmio` — the Figure 9 memory-mapped command encoding.
@@ -13,8 +15,8 @@ Public surface of the subpackage:
 """
 
 from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
-from repro.nic.dispatch import DispatchConditions, DispatchUnit, handler_table_address
-from repro.nic.interface import NetworkInterface, SendMode, SendResult
+from repro.nic.dispatch import DispatchConditions, handler_table_address
+from repro.nic.interface import NetworkInterface, Riders, SendMode, SendResult
 from repro.nic.messages import (
     Message,
     MessageTypeRegistry,
@@ -30,7 +32,6 @@ __all__ = [
     "ClockedNIC",
     "ControlRegister",
     "DispatchConditions",
-    "DispatchUnit",
     "Flit",
     "FlitKind",
     "MemoryMappedInterface",
@@ -38,6 +39,7 @@ __all__ = [
     "MessageQueue",
     "MessageTypeRegistry",
     "NetworkInterface",
+    "Riders",
     "SendFullPolicy",
     "SendMode",
     "SendResult",

@@ -104,6 +104,11 @@ _STORED_BITS = WORD_MASK & ~sum(
     for name in ("msg_valid", "msg_type", "iq_len", "oq_len", "iafull", "oafull")
 )
 
+# The stored exception bits, by name, and their summary bit.
+_EXCEPTION_MASKS = {name: STATUS_LAYOUT.field(name).field_mask for name in EXCEPTION_FIELDS}
+_EXCEPTION_BITS = sum(_EXCEPTION_MASKS.values())
+_EXC_ANY = STATUS_LAYOUT.field("exc_any").field_mask
+
 # The CONTROL fields that set the input and output queues' thresholds.
 _THRESHOLDS = (CONTROL_LAYOUT.field("iq_threshold"), CONTROL_LAYOUT.field("oq_threshold"))
 _THRESHOLD_BITS = _THRESHOLDS[0].field_mask | _THRESHOLDS[1].field_mask
@@ -155,9 +160,15 @@ class StatusRegister(Register):
 
     def clear_exceptions(self) -> None:
         """Clear all exception bits (done by the software exception handler)."""
-        for field_name in EXCEPTION_FIELDS:
-            self[field_name] = 0
-        self["exc_any"] = 0
+        self._word &= ~(_EXCEPTION_BITS | _EXC_ANY)
+
+    def acknowledge(self, name: str) -> None:
+        """Clear exception ``name`` in one masked store, and ``exc_any``
+        with it unless another exception is still asserted."""
+        word = self._word & ~_EXCEPTION_MASKS[name]
+        if not word & _EXCEPTION_BITS:
+            word &= ~_EXC_ANY
+        self._word = word
 
     @property
     def has_exception(self) -> bool:

@@ -1,9 +1,10 @@
 """Hardware-assisted message dispatch: ``MsgIp`` / ``NextMsgIp`` (Figure 7).
 
-The dispatch unit continuously precomputes the instruction pointer of the
-handler for the message in the input registers.  Software dispatches a
-message with a single register-indirect jump instead of the load / mask /
-table-lookup / jump sequence of the basic architecture.
+The dispatch logic continuously precomputes the instruction pointer of the
+handler for the message in the input registers from the interface's
+``IpBase``.  Software dispatches a message with a single register-indirect
+jump instead of the load / mask / table-lookup / jump sequence of the basic
+architecture.
 
 The computation follows Figure 7 of the paper:
 
@@ -98,30 +99,36 @@ class DispatchConditions:
         return self.iafull or self.oafull or self.exception
 
 
+def _handler_id(
+    message: Optional[Message], conditions: DispatchConditions
+) -> Optional[int]:
+    """The handler id Figure 7 selects, or None for case 2.
+
+    The priority order matters and is part of the architecture: exceptions
+    win over everything, then the no-message case, then the type-0 fast
+    path (only with no boundary condition), then the message type.
+    """
+    if conditions.exception:
+        return HANDLER_ID_EXCEPTION
+    if message is None:
+        return HANDLER_ID_NO_MESSAGE
+    if message.mtype == TYPE_MSG_IP and not conditions.boundary:
+        return None
+    return message.mtype
+
+
 def compute_msg_ip(
     ip_base: int,
     message: Optional[Message],
     conditions: DispatchConditions,
 ) -> int:
-    """Compute ``MsgIp`` exactly as the Figure 7 hardware does.
-
-    The priority order matters and is part of the architecture: exceptions
-    win over everything, then the no-message case, then the type-0 fast
-    path (only with no boundary condition), then the table lookup.
-    """
-    if conditions.exception:
-        return handler_table_address(
-            ip_base, HANDLER_ID_EXCEPTION, conditions.iafull, conditions.oafull
-        )
-    if message is None:
-        return handler_table_address(
-            ip_base, HANDLER_ID_NO_MESSAGE, conditions.iafull, conditions.oafull
-        )
-    if message.mtype == TYPE_MSG_IP and not conditions.boundary:
+    """Compute ``MsgIp`` exactly as the Figure 7 hardware does."""
+    handler_id = _handler_id(message, conditions)
+    if handler_id is None:
         # Case 2: the handler IP travels in word 1 of the message.
         return message.word(1)
     return handler_table_address(
-        ip_base, message.mtype, conditions.iafull, conditions.oafull
+        ip_base, handler_id, conditions.iafull, conditions.oafull
     )
 
 
@@ -131,64 +138,16 @@ def describe_dispatch(
     """Human-readable dispatch facts for a message entering the registers.
 
     Used by lineage tracing to label ``dispatch``/``handler`` spans with
-    which Figure 7 case fired and under which boundary conditions —
-    exactly the information ``MsgIp`` encodes in address bits.
+    which Figure 7 case fired, the handler id :func:`compute_msg_ip`
+    selected and the boundary conditions — exactly the information
+    ``MsgIp`` encodes in address bits.
     """
-    if message is not None and message.mtype == TYPE_MSG_IP and not conditions.boundary:
-        case = 2
-        handler_id = None
-    else:
-        case = 1
-        handler_id = message.mtype if message is not None else HANDLER_ID_NO_MESSAGE
-    detail = {"case": case, "iafull": conditions.iafull, "oafull": conditions.oafull}
+    handler_id = _handler_id(message, conditions)
+    detail = {
+        "case": 2 if handler_id is None else 1,
+        "iafull": conditions.iafull,
+        "oafull": conditions.oafull,
+    }
     if handler_id is not None:
         detail["handler_id"] = handler_id
     return detail
-
-
-class DispatchUnit:
-    """The MsgIp / NextMsgIp generator attached to a network interface.
-
-    ``MsgIp`` reflects the message currently in the input registers;
-    ``NextMsgIp`` reflects the message at the head of the input queue (the
-    one ``NEXT`` will expose), letting software overlap the processing of
-    one message with the dispatch of the next (Section 2.2.3).
-    """
-
-    def __init__(self, ip_base: int = 0) -> None:
-        self._ip_base = to_word(ip_base)
-
-    @property
-    def ip_base(self) -> int:
-        """The software-loaded base address of the dispatch table."""
-        return self._ip_base
-
-    @ip_base.setter
-    def ip_base(self, value: int) -> None:
-        self._ip_base = to_word(value)
-
-    def msg_ip(
-        self, current: Optional[Message], conditions: DispatchConditions
-    ) -> int:
-        """Handler IP for the message in the input registers."""
-        return compute_msg_ip(self._ip_base, current, conditions)
-
-    def next_msg_ip(
-        self, queued: Optional[Message], conditions: DispatchConditions
-    ) -> int:
-        """Handler IP for the head-of-queue message (post-``NEXT`` view)."""
-        return compute_msg_ip(self._ip_base, queued, conditions)
-
-    def idle_ip(self, conditions: DispatchConditions | None = None) -> int:
-        """The no-message handler address under the given conditions."""
-        conditions = conditions or DispatchConditions()
-        return handler_table_address(
-            self._ip_base, HANDLER_ID_NO_MESSAGE, conditions.iafull, conditions.oafull
-        )
-
-    def exception_ip(self, conditions: DispatchConditions | None = None) -> int:
-        """The exception handler address under the given conditions."""
-        conditions = conditions or DispatchConditions()
-        return handler_table_address(
-            self._ip_base, HANDLER_ID_EXCEPTION, conditions.iafull, conditions.oafull
-        )

@@ -13,6 +13,9 @@ Two commands drive it:
 * ``NEXT`` disposes of the message in the input registers and advances the
   head of the input queue into them.
 
+Every placement issues them as one :class:`Riders` record per access, and
+:meth:`NetworkInterface.run_commands` runs it: SEND, then NEXT.
+
 One behaviour is made explicit here that the paper leaves implicit: the
 hardware advances the head of the input queue into the input registers
 whenever the input registers are empty, so the oldest arrived message is
@@ -40,7 +43,7 @@ from typing import Callable, List, Optional, Protocol
 
 from repro.errors import MessageFormatError, QueueOverflowError, ReservedTypeError
 from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
-from repro.nic.dispatch import DispatchConditions, DispatchUnit, describe_dispatch
+from repro.nic.dispatch import DispatchConditions, compute_msg_ip, describe_dispatch
 from repro.nic.messages import (
     MESSAGE_WORDS,
     TYPE_EXCEPTION,
@@ -93,6 +96,38 @@ class SendResult(enum.Enum):
 
     SENT = "sent"
     STALLED = "stalled"
+
+
+@dataclass(frozen=True)
+class Riders:
+    """The commands one access carries: at most one SEND, then NEXT or not.
+
+    The memory-mapped placements carry them in the low bits of an
+    interface address (Figure 9); the register-file placement carries the
+    same seven bits in unused fields of any triadic instruction (Section
+    3.3).  Either way they add no cycles, and
+    :meth:`NetworkInterface.run_commands` runs them.
+    """
+
+    send_mode: Optional[SendMode] = None
+    send_type: int = 0
+    do_next: bool = False
+
+    @property
+    def any(self) -> bool:
+        return self.send_mode is not None or self.do_next
+
+    def describe(self) -> str:
+        parts = []
+        if self.send_mode is not None:
+            mode = "" if self.send_mode is SendMode.NORMAL else f"-{self.send_mode.value}"
+            parts.append(f"SEND{mode} type={self.send_type}")
+        if self.do_next:
+            parts.append("NEXT")
+        return ", ".join(parts)
+
+
+NO_RIDERS = Riders()
 
 
 # Which outgoing word positions are taken from which *input* registers in
@@ -164,7 +199,8 @@ class NetworkInterface:
         self.control = ControlRegister(
             queues=(self.input_queue, self.output_queue)
         )
-        self.dispatch = DispatchUnit()
+        # IpBase: the software-loaded base of the dispatch table (Figure 7).
+        self.ip_base = 0
         self.output_registers: List[int] = [0] * MESSAGE_WORDS
         self._current: Optional[Message] = None
         self.stats = InterfaceStats()
@@ -294,7 +330,7 @@ class NetworkInterface:
         if name == "CONTROL":
             self.control.word = value
         elif name == "IpBase":
-            self.ip_base = value
+            self.ip_base = to_word(value)
         elif name == "STATUS":
             if value == 0:
                 self.status.clear_exceptions()
@@ -320,14 +356,6 @@ class NetworkInterface:
     # Dispatch registers.
     # ------------------------------------------------------------------
 
-    @property
-    def ip_base(self) -> int:
-        return self.dispatch.ip_base
-
-    @ip_base.setter
-    def ip_base(self, value: int) -> None:
-        self.dispatch.ip_base = value
-
     def _conditions(self) -> DispatchConditions:
         return DispatchConditions(
             iafull=self.input_queue.almost_full,
@@ -338,12 +366,13 @@ class NetworkInterface:
     @property
     def msg_ip(self) -> int:
         """The precomputed handler IP for the current message (Figure 7)."""
-        return self.dispatch.msg_ip(self._current, self._conditions())
+        return compute_msg_ip(self.ip_base, self._current, self._conditions())
 
     @property
     def next_msg_ip(self) -> int:
-        """The precomputed handler IP for the head-of-queue message."""
-        return self.dispatch.next_msg_ip(self.input_queue.peek(), self._conditions())
+        """The precomputed handler IP for the head-of-queue message, the
+        one ``NEXT`` will expose (Section 2.2.3)."""
+        return compute_msg_ip(self.ip_base, self.input_queue.peek(), self._conditions())
 
     # ------------------------------------------------------------------
     # Commands.
@@ -451,6 +480,20 @@ class NetworkInterface:
             self.observer.on_retire(self._clock(), self.node, retired)
         self._advance()
 
+    def run_commands(self, riders: Riders) -> Optional[SendResult]:
+        """Run one access's commands: its SEND, then its NEXT.
+
+        Every placement calls this after the access's register read or
+        write, so the register access sees the pre-command state.
+        Returns the SEND's result, or None when the access sends nothing.
+        """
+        result = None
+        if riders.send_mode is not None:
+            result = self.send(riders.send_type, riders.send_mode)
+        if riders.do_next:
+            self.next()
+        return result
+
     # ------------------------------------------------------------------
     # Network-side operations (called by the fabric / router).
     # ------------------------------------------------------------------
@@ -459,25 +502,28 @@ class NetworkInterface:
         """Whether the network may deliver one more message (backpressure)."""
         return not self.input_queue.is_full
 
-    def would_divert(self, message: Message) -> bool:
-        """Whether ``message`` would bypass the input queue (Section 2.1.3).
+    def would_divert(self, message: Message) -> Optional[str]:
+        """Why ``message`` would bypass the input queue (Section 2.1.3):
+        a DIVERT_* reason, or None when :meth:`deliver` would queue it.
 
-        Pure check with no side effects; the fabric uses it to exempt
-        privileged / PIN-mismatched / cap-overflow traffic from
+        The one divert rule, with no side effects: :meth:`deliver` diverts
+        by it, and the fabric uses it to exempt diverted traffic from
         input-queue credit.
         """
-        return (
-            message.privileged
-            or (
-                self.control.pin_checking
-                and message.pin != self.control["active_pin"]
-            )
-            or (
-                self.tenant_cap is not None
-                and self.input_queue.tenant_occupancy(message.pin)
-                >= self.tenant_cap
-            )
-        )
+        if message.privileged:
+            return DIVERT_PRIVILEGED
+        if self.control.pin_checking and message.pin != self.control["active_pin"]:
+            # A message for an inactive process is treated as privileged.
+            return DIVERT_PIN
+        if (
+            self.tenant_cap is not None
+            and self.input_queue.tenant_occupancy(message.pin) >= self.tenant_cap
+        ):
+            # The tenant already holds its share of the input queue; the
+            # scheduler gets the message for deferred redelivery rather
+            # than letting one flooder occupy the whole shared queue.
+            return DIVERT_CAP
+        return None
 
     def refuse_delivery(self, message: Message) -> bool:
         """Record a refused delivery attempt; always returns False.
@@ -497,10 +543,27 @@ class NetworkInterface:
 
         Returns False (and leaves the message with the caller) when the
         input queue is full — the fabric models this as backpressure into
-        the network.  Privileged messages and PIN mismatches are diverted
-        per Section 2.1.3 and never reach user-visible state.
+        the network.  A message :meth:`would_divert` gives a reason for
+        goes to the tenant scheduler (or :attr:`privileged_store`) and
+        never reaches user-visible state (Section 2.1.3).
         """
-        if self._divert_if_protected(message):
+        reason = self.would_divert(message)
+        if reason is not None:
+            if reason == DIVERT_PIN:
+                self.stats.pin_diverted += 1
+                self.status.raise_exception("exc_pin_mismatch")
+            elif reason == DIVERT_CAP:
+                self.stats.cap_diverted += 1
+                if self.input_queue.tenant_stats is not None:
+                    self.input_queue.tenant_stats.on_cap_rejection(message.pin)
+            else:
+                self.stats.privileged_diverted += 1
+            if self.observer is not None:
+                self.observer.on_divert(self._clock(), self.node, message, reason)
+            if self.tenant_scheduler is not None:
+                self.tenant_scheduler.on_divert(self, message, reason)
+            else:
+                self.privileged_store.append(message)
             return True
         if self.input_queue.is_full:
             return self.refuse_delivery(message)
@@ -543,39 +606,6 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
-
-    def _divert_if_protected(self, message: Message) -> bool:
-        """Handle privileged / mismatched-PIN / over-cap messages; True
-        when diverted."""
-        reason = None
-        if message.privileged:
-            self.stats.privileged_diverted += 1
-            reason = DIVERT_PRIVILEGED
-        elif self.control.pin_checking and message.pin != self.control["active_pin"]:
-            # A message for an inactive process is treated as privileged
-            # (Section 2.1.3).
-            self.stats.pin_diverted += 1
-            self.status.raise_exception("exc_pin_mismatch")
-            reason = DIVERT_PIN
-        elif (
-            self.tenant_cap is not None
-            and self.input_queue.tenant_occupancy(message.pin) >= self.tenant_cap
-        ):
-            # The tenant already holds its share of the input queue; the
-            # scheduler gets the message for deferred redelivery rather
-            # than letting one flooder occupy the whole shared queue.
-            self.stats.cap_diverted += 1
-            if self.input_queue.tenant_stats is not None:
-                self.input_queue.tenant_stats.on_cap_rejection(message.pin)
-            reason = DIVERT_CAP
-        if reason is not None:
-            if self.observer is not None:
-                self.observer.on_divert(self._clock(), self.node, message, reason)
-            if self.tenant_scheduler is not None:
-                self.tenant_scheduler.on_divert(self, message, reason)
-            else:
-                self.privileged_store.append(message)
-        return reason is not None
 
     def _advance(self) -> None:
         """Auto-load the input registers from the queue when they are empty."""

@@ -56,8 +56,8 @@ class Link:
         # A sender may launch only onto an empty wire.
         a_credit = self._a_to_b.wire is None
         b_credit = self._b_to_a.wire is None
-        a_out, _ = self.a.tick(rx_flit=deliver_to_a, tx_credit=a_credit)
-        b_out, _ = self.b.tick(rx_flit=deliver_to_b, tx_credit=b_credit)
+        a_out = self.a.tick(rx_flit=deliver_to_a, tx_credit=a_credit)
+        b_out = self.b.tick(rx_flit=deliver_to_b, tx_credit=b_credit)
         if a_out is not None:
             self._a_to_b.wire = a_out
             self._a_to_b.launched += 1

@@ -21,13 +21,13 @@ select the interface instead of a data cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import MessageFormatError
 from repro.nic.interface import (
     REGISTER_NAMES,
     NetworkInterface,
+    Riders,
     SendMode,
     SendResult,
 )
@@ -74,8 +74,9 @@ def encode_address(
     """Build the memory address that performs the given command combination.
 
     ``register`` may be a name from :data:`REGISTER_NAMES`, a register
-    number, or None (meaning "register 0 / don't care", used for pure
-    command accesses such as a bare ``SEND``).
+    number, or None, which selects register 0 (``o0``).  A command-only
+    store should name an input register, whose writes the interface
+    ignores, as the ``Machine``'s NICMD does.
     """
     if base & ((1 << COMMAND_BITS) - 1):
         raise MessageFormatError(
@@ -102,22 +103,11 @@ def encode_address(
     )
 
 
-@dataclass(frozen=True)
-class DecodedAccess:
-    """The command content of one memory-mapped interface access."""
-
-    register: str
-    send_mode: Optional[SendMode]
-    send_type: int
-    do_next: bool
-
-    @property
-    def sends(self) -> bool:
-        return self.send_mode is not None
-
-
-def decode_address(address: int, base: int = DEFAULT_BASE_ADDRESS) -> DecodedAccess:
-    """Decode the low bits of ``address`` into a :class:`DecodedAccess`."""
+def decode_address(
+    address: int, base: int = DEFAULT_BASE_ADDRESS
+) -> tuple[str, Riders]:
+    """Decode the low bits of ``address``: the register name and the
+    commands the access carries."""
     if not matches_base(address, base):
         raise MessageFormatError(
             f"address {address:#x} does not select the interface at {base:#x}"
@@ -126,8 +116,7 @@ def decode_address(address: int, base: int = DEFAULT_BASE_ADDRESS) -> DecodedAcc
     number = fields["register"]
     if number >= len(REGISTER_NAMES):
         raise MessageFormatError(f"address selects nonexistent register {number}")
-    return DecodedAccess(
-        register=REGISTER_NAMES[number],
+    return REGISTER_NAMES[number], Riders(
         send_mode=_SEND_MODE_FROM_CODE[fields["send_mode"]],
         send_type=fields["send_type"],
         do_next=bool(fields["next"]),
@@ -147,11 +136,13 @@ class MemoryMappedInterface:
     module share; the two placements differ only in access latency, which is
     modelled by :mod:`repro.impls`, not here.
 
-    The ordering within a single access follows the NIC design: the register
-    read/write uses the *pre-command* state (so a load of ``i1`` combined
-    with ``NEXT`` returns the current message's word before advancing), then
-    ``SEND``, then ``NEXT``.  The register access itself is the
-    interface's own :meth:`~NetworkInterface.read_register` /
+    Each access runs in the order MANUAL §3 gives: the register read or
+    write uses the *pre-command* state (so a load of ``i1`` combined with
+    ``NEXT`` returns the current message's word before advancing), then
+    the address's commands run through
+    :meth:`~NetworkInterface.run_commands`, SEND before NEXT.  The
+    register access is the interface's own
+    :meth:`~NetworkInterface.read_register` /
     :meth:`~NetworkInterface.write_register`; a store to a read-only
     register is ignored, as on the NIC chip.
     """
@@ -163,29 +154,21 @@ class MemoryMappedInterface:
     ) -> None:
         self.interface = interface
         self.base = base
-        self.last_send_result: Optional[SendResult] = None
 
     def selects(self, address: int) -> bool:
         """Whether ``address`` targets this interface."""
         return matches_base(address, self.base)
 
-    def load(self, address: int) -> int:
-        """A processor load from the interface region."""
-        access = decode_address(address, self.base)
-        value = self.interface.read_register(access.register)
-        self._run_commands(access)
-        return value
+    def load(self, address: int) -> tuple[int, Optional[SendResult]]:
+        """A processor load from the interface region: the loaded value
+        and the result of the SEND the address carries (None if none)."""
+        register, riders = decode_address(address, self.base)
+        value = self.interface.read_register(register)
+        return value, self.interface.run_commands(riders)
 
-    def store(self, address: int, value: int) -> None:
-        """A processor store to the interface region."""
-        access = decode_address(address, self.base)
-        self.interface.write_register(access.register, value)
-        self._run_commands(access)
-
-    def _run_commands(self, access: DecodedAccess) -> None:
-        if access.sends:
-            self.last_send_result = self.interface.send(
-                access.send_type, access.send_mode
-            )
-        if access.do_next:
-            self.interface.next()
+    def store(self, address: int, value: int) -> Optional[SendResult]:
+        """A processor store to the interface region; returns the result
+        of the SEND the address carries (None if none)."""
+        register, riders = decode_address(address, self.base)
+        self.interface.write_register(register, value)
+        return self.interface.run_commands(riders)

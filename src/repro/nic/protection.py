@@ -47,6 +47,21 @@ def check_pin(pin: int) -> int:
     return pin
 
 
+def restore(interface: NetworkInterface, messages: List[Message]) -> int:
+    """Redeliver saved ``messages`` in order; returns how many reached
+    the interface.
+
+    Stops at the first message the interface would divert (its PIN no
+    longer active, or its tenant at the occupancy cap) or refuses (full
+    queue), so the caller keeps that message and the rest saved in
+    arrival order instead of losing them to a divert.
+    """
+    for index, message in enumerate(messages):
+        if interface.would_divert(message) or not interface.deliver(message):
+            return index
+    return len(messages)
+
+
 @dataclass
 class PrivilegedStore:
     """Kernel-side buffering for diverted messages.
@@ -128,21 +143,16 @@ class ProtectionDomain:
         """Context switch to process ``pin``.
 
         Enables PIN checking for the new process and redelivers any of its
-        messages that arrived while it was switched out.  Redelivery stops
-        at the first message the interface would refuse (full queue) or
-        divert (the tenant's occupancy cap); that message and the rest
-        stay stored in arrival order.  Returns the number of messages that
-        reached the interface.  PIN 0 is reserved (:data:`RESERVED_PIN`)
-        and rejected.
+        messages that arrived while it was switched out (:func:`restore`);
+        what redelivery stops at stays stored in arrival order.  Returns
+        the number of messages that reached the interface.  PIN 0 is
+        reserved (:data:`RESERVED_PIN`) and rejected.
         """
-        ni = self.interface
-        ni.control.enable_pin_checking(check_pin(pin))
+        self.interface.control.enable_pin_checking(check_pin(pin))
         stored = self.store.take_for(pin)
-        for index, message in enumerate(stored):
-            if ni.would_divert(message) or not ni.deliver(message):
-                self.store.file_front(pin, stored[index:])
-                return index
-        return len(stored)
+        delivered = restore(self.interface, stored)
+        self.store.file_front(pin, stored[delivered:])
+        return delivered
 
     def deactivate(self) -> None:
         """Leave no process active (all user messages divert).
@@ -180,11 +190,11 @@ class GangScheduler:
     def start_slice(self, pin: int) -> None:
         """Begin a time slice for process ``pin`` on every node.
 
-        Restored messages that no longer fit the input queue (its
-        threshold or capacity may have shrunk between slices) are refiled
-        into the process's saved state in order, exactly as
-        :meth:`ProtectionDomain.activate` keeps its remainder stored —
-        no message is lost and none reordered.
+        Saved messages are restored with :func:`restore`; those it stops
+        at (the input queue's threshold, capacity or the tenant's cap may
+        have shrunk between slices) stay in the process's saved state in
+        order, as :meth:`ProtectionDomain.activate` keeps its remainder
+        stored — no message is lost and none reordered.
         """
         if self.active_pin is not None:
             raise ProtectionError(
@@ -192,28 +202,15 @@ class GangScheduler:
             )
         check_pin(pin)
         self.active_pin = pin
-        saved = self._saved.pop(pin, None)
-        if saved is not None:
-            leftover: List[List[Message]] = []
-            for interface, messages in zip(self.interfaces, saved):
-                kept: List[Message] = []
-                for index, message in enumerate(messages):
-                    if not interface.deliver(message):
-                        # Keep the whole tail so arrival order survives
-                        # behind the undelivered head.
-                        kept = messages[index:]
-                        break
-                leftover.append(kept)
-            if any(leftover):
-                self._saved[pin] = leftover
+        self._restore()
 
     def end_slice(self) -> None:
         """End the running slice, draining all in-flight state."""
         if self.active_pin is None:
             raise ProtectionError("no slice is running")
-        # Messages refiled at start_slice (queue overflow) are still
-        # parked here; they requeue behind what the slice leaves, each
-        # batch keeping its own arrival order.
+        # Messages start_slice could not restore are still parked here;
+        # they requeue behind what the slice leaves, each batch keeping
+        # its own arrival order.
         refiled = self._saved.pop(self.active_pin, None)
         saved: List[List[Message]] = []
         for index, interface in enumerate(self.interfaces):
@@ -227,28 +224,30 @@ class GangScheduler:
         self.active_pin = None
 
     def refill(self) -> int:
-        """Retry delivering the running slice's refiled messages.
+        """Retry restoring the running slice's saved messages.
 
-        :meth:`start_slice` refiles restored messages that overflow the
-        input queue; once the slice's processors drain some of the
-        backlog, a scheduler tick calls this to move the remainder into
-        the freed slots.  Returns the number of messages delivered.
+        :meth:`start_slice` keeps saved messages it could not restore;
+        once the slice's processors drain some of the backlog, a
+        scheduler tick calls this to move the remainder into the freed
+        slots.  Returns the number of messages delivered.
         """
         if self.active_pin is None:
             raise ProtectionError("no slice is running")
+        return self._restore()
+
+    def _restore(self) -> int:
+        """Restore the running process's saved messages on every node,
+        keeping what :func:`restore` stops at; returns how many it
+        delivered."""
         saved = self._saved.pop(self.active_pin, None)
         if saved is None:
             return 0
         delivered = 0
         leftover: List[List[Message]] = []
         for interface, messages in zip(self.interfaces, saved):
-            kept: List[Message] = []
-            for index, message in enumerate(messages):
-                if not interface.deliver(message):
-                    kept = messages[index:]
-                    break
-                delivered += 1
-            leftover.append(kept)
+            count = restore(interface, messages)
+            delivered += count
+            leftover.append(messages[count:])
         if any(leftover):
             self._saved[self.active_pin] = leftover
         return delivered

@@ -17,8 +17,9 @@ The model is organised around wires sampled at :meth:`ClockedNIC.tick`:
 * **Dispatch logic** — recomputes ``MsgIp`` / ``NextMsgIp`` every cycle
   from the architectural state, exactly like the combinational network in
   Figure 7.
-* **Processor port** — at most one register access plus command set per
-  cycle, matching the single load/store the cache bus can carry.
+* **Processor port** — the Figure 9 cache bus (Section 3.1): at most one
+  interface load or store per cycle, its register access and its SEND /
+  NEXT through the chip's one address decoder.
 
 The architectural state itself is the untimed
 :class:`~repro.nic.interface.NetworkInterface`; the RTL model adds timing
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.errors import MessageFormatError
-from repro.nic.interface import NetworkInterface, SendMode, SendResult
+from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import MESSAGE_WORDS, Message
 from repro.nic.mmio import MemoryMappedInterface
 
@@ -174,31 +175,15 @@ class TransmitPort:
         return flit
 
 
-@dataclass(frozen=True)
-class ProcessorAccess:
-    """One processor-side bus transaction (register access plus commands)."""
-
-    register: Optional[str] = None
-    write_value: Optional[int] = None
-    send_mode: Optional[SendMode] = None
-    send_type: int = 0
-    do_next: bool = False
-
-
-@dataclass
-class ProcessorReply:
-    """The bus response to a :class:`ProcessorAccess`."""
-
-    read_value: Optional[int] = None
-    send_result: Optional[SendResult] = None
-
-
 class ClockedNIC:
-    """The whole chip: both ports plus the processor bus, cycle-stepped.
+    """The whole chip: both network ports plus the processor bus, cycle-stepped.
 
-    Each :meth:`tick` takes the signals present on the chip's pins this
-    cycle and returns the signals it drives: the transmitted flit (if any)
-    and the processor bus reply (if an access was presented).
+    :meth:`tick` takes the network signals on the chip's pins this cycle
+    and returns the flit it drives.  The processor reaches the chip only
+    through the bus, :meth:`bus_read` / :meth:`bus_write`: one bus cycle
+    is one clock edge, and its access acts at the start of the edge,
+    before the receive port samples the link (the edge then runs with
+    idle network inputs).
     """
 
     def __init__(self, interface: Optional[NetworkInterface] = None) -> None:
@@ -219,12 +204,9 @@ class ClockedNIC:
         return self.rx.ready
 
     def tick(
-        self,
-        rx_flit: Optional[Flit] = None,
-        tx_credit: bool = True,
-        access: Optional[ProcessorAccess] = None,
-    ) -> tuple[Optional[Flit], Optional[ProcessorReply]]:
-        """Advance the chip by one clock."""
+        self, rx_flit: Optional[Flit] = None, tx_credit: bool = True
+    ) -> Optional[Flit]:
+        """Advance the chip by one clock; returns the transmitted flit."""
         self.cycle += 1
         if rx_flit is not None:
             accepted = self.rx.offer(rx_flit)
@@ -233,59 +215,47 @@ class ClockedNIC:
                     "a flit was driven while rx_ready was low; the router "
                     "must sample the credit signal"
                 )
-        reply = self._processor_cycle(access) if access is not None else None
         out_flit = self.tx.step(tx_credit)
         # Dispatch logic output registers update at end of cycle.
         self.msg_ip_wire = self.interface.msg_ip
         self.next_msg_ip_wire = self.interface.next_msg_ip
-        return out_flit, reply
+        return out_flit
 
     def run_idle(self, cycles: int) -> List[Flit]:
         """Clock the chip with idle pins; returns any transmitted flits."""
         emitted: List[Flit] = []
         for _ in range(cycles):
-            flit, _ = self.tick()
+            flit = self.tick()
             if flit is not None:
                 emitted.append(flit)
         return emitted
 
     # ------------------------------------------------------------------
-    # Bus-level access: the chip as seen on the cache bus (Section 3.1).
+    # The processor port: the chip as seen on the cache bus (Section 3.1).
     # ------------------------------------------------------------------
 
     def selects(self, address: int) -> bool:
         """Whether a bus address's upper bits select this chip."""
         return self.bus.selects(address)
 
-    def bus_read(self, address: int) -> tuple[int, Optional[Flit]]:
-        """One bus read cycle: Figure 9 decode, commands, and a clock tick.
+    def bus_read(
+        self, address: int
+    ) -> tuple[int, Optional[SendResult], Optional[Flit]]:
+        """One bus read cycle: Figure 9 decode, register read, commands,
+        then the clock edge.
 
-        Returns the data-bus value and any flit transmitted this cycle —
-        this is exactly the §3.1 example, where a single load returns a
+        Returns the data-bus value, the result of the SEND the address
+        carries (None if none) and any flit transmitted this cycle — this
+        is exactly the §3.1 example, where a single load returns a
         register, sends a reply, and advances the input registers.
         """
-        value = self.bus.load(address)
-        flit, _ = self.tick()
-        return value, flit
+        value, sent = self.bus.load(address)
+        return value, sent, self.tick()
 
-    def bus_write(self, address: int, value: int) -> Optional[Flit]:
-        """One bus write cycle: decode, register write, commands, tick."""
-        self.bus.store(address, value)
-        flit, _ = self.tick()
-        return flit
-
-    def _processor_cycle(self, access: ProcessorAccess) -> ProcessorReply:
-        reply = ProcessorReply()
-        if access.register is not None:
-            # A write to a read-only register is ignored, as on the bus.
-            if access.write_value is not None:
-                self.interface.write_register(access.register, access.write_value)
-            else:
-                reply.read_value = self.interface.read_register(access.register)
-        if access.send_mode is not None:
-            reply.send_result = self.interface.send(
-                access.send_type, access.send_mode
-            )
-        if access.do_next:
-            self.interface.next()
-        return reply
+    def bus_write(
+        self, address: int, value: int
+    ) -> tuple[Optional[SendResult], Optional[Flit]]:
+        """One bus write cycle: decode, register write, commands, then
+        the clock edge; returns the SEND result and any transmitted flit."""
+        sent = self.bus.store(address, value)
+        return sent, self.tick()

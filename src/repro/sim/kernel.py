@@ -76,10 +76,6 @@ class SimHandle:
         self.component = component
         self.name = name
 
-    @property
-    def awake(self) -> bool:
-        return self._kernel._awake[self.index]
-
     def wake(self) -> None:
         """Re-enter the per-cycle scan immediately.
 
@@ -150,10 +146,6 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
-
-    def quiescent(self) -> bool:
-        """True when every registered component is quiescent."""
-        return all(c.quiescent() for c in self._components)
 
     def run(
         self,

@@ -994,8 +994,9 @@ class TamMachine:
 
     def _on_pread(self, state: _NodeState, message: TamMessage) -> None:
         mix = self.stats.messages
-        # _encode_reader / _reply inlined: this handler runs once per
-        # IFETCH and the call overhead is measurable.
+        # The reader encoding (the inverse of _decode_reader) and _reply
+        # are inlined: this handler runs once per IFETCH and the call
+        # overhead is measurable.
         ref, inlet = message.reply_to
         reader = DeferredReader(
             (ref.node << _FRAME_ID_BITS) | ref.frame_id, inlet
@@ -1034,11 +1035,6 @@ class TamMachine:
     def _on_write(self, state: _NodeState, message: TamMessage) -> None:
         self.stats.messages.writes += 1
         state.memory.store(message.address, int(message.values[0]))
-
-
-def _encode_reader(reply_to: Tuple[FrameRef, int]) -> DeferredReader:
-    ref, inlet = reply_to
-    return DeferredReader((ref.node << _FRAME_ID_BITS) | ref.frame_id, inlet)
 
 
 def _decode_reader(reader: DeferredReader) -> Tuple[FrameRef, int]:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ProtectionError
-from repro.nic.interface import DIVERT_CAP, NetworkInterface
+from repro.nic.interface import DIVERT_CAP, DIVERT_PIN, NetworkInterface
 from repro.nic.messages import Message
 from repro.nic.protection import GangScheduler, PrivilegedStore, check_pin
 from repro.sim import SimComponent
@@ -174,12 +174,16 @@ class TenantPolicy(SimComponent):
         loop.  The charge accumulates (each divert extends the busy
         window), so a flood of inactive-tenant messages can saturate a
         node's processor: the receive-livelock the gang policy's drained
-        network avoids.  Cap diverts are filed by the NIC-layer
-        accounting and charge nothing.
+        network avoids.  The handler acknowledges the PIN-mismatch
+        exception it services, so STATUS does not keep ``MsgIp`` on the
+        exception handler afterwards.  Cap diverts are filed by the
+        NIC-layer accounting and charge nothing.
         """
         self.diverted_by_reason[reason] = (
             self.diverted_by_reason.get(reason, 0) + 1
         )
+        if reason == DIVERT_PIN:
+            interface.status.acknowledge("exc_pin_mismatch")
         state = self._by_node[interface.node]
         state.store.file(message)
         if not message.privileged:

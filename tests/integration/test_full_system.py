@@ -86,7 +86,7 @@ class TestRtlIntoSystem:
         # Clock both chips, wire tx(a) -> rx(b).
         wire = None
         for _ in range(30):
-            out_flit, _ = sender.tick()
+            out_flit = sender.tick()
             if wire is not None:
                 receiver.tick(rx_flit=wire)
             wire = out_flit

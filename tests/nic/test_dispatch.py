@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.nic.control import CONTROL_LAYOUT
 from repro.nic.dispatch import (
     HANDLER_ID_EXCEPTION,
     HANDLER_ID_NO_MESSAGE,
@@ -11,11 +12,12 @@ from repro.nic.dispatch import (
     HANDLER_SLOT_BYTES,
     TABLE_BYTES,
     DispatchConditions,
-    DispatchUnit,
     compute_msg_ip,
     decode_table_address,
+    describe_dispatch,
     handler_table_address,
 )
+from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
 
 IP_BASE = 0x0004_0000
@@ -128,31 +130,36 @@ class TestComputeMsgIp:
 
 
 class TestDispatchUnit:
+    """The Figure 7 logic as the interface runs it, over its own IpBase."""
+
     def test_ip_base_property(self):
-        unit = DispatchUnit()
-        unit.ip_base = IP_BASE
-        assert unit.ip_base == IP_BASE
+        ni = NetworkInterface()
+        ni.write_register("IpBase", IP_BASE)
+        assert ni.ip_base == ni.read_register("IpBase") == IP_BASE
 
     def test_msg_ip_and_next_msg_ip_independent(self):
-        unit = DispatchUnit(IP_BASE)
-        current = msg(5)
-        queued = msg(6)
-        conditions = DispatchConditions()
-        assert decode_table_address(unit.msg_ip(current, conditions))[0] == 5
-        assert decode_table_address(unit.next_msg_ip(queued, conditions))[0] == 6
+        ni = NetworkInterface()
+        ni.ip_base = IP_BASE
+        ni.deliver(msg(5))
+        ni.deliver(msg(6))
+        assert decode_table_address(ni.msg_ip)[0] == 5
+        assert decode_table_address(ni.next_msg_ip)[0] == 6
 
     def test_idle_and_exception_ips(self):
-        unit = DispatchUnit(IP_BASE)
-        assert decode_table_address(unit.idle_ip())[0] == HANDLER_ID_NO_MESSAGE
-        assert decode_table_address(unit.exception_ip())[0] == HANDLER_ID_EXCEPTION
+        ni = NetworkInterface()
+        ni.ip_base = IP_BASE
+        assert ni.msg_ip == handler_table_address(IP_BASE, HANDLER_ID_NO_MESSAGE)
+        ni.status.raise_exception("exc_input_error")
+        assert ni.msg_ip == handler_table_address(IP_BASE, HANDLER_ID_EXCEPTION)
 
     def test_ip_base_truncated_to_word(self):
-        unit = DispatchUnit(1 << 36)
-        assert unit.ip_base == 0
+        ni = NetworkInterface()
+        ni.write_register("IpBase", 1 << 36)
+        assert ni.read_register("IpBase") == 0
 
 
 class TestDispatchUnitBoundaryVersions:
-    """Section 2.2.4's four handler versions, selected at the unit level."""
+    """Section 2.2.4's four handler versions, selected by the Figure 7 logic."""
 
     SLOTS = (
         (False, False, 0),
@@ -164,18 +171,16 @@ class TestDispatchUnitBoundaryVersions:
     def test_all_four_version_slots_selected(self):
         # Every iafull x oafull combination lands in its own slot, at the
         # architected offset from the unconditioned entry.
-        unit = DispatchUnit(IP_BASE)
-        base_ip = unit.msg_ip(msg(5), DispatchConditions())
+        base_ip = compute_msg_ip(IP_BASE, msg(5), DispatchConditions())
         for iafull, oafull, offset in self.SLOTS:
             conditions = DispatchConditions(iafull=iafull, oafull=oafull)
-            ip = unit.msg_ip(msg(5), conditions)
+            ip = compute_msg_ip(IP_BASE, msg(5), conditions)
             assert decode_table_address(ip) == (5, iafull, oafull)
             assert ip - base_ip == offset
 
     def test_version_slots_never_collide(self):
-        unit = DispatchUnit(IP_BASE)
         ips = {
-            unit.msg_ip(msg(5), DispatchConditions(iafull=ia, oafull=oa))
+            compute_msg_ip(IP_BASE, msg(5), DispatchConditions(iafull=ia, oafull=oa))
             for ia, oa, _ in self.SLOTS
         }
         assert len(ips) == 4
@@ -195,8 +200,7 @@ class TestDispatchUnitBoundaryVersions:
         # The type-0 fast path (MsgIp = word 1) must never fire when any
         # boundary condition holds: the word-1 IP would skip the special
         # handler version the condition selects.
-        unit = DispatchUnit(IP_BASE)
-        ip = unit.msg_ip(msg(0, word1=0x1234_5678), conditions)
+        ip = compute_msg_ip(IP_BASE, msg(0, word1=0x1234_5678), conditions)
         assert ip != 0x1234_5678
         expected = 0 if not conditions.exception else HANDLER_ID_EXCEPTION
         assert decode_table_address(ip) == (
@@ -204,11 +208,15 @@ class TestDispatchUnitBoundaryVersions:
         )
 
     def test_next_msg_ip_sees_the_same_versions(self):
-        unit = DispatchUnit(IP_BASE)
-        conditions = DispatchConditions(iafull=True, oafull=True)
-        assert unit.next_msg_ip(msg(7), conditions) == unit.msg_ip(
-            msg(7), conditions
-        )
+        ni = NetworkInterface()
+        ni.ip_base = IP_BASE
+        # Thresholds of 0: one queued message sets each almost-full bit.
+        ni.write_register("CONTROL", CONTROL_LAYOUT.pack(iq_threshold=0, oq_threshold=0))
+        ni.send(2)
+        ni.deliver(msg(7))
+        ni.deliver(msg(7))
+        assert decode_table_address(ni.next_msg_ip) == (7, True, True)
+        assert ni.next_msg_ip == ni.msg_ip
 
     @given(
         mtype=st.integers(min_value=2, max_value=15),
@@ -216,10 +224,32 @@ class TestDispatchUnitBoundaryVersions:
         oafull=st.booleans(),
     )
     def test_unit_dispatch_roundtrips_through_decode(self, mtype, iafull, oafull):
-        # decode_table_address recovers exactly what the unit encoded,
+        # decode_table_address recovers exactly what the logic encoded,
         # whatever message type and condition pair produced the address.
-        unit = DispatchUnit(IP_BASE)
         conditions = DispatchConditions(iafull=iafull, oafull=oafull)
-        ip = unit.msg_ip(msg(mtype), conditions)
+        ip = compute_msg_ip(IP_BASE, msg(mtype), conditions)
         assert decode_table_address(ip) == (mtype, iafull, oafull)
         assert ip & ~(TABLE_BYTES - 1) == IP_BASE
+
+
+@given(
+    mtype=st.one_of(st.none(), st.sampled_from([0] + list(range(2, 16)))),
+    iafull=st.booleans(),
+    oafull=st.booleans(),
+    exception=st.booleans(),
+)
+def test_dispatch_label_follows_msg_ip(mtype, iafull, oafull, exception):
+    """The label lineage and the tracer give a dispatch names the handler
+    MsgIp selects: exception 0001 while one is pending, case 2 only when
+    MsgIp is the message's word 1."""
+    message = None if mtype is None else msg(mtype)
+    conditions = DispatchConditions(iafull=iafull, oafull=oafull, exception=exception)
+    detail = describe_dispatch(message, conditions)
+    ip = compute_msg_ip(IP_BASE, message, conditions)
+    assert (detail["iafull"], detail["oafull"]) == (iafull, oafull)
+    if detail["case"] == 2:
+        assert "handler_id" not in detail
+        assert ip == message.word(1)
+    else:
+        assert detail["case"] == 1
+        assert decode_table_address(ip) == (detail["handler_id"], iafull, oafull)

@@ -140,3 +140,46 @@ class TestAgainstReference:
                 assert handler == 0
             assert iafull == ni.input_queue.almost_full
             assert oafull == ni.output_queue.almost_full
+
+
+class RecordingScheduler:
+    """A tenant scheduler that records every divert it is handed."""
+
+    def __init__(self) -> None:
+        self.diverted = []
+
+    def on_divert(self, interface, message, reason) -> None:
+        self.diverted.append((message, reason))
+
+
+PINS = st.integers(min_value=0, max_value=3)
+
+
+@settings(max_examples=300)
+@given(
+    queued=st.lists(PINS, max_size=2 * CAPACITY),
+    pin_check=st.booleans(),
+    active_pin=PINS,
+    cap=st.one_of(st.none(), st.integers(min_value=1, max_value=CAPACITY)),
+    pin=PINS,
+    privileged=st.booleans(),
+)
+def test_would_divert_exactly_when_deliver_diverts(
+    queued, pin_check, active_pin, cap, pin, privileged
+):
+    """``would_divert(m)`` names a reason exactly when ``deliver(m)`` then
+    diverts ``m``, and it is the reason the divert carries."""
+    ni = NetworkInterface(input_capacity=CAPACITY)
+    ni.input_queue.attach_tenant_stats()
+    for queued_pin in queued:  # fills the registers, then the queue
+        ni.deliver(Message(2, (pack_destination(0), 0, 0, 0, 0), pin=queued_pin))
+    ni.set_tenant_cap(cap)
+    ni.control["active_pin"] = active_pin
+    ni.control["pin_check"] = int(pin_check)
+    scheduler = RecordingScheduler()
+    ni.attach_tenant_scheduler(scheduler)
+    message = Message(2, (pack_destination(0), 1, 0, 0, 0), pin=pin, privileged=privileged)
+
+    reason = ni.would_divert(message)
+    ni.deliver(message)
+    assert scheduler.diverted == ([] if reason is None else [(message, reason)])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MessageFormatError
-from repro.nic.interface import REGISTER_NAMES, NetworkInterface, SendMode
+from repro.nic.interface import REGISTER_NAMES, NetworkInterface, Riders, SendMode, SendResult
 from repro.nic.messages import Message, pack_destination
 from repro.nic.mmio import (
     DEFAULT_BASE_ADDRESS,
@@ -32,32 +32,27 @@ class TestAddressEncoding:
     def test_roundtrip_all_registers(self):
         for name in REGISTER_NAMES:
             addr = encode_address(register=name)
-            access = decode_address(addr)
-            assert access.register == name
-            assert access.send_mode is None
-            assert not access.do_next
+            assert decode_address(addr) == (name, Riders())
 
     def test_roundtrip_send_modes(self):
         for mode in SendMode:
             addr = encode_address(register="o0", send_mode=mode, send_type=7)
-            access = decode_address(addr)
-            assert access.send_mode is mode
-            assert access.send_type == 7
+            _, riders = decode_address(addr)
+            assert riders.send_mode is mode
+            assert riders.send_type == 7
 
     def test_next_bit(self):
-        access = decode_address(encode_address(register="i1", do_next=True))
-        assert access.do_next
+        _, riders = decode_address(encode_address(register="i1", do_next=True))
+        assert riders.do_next
 
     def test_paper_example_combination(self):
         # The §3.1 example: load i1, SEND reply type 7, NEXT — one address.
         addr = encode_address(
             register="i1", send_mode=SendMode.REPLY, send_type=7, do_next=True
         )
-        access = decode_address(addr)
-        assert access.register == "i1"
-        assert access.send_mode is SendMode.REPLY
-        assert access.send_type == 7
-        assert access.do_next
+        assert decode_address(addr) == (
+            "i1", Riders(send_mode=SendMode.REPLY, send_type=7, do_next=True)
+        )
 
     def test_type_without_send_rejected(self):
         with pytest.raises(MessageFormatError):
@@ -97,12 +92,12 @@ class TestMemoryMappedAccess:
     def test_load_input_register(self):
         mmio = make_mmio()
         deliver_request(mmio)
-        assert mmio.load(encode_address(register="i1")) == 0x11
+        assert mmio.load(encode_address(register="i1")) == (0x11, None)
 
     def test_load_status(self):
         mmio = make_mmio()
         deliver_request(mmio)
-        status = mmio.load(encode_address(register="STATUS"))
+        status, _ = mmio.load(encode_address(register="STATUS"))
         assert status & 1  # msg_valid
 
     def test_store_control(self):
@@ -114,21 +109,21 @@ class TestMemoryMappedAccess:
         mmio = make_mmio()
         mmio.store(encode_address(register="IpBase"), 0x30_0000)
         deliver_request(mmio, mtype=5)
-        msg_ip = mmio.load(encode_address(register="MsgIp"))
+        msg_ip, _ = mmio.load(encode_address(register="MsgIp"))
         assert msg_ip & ~0x3FF == 0x30_0000
 
     def test_load_next_msg_ip(self):
         mmio = make_mmio()
         deliver_request(mmio, mtype=5)
         deliver_request(mmio, mtype=6)
-        next_ip = mmio.load(encode_address(register="NextMsgIp"))
+        next_ip, _ = mmio.load(encode_address(register="NextMsgIp"))
         assert (next_ip >> 6) & 0xF == 6
 
     def test_store_to_input_register_ignored(self):
         mmio = make_mmio()
         deliver_request(mmio)
         mmio.store(encode_address(register="i0"), 0xFFFF)
-        assert mmio.load(encode_address(register="i1")) == 0x11
+        assert mmio.load(encode_address(register="i1"))[0] == 0x11
 
     def test_store_zero_to_status_clears_exceptions(self):
         mmio = make_mmio()
@@ -156,16 +151,17 @@ class TestCombinedCommands:
         addr = encode_address(
             register="i1", send_mode=SendMode.REPLY, send_type=7, do_next=True
         )
-        value = mmio.load(addr)
+        value, sent = mmio.load(addr)
         # Register read uses pre-command state.
         assert value == 0x11
+        assert sent is SendResult.SENT
         # The reply was composed from the old message's i1/i2.
         sent = mmio.interface.transmit()
         assert sent.mtype == 7
         assert sent.words[0] == 0x11
         assert sent.words[1] == 0x22
         # NEXT advanced to the second message.
-        assert mmio.load(encode_address(register="i1")) == 0x99
+        assert mmio.load(encode_address(register="i1"))[0] == 0x99
 
     def test_bare_next_store(self):
         mmio = make_mmio()
@@ -174,6 +170,12 @@ class TestCombinedCommands:
         assert not mmio.interface.msg_valid
 
     def test_send_result_recorded(self):
+        # Each access returns its own SEND's result; one that sends
+        # nothing returns None, whatever an earlier access sent.
         mmio = make_mmio()
-        mmio.store(encode_address(send_mode=SendMode.NORMAL, send_type=2), 0)
-        assert mmio.last_send_result is not None
+        assert (
+            mmio.store(encode_address(send_mode=SendMode.NORMAL, send_type=2), 0)
+            is SendResult.SENT
+        )
+        assert mmio.store(encode_address(register="o1"), 0) is None
+        assert mmio.load(encode_address(register="o1")) == (0, None)

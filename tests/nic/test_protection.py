@@ -271,3 +271,29 @@ class TestGangScheduler:
         sched = GangScheduler([NetworkInterface()])
         sched.start_slice(1)
         assert sched.refill() == 0
+
+    def test_restore_stops_at_a_message_the_interface_would_divert(self):
+        # With the tenant's cap lowered from 3 to 1 between slices, the
+        # saved messages past the cap stay saved in order instead of
+        # being diverted out of the process's state; refill moves them
+        # in as the cap allows.
+        ni = NetworkInterface()
+        ni.set_tenant_cap(3)
+        sched = GangScheduler([ni])
+        sched.start_slice(1)
+        for tag in range(4):  # input registers + three queued, the cap
+            assert ni.deliver(msg(pin=1, tag=tag))
+        sched.end_slice()
+        assert sched.saved_message_count(1) == 4
+        ni.set_tenant_cap(1)
+        sched.start_slice(1)
+        assert ni.privileged_store == []
+        assert sched.saved_message_count(1) == 2
+        seen = []
+        while ni.msg_valid:
+            seen.append(ni.read_input(1))
+            ni.next()
+            sched.refill()
+        assert seen == [0, 1, 2, 3]
+        assert ni.privileged_store == []
+        assert sched.saved_message_count(1) == 0

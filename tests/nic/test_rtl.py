@@ -3,16 +3,16 @@
 import pytest
 
 from repro.errors import MessageFormatError
-from repro.nic.interface import NetworkInterface, SendMode
+from repro.nic.interface import NetworkInterface, SendMode, SendResult
 from repro.nic.messages import Message, pack_destination
 from repro.nic.rtl import (
     FLITS_PER_MESSAGE,
     ClockedNIC,
     Flit,
     FlitKind,
-    ProcessorAccess,
     serialize,
 )
+from repro.nic.mmio import DEFAULT_BASE_ADDRESS, encode_address
 
 
 def sample_message(mtype=2, tag=0xAB) -> Message:
@@ -90,9 +90,9 @@ class TestTransmitPath:
     def test_no_credit_pauses_transmission(self):
         nic = ClockedNIC()
         nic.interface.send(2)
-        flit, _ = nic.tick(tx_credit=False)
+        flit = nic.tick(tx_credit=False)
         assert flit is None
-        flit, _ = nic.tick(tx_credit=True)
+        flit = nic.tick(tx_credit=True)
         assert flit is not None
 
     def test_idle_when_nothing_to_send(self):
@@ -117,7 +117,7 @@ class TestLoopback:
         a.interface.send(4)
         wire = None
         for _ in range(20):
-            out_a, _ = a.tick(rx_flit=None)
+            out_a = a.tick(rx_flit=None)
             b.tick(rx_flit=wire)
             wire = out_a
             if b.interface.msg_valid:
@@ -133,7 +133,7 @@ class TestLoopback:
         flits = []
         cycles = 0
         while len(flits) < FLITS_PER_MESSAGE:
-            flit, _ = a.tick()
+            flit = a.tick()
             cycles += 1
             if flit:
                 flits.append(flit)
@@ -141,34 +141,36 @@ class TestLoopback:
 
 
 class TestProcessorPort:
+    """The processor reaches the chip through the Figure 9 bus only."""
+
     def test_read_register(self):
         nic = ClockedNIC()
         nic.interface.write_output(2, 55)
-        _, reply = nic.tick(access=ProcessorAccess(register="o2"))
-        assert reply.read_value == 55
+        value, sent, _ = nic.bus_read(encode_address(register="o2"))
+        assert (value, sent) == (55, None)
+        assert nic.cycle == 1  # one bus cycle is one clock edge
 
     def test_write_register(self):
         nic = ClockedNIC()
-        nic.tick(access=ProcessorAccess(register="o1", write_value=7))
+        nic.bus_write(encode_address(register="o1"), 7)
         assert nic.interface.read_output(1) == 7
 
     def test_send_command(self):
         nic = ClockedNIC()
-        _, reply = nic.tick(
-            access=ProcessorAccess(send_mode=SendMode.NORMAL, send_type=2)
+        sent, flit = nic.bus_write(
+            encode_address(send_mode=SendMode.NORMAL, send_type=2), 0
         )
-        assert reply.send_result is not None
-        # The transmit port may already have claimed the message this cycle.
-        assert nic.tx.busy or nic.interface.output_queue.depth == 1
+        assert sent is SendResult.SENT
+        # The transmit port claimed the message on the same edge.
+        assert flit.kind is FlitKind.HEAD and flit.payload == 2
+        assert nic.tx.busy and nic.interface.output_queue.depth == 0
 
     def test_combined_access(self):
         nic = ClockedNIC()
         nic.interface.deliver(sample_message(tag=5))
         nic.interface.deliver(sample_message(tag=6))
-        _, reply = nic.tick(
-            access=ProcessorAccess(register="i1", do_next=True)
-        )
-        assert reply.read_value == 5
+        value, _, _ = nic.bus_read(encode_address(register="i1", do_next=True))
+        assert value == 5
         assert nic.interface.read_input(1) == 6
 
     def test_msg_ip_wire_updates_after_delivery(self):
@@ -190,8 +192,6 @@ class TestBusLevelAccess:
     """The chip as another device on the cache bus (Section 3.1)."""
 
     def test_selects_interface_region(self):
-        from repro.nic.mmio import DEFAULT_BASE_ADDRESS, encode_address
-
         nic = ClockedNIC()
         assert nic.selects(encode_address(register="i1"))
         assert nic.selects(DEFAULT_BASE_ADDRESS)
@@ -199,8 +199,6 @@ class TestBusLevelAccess:
 
     def test_paper_example_single_load(self):
         """§3.1: one load returns i1, sends a reply of type 7, and NEXTs."""
-        from repro.nic.mmio import encode_address
-
         nic = ClockedNIC(NetworkInterface(node=0))
         nic.interface.deliver(
             Message(2, (pack_destination(0), 0x11, 0x22, 0, 0))
@@ -211,18 +209,17 @@ class TestBusLevelAccess:
         address = encode_address(
             register="i1", send_mode=SendMode.REPLY, send_type=7, do_next=True
         )
-        value, flit = nic.bus_read(address)
+        value, sent, flit = nic.bus_read(address)
         assert value == 0x11  # the pre-command register read
+        assert sent is SendResult.SENT
         assert nic.interface.read_input(1) == 0x99  # NEXT advanced
         # The reply started serialising on the same clock.
         assert flit is not None and flit.payload == 7
 
     def test_bus_write_composes(self):
-        from repro.nic.mmio import encode_address
-
         nic = ClockedNIC()
         nic.bus_write(encode_address(register="o1"), 42)
-        flit = nic.bus_write(
+        _, flit = nic.bus_write(
             encode_address(register="o0", send_mode=SendMode.NORMAL, send_type=3),
             pack_destination(1),
         )

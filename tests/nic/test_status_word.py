@@ -13,7 +13,7 @@ bits already set.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nic.control import CONTROL_LAYOUT, QUEUE_LEN_BITS, STATUS_LAYOUT
+from repro.nic.control import CONTROL_LAYOUT, EXCEPTION_FIELDS, QUEUE_LEN_BITS, STATUS_LAYOUT
 from repro.nic.dispatch import decode_table_address
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message, pack_destination
@@ -100,3 +100,33 @@ def test_control_threshold_write_takes_effect_at_once():
     ni.control["oq_threshold"] = 1
     assert (ni.status["iafull"], ni.status["oafull"]) == (0, 0)
     assert decode_table_address(ni.msg_ip) == (5, False, False)
+
+
+def read_with_stored(stored: int) -> int:
+    """What an empty interface's STATUS reads with ``stored`` written to it."""
+    ni = NetworkInterface()
+    ni.status.word = stored
+    return ni.status.word
+
+
+@given(
+    preset=st.integers(min_value=0, max_value=0xFFFF_FFFF),
+    name=st.sampled_from(EXCEPTION_FIELDS),
+)
+def test_exception_clears_are_the_field_by_field_updates(preset, name):
+    """``clear_exceptions`` and ``acknowledge`` are single masked stores;
+    each must equal its field-by-field reference on any stored word."""
+    ni = NetworkInterface()
+    ni.status.word = preset
+    ni.status.clear_exceptions()
+    cleared = STATUS_LAYOUT.update(
+        preset, exc_any=0, **{field: 0 for field in EXCEPTION_FIELDS}
+    )
+    assert ni.status.word == read_with_stored(cleared)
+
+    ni.status.word = preset
+    ni.status.acknowledge(name)
+    acknowledged = STATUS_LAYOUT.update(preset, **{name: 0})
+    if not any(STATUS_LAYOUT.get(acknowledged, field) for field in EXCEPTION_FIELDS):
+        acknowledged = STATUS_LAYOUT.update(acknowledged, exc_any=0)
+    assert ni.status.word == read_with_stored(acknowledged)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProtectionError
+from repro.nic.dispatch import decode_table_address
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
 from repro.sim import SimKernel
@@ -75,6 +76,23 @@ class TestDivertAccounting:
         assert scheduler.stalled(0, 0)
         assert scheduler.stalled(0, 3)
         assert not scheduler.stalled(0, 4)
+
+    @pytest.mark.parametrize("policy", ["round-robin", "quantum"])
+    def test_pin_divert_acknowledges_its_exception(self, policy):
+        # The OS handling a PIN-mismatch divert acknowledges the exception
+        # it services, so the resident tenant's next message dispatches to
+        # its own handler instead of exception handler 0001.
+        nis = make_ifaces()
+        ni = nis[0]
+        ni.ip_base = 0x40_0000
+        scheduler = make_scheduler(policy, nis, [1, 2])
+        scheduler.bind(SimKernel())
+        ni.control["active_pin"] = 1  # pin 1 resident
+        assert ni.deliver(msg(pin=2))
+        assert scheduler.diverted_by_reason == {"pin": 1}
+        assert not ni.status.has_exception
+        ni.deliver(msg(pin=1))
+        assert decode_table_address(ni.msg_ip)[0] == 2
 
     def test_charges_accumulate_per_divert(self):
         nis = make_ifaces()
