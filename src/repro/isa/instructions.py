@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.nic.interface import NO_RIDERS, Riders
+from repro.nic.interface import Riders
 
 
 class Opcode(enum.Enum):
@@ -93,7 +93,7 @@ class Instruction:
     target: Optional[str] = None
     label: Optional[str] = None
     ni_register: Optional[str] = None
-    riders: Riders = NO_RIDERS
+    riders: Riders = Riders()
     slot_filled: bool = False
     masked: bool = False
     note: str = ""

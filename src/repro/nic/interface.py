@@ -127,9 +127,6 @@ class Riders:
         return ", ".join(parts)
 
 
-NO_RIDERS = Riders()
-
-
 # Which outgoing word positions are taken from which *input* registers in
 # each substitution mode.  REPLY rebuilds the message head (the reply's
 # destination/FP and IP come from words 1 and 2 of the request); FORWARD
