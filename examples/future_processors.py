@@ -12,8 +12,8 @@ Run:  python examples/future_processors.py
 """
 
 from repro.eval import run_program
-from repro.eval import cost_table_at_latency, latency_sweep as sweep, render_sweep
-from repro.impls.base import BASIC_ON_CHIP, OPTIMIZED_ON_CHIP
+from repro.eval import latency_sweep as sweep, render_sweep
+from repro.impls.base import BASIC_ON_CHIP, OPTIMIZED_OFF_CHIP, OPTIMIZED_ON_CHIP
 from repro.tam.costmap import breakdown
 
 
@@ -33,13 +33,8 @@ def main() -> None:
     )
     crossover = None
     for dead_cycles in range(2, 65):
-        from repro.impls.base import OPTIMIZED_OFF_CHIP
-
         model = OPTIMIZED_OFF_CHIP.with_off_chip_latency(dead_cycles)
-        overhead = breakdown(
-            stats, model, table=cost_table_at_latency(dead_cycles)
-        ).overhead
-        if overhead > basic_onchip:
+        if breakdown(stats, model).overhead > basic_onchip:
             crossover = dead_cycles
             break
     if crossover is None:

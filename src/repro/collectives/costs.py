@@ -2,9 +2,9 @@
 
 The simulation layer counts *events* (steps handled, messages sent,
 values combined); this module prices those events in processor cycles
-under each of the six Table 1 interface models, using the measured
-kernel costs from :mod:`repro.kernels.harness` — the same
-measure-then-multiply method the netsweep eval uses, applied to the
+under each of the six Table 1 interface models, reading each model's
+measured column (:func:`repro.kernels.harness.measure_column`) — the same
+measure-then-multiply method Figure 12 uses, applied to the
 collectives.
 
 One collective step is priced as a dispatch plus a one-data-word Send
@@ -27,15 +27,10 @@ perform — the compute availability the offload buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.collectives.engine import CollectiveRun
 from repro.impls.base import InterfaceModel
-from repro.kernels.harness import (
-    measure_dispatch,
-    measure_processing,
-    measure_sending,
-)
+from repro.kernels.harness import measure_column
 
 #: The kernel that prices one collective step: a Send carrying one data
 #: word, the shape of every UP/DOWN message.
@@ -56,12 +51,12 @@ class StepCosts:
         return self.dispatch + self.processing
 
 
-@lru_cache(maxsize=None)
 def _costs_for(model: InterfaceModel) -> StepCosts:
+    column = measure_column(model)
     return StepCosts(
-        dispatch=measure_dispatch(model).cycles,
-        processing=measure_processing(STEP_KERNEL, model).cycles,
-        sending=measure_sending(STEP_KERNEL, model).cycles,
+        dispatch=column.dispatch,
+        processing=column.processing[STEP_KERNEL],
+        sending=column.worst_sending(STEP_KERNEL),
     )
 
 

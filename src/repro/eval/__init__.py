@@ -42,7 +42,6 @@ _LAZY_EXPORTS = {
     "headline_metrics": ("repro.eval.figure12", "headline_metrics"),
     "render_figure": ("repro.eval.figure12", "render_figure"),
     # Latency sweep.
-    "cost_table_at_latency": ("repro.eval.latency", "cost_table_at_latency"),
     "latency_sweep": ("repro.eval.latency", "sweep"),
     "relative_overheads": ("repro.eval.latency", "relative_overheads"),
     "render_sweep": ("repro.eval.latency", "render_sweep"),

@@ -28,7 +28,7 @@ from typing import Dict, List
 from repro.exp.registry import register
 from repro.exp.runcache import resolve_key, run_program
 from repro.exp.spec import ExperimentSpec
-from repro.impls.base import ALL_MODELS, Architecture, InterfaceModel
+from repro.impls.base import model_by_key
 from repro.tam.costmap import (
     CycleBreakdown,
     MessageCostTable,
@@ -42,8 +42,8 @@ ABLATIONS = ("basic", "+dispatch", "+types", "+reply/forward", "optimized")
 
 
 def _tables_for_placement(placement_suffix: str) -> Dict[str, MessageCostTable]:
-    basic = measured_cost_table(f"basic-{placement_suffix}")
-    optimized = measured_cost_table(f"optimized-{placement_suffix}")
+    basic = measured_cost_table(model_by_key(f"basic-{placement_suffix}"))
+    optimized = measured_cost_table(model_by_key(f"optimized-{placement_suffix}"))
     return {
         "basic": basic,
         "+dispatch": replace(basic, dispatch=optimized.dispatch),
@@ -69,7 +69,7 @@ def run_ablation(stats: TamStats) -> List[AblationRow]:
     """Price ``stats`` under every ablated cost table, per placement."""
     rows: List[AblationRow] = []
     for placement_suffix in ("register", "onchip", "offchip"):
-        basic_model = _find_model(Architecture.BASIC, placement_suffix)
+        basic_model = model_by_key(f"basic-{placement_suffix}")
         tables = _tables_for_placement(placement_suffix)
         for variant in ABLATIONS:
             rows.append(
@@ -80,15 +80,6 @@ def run_ablation(stats: TamStats) -> List[AblationRow]:
                 )
             )
     return rows
-
-
-def _find_model(architecture: Architecture, placement_suffix: str) -> InterfaceModel:
-    for model in ALL_MODELS:
-        if model.architecture is architecture and model.key.endswith(
-            placement_suffix
-        ):
-            return model
-    raise AssertionError(placement_suffix)
 
 
 def render_ablation(program: str, rows: List[AblationRow]) -> str:

@@ -25,43 +25,12 @@ from repro.exp.registry import register
 from repro.exp.runcache import resolve_key, run_program
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import OPTIMIZED_OFF_CHIP
-from repro.kernels.harness import (
-    measure_dispatch,
-    measure_processing,
-    measure_pwrite_deferred_line,
-    measure_sending,
-)
-from repro.kernels.sequences import PROCESSING_CASES, SENDING_MESSAGES
-from repro.tam.costmap import MessageCostTable, breakdown
+from repro.tam.costmap import breakdown
 from repro.tam.stats import TamStats
 from repro.utils.tables import render_table
 
 BASELINE_DEAD_CYCLES = 2
 """The paper's Figure 12 assumption for off-chip reads."""
-
-
-def cost_table_at_latency(dead_cycles: int) -> MessageCostTable:
-    """Measure the full Table 1 price set at a swept off-chip latency."""
-    model = OPTIMIZED_OFF_CHIP.with_off_chip_latency(dead_cycles)
-    sending = {
-        message: measure_sending(message, model).cycles
-        for message in SENDING_MESSAGES
-    }
-    processing = {
-        case: measure_processing(case, model).cycles
-        for case in PROCESSING_CASES
-        if case != "pwrite_deferred"
-    }
-    base, slope = measure_pwrite_deferred_line(model)
-    return MessageCostTable(
-        model_key=model.key,
-        sending=sending,
-        dispatch=measure_dispatch(model).cycles,
-        processing=processing,
-        pwrite_deferred_base=base,
-        pwrite_deferred_slope=slope,
-        source=f"measured@latency={dead_cycles}",
-    )
 
 
 @dataclass
@@ -82,8 +51,7 @@ def sweep(
     """Reprice ``stats`` at each off-chip read latency."""
     points = []
     for dead_cycles in latencies:
-        model = OPTIMIZED_OFF_CHIP.with_off_chip_latency(dead_cycles)
-        result = breakdown(stats, model, table=cost_table_at_latency(dead_cycles))
+        result = breakdown(stats, OPTIMIZED_OFF_CHIP.with_off_chip_latency(dead_cycles))
         points.append(
             LatencyPoint(
                 dead_cycles=dead_cycles,

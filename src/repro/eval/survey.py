@@ -17,7 +17,7 @@ from typing import List
 from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import BASIC_OFF_CHIP, OPTIMIZED_REGISTER
-from repro.kernels.harness import measure_dispatch, measure_processing, measure_sending
+from repro.kernels.harness import measure_column
 from repro.survey.models import (
     DEFAULT_CLOCK_MHZ,
     SURVEY,
@@ -42,17 +42,16 @@ def this_work_rows(clock_mhz: float) -> List[List[object]]:
         ("this work: optimized register", OPTIMIZED_REGISTER),
         ("this work: basic off-chip", BASIC_OFF_CHIP),
     ):
-        send = measure_sending("send1", model, "worst").cycles
-        receive = (
-            measure_dispatch(model).cycles
-            + measure_processing("send1", model).cycles
+        column = measure_column(model)
+        cycles = (
+            column.worst_sending("send1") + column.dispatch + column.processing["send1"]
         )
         rows.append(
             [
                 label,
                 "tightly-coupled NI",
-                f"{(send + receive) / clock_mhz:.2f}",
-                send + receive,
+                f"{cycles / clock_mhz:.2f}",
+                cycles,
                 4,
                 "measured (Send, 1 word)",
             ]

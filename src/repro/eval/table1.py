@@ -10,23 +10,15 @@ published values.  Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List
 
 from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
-from repro.impls.base import ALL_MODELS, InterfaceModel
-from repro.isa.machine import Placement
+from repro.impls.base import ALL_MODELS
 from repro.kernels import expected as X
-from repro.kernels.harness import (
-    measure_dispatch,
-    measure_processing,
-    measure_pwrite_deferred_line,
-    measure_sending,
-)
+from repro.kernels.harness import Cell, measure_column
 from repro.kernels.sequences import PROCESSING_CASES, SENDING_MESSAGES
 from repro.utils.tables import render_table
-
-Cell = Union[int, Tuple[int, int]]
 
 
 def format_cell(section: str, case: str, cell: Cell) -> str:
@@ -60,53 +52,34 @@ class Table1Row:
         )
 
 
-def _measure_sending_cell(message: str, model: InterfaceModel) -> Cell:
-    if model.placement is Placement.REGISTER:
-        lo = measure_sending(message, model, "best").cycles
-        hi = measure_sending(message, model, "worst").cycles
-        return (lo, hi) if lo != hi else lo
-    return measure_sending(message, model).cycles
-
-
 def collect_rows() -> List[Table1Row]:
-    """Measure every Table 1 cell under every model."""
-    rows: List[Table1Row] = []
-    for message in SENDING_MESSAGES:
-        rows.append(
-            Table1Row(
-                "sending",
-                message,
-                {m.key: _measure_sending_cell(message, m) for m in ALL_MODELS},
-                dict(X.SENDING_PAPER[message]),
-            )
+    """Every Table 1 cell under every model, read from the measured columns."""
+    columns = {model.key: measure_column(model) for model in ALL_MODELS}
+    rows = [
+        Table1Row(
+            "sending",
+            message,
+            {key: column.sending[message] for key, column in columns.items()},
+            dict(X.SENDING_PAPER[message]),
         )
+        for message in SENDING_MESSAGES
+    ]
     rows.append(
         Table1Row(
             "dispatch",
             "-",
-            {m.key: measure_dispatch(m).cycles for m in ALL_MODELS},
+            {key: column.dispatch for key, column in columns.items()},
             dict(X.DISPATCH_PAPER),
         )
     )
     for case in PROCESSING_CASES:
         if case == "pwrite_deferred":
-            rows.append(
-                Table1Row(
-                    "processing",
-                    case,
-                    {m.key: measure_pwrite_deferred_line(m) for m in ALL_MODELS},
-                    dict(X.PWRITE_DEFERRED_PAPER),
-                )
-            )
+            measured = {key: column.pwrite_deferred for key, column in columns.items()}
+            paper = X.PWRITE_DEFERRED_PAPER
         else:
-            rows.append(
-                Table1Row(
-                    "processing",
-                    case,
-                    {m.key: measure_processing(case, m).cycles for m in ALL_MODELS},
-                    dict(X.PROCESSING_PAPER[case]),
-                )
-            )
+            measured = {key: column.processing[case] for key, column in columns.items()}
+            paper = X.PROCESSING_PAPER[case]
+        rows.append(Table1Row("processing", case, measured, dict(paper)))
     return rows
 
 

@@ -10,6 +10,8 @@ from typing import Any
 
 _LAZY = {
     "Measurement": "repro.kernels.harness",
+    "Table1Column": "repro.kernels.harness",
+    "measure_column": "repro.kernels.harness",
     "measure_dispatch": "repro.kernels.harness",
     "measure_processing": "repro.kernels.harness",
     "measure_pwrite_deferred_line": "repro.kernels.harness",

@@ -9,20 +9,28 @@ I-structure really transitions — and returns the measured cycle count.
 The functional checks matter: they guarantee the cycle counts describe
 code that actually performs the paper's protocol, not straight-line
 filler.
+
+:func:`measure_column` runs every kernel of one model once and keeps the
+result, a :class:`Table1Column`: the one price list that Table 1, the
+Figure 12 cost tables, the survey and the collectives all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import List, Mapping, Tuple, Union
 
 from repro.errors import EvaluationError
 from repro.impls.base import InterfaceModel
-from repro.isa.machine import Machine
+from repro.isa.machine import Machine, Placement
 from repro.isa.registers import resolve
 from repro.kernels import protocol as P
 from repro.kernels.sequences import (
     BASIC_WIRE_TYPE,
+    PROCESSING_CASES,
+    SENDING_MESSAGES,
     Kernel,
     dispatch_kernel,
     processing_kernel,
@@ -242,58 +250,49 @@ def _element_address(index: int = INDEX) -> int:
     return ADDR_LOCAL + index * P.ELEMENT_BYTES
 
 
-def _deliver_processing_message(machine: Machine, case: str, basic: bool) -> None:
-    wire = BASIC_WIRE_TYPE if basic else None
+def _processing_message(case: str, basic: bool) -> Message:
+    """The arriving message that PROCESSING kernel ``case`` handles."""
     if case.startswith("send"):
         nwords = int(case[-1])
         payload = [P.REPLY_IP, VALUE_A, VALUE_B][: nwords + 1]
         words = [pack_destination(LOCAL_NODE, FP_LOCAL)] + payload
         words += [0] * (3 - len(payload))
         words.append(P.ID_SEND if basic else 0)
-        machine.interface.deliver(
-            Message(wire if basic else P.TYPE_SEND, tuple(words))
+        return Message(BASIC_WIRE_TYPE if basic else P.TYPE_SEND, tuple(words))
+    if case == "read":
+        return _read_request(basic=basic)
+    if case == "write":
+        return Message(
+            BASIC_WIRE_TYPE if basic else P.TYPE_WRITE,
+            (
+                pack_destination(LOCAL_NODE, ADDR_LOCAL),
+                VALUE_A,
+                0,
+                0,
+                P.ID_WRITE if basic else 0,
+            ),
         )
-    elif case == "read":
-        machine.interface.deliver(_read_request(basic=basic))
-    elif case == "write":
-        machine.interface.deliver(
-            Message(
-                wire if basic else P.TYPE_WRITE,
-                (
-                    pack_destination(LOCAL_NODE, ADDR_LOCAL),
-                    VALUE_A,
-                    0,
-                    0,
-                    P.ID_WRITE if basic else 0,
-                ),
-            )
+    if case.startswith("pread"):
+        return Message(
+            BASIC_WIRE_TYPE if basic else P.TYPE_PREAD,
+            (
+                pack_destination(LOCAL_NODE, ADDR_LOCAL),
+                pack_destination(REMOTE_NODE, FP_LOCAL),
+                P.REPLY_IP,
+                INDEX,
+                P.ID_PREAD if basic else 0,
+            ),
         )
-    elif case.startswith("pread"):
-        machine.interface.deliver(
-            Message(
-                wire if basic else P.TYPE_PREAD,
-                (
-                    pack_destination(LOCAL_NODE, ADDR_LOCAL),
-                    pack_destination(REMOTE_NODE, FP_LOCAL),
-                    P.REPLY_IP,
-                    INDEX,
-                    P.ID_PREAD if basic else 0,
-                ),
-            )
-        )
-    else:  # pwrite
-        machine.interface.deliver(
-            Message(
-                wire if basic else P.TYPE_PWRITE,
-                (
-                    pack_destination(LOCAL_NODE, ADDR_LOCAL),
-                    INDEX,
-                    VALUE_A,
-                    0,
-                    P.ID_PWRITE if basic else 0,
-                ),
-            )
-        )
+    return Message(  # pwrite
+        BASIC_WIRE_TYPE if basic else P.TYPE_PWRITE,
+        (
+            pack_destination(LOCAL_NODE, ADDR_LOCAL),
+            INDEX,
+            VALUE_A,
+            0,
+            P.ID_PWRITE if basic else 0,
+        ),
+    )
 
 
 def _prebuild_deferred_chain(machine: Machine, n: int) -> List[int]:
@@ -332,7 +331,7 @@ def measure_processing(
     elif case == "pwrite_deferred":
         chain = _prebuild_deferred_chain(machine, deferred_readers)
         machine.memory.store(element + P.TAG_OFFSET, chain[0])
-    _deliver_processing_message(machine, case, basic)
+    machine.interface.deliver(_processing_message(case, basic))
     kernel = processing_kernel(case, model)
     measurement = _run(machine, kernel)
     _verify_processing(machine, case, basic, deferred_readers)
@@ -446,3 +445,58 @@ def measure_pwrite_deferred_line(
     slope = slopes.pop()
     base = cycles[0] - slope * counts[0]
     return base, slope
+
+
+# ---------------------------------------------------------------------------
+# One model's column of Table 1.
+# ---------------------------------------------------------------------------
+
+Cell = Union[int, Tuple[int, int]]
+"""A Table 1 cell: cycles, a SENDING range ``(best, worst)``, or the
+PWrite(deferred) line ``(base, slope)``."""
+
+
+@dataclass(frozen=True)
+class Table1Column:
+    """Every Table 1 cell of one interface model.
+
+    ``sending`` holds a :data:`Cell` per message: the register
+    placement's best and worst schedules where they differ.
+    ``processing`` holds every case but PWrite(deferred), whose cost is
+    the line ``base + slope * n`` in ``pwrite_deferred``.
+    """
+
+    sending: Mapping[str, Cell]
+    dispatch: int
+    processing: Mapping[str, int]
+    pwrite_deferred: Tuple[int, int]
+
+    def worst_sending(self, message: str) -> int:
+        """SENDING cycles for ``message``, the worst end of a range."""
+        cell = self.sending[message]
+        return cell[1] if isinstance(cell, tuple) else cell
+
+
+@lru_cache(maxsize=None)
+def measure_column(model: InterfaceModel) -> Table1Column:
+    """Run every Table 1 kernel under ``model``, once per process."""
+    sending = {}
+    for message in SENDING_MESSAGES:
+        worst = measure_sending(message, model, "worst").cycles
+        best = (
+            measure_sending(message, model, "best").cycles
+            if model.placement is Placement.REGISTER
+            else worst
+        )
+        sending[message] = (best, worst) if best != worst else worst
+    processing = {
+        case: measure_processing(case, model).cycles
+        for case in PROCESSING_CASES
+        if case != "pwrite_deferred"
+    }
+    return Table1Column(
+        sending=MappingProxyType(sending),
+        dispatch=measure_dispatch(model).cycles,
+        processing=MappingProxyType(processing),
+        pwrite_deferred=measure_pwrite_deferred_line(model),
+    )

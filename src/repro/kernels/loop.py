@@ -27,8 +27,8 @@ from repro.kernels import protocol as P
 from repro.kernels.harness import (
     IP_BASE_HW,
     IP_BASE_SW,
-    _deliver_processing_message,
     _fresh_machine,
+    _processing_message,
 )
 from repro.kernels.sequences import dispatch_kernel, processing_kernel
 from repro.nic.dispatch import handler_table_address
@@ -195,24 +195,13 @@ def measure_stream(
     for name in stream:
         if name not in loop.handler_entry:
             raise EvaluationError(f"stream message {name!r} has no handler")
-        _deliver_processing_message(machine, name, basic)
+        message = _processing_message(name, basic)
         if name.startswith("send") and model.optimized:
-            # Rewrite word 1 to the loop's send-handler IP.
-            current = machine.interface.input_queue
-            # The message may be in the registers or the queue; patch the
-            # most recently delivered copy.
-            target = (
-                machine.interface.current_message
-                if current.is_empty and machine.interface.msg_valid
-                else current._items[-1]
+            # Type-0 messages carry the loop's send-handler IP in word 1.
+            message = dc_replace(
+                message, words=(message.words[0], SEND_HANDLER_IP) + message.words[2:]
             )
-            patched = dc_replace(
-                target, words=(target.words[0], SEND_HANDLER_IP) + target.words[2:]
-            )
-            if current.is_empty and machine.interface.msg_valid:
-                machine.interface._current = patched
-            else:
-                current._items[-1] = patched
+        machine.interface.deliver(message)
     result = machine.run(
         loop.sequence,
         resolve_jump=loop.resolve_jump,

@@ -65,7 +65,7 @@ Chosen so the command bits (12:0) are all zero in the base; any aligned
 
 
 def encode_address(
-    register: str | int | None = None,
+    register: str | int,
     send_mode: Optional[SendMode] = None,
     send_type: int = 0,
     do_next: bool = False,
@@ -73,10 +73,10 @@ def encode_address(
 ) -> int:
     """Build the memory address that performs the given command combination.
 
-    ``register`` may be a name from :data:`REGISTER_NAMES`, a register
-    number, or None, which selects register 0 (``o0``).  A command-only
-    store should name an input register, whose writes the interface
-    ignores, as the ``Machine``'s NICMD does.
+    ``register`` is a name from :data:`REGISTER_NAMES` or a register
+    number: every access names one.  A command-only store should name an
+    input register, whose writes the interface ignores, as the
+    ``Machine``'s NICMD does.
     """
     if base & ((1 << COMMAND_BITS) - 1):
         raise MessageFormatError(
@@ -87,8 +87,6 @@ def encode_address(
             number = REGISTER_NUMBERS[register]
         except KeyError:
             raise MessageFormatError(f"unknown interface register {register!r}") from None
-    elif register is None:
-        number = 0
     else:
         number = register
     if number < 0 or number >= len(REGISTER_NAMES):

@@ -45,11 +45,14 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.errors import ProtectionError
 from repro.nic.interface import DIVERT_CAP, DIVERT_PIN, NetworkInterface
 from repro.nic.messages import Message
-from repro.nic.protection import GangScheduler, PrivilegedStore, check_pin
+from repro.nic.protection import GangScheduler, PrivilegedStore, check_pin, restore
 from repro.sim import SimComponent
 
 SCHEDULER_NAMES = ("gang", "round-robin", "quantum")
 """The policy names :func:`make_scheduler` (and the eval grid) accept."""
+
+CHECK_INTERVAL = 4
+"""Cycles between :class:`QuantumScheduler`'s preemption checks."""
 
 
 @dataclass(frozen=True)
@@ -265,25 +268,16 @@ class TenantPolicy(SimComponent):
     def _redeliver(self, state: _NodeState, pin: int) -> int:
         """Move stored messages for ``pin`` back into the input queue.
 
-        Delivery stops at the first refusal (full queue) or when the
-        tenant reaches its occupancy cap; the untouched tail is refiled
-        in order, so redelivery is always FIFO per tenant.
+        :func:`~repro.nic.protection.restore` stops at the first message
+        the interface would divert (``pin`` not resident, or at its
+        occupancy cap) or refuses (full queue); the untouched tail is
+        refiled in order, so redelivery is always FIFO per tenant.
         """
         if not state.store.pending_count(pin):
             return 0
-        ni = state.interface
-        cap = ni.tenant_cap
         stored = state.store.take_for(pin)
-        delivered = 0
-        for index, message in enumerate(stored):
-            if cap is not None and ni.input_queue.tenant_occupancy(pin) >= cap:
-                blocked = True
-            else:
-                blocked = not ni.deliver(message)
-            if blocked:
-                state.store.file_front(pin, stored[index:])
-                break
-            delivered += 1
+        delivered = restore(state.interface, stored)
+        state.store.file_front(pin, stored[delivered:])
         self._count_stored(pin, -delivered)
         state.redelivered += delivered
         self.redelivered += delivered
@@ -401,19 +395,13 @@ class QuantumScheduler(TenantPolicy):
         interfaces: Sequence[NetworkInterface],
         tenants: Sequence[int],
         quantum: int = 50,
-        check_interval: int = 4,
         costs: Optional[SwitchCosts] = None,
         tenant_cap: Optional[int] = None,
     ) -> None:
         super().__init__(interfaces, tenants, costs, tenant_cap)
         if quantum <= 0:
             raise ProtectionError(f"quantum must be positive, got {quantum}")
-        if check_interval <= 0:
-            raise ProtectionError(
-                f"check interval must be positive, got {check_interval}"
-            )
         self.quantum = quantum
-        self.check_interval = check_interval
         self._divert_all()
 
     def bind(self, kernel) -> object:
@@ -424,7 +412,7 @@ class QuantumScheduler(TenantPolicy):
     def tick(self, cycle: int) -> None:
         for state in self.states:
             self._consider(state, cycle)
-        self.handle.wake_at(cycle + self.check_interval)
+        self.handle.wake_at(cycle + CHECK_INTERVAL)
 
     def _resident_busy(self, state: _NodeState) -> bool:
         """Whether the resident tenant still has work at this node."""

@@ -59,6 +59,9 @@ LATENCY_RESERVOIR = 128
 #: Burst sizes are Pareto but clamped so no single draw floods the run.
 MAX_BURST = 32
 
+#: Cycles between the arrival pump's retries while a backlog waits.
+RETRY_INTERVAL = 2
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -255,12 +258,10 @@ class _ArrivalPump(SimComponent):
         interfaces: Sequence[NetworkInterface],
         scheduler: TenantPolicy,
         schedule: Sequence[Arrival],
-        retry_interval: int = 2,
     ) -> None:
         self.interfaces = interfaces
         self.scheduler = scheduler
         self.schedule = list(schedule)
-        self.retry_interval = retry_interval
         self.index = 0
         self.blocked: Dict[int, Deque[Arrival]] = {}
         self.injected = 0
@@ -293,7 +294,7 @@ class _ArrivalPump(SimComponent):
             if not queue:
                 del self.blocked[pin]
         if self.blocked:
-            self.handle.wake_at(cycle + self.retry_interval)
+            self.handle.wake_at(cycle + RETRY_INTERVAL)
         elif self.index < len(schedule):
             self.handle.wake_at(max(cycle + 1, schedule[self.index].cycle))
         else:

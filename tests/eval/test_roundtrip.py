@@ -8,6 +8,7 @@ from repro.eval import (
     roundtrip_cost,
 )
 from repro.eval.roundtrip import OPERATIONS
+from repro.impls.base import OPTIMIZED_ON_CHIP
 from repro.tam.costmap import measured_cost_table, paper_cost_table
 
 
@@ -44,7 +45,7 @@ class TestRoundtrips:
             assert c["optimized-register"] < c["basic-register"]
 
     def test_roundtrip_cost_arithmetic(self):
-        table = measured_cost_table("optimized-onchip")
+        table = measured_cost_table(OPTIMIZED_ON_CHIP)
         assert roundtrip_cost(table, "write") == (
             table.sending["write"] + table.dispatch + table.processing["write"]
         )

@@ -1,9 +1,8 @@
-"""Tests for the six interface models and placement traits."""
+"""Tests for the six interface models and the placements' paper claims."""
 
 import pytest
 
 from repro.errors import EvaluationError
-from repro.impls import offchip, onchip, register_file
 from repro.impls.base import (
     ALL_MODELS,
     OPTIMIZED_OFF_CHIP,
@@ -12,6 +11,10 @@ from repro.impls.base import (
     Architecture,
     model_by_key,
 )
+from repro.nic.interface import REGISTER_NAMES
+from repro.nic.messages import MESSAGE_WORDS
+from repro.nic.mmio import ADDRESS_LAYOUT
+from repro.nic.queues import DEFAULT_CAPACITY
 
 
 class TestModelGrid:
@@ -57,31 +60,19 @@ class TestLatencyOverride:
 
 
 class TestTraits:
-    def test_off_chip_needs_no_processor_change(self):
-        # Section 3.1: "this is the only implementation which requires no
-        # modifications of the processor chip."
-        assert not offchip.TRAITS.requires_processor_change
-        assert onchip.TRAITS.requires_processor_change
-        assert register_file.TRAITS.requires_processor_change
-
-    def test_on_chip_leaves_core_untouched(self):
-        assert not onchip.TRAITS.modifies_processor_core
-        assert register_file.TRAITS.modifies_processor_core
+    """Section 3's sizing claims, computed from the interface itself."""
 
     def test_queue_memory_about_three_quarters_kilobyte(self):
-        # Section 3.2's area estimate for two 16-message queues.
-        total = onchip.queue_memory_bytes()
+        # Section 3.2: two 16-message queues plus the interface registers
+        # need "about 3/4 of a kilobyte"; each message is five words.
+        queues = 2 * DEFAULT_CAPACITY * MESSAGE_WORDS * 4
+        total = queues + len(REGISTER_NAMES) * 4
         assert 600 <= total <= 800
 
     def test_rider_bits_are_seven(self):
         # Section 3: SEND's mode+type plus NEXT "take up only seven bits".
-        assert register_file.RIDER_BITS == 7
+        riders = ("send_mode", "send_type", "next")
+        assert sum(ADDRESS_LAYOUT.field(name).width for name in riders) == 7
 
     def test_register_file_maps_fifteen_registers(self):
-        assert len(register_file.MAPPED_REGISTERS) == 15
-
-    def test_latency_helpers(self):
-        assert offchip.optimized_model(8).costs().ni_load_dead_cycles == 8
-        assert offchip.basic_model().key == "basic-offchip"
-        assert onchip.optimized_model().key == "optimized-onchip"
-        assert register_file.basic_model().key == "basic-register"
+        assert len(REGISTER_NAMES) == 15

@@ -94,10 +94,10 @@ class TestFunctionalEffects:
         loop = build_service_loop(model)
         machine = _fresh_machine(model)
         machine.memory.store(ADDR_LOCAL, MEMORY_WORD)
-        from repro.kernels.harness import _deliver_processing_message
+        from repro.kernels.harness import _processing_message
 
-        _deliver_processing_message(machine, "read", False)
-        _deliver_processing_message(machine, "write", False)
+        machine.interface.deliver(_processing_message("read", False))
+        machine.interface.deliver(_processing_message("write", False))
         machine.run(loop.sequence, resolve_jump=loop.resolve_jump)
         # One reply (from the read), and the write landed.
         reply = machine.interface.transmit()

@@ -6,6 +6,8 @@ transitions and raises on any mismatch), so these tests cover semantics
 and timing together.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.impls.base import (
@@ -19,7 +21,9 @@ from repro.impls.base import (
 )
 from repro.isa.machine import Placement
 from repro.kernels import expected as X
+from repro.kernels import harness
 from repro.kernels.harness import (
+    measure_column,
     measure_dispatch,
     measure_processing,
     measure_pwrite_deferred_line,
@@ -218,3 +222,64 @@ class TestGlobalOrderings:
             reg, on, _ = ARCH_TRIPLES[arch]
             worst = measure_sending(message, reg, "worst").cycles
             assert worst <= measure_sending(message, on).cycles
+
+
+class TestMeasureColumn:
+    """Each model's Table 1 column: measured once, read by every price."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.key)
+    def test_column_holds_what_the_kernels_measure(self, model):
+        column = measure_column(model)
+        assert dict(column.sending) == {
+            message: sending_cell(message, model) for message in SENDING_MESSAGES
+        }
+        assert column.dispatch == measure_dispatch(model).cycles
+        assert dict(column.processing) == {
+            case: measure_processing(case, model).cycles
+            for case in PROCESSING_CASES
+            if case != "pwrite_deferred"
+        }
+        assert column.pwrite_deferred == measure_pwrite_deferred_line(model)
+
+    def test_worst_sending_is_the_top_of_a_range(self):
+        column = measure_column(OPTIMIZED_REGISTER)
+        assert column.sending["send2"] == X.SENDING_PAPER["send2"]["optimized-register"]
+        assert column.worst_sending("send2") == (
+            measure_sending("send2", OPTIMIZED_REGISTER, "worst").cycles
+        )
+        assert measure_column(OPTIMIZED_ON_CHIP).worst_sending("send2") == (
+            measure_sending("send2", OPTIMIZED_ON_CHIP).cycles
+        )
+
+    def test_one_column_per_model_across_the_pricing_sections(self, monkeypatch):
+        # Table 1, the round trips (the Figure 12 cost tables), the survey
+        # and the collectives all price from one column per model, so one
+        # process runs each kernel once per model.
+        from repro.exp import registry
+        from repro.exp.runner import run_one
+        from repro.exp.spec import EvalOptions
+        from repro.tam.costmap import measured_cost_table
+
+        runs = Counter()
+        for name in ("measure_sending", "measure_dispatch", "measure_processing"):
+
+            def counted(*args, _measure=getattr(harness, name), _name=name, **kwargs):
+                model = args[0] if _name == "measure_dispatch" else args[1]
+                runs[_name, model.key] += 1
+                return _measure(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        measure_column.cache_clear()
+        measured_cost_table.cache_clear()
+        registry.load_all()
+        for section in ("table1", "roundtrip", "survey", "collectives"):
+            spec = registry.get(section)
+            run_one(spec, spec.params(EvalOptions()))
+        assert measure_column.cache_info().misses == len(ALL_MODELS)
+        for model in ALL_MODELS:
+            variants = 2 if model.placement is Placement.REGISTER else 1
+            assert runs["measure_sending", model.key] == variants * len(SENDING_MESSAGES)
+            assert runs["measure_dispatch", model.key] == 1
+            # Every other case once, and the three points of the
+            # PWrite(deferred) line.
+            assert runs["measure_processing", model.key] == len(PROCESSING_CASES) - 1 + 3

@@ -166,15 +166,26 @@ class TestCombinedCommands:
     def test_bare_next_store(self):
         mmio = make_mmio()
         deliver_request(mmio)
-        mmio.store(encode_address(do_next=True), 0)
+        mmio.store(encode_address("i0", do_next=True), 0)
         assert not mmio.interface.msg_valid
+
+    def test_command_only_send_leaves_o0_as_written(self):
+        # A command-only store names an input register, which ignores the
+        # stored word, so the message carries o0 as the processor wrote it.
+        mmio = make_mmio()
+        destination = pack_destination(3, 0x40)
+        mmio.store(encode_address("o0"), destination)
+        mmio.store(encode_address("i0", send_mode=SendMode.NORMAL, send_type=2), 0)
+        assert mmio.interface.transmit().words[0] == destination
+        with pytest.raises(TypeError):  # every access names its register
+            encode_address(send_mode=SendMode.NORMAL, send_type=2)
 
     def test_send_result_recorded(self):
         # Each access returns its own SEND's result; one that sends
         # nothing returns None, whatever an earlier access sent.
         mmio = make_mmio()
         assert (
-            mmio.store(encode_address(send_mode=SendMode.NORMAL, send_type=2), 0)
+            mmio.store(encode_address("i0", send_mode=SendMode.NORMAL, send_type=2), 0)
             is SendResult.SENT
         )
         assert mmio.store(encode_address(register="o1"), 0) is None

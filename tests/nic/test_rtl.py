@@ -158,7 +158,7 @@ class TestProcessorPort:
     def test_send_command(self):
         nic = ClockedNIC()
         sent, flit = nic.bus_write(
-            encode_address(send_mode=SendMode.NORMAL, send_type=2), 0
+            encode_address("i0", send_mode=SendMode.NORMAL, send_type=2), 0
         )
         assert sent is SendResult.SENT
         # The transmit port claimed the message on the same edge.

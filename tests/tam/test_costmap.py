@@ -32,14 +32,14 @@ def stats_with(instructions=None, **messages) -> TamStats:
 
 class TestCostTables:
     def test_measured_table_cached(self):
-        a = measured_cost_table("optimized-register")
-        b = measured_cost_table("optimized-register")
+        a = measured_cost_table(OPTIMIZED_REGISTER)
+        b = measured_cost_table(OPTIMIZED_REGISTER)
         assert a is b
 
     def test_measured_matches_kernel_harness(self):
         from repro.kernels.harness import measure_dispatch
 
-        table = measured_cost_table("basic-offchip")
+        table = measured_cost_table(BASIC_OFF_CHIP)
         assert table.dispatch == measure_dispatch(BASIC_OFF_CHIP).cycles
 
     def test_paper_table_values(self):
@@ -72,7 +72,7 @@ class TestBreakdownArithmetic:
     def test_single_send_priced(self):
         stats = TamStats()
         stats.messages.count_send(1)
-        table = measured_cost_table("optimized-onchip")
+        table = measured_cost_table(OPTIMIZED_ON_CHIP)
         result = breakdown(stats, OPTIMIZED_ON_CHIP)
         assert result.dispatch == table.dispatch
         assert (
@@ -82,7 +82,7 @@ class TestBreakdownArithmetic:
 
     def test_read_includes_reply_costs(self):
         stats = stats_with(reads=1)
-        table = measured_cost_table("optimized-onchip")
+        table = measured_cost_table(OPTIMIZED_ON_CHIP)
         result = breakdown(stats, OPTIMIZED_ON_CHIP)
         # Request dispatch + reply dispatch.
         assert result.dispatch == 2 * table.dispatch
@@ -93,7 +93,7 @@ class TestBreakdownArithmetic:
         )
 
     def test_pwrite_deferred_readers_priced_affine(self):
-        table = measured_cost_table("optimized-onchip")
+        table = measured_cost_table(OPTIMIZED_ON_CHIP)
         one = breakdown(
             stats_with(pwrites_deferred=1, deferred_readers_satisfied=1),
             OPTIMIZED_ON_CHIP,

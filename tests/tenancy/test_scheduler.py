@@ -172,6 +172,30 @@ class TestRoundRobin:
         scheduler.tick(1)
         assert nis[0].control["active_pin"] == 3
 
+    def test_redeliver_keeps_a_switched_out_tenant_stored(self):
+        # Redelivery stops where the interface would divert: messages of
+        # a tenant that is not resident stay stored, and nothing is
+        # diverted, charged or counted as redelivered again.
+        nis = make_ifaces()
+        scheduler = RoundRobinScheduler(nis, [5, 7])
+        scheduler.bind(SimKernel())
+        state = scheduler.states[0]
+        for tag in range(2):
+            nis[0].deliver(msg(pin=7, tag=tag))
+        scheduler._switch_to(state, 5, 1)
+        before = (
+            scheduler.redelivered,
+            dict(scheduler.diverted_by_reason),
+            state.busy_until,
+        )
+        assert scheduler._redeliver(state, 7) == 0
+        assert before == (
+            scheduler.redelivered,
+            scheduler.diverted_by_reason,
+            state.busy_until,
+        )
+        assert state.store.pending_count(7) == 2
+
     def test_invalid_quantum(self):
         with pytest.raises(ProtectionError):
             RoundRobinScheduler(make_ifaces(), [1], quantum=0)
