@@ -61,7 +61,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, RoutingError
-from repro.network.router import InTransit, Router
+from repro.network.router import INJECTION_DEPTH, InTransit, Router
 from repro.network.routing import DimensionOrder, RoutingPolicy, StaticRoute
 from repro.network.topology import Topology
 from repro.nic.interface import NetworkInterface
@@ -187,6 +187,16 @@ class Fabric:
         # Per-node serialization state: the head message the countdown was
         # started for, plus the cycles it still occupies the channel.
         self._injection_timers: Dict[int, Tuple[Message, int]] = {}
+        # What the injection scan reads per node, resolved once: the
+        # output queue's deque (its head is the next message out) and the
+        # router's injection buffer, both tested without a call.
+        self._endpoints = [
+            (node, interface, interface.output_queue._items, router, router.injection)
+            for node, (interface, router) in enumerate(zip(self.interfaces, self.routers))
+        ]
+        # Messages inside routers: counted where they enter (injection,
+        # place) and where they leave (ejection).
+        self._in_flight = 0
         self.stats = FabricStats()
         self.observer: Optional[Observer] = None
         observer = observer_of(tracer, metrics, lineage)
@@ -226,6 +236,7 @@ class Fabric:
         """
         if neighbor is None:
             self.routers[self.topology.check_node(node)].inject(item)
+            self._in_flight += 1
             return
         port = (
             self._ports[neighbor].get((node, vc))
@@ -241,6 +252,7 @@ class Fabric:
         item.hops += 1
         port.buffer.append(item)
         port.router.occupancy += 1
+        self._in_flight += 1
 
     # ------------------------------------------------------------------
     # Cycle advance.
@@ -252,9 +264,8 @@ class Fabric:
         stats.cycles += 1
         delivered, link_moves = self._move_messages()
         self._inject_from_interfaces()
-        in_flight = self.in_flight()
-        if in_flight > stats.peak_in_flight:
-            stats.peak_in_flight = in_flight
+        if self._in_flight > stats.peak_in_flight:
+            stats.peak_in_flight = self._in_flight
         if self.observer is not None:
             self.observer.on_step(stats.cycles, self, delivered, link_moves)
         return delivered
@@ -415,40 +426,43 @@ class Fabric:
                     observer.on_block(
                         cycle, router.node, buffer[0].message, port.next_node
                     )
+        self._in_flight -= delivered
         return delivered, link_moves
 
     def _inject_from_interfaces(self) -> None:
         observer = self.observer
         n_nodes = self.topology.n_nodes
-        for node, interface in enumerate(self.interfaces):
-            router = self.routers[node]
-            head = interface.peek_outgoing()
-            if head is None:
-                self._injection_timers.pop(node, None)
+        timers = self._injection_timers
+        cycle = self.stats.cycles
+        for node, interface, outgoing, router, injection in self._endpoints:
+            if not outgoing:
+                if node in timers:
+                    del timers[node]
                 continue
-            if not router.can_inject():
+            if len(injection) >= INJECTION_DEPTH:
                 continue
+            head = outgoing[0]
             # Model flit-serial injection: a message occupies the channel
             # for serialization_cycles before entering the router.  The
             # countdown belongs to the specific message it was started
             # for: a different head (after a drain/clear between steps)
             # must serialise from the beginning, never inherit the
             # previous head's mostly-elapsed timer.
-            entry = self._injection_timers.get(node)
+            entry = timers.get(node)
             if entry is None or entry[0] is not head:
                 remaining = self.serialization_cycles
                 if observer is not None:
-                    observer.on_serialize_start(self.stats.cycles, node, head)
+                    observer.on_serialize_start(cycle, node, head)
             else:
                 remaining = entry[1]
             remaining -= 1
             if remaining > 0:
-                self._injection_timers[node] = (head, remaining)
+                timers[node] = (head, remaining)
                 continue
-            self._injection_timers.pop(node, None)
+            timers.pop(node, None)
             # The route tables cover only the topology's nodes: a head
             # addressed past them stays in its output queue, unsent.
-            item = InTransit(head, injected_at=self.stats.cycles)
+            item = InTransit(head, injected_at=cycle)
             if item.destination >= n_nodes:
                 raise RoutingError(
                     f"node {node} sent to node {item.destination}, outside "
@@ -457,8 +471,9 @@ class Fabric:
             message = interface.transmit()
             assert message is head
             router.inject(item)
+            self._in_flight += 1
             if observer is not None:
-                observer.on_inject(self.stats.cycles, node, message)
+                observer.on_inject(cycle, node, message)
 
     # ------------------------------------------------------------------
     # Convenience drivers.
@@ -466,7 +481,7 @@ class Fabric:
 
     def in_flight(self) -> int:
         """Messages currently inside routers (not counting endpoint queues)."""
-        return sum([router.occupancy for router in self.routers])
+        return self._in_flight
 
     def pending(self) -> int:
         """All undelivered traffic: router occupancy plus output queues."""
@@ -481,16 +496,23 @@ class Fabric:
     def find_deadlock(self) -> Optional[List[str]]:
         """A cycle of full buffers whose heads all wait on each other.
 
-        Builds the buffer wait-for graph: each **full** link buffer's
-        head message contributes edges to every candidate downstream
-        buffer that is itself full (a head with any non-full candidate
-        can still move, so it cannot sustain a deadlock).  A cycle in
-        that graph is a true deadlock under credit flow control: every
-        buffer in it waits, forever, on the next.  Returns the cycle as
-        human-readable buffer descriptions (closing entry repeated), or
-        ``None`` when no such cycle exists — e.g. mere congestion, or an
-        endpoint refusing deliveries, which backpressure resolves once
-        the endpoint drains.
+        Builds the buffer wait-for graph over the **full** link buffers
+        whose head has every candidate downstream buffer full (a head
+        with a non-full candidate can still move): each has an edge to
+        each of its candidates that is itself in the graph.  Every buffer
+        on a cycle is full and waits on the next, so none moves now.  But
+        the graph drops the edges to full buffers outside it (a head
+        bound for its own node, or one with a non-full candidate), so a
+        head with two or more candidates may still leave through a
+        dropped one once that buffer drains: a cycle shows a wait, not
+        that it lasts forever.  A buffer in the maximal closed set (drop
+        every full buffer with a candidate outside the set until none
+        has one) can never move; the deadlocked sweep points' cycles lie
+        in it (``tests/network/test_arbitration_golden.py``).  Returns
+        the cycle as human-readable buffer descriptions (closing entry
+        repeated), or ``None`` when no such cycle exists — e.g. mere
+        congestion, or an endpoint refusing deliveries, which
+        backpressure resolves once the endpoint drains.
 
         Candidates come from the static route tables in their static
         order, never from the policy's dynamic ranking: detection draws

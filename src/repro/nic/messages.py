@@ -60,6 +60,14 @@ LAST_USER_TYPE = TYPE_MASK
 """Highest type value available to user-defined handlers."""
 
 
+def check_type(mtype: int) -> None:
+    """Raise :class:`MessageFormatError` unless ``mtype`` fits the type field."""
+    if mtype < 0 or mtype > TYPE_MASK:
+        raise MessageFormatError(
+            f"message type {mtype} does not fit in {TYPE_BITS} bits"
+        )
+
+
 def pack_destination(node: int, low_bits: int = 0) -> int:
     """Build an ``m0`` word addressed to logical ``node``.
 
@@ -98,17 +106,22 @@ class Message:
     privileged: bool = False
 
     def __post_init__(self) -> None:
-        if self.mtype < 0 or self.mtype > TYPE_MASK:
-            raise MessageFormatError(
-                f"message type {self.mtype} does not fit in {TYPE_BITS} bits"
-            )
-        if len(self.words) != MESSAGE_WORDS:
+        check_type(self.mtype)
+        words = self.words
+        if len(words) != MESSAGE_WORDS:
             raise MessageFormatError(
                 f"message must have exactly {MESSAGE_WORDS} words, "
-                f"got {len(self.words)}"
+                f"got {len(words)}"
             )
-        clean = tuple(to_word(w) for w in self.words)
-        if clean != tuple(self.words):
+        # Every sent message is built here: one tuple, no generator.
+        clean = (
+            words[0] & WORD_MASK,
+            words[1] & WORD_MASK,
+            words[2] & WORD_MASK,
+            words[3] & WORD_MASK,
+            words[4] & WORD_MASK,
+        )
+        if clean != tuple(words):
             object.__setattr__(self, "words", clean)
 
     @classmethod

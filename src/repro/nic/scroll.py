@@ -60,11 +60,15 @@ class ScrollingSender:
         return bool(self._open_segments)
 
     def scroll_out(self, mtype: int) -> SendResult:
-        """Transmit the current window and keep the message open."""
-        message = self.interface.compose(mtype)
-        if self.interface.output_queue.is_full:
-            return SendResult.STALLED
-        self._open_segments.append(message)
+        """Transmit the current window and keep the message open.
+
+        A full output queue is handled as SEND handles it
+        (:meth:`NetworkInterface.stall_send`).
+        """
+        interface = self.interface
+        if interface.output_queue.is_full:
+            return interface.stall_send(mtype)
+        self._open_segments.append(interface.compose(mtype))
         return SendResult.SENT
 
     def send(self, mtype: int) -> SendResult:

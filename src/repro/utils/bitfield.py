@@ -22,7 +22,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.errors import BitfieldError
 
@@ -117,6 +117,12 @@ class BitLayout:
             used |= field.field_mask
             self._fields[field.name] = field
         self._used_mask = used
+        # (shift, mask) per field: the interface reads CONTROL and STATUS
+        # fields on every message, so :meth:`get` is one lookup, a shift
+        # and a mask.
+        self._extract: Dict[str, Tuple[int, int]] = {
+            field.name: (field.shift, mask(field.width)) for field in self
+        }
 
     def __iter__(self) -> Iterator[BitField]:
         return iter(self._fields.values())
@@ -155,7 +161,11 @@ class BitLayout:
 
     def get(self, word: int, name: str) -> int:
         """Extract one named field from ``word``."""
-        return self.field(name).extract(word)
+        try:
+            shift, width_mask = self._extract[name]
+        except KeyError:
+            raise BitfieldError(f"layout {self.name!r} has no field {name!r}") from None
+        return (word >> shift) & width_mask
 
     def describe(self, word: int) -> str:
         """Human-readable rendering, used by ``repr`` of register classes."""

@@ -9,6 +9,7 @@ from repro.eval import (
     run_program,
 )
 from repro.impls.base import OPTIMIZED_OFF_CHIP
+from repro.kernels.harness import measure_column
 from repro.tam.costmap import measured_cost_table
 
 
@@ -45,6 +46,15 @@ class TestCostTablesAtLatency:
 
 
 class TestSweep:
+    def test_one_column_per_latency(self, matmul_stats):
+        # The 2-cycle point is the baseline model: its column is measured
+        # once, not again under another cost-model name.
+        measure_column.cache_clear()
+        measured_cost_table.cache_clear()
+        measure_column(OPTIMIZED_OFF_CHIP)
+        sweep(matmul_stats, latencies=(2, 4, 8))
+        assert measure_column.cache_info().misses == 3
+
     def test_overhead_monotonic_in_latency(self, matmul_stats):
         points = sweep(matmul_stats, latencies=(2, 4, 8, 16))
         overheads = [p.overhead for p in points]

@@ -54,6 +54,13 @@ class TestLatencyOverride:
         assert swept.costs().ni_load_dead_cycles == 8
         assert swept.architecture is Architecture.OPTIMIZED
 
+    def test_own_latency_is_the_model_itself(self):
+        # So the latency sweep's 2-cycle point prices the baseline
+        # model's measured column instead of measuring an equal one.
+        assert OPTIMIZED_OFF_CHIP.with_off_chip_latency(2) is OPTIMIZED_OFF_CHIP
+        swept = OPTIMIZED_OFF_CHIP.with_off_chip_latency(8)
+        assert swept.with_off_chip_latency(8) is swept
+
     def test_other_placements_reject_latency(self):
         with pytest.raises(EvaluationError):
             OPTIMIZED_ON_CHIP.with_off_chip_latency(8)

@@ -19,6 +19,7 @@ tables) were captured before route tables were filled in closed form.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -175,7 +176,18 @@ def test_single_vc_traffic_event_stream_matches_golden(policy):
     GOLDEN_TRAFFIC,
     ids=[f"{p}-{t.describe()}-{r}" for p, t, r, *_ in GOLDEN_TRAFFIC],
 )
-def test_traffic_payload_matches_golden(policy, topology, rate, seed, drains, digest):
+def test_traffic_payload_matches_golden(
+    policy, topology, rate, seed, drains, digest, monkeypatch
+):
+    """A run that deadlocks reports a cycle of buffers that can never move."""
+    reports = []
+    find_deadlock = Fabric.find_deadlock
+
+    def reporting(fabric):
+        reports.append((fabric, find_deadlock(fabric)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(Fabric, "find_deadlock", reporting)
     payload = run_traffic(
         topology,
         make_policy(policy, seed),
@@ -187,5 +199,43 @@ def test_traffic_payload_matches_golden(policy, topology, rate, seed, drains, di
     )
     assert payload["drained"] == drains
     if not drains:
-        assert payload["deadlock"]
+        fabric, cycle = reports[-1]
+        assert payload["deadlock"] == " -> ".join(cycle)
+        assert reported_buffers(cycle) <= never_moving(fabric)
     assert payload_digest(payload) == digest
+
+
+BUFFER = re.compile(r"router (\d+) buffer from (\d+) vc(\d+) ")
+
+
+def reported_buffers(cycle):
+    """The (node, neighbor, vc) keys of a ``find_deadlock`` cycle."""
+    return {
+        tuple(int(group) for group in BUFFER.match(entry).groups())
+        for entry in cycle
+    }
+
+
+def never_moving(fabric):
+    """The maximal closed set of full link buffers, as (node, neighbor,
+    vc) keys: start from every full buffer whose head is bound onward,
+    and drop each one with a candidate outside the set until none has.
+    Every head left waits only on full buffers that wait only on each
+    other, so none of them can ever move."""
+    stuck = {
+        (router.node, neighbor, vc)
+        for router in fabric.routers
+        for (neighbor, vc), buffer in router.in_buffers.items()
+        if len(buffer) == fabric.link_buffer_depth
+        and buffer[0].destination != router.node
+    }
+    dropped = True
+    while dropped:
+        dropped = False
+        for node, neighbor, vc in sorted(stuck):
+            head = fabric.routers[node].in_buffers[(neighbor, vc)][0]
+            ranked, fixed = fabric.route(node, head.destination)
+            if any((port.next_node, node, port.vc) not in stuck for port in ranked + fixed):
+                stuck.discard((node, neighbor, vc))
+                dropped = True
+    return stuck

@@ -26,7 +26,7 @@ class TestRouter:
         fabric.place(0, item, neighbor=1)
         router = fabric.routers[0]
         assert item.hops == 1
-        assert router.occupancy == 1
+        assert router.occupancy == fabric.in_flight() == 1
         assert router.in_buffers[(1, 0)][0] is item
         assert fabric.routers[1].stats.forwarded == 0
 
@@ -36,7 +36,7 @@ class TestRouter:
         fabric.place(0, InTransit(msg(0), 0), neighbor=1)
         with pytest.raises(NetworkError, match="link buffer from 1 vc0 is full"):
             fabric.place(0, InTransit(msg(0), 0), neighbor=1)
-        assert fabric.routers[0].occupancy == 2
+        assert fabric.routers[0].occupancy == fabric.in_flight() == 2
 
     def test_unknown_link_rejected(self):
         fabric = self.make()
@@ -55,6 +55,7 @@ class TestRouter:
             fabric.place(0, InTransit(msg(0), 0))
         router = fabric.routers[0]
         assert router.stats.injected == router.occupancy == INJECTION_DEPTH
+        assert fabric.in_flight() == INJECTION_DEPTH
 
     def test_links_served_before_injection(self):
         fabric = self.make()

@@ -49,6 +49,8 @@ class TestConservation:
             for router in fabric.routers:
                 # The maintained occupancy count never drifts from the buffers.
                 assert router.occupancy == sum(map(len, router.service_order))
+            # Nor does the fabric's in-flight count from the routers'.
+            assert fabric.in_flight() == sum(r.occupancy for r in fabric.routers)
             for node in range(topology.n_nodes):
                 ni = fabric.interface(node)
                 while ni.msg_valid:

@@ -102,6 +102,24 @@ class TestSerializationTimer:
         fabric.step()
         assert fabric.routers[0].stats.injected == 1
 
+    def test_same_message_requeued_after_an_empty_cycle_starts_over(self):
+        # A cycle that finds the output queue empty drops the countdown,
+        # so even the same message, queued again, serialises from scratch.
+        fabric = self.make(3)
+        send_from(fabric, 0, 1, tag=1)
+        fabric.step()
+        fabric.step()  # one cycle of three left
+        queue = fabric.interface(0).output_queue
+        head = queue.peek()
+        queue.clear()
+        fabric.step()
+        queue.push(head)
+        fabric.step()
+        fabric.step()
+        assert fabric.routers[0].stats.injected == 0
+        fabric.step()
+        assert fabric.routers[0].stats.injected == 1
+
     def test_timer_resets_after_idle(self):
         fabric = self.make(2)
         send_from(fabric, 0, 1, tag=1)

@@ -4,7 +4,10 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.errors import BitfieldError
 from repro.nic.control import (
     CONTROL_LAYOUT,
     EXCEPTION_FIELDS,
@@ -130,6 +133,19 @@ class TestLayouts:
     def test_policy_enum_values(self):
         assert int(SendFullPolicy.STALL) == 0
         assert int(SendFullPolicy.EXCEPTION) == 1
+
+    @given(word=st.integers(min_value=0, max_value=0xFFFF_FFFF))
+    def test_get_reads_each_field_as_its_extract(self, word):
+        for layout in (STATUS_LAYOUT, CONTROL_LAYOUT):
+            for field in layout:
+                assert layout.get(word, field.name) == field.extract(word)
+
+    @pytest.mark.parametrize(
+        "layout", [STATUS_LAYOUT, CONTROL_LAYOUT], ids=lambda layout: layout.name
+    )
+    def test_get_rejects_an_unknown_field(self, layout):
+        with pytest.raises(BitfieldError, match=f"layout '{layout.name}' has no field 'nope'"):
+            layout.get(0, "nope")
 
 
 MANUAL = Path(__file__).resolve().parents[2] / "docs" / "MANUAL.md"

@@ -1,12 +1,14 @@
 """Tests for the architectural NetworkInterface model (paper Section 2)."""
 
+import copy
+
 import pytest
 
-from repro.errors import MessageFormatError, QueueOverflowError
+from repro.errors import MessageFormatError, QueueOverflowError, ReservedTypeError
 from repro.nic.control import SendFullPolicy
 from repro.nic.dispatch import decode_table_address
 from repro.nic.interface import NetworkInterface, SendMode, SendResult
-from repro.nic.messages import Message, pack_destination
+from repro.nic.messages import TYPE_EXCEPTION, Message, pack_destination
 
 IP_BASE = 0x0010_0000
 
@@ -53,9 +55,6 @@ class TestOutputRegistersAndSend:
         # slot (handler_table_address computes an address for it without
         # complaint), so the send path must refuse it by name — and
         # without touching the output queue.
-        from repro.errors import ReservedTypeError
-        from repro.nic.messages import TYPE_EXCEPTION
-
         ni = make_ni()
         with pytest.raises(ReservedTypeError, match="reserved for exception"):
             ni.send(TYPE_EXCEPTION)
@@ -107,6 +106,67 @@ class TestSendFullPolicies:
             ni.send(2)
         assert ni.status["exc_output_overflow"] == 1
         assert ni.status.has_exception
+
+
+def full_ni(policy: SendFullPolicy) -> NetworkInterface:
+    """An interface whose one-slot output queue is full, under ``policy``."""
+    ni = make_ni(output_capacity=1)
+    assert ni.send(2) is SendResult.SENT
+    ni.control.full_policy = policy
+    return ni
+
+
+def untouched(ni: NetworkInterface):
+    """What a rejected SEND must leave as it was."""
+    return (
+        copy.deepcopy(ni.stats),
+        ni.status.word,
+        list(ni.output_queue),
+        ni.output_queue.stats.snapshot(),
+    )
+
+
+POLICIES = pytest.mark.parametrize(
+    "policy", list(SendFullPolicy), ids=lambda policy: policy.name
+)
+
+
+class TestStallChecksTheCommandFirst:
+    """A SEND that finds the output queue full checks its command as a
+    SEND with room does: a bad one raises the same error, ahead of the
+    EXCEPTION policy's overflow, and changes no counter and no STATUS bit."""
+
+    @POLICIES
+    def test_type1_raises_reserved_type_error(self, policy):
+        ni = full_ni(policy)
+        before = untouched(ni)
+        with pytest.raises(ReservedTypeError, match="reserved for exception"):
+            ni.send(TYPE_EXCEPTION)
+        assert untouched(ni) == before
+
+    @POLICIES
+    @pytest.mark.parametrize("mtype", [16, -1])
+    def test_type_outside_four_bits_raises_message_format_error(self, policy, mtype):
+        ni = full_ni(policy)
+        before = untouched(ni)
+        with pytest.raises(MessageFormatError, match=f"type {mtype} does not fit in 4 bits"):
+            ni.send(mtype)
+        assert untouched(ni) == before
+
+    @POLICIES
+    @pytest.mark.parametrize("mode", [SendMode.REPLY, SendMode.FORWARD], ids=str)
+    def test_reply_or_forward_without_a_message_raises(self, policy, mode):
+        ni = full_ni(policy)
+        before = untouched(ni)
+        with pytest.raises(MessageFormatError, match=f"SEND {mode.value} requires a message"):
+            ni.send(2, mode)
+        assert untouched(ni) == before
+
+    def test_substitution_error_precedes_the_type_range(self):
+        # compose checks the mode before the type's range.
+        ni = full_ni(SendFullPolicy.STALL)
+        with pytest.raises(MessageFormatError, match="SEND reply requires a message"):
+            ni.send(16, SendMode.REPLY)
 
 
 class TestDeliveryAndInputRegisters:

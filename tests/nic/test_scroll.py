@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import MessageFormatError, QueueUnderflowError
-from repro.nic.interface import NetworkInterface
+from repro.errors import MessageFormatError, QueueOverflowError, QueueUnderflowError
+from repro.nic.control import SendFullPolicy
+from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.scroll import (
     ScrollingReceiver,
     ScrollingSender,
@@ -14,6 +15,7 @@ from repro.nic.scroll import (
     reassemble,
     segment_words,
 )
+from repro.obs.observer import Observer
 
 word = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 
@@ -142,19 +144,43 @@ class TestStreams:
         assert ni.output_queue.is_empty
 
 
-class TestScrollEdges:
-    def test_scroll_out_stalls_when_queue_full(self):
-        from repro.nic.interface import SendResult
+class Stalls(Observer):
+    """Records the message of every ``on_stall`` event."""
 
+    def __init__(self) -> None:
+        self.messages = []
+
+    def on_stall(self, ts, node, message) -> None:
+        self.messages.append(message)
+
+
+class TestScrollEdges:
+    # A full output queue: SCROLL-OUT follows SEND's rule under each policy.
+
+    def test_scroll_out_stalls_when_queue_full(self):
         ni = NetworkInterface(output_capacity=1)
         ni.send(2)  # fill the queue
+        stalls = Stalls()
+        ni.attach(stalls)
         sender = ScrollingSender(ni)
+        ni.write_output(1, 7)
         assert sender.scroll_out(2) is SendResult.STALLED
         assert not sender.message_open
+        assert ni.stats.send_stalls == 1
+        assert stalls.messages == [ni.compose(2)]
+
+    def test_scroll_out_raises_when_queue_full_under_exception(self):
+        ni = NetworkInterface(output_capacity=1)
+        ni.send(2)
+        ni.control.full_policy = SendFullPolicy.EXCEPTION
+        sender = ScrollingSender(ni)
+        with pytest.raises(QueueOverflowError):
+            sender.scroll_out(2)
+        assert not sender.message_open
+        assert ni.status["exc_output_overflow"] == 1
+        assert ni.stats.send_stalls == 0
 
     def test_final_send_stall_keeps_message_open(self):
-        from repro.nic.interface import SendResult
-
         ni = NetworkInterface(output_capacity=1)
         sender = ScrollingSender(ni)
         sender.scroll_out(2)
