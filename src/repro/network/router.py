@@ -116,11 +116,8 @@ class Router:
         self.occupancy = 0
         self.stats = RouterStats()
 
-    def can_inject(self) -> bool:
-        return len(self.injection) < INJECTION_DEPTH
-
     def inject(self, item: InTransit) -> None:
-        if not self.can_inject():
+        if len(self.injection) >= INJECTION_DEPTH:
             raise NetworkError(f"router {self.node}: injection buffer full")
         self.injection.append(item)
         self.occupancy += 1
