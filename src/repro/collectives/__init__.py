@@ -23,7 +23,6 @@ from repro.collectives.engine import (
 from repro.collectives.programs import (
     COLLECTIVES,
     DOWN_IP,
-    DOWN_SG_IP,
     OPS,
     PROGRAMS,
     UP_IP,
@@ -37,7 +36,6 @@ __all__ = [
     "CollectiveRun",
     "CombiningTree",
     "DOWN_IP",
-    "DOWN_SG_IP",
     "HandlerContext",
     "NicHandlerEngine",
     "OPS",

@@ -299,8 +299,7 @@ def run_nic_collective(
     """Run one collective entirely NIC-side and return its record.
 
     ``values`` holds each node's contribution (reduce/allreduce) or the
-    root's payload (broadcast; a sequence there means a scatter/gather
-    multi-word broadcast); it defaults to ``range(n_nodes)``.
+    root's one-word payload (broadcast); it defaults to ``range(n_nodes)``.
     """
     n = topology.n_nodes
     if values is None:

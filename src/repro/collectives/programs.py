@@ -24,30 +24,20 @@ Message convention (all collective traffic is type 0)::
     m0  destination | low bits = sender's tree rank
     m1  program IP (the MsgIp contract)
     m2  carried value (combine contribution or broadcast value)
-    m3, m4  scatter/gather fragment values (multi-word broadcast only)
+    m3, m4  zero
 
-Multi-word broadcasts ride the scatter/gather framing of
-:mod:`repro.nic.messages`: word 2 holds the fragment header and each
-fragment is forwarded to the node's children *immediately* on arrival
-(cut-through), while a :class:`~repro.nic.messages.GatherAssembler`
-rebuilds the payload locally — streaming through the tree rather than
-store-and-forward.
+A broadcast carries one word; a sequence payload raises
+:class:`~repro.errors.CollectiveError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 from repro.collectives.tree import CombiningTree
 from repro.errors import CollectiveError
-from repro.nic.messages import (
-    TYPE_MSG_IP,
-    GatherAssembler,
-    Message,
-    build_gather_messages,
-    pack_destination,
-)
+from repro.nic.messages import TYPE_MSG_IP, Message, pack_destination
 
 #: The collective program region: well clear of the node auto-inlet
 #: region (0x4000+) so both engines can install the same IPs.
@@ -58,9 +48,6 @@ UP_IP = PROGRAM_IP_BASE
 
 DOWN_IP = PROGRAM_IP_BASE + 0x10
 """Broadcast-down step: record the value, forward to children."""
-
-DOWN_SG_IP = PROGRAM_IP_BASE + 0x20
-"""Scatter/gather broadcast-down step: cut-through fragment forwarding."""
 
 #: The collective operations; all are associative and commutative over
 #: machine words, so the result is independent of arrival order — the
@@ -83,7 +70,6 @@ class CollectiveState:
     acc: int = 0
     completed: bool = False
     result: object = None
-    assembler: Optional[GatherAssembler] = None
     events: Dict[str, int] = field(
         default_factory=lambda: {"handled": 0, "sends": 0, "combines": 0}
     )
@@ -140,15 +126,6 @@ def make_step_message(
     )
 
 
-def retarget_fragment(message: Message, destination: int) -> Message:
-    """A copy of a fragment addressed to ``destination`` (same low bits)."""
-    return Message(
-        message.mtype,
-        (pack_destination(destination, message.m0_low),) + message.words[1:],
-        pin=message.pin,
-    )
-
-
 # ----------------------------------------------------------------------
 # The step functions.
 # ----------------------------------------------------------------------
@@ -199,17 +176,6 @@ def _down_value(ctx: HandlerContext, value: int) -> None:
     ctx.complete(value)
 
 
-def _down_fragment(ctx: HandlerContext, message: Message) -> None:
-    """Cut-through one broadcast fragment: forward first, then fold in."""
-    for child in ctx.tree.children(ctx.node):
-        ctx.send(retarget_fragment(message, child))
-    state = ctx.state
-    if state.assembler is None:
-        state.assembler = GatherAssembler()
-    if state.assembler.accept(message):
-        ctx.complete(tuple(value for _, value in state.assembler.result()))
-
-
 def program_up(ctx: HandlerContext, message: Message) -> None:
     """The UP_IP handler program: one arriving subtree contribution."""
     _up_contribution(ctx, message.word(2))
@@ -220,15 +186,9 @@ def program_down(ctx: HandlerContext, message: Message) -> None:
     _down_value(ctx, message.word(2))
 
 
-def program_down_sg(ctx: HandlerContext, message: Message) -> None:
-    """The DOWN_SG_IP handler program: one arriving broadcast fragment."""
-    _down_fragment(ctx, message)
-
-
 PROGRAMS: Dict[int, Callable[[HandlerContext, Message], None]] = {
     UP_IP: program_up,
     DOWN_IP: program_down,
-    DOWN_SG_IP: program_down_sg,
 }
 
 
@@ -246,28 +206,15 @@ def enter(ctx: HandlerContext, value=0) -> None:
     elif ctx.kind in ("reduce", "allreduce"):
         _up_contribution(ctx, int(value))
     elif ctx.tree.rank(ctx.node) == 0:  # broadcast root
-        payload = _as_payload(value)
-        if len(payload) == 1:
-            _down_value(ctx, payload[0])
-        else:
-            for fragment in build_gather_messages(
-                TYPE_MSG_IP,
-                ctx.node,  # placeholder destination; retargeted per child
-                list(enumerate(payload)),
-                ip=DOWN_SG_IP,
-                m0_low=ctx.tree.rank(ctx.node),
-            ):
-                for child in ctx.tree.children(ctx.node):
-                    ctx.send(retarget_fragment(fragment, child))
-            ctx.complete(tuple(payload))
+        _down_value(ctx, _broadcast_word(value))
 
 
-def _as_payload(value) -> Tuple[int, ...]:
+def _broadcast_word(value) -> int:
     if isinstance(value, (tuple, list)):
-        if not value:
-            raise CollectiveError("broadcast payload must not be empty")
-        return tuple(int(v) for v in value)
-    return (int(value),)
+        raise CollectiveError(
+            f"a broadcast carries one word, not a sequence of {len(value)}"
+        )
+    return int(value)
 
 
 def expected_result(
@@ -282,8 +229,7 @@ def expected_result(
     if kind == "barrier":
         return {node: n for node in range(n)}
     if kind == "broadcast":
-        payload = _as_payload(values[tree.root])
-        result = payload[0] if len(payload) == 1 else tuple(payload)
+        result = _broadcast_word(values[tree.root])
         return {node: result for node in range(n)}
     fold = OPS[op]
 

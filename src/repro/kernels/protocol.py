@@ -9,16 +9,17 @@ import them from here:
 **Message layouts** (word 0 always carries the destination in its high
 bits):
 
-========  ====================================================bb===========
-type      layout
-========  ===============================================================
-Send (0)  m0 = FP (global), m1 = IP, m2/m3 = 0..2 data words
-Read (2)  m0 = address (global), m1 = reply FP, m2 = reply IP
-Write (3) m0 = address (global), m1 = value
-PRead (4) m0 = array descriptor (global), m1 = reply FP, m2 = reply IP,
-          m3 = element index
-PWrite(5) m0 = array descriptor (global), m1 = element index, m2 = value
-========  ===============================================================
+===========  ===============================================================
+type         layout
+===========  ===============================================================
+Send (0)     m0 = FP (global), m1 = IP, m2/m3 = 0..2 data words
+Read (2)     m0 = address (global), m1 = reply FP, m2 = reply IP
+Write (3)    m0 = address (global), m1 = value
+PRead (4)    m0 = array descriptor (global), m1 = reply FP, m2 = reply IP,
+             m3 = element index
+PWrite (5)   m0 = array descriptor (global), m1 = element index, m2 = value
+Escape (15)  m4 = the rare kind's 32-bit id; m1..m3 are the kind's own
+===========  ===============================================================
 
 Words 1 and 2 of every *request carrying a continuation* hold the reply FP
 and IP so the hardware REPLY mode (i1 → o0, i2 → o1) composes the reply
@@ -43,7 +44,7 @@ materialised by one ``loadimm`` at send time.
 
 from __future__ import annotations
 
-from repro.nic.messages import TYPE_MSG_IP
+from repro.nic.messages import LAST_USER_TYPE, TYPE_MSG_IP
 
 # 4-bit types (optimized architecture).
 TYPE_SEND = TYPE_MSG_IP  # 0: handler IP travels in word 1
@@ -51,6 +52,7 @@ TYPE_READ = 2
 TYPE_WRITE = 3
 TYPE_PREAD = 4
 TYPE_PWRITE = 5
+TYPE_ESCAPE = LAST_USER_TYPE  # 15: rare kinds, real id in word 4 (Section 2.2.1)
 
 # 32-bit ids (basic architecture).  Small indices into the handler table.
 ID_SEND = 1

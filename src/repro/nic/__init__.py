@@ -17,13 +17,7 @@ Public surface of the subpackage:
 from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
 from repro.nic.dispatch import DispatchConditions, handler_table_address
 from repro.nic.interface import NetworkInterface, Riders, SendMode, SendResult
-from repro.nic.messages import (
-    Message,
-    MessageTypeRegistry,
-    default_registry,
-    pack_destination,
-    unpack_destination,
-)
+from repro.nic.messages import Message, pack_destination, unpack_destination
 from repro.nic.mmio import MemoryMappedInterface, decode_address, encode_address
 from repro.nic.queues import MessageQueue
 from repro.nic.rtl import ClockedNIC, Flit, FlitKind
@@ -37,7 +31,6 @@ __all__ = [
     "MemoryMappedInterface",
     "Message",
     "MessageQueue",
-    "MessageTypeRegistry",
     "NetworkInterface",
     "Riders",
     "SendFullPolicy",
@@ -45,7 +38,6 @@ __all__ = [
     "SendResult",
     "StatusRegister",
     "decode_address",
-    "default_registry",
     "encode_address",
     "handler_table_address",
     "pack_destination",

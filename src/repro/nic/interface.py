@@ -44,13 +44,7 @@ from typing import Callable, List, Optional, Protocol
 from repro.errors import MessageFormatError, QueueOverflowError, ReservedTypeError
 from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
 from repro.nic.dispatch import DispatchConditions, compute_msg_ip, describe_dispatch
-from repro.nic.messages import (
-    MESSAGE_WORDS,
-    TYPE_EXCEPTION,
-    Message,
-    build_gather_messages,
-    check_type,
-)
+from repro.nic.messages import MESSAGE_WORDS, TYPE_EXCEPTION, Message, check_type
 from repro.nic.queues import DEFAULT_CAPACITY, MessageQueue
 from repro.obs.observer import Observer, observer_of
 from repro.utils.bitfield import to_word
@@ -457,36 +451,6 @@ class NetworkInterface:
         if self.observer is not None:
             self.observer.on_stall(self._clock(), self.node, self.compose(mtype, mode))
         return SendResult.STALLED
-
-    def send_gather(
-        self,
-        mtype: int,
-        destination: int,
-        elements,
-        ip: Optional[int] = None,
-        m0_low: int = 0,
-    ) -> int:
-        """SEND a scatter/gather transfer as framed fragments.
-
-        ``elements`` are (offset, value) pairs, offsets need not be
-        contiguous; framing is :func:`repro.nic.messages.build_gather_messages`.
-        Each fragment goes through the ordinary output registers and the
-        ``SEND`` command, so queue policies apply per fragment.  Returns
-        the number of fragments queued; under the STALL policy a full
-        output queue stops the transfer at a fragment boundary (the
-        return value tells the caller where to resume), never mid-frame.
-        """
-        fragments = build_gather_messages(
-            mtype, destination, elements, ip=ip, m0_low=m0_low
-        )
-        sent = 0
-        for fragment in fragments:
-            for index, word in enumerate(fragment.words):
-                self.write_output(index, word)
-            if self.send(mtype) is not SendResult.SENT:
-                break
-            sent += 1
-        return sent
 
     def next(self) -> None:
         """The ``NEXT`` command: dispose of the current message and advance."""

@@ -21,8 +21,8 @@ five data words, mirroring how real hardware would widen the flit format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.errors import MessageFormatError
 from repro.utils.bitfield import WORD_MASK, to_word
@@ -113,7 +113,9 @@ class Message:
                 f"message must have exactly {MESSAGE_WORDS} words, "
                 f"got {len(words)}"
             )
-        # Every sent message is built here: one tuple, no generator.
+        # Every sent message is built here: one tuple, no generator.  A
+        # list never equals a tuple, so a list of words is always
+        # replaced and the message stays hashable.
         clean = (
             words[0] & WORD_MASK,
             words[1] & WORD_MASK,
@@ -121,7 +123,7 @@ class Message:
             words[3] & WORD_MASK,
             words[4] & WORD_MASK,
         )
-        if clean != tuple(words):
+        if clean != words:
             object.__setattr__(self, "words", clean)
 
     @classmethod
@@ -164,274 +166,6 @@ class Message:
             raise MessageFormatError(f"message has no word m{index}")
         return self.words[index]
 
-    def with_type(self, mtype: int) -> "Message":
-        """A copy of this message with a different type field."""
-        return replace(self, mtype=mtype)
-
-    def with_pin(self, pin: int) -> "Message":
-        """A copy of this message tagged with ``pin``."""
-        return replace(self, pin=pin)
-
-    def as_privileged(self) -> "Message":
-        """A copy of this message marked privileged (OS-destined)."""
-        return replace(self, privileged=True)
-
     def __str__(self) -> str:
         body = " ".join(f"{w:08x}" for w in self.words)
         return f"Message(type={self.mtype}, dest={self.destination}, [{body}])"
-
-
-@dataclass
-class MessageTypeRegistry:
-    """Symbolic names for the 4-bit message types used by a protocol.
-
-    The architecture only fixes types 0 and 1; everything else is a software
-    convention.  The registry keeps the convention explicit, validates that
-    no protocol tries to register the reserved exception type, and supports
-    the "escape" pattern of Section 2.2.1 (one type value set aside for rare
-    message kinds identified by a full 32-bit id in word 4).
-    """
-
-    names: dict = field(default_factory=dict)
-    escape_type: int | None = None
-
-    def register(self, name: str, mtype: int) -> int:
-        """Bind ``name`` to type value ``mtype`` and return the value."""
-        if mtype == TYPE_EXCEPTION:
-            raise MessageFormatError(
-                "type 1 is reserved for exception reporting and cannot be sent"
-            )
-        if mtype < 0 or mtype > TYPE_MASK:
-            raise MessageFormatError(f"type {mtype} out of range")
-        existing = self.names.get(name)
-        if existing is not None and existing != mtype:
-            raise MessageFormatError(
-                f"type name {name!r} already bound to {existing}"
-            )
-        for other_name, other_type in self.names.items():
-            if other_type == mtype and other_name != name:
-                raise MessageFormatError(
-                    f"type value {mtype} already bound to {other_name!r}"
-                )
-        self.names[name] = mtype
-        return mtype
-
-    def register_escape(self, name: str, mtype: int) -> int:
-        """Register the escape type used for uncommon message kinds."""
-        value = self.register(name, mtype)
-        self.escape_type = value
-        return value
-
-    def lookup(self, name: str) -> int:
-        """Return the type value bound to ``name``."""
-        try:
-            return self.names[name]
-        except KeyError:
-            raise MessageFormatError(f"unknown message type name {name!r}") from None
-
-    def name_of(self, mtype: int) -> str:
-        """Return the name bound to ``mtype`` (or a numeric placeholder)."""
-        for name, value in self.names.items():
-            if value == mtype:
-                return name
-        return f"type{mtype}"
-
-    def registered(self) -> Iterable[Tuple[str, int]]:
-        """All (name, value) bindings, in registration order."""
-        return tuple(self.names.items())
-
-
-# ----------------------------------------------------------------------
-# Scatter/gather framing.
-#
-# The architecture's messages are five words, so bulk or non-contiguous
-# data (a gather of strided elements, a scatter into a remote frame) must
-# be *framed* across several messages.  One word of each fragment is a
-# self-describing header -- where this fragment's run of elements lands,
-# how many ride in this message, and how large the whole transfer is --
-# so fragments may arrive in any order through an adaptive network and
-# still reassemble deterministically.  The framing deliberately spends a
-# data word on the header rather than widening the message: five words
-# and a 4-bit type are the architecture (Figure 2).
-# ----------------------------------------------------------------------
-
-SG_OFFSET_BITS = 12
-"""Element-offset field width: transfers address up to 4096 elements."""
-
-SG_COUNT_BITS = 4
-"""Per-fragment element count field (a fragment carries at most 3)."""
-
-SG_TOTAL_BITS = 16
-"""Whole-transfer element count, for completion detection at the receiver."""
-
-_SG_OFFSET_SHIFT = SG_COUNT_BITS + SG_TOTAL_BITS
-_SG_COUNT_SHIFT = SG_TOTAL_BITS
-
-
-def pack_sg_header(offset: int, count: int, total: int) -> int:
-    """Build a scatter/gather fragment header word.
-
-    ``offset`` is the element index of this fragment's first value,
-    ``count`` the number of values riding in this message, ``total`` the
-    element count of the whole transfer.
-    """
-    if not 0 <= offset < (1 << SG_OFFSET_BITS):
-        raise MessageFormatError(
-            f"scatter/gather offset {offset} does not fit in {SG_OFFSET_BITS} bits"
-        )
-    if not 0 < count < (1 << SG_COUNT_BITS):
-        raise MessageFormatError(
-            f"scatter/gather fragment count {count} out of range"
-        )
-    if not 0 < total < (1 << SG_TOTAL_BITS):
-        raise MessageFormatError(
-            f"scatter/gather total {total} does not fit in {SG_TOTAL_BITS} bits"
-        )
-    return (offset << _SG_OFFSET_SHIFT) | (count << _SG_COUNT_SHIFT) | total
-
-
-def unpack_sg_header(word: int) -> Tuple[int, int, int]:
-    """Inverse of :func:`pack_sg_header`: ``(offset, count, total)``."""
-    word = to_word(word)
-    return (
-        word >> _SG_OFFSET_SHIFT,
-        (word >> _SG_COUNT_SHIFT) & ((1 << SG_COUNT_BITS) - 1),
-        word & ((1 << SG_TOTAL_BITS) - 1),
-    )
-
-
-def sg_header_word(mtype: int) -> int:
-    """Which word carries the fragment header for a given message type.
-
-    Type-0 messages must keep the handler IP in word 1 (the MsgIp case-2
-    contract), so their header moves to word 2 and they carry one fewer
-    value per fragment.
-    """
-    return 2 if mtype == TYPE_MSG_IP else 1
-
-
-def sg_capacity(mtype: int) -> int:
-    """Values per fragment: 3 for typed messages, 2 for type-0."""
-    return MESSAGE_WORDS - 1 - sg_header_word(mtype)
-
-
-def build_gather_messages(
-    mtype: int,
-    destination: int,
-    elements: Sequence[Tuple[int, int]],
-    ip: int | None = None,
-    m0_low: int = 0,
-    pin: int = 0,
-) -> List[Message]:
-    """Frame ``elements`` — (offset, value) pairs, offsets need not be
-    contiguous — into a list of fragment messages.
-
-    Consecutive offsets coalesce into runs so a dense transfer uses the
-    fragment capacity fully; a fully strided gather degenerates to one
-    element per fragment, which is the honest cost of non-contiguity in
-    a five-word-message architecture.  Type-0 fragments carry ``ip`` in
-    word 1 (required); typed fragments must not pass one.
-    """
-    if mtype == TYPE_EXCEPTION:
-        raise MessageFormatError(
-            "type 1 is reserved for exception reporting and cannot be sent"
-        )
-    if (ip is None) == (mtype == TYPE_MSG_IP):
-        raise MessageFormatError(
-            "type-0 gather fragments require a handler ip; typed ones forbid it"
-        )
-    elements = list(elements)
-    if not elements:
-        raise MessageFormatError("a scatter/gather transfer needs elements")
-    total = len(elements)
-    capacity = sg_capacity(mtype)
-    # Split into maximal runs of consecutive offsets, then chunk by capacity.
-    runs: List[List[Tuple[int, int]]] = [[elements[0]]]
-    for offset, value in elements[1:]:
-        if offset == runs[-1][-1][0] + 1:
-            runs[-1].append((offset, value))
-        else:
-            runs.append([(offset, value)])
-    messages: List[Message] = []
-    for run in runs:
-        for start in range(0, len(run), capacity):
-            chunk = run[start:start + capacity]
-            header = pack_sg_header(chunk[0][0], len(chunk), total)
-            payload: List[int] = [ip, header] if ip is not None else [header]
-            payload.extend(value for _, value in chunk)
-            messages.append(
-                Message.build(
-                    mtype, destination, payload, m0_low=m0_low, pin=pin
-                )
-            )
-    return messages
-
-
-class GatherAssembler:
-    """Reassembles one scatter/gather transfer from its fragments.
-
-    Fragments may arrive in any order and interleaved with other traffic
-    (the caller routes the right messages here, e.g. by type or inlet).
-    Completion is header-driven: every fragment carries the transfer's
-    total element count, so the assembler knows it is done without a
-    separate end-of-transfer message.
-    """
-
-    def __init__(self) -> None:
-        self.values: dict = {}
-        self.total: int | None = None
-        self.fragments = 0
-        self.duplicates = 0
-
-    def accept(self, message: Message) -> bool:
-        """Fold one fragment in; returns True when the transfer is complete."""
-        header_word = sg_header_word(message.mtype)
-        offset, count, total = unpack_sg_header(message.word(header_word))
-        if count > MESSAGE_WORDS - 1 - header_word:
-            raise MessageFormatError(
-                f"fragment claims {count} values; message has no room for them"
-            )
-        if self.total is None:
-            self.total = total
-        elif self.total != total:
-            raise MessageFormatError(
-                f"fragment total {total} disagrees with transfer total {self.total}"
-            )
-        self.fragments += 1
-        for position in range(count):
-            index = offset + position
-            value = message.word(header_word + 1 + position)
-            if index in self.values:
-                self.duplicates += 1
-            self.values[index] = value
-        return self.complete
-
-    @property
-    def complete(self) -> bool:
-        return self.total is not None and len(self.values) == self.total
-
-    def result(self) -> List[Tuple[int, int]]:
-        """The assembled (offset, value) pairs, ordered by offset."""
-        if not self.complete:
-            raise MessageFormatError(
-                f"gather incomplete: {len(self.values)} of {self.total} elements"
-            )
-        return sorted(self.values.items())
-
-
-def default_registry() -> MessageTypeRegistry:
-    """The message-type convention used throughout the evaluation.
-
-    Mirrors the protocol of Section 2.1.4 and Section 4.1: the general Send
-    (type 0, handler IP in the message), remote Read/Write, and the
-    presence-bit PRead/PWrite pair, plus an escape type for rare kinds.
-    """
-    registry = MessageTypeRegistry()
-    registry.register("send", TYPE_MSG_IP)
-    registry.register("read", 2)
-    registry.register("write", 3)
-    registry.register("pread", 4)
-    registry.register("pwrite", 5)
-    registry.register("read_reply", 6)
-    registry.register_escape("escape", LAST_USER_TYPE)
-    return registry

@@ -107,17 +107,13 @@ def handle_escape(node: "Node", message: Message) -> None:
     handler(node, message)
 
 
-ESCAPE_TYPE = 15
-"""The type value the default protocol sets aside for escapes."""
-
-
 DEFAULT_HANDLERS: Dict[int, Handler] = {
     P.TYPE_SEND: handle_send,
     P.TYPE_READ: handle_read,
     P.TYPE_WRITE: handle_write,
     P.TYPE_PREAD: handle_pread,
     P.TYPE_PWRITE: handle_pwrite,
-    ESCAPE_TYPE: handle_escape,
+    P.TYPE_ESCAPE: handle_escape,
 }
 
 

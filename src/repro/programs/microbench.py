@@ -1,20 +1,13 @@
-"""Synthetic message-pattern microbenchmarks on TAM.
+"""A synthetic compute/communicate workload on TAM: the grain study.
 
 The paper's program results hold for its fine-grain TAM workloads and it
 explicitly scopes them: "For coarser grained models the message types and
 frequencies may be substantially different ... But the results of Table 1
-are still relevant" (Section 4.2.2).  These parameterised workloads let
-the evaluation explore that scoping directly:
-
-* :func:`run_grain_sweep_point` — a compute/communicate loop with a
-  controllable number of floating-point operations per message, for the
-  grain-size study (:mod:`repro.eval.grain`);
-* :func:`run_ping_pong` — two activations bouncing a counter, the purest
-  send/dispatch/process round trip;
-* :func:`run_fan_out` — one root spawning ``width`` workers that each
-  report back, a service/collection pattern.
-
-All are verified (the computed values are checked) and deterministic.
+are still relevant" (Section 4.2.2).  :func:`run_grain_sweep_point` lets
+the evaluation explore that scoping directly: a compute/communicate loop
+with a controllable number of floating-point operations per message, for
+the grain-size study (:mod:`repro.eval.grain`).  It is verified (the
+driver's completion and report count are checked) and deterministic.
 """
 
 from __future__ import annotations
@@ -158,160 +151,3 @@ def run_grain_sweep_point(
     if stats.messages.sends_by_words[1] < expected_reports:
         raise TamError("grain workers under-reported")
     return GrainPoint(flops_per_message, stats, float(total))
-
-
-# ---------------------------------------------------------------------------
-# Ping-pong.
-# ---------------------------------------------------------------------------
-
-
-def run_ping_pong(rounds: int = 64, nodes: int = 2) -> TamStats:
-    """Two activations bounce an incrementing counter ``rounds`` times."""
-    peer, value_in, cond, self_slot, done = 0, 1, 2, 3, 4
-    pong = Codeblock("pong", frame_size=5)
-    pong.add_inlet(0, dest_slots=(peer,), counter="args")
-    pong.add_counter("args", 1, "noop")
-    pong.add_inlet(1, dest_slots=(value_in,), counter="ball")
-    pong.add_counter("ball", 1, "hit")
-    pong.add_thread("noop", [StopInstr()])
-    pong.add_thread(
-        "hit",
-        [
-            ResetInstr("ball", 1),
-            OpInstr(Op.IADD, value_in, value_in, Imm(1)),
-            OpInstr(Op.LT, cond, value_in, Imm(rounds)),
-            SwitchInstr(cond, "return_ball", "finish"),
-            StopInstr(),
-        ],
-    )
-    pong.add_thread(
-        "return_ball",
-        [SendInstr(frame_slot=peer, inlet=1, values=(value_in,)), StopInstr()],
-    )
-    pong.add_thread("finish", [ConInstr(done, 1), StopInstr()])
-
-    driver = Codeblock("pp_driver", frame_size=6)
-    a_slot, b_slot = 0, 1
-    driver.add_inlet(0, dest_slots=(a_slot,), counter="kids")
-    driver.add_inlet(1, dest_slots=(b_slot,), counter="kids")
-    driver.add_counter("kids", 2, "wire")
-    driver.add_thread(
-        "entry",
-        [
-            FallocInstr("pong", reply_inlet=0),
-            FallocInstr("pong", reply_inlet=1),
-            StopInstr(),
-        ],
-    )
-    driver.add_thread(
-        "wire",
-        [
-            # Introduce the peers to each other, then serve.
-            SendInstr(frame_slot=a_slot, inlet=0, values=(b_slot,)),
-            SendInstr(frame_slot=b_slot, inlet=0, values=(a_slot,)),
-            ConInstr(2, 0),
-            SendInstr(frame_slot=a_slot, inlet=1, values=(2,)),
-            StopInstr(),
-        ],
-    )
-    driver.set_entry("entry")
-
-    machine = TamMachine(nodes)
-    machine.load(pong)
-    machine.load(driver)
-    machine.boot("pp_driver")
-    stats = machine.run()
-    # rounds hits = at least rounds ball messages.
-    if stats.messages.sends_by_words[1] < rounds:
-        raise TamError("ping-pong lost the ball")
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Fan-out / collection.
-# ---------------------------------------------------------------------------
-
-
-def run_fan_out(width: int = 32, nodes: int = 8) -> TamStats:
-    """One root spawns ``width`` workers; each squares its id and reports."""
-    parent, my_id, result, self_slot = 0, 1, 2, 3
-    worker = Codeblock("fan_worker", frame_size=4)
-    worker.add_inlet(0, dest_slots=(parent, my_id), counter="args")
-    worker.add_counter("args", 1, "work")
-    worker.add_thread(
-        "work",
-        [
-            OpInstr(Op.IMUL, result, my_id, my_id),
-            SendInstr(frame_slot=parent, inlet=1, values=(my_id, result)),
-            StopInstr(),
-        ],
-    )
-    del self_slot
-
-    s_self, s_child, s_i, s_cond, s_id_in, s_val_in, s_sum, s_remaining, s_done = range(9)
-    driver = Codeblock("fan_driver", frame_size=9)
-    driver.add_inlet(0, dest_slots=(s_child,), counter="child_ready")
-    driver.add_counter("child_ready", 1, "feed")
-    driver.add_inlet(1, dest_slots=(s_id_in, s_val_in), counter="report")
-    driver.add_counter("report", 1, "collect")
-    driver.add_thread(
-        "entry",
-        [
-            ConInstr(s_i, 0),
-            ConInstr(s_sum, 0),
-            ConInstr(s_remaining, width),
-            ConInstr(s_done, 0),
-            ForkInstr("spawn_next"),
-            StopInstr(),
-        ],
-    )
-    driver.add_thread(
-        "spawn_next",
-        [
-            OpInstr(Op.LT, s_cond, s_i, Imm(width)),
-            SwitchInstr(s_cond, "spawn_one"),
-            StopInstr(),
-        ],
-    )
-    driver.add_thread(
-        "spawn_one",
-        [
-            ResetInstr("child_ready", 1),
-            FallocInstr("fan_worker", reply_inlet=0),
-            StopInstr(),
-        ],
-    )
-    driver.add_thread(
-        "feed",
-        [
-            SelfInstr(s_self),
-            SendInstr(frame_slot=s_child, inlet=0, values=(s_self, s_i)),
-            OpInstr(Op.IADD, s_i, s_i, Imm(1)),
-            ForkInstr("spawn_next"),
-            StopInstr(),
-        ],
-    )
-    driver.add_thread(
-        "collect",
-        [
-            ResetInstr("report", 1),
-            OpInstr(Op.IADD, s_sum, s_sum, s_val_in),
-            OpInstr(Op.ISUB, s_remaining, s_remaining, Imm(1)),
-            OpInstr(Op.LE, s_cond, s_remaining, Imm(0)),
-            SwitchInstr(s_cond, "finish"),
-            StopInstr(),
-        ],
-    )
-    driver.add_thread("finish", [ConInstr(s_done, 1), StopInstr()])
-    driver.set_entry("entry")
-
-    machine = TamMachine(nodes)
-    machine.load(worker)
-    machine.load(driver)
-    ref = machine.boot("fan_driver")
-    stats = machine.run()
-    total = machine.read_slot(ref, s_sum)
-    expected = sum(i * i for i in range(width))
-    if total != expected:
-        raise TamError(f"fan-out sum {total} != {expected}")
-    return stats

@@ -12,10 +12,10 @@ single engine they all run on now:
   state snapshot, custom predicates), and one run loop.
 * :class:`~repro.sim.component.SimComponent` — the component contract a
   clocked object implements to be driven by the kernel.
-* :mod:`repro.sim.sweep` — the turn-based service policies
-  (:class:`~repro.sim.sweep.ReferenceSweep` and the flag-array
-  :class:`~repro.sim.sweep.ActiveSweep`) the TAM runtime schedules on,
-  pinned turn-for-turn equivalent to each other.
+* :mod:`repro.sim.sweep` — turn-based service for the TAM runtime:
+  :class:`~repro.sim.sweep.ReferenceSweep`, the reference backend's
+  scheduler, and :class:`~repro.sim.sweep.ActiveSweep`, the flag arrays
+  the codegen backend's one loop serves in the same order.
 
 Drivers rebased on this package: ``api.cluster.Cluster.run``, the
 flow-control hot-spot experiment, ``network.fabric.Fabric

@@ -39,14 +39,13 @@ Three structural choices make the generated code fast:
 Equivalence: generated code raises the reference path's exact errors at
 the same execution points (out-of-range slots, bad SEND/IFETCH/ISTORE
 references, counter underflow, missing threads, threads without STOP)
-and reproduces the reference service order exactly.  Unobserved
-machines run the fused loop in :meth:`TamMachine._run_codegen_fused`
-(the :class:`repro.sim.sweep.ActiveSweep` flag-array order, inlined);
-machines with an observer attached post through
-``machine._post`` captured at compile time and are driven by
-:class:`~repro.sim.sweep.ActiveSweep` itself, so a codegen run is
-bit-identical to a reference run either way
-(``tests/tam/test_backend_matrix``,
+and reproduces the reference service order exactly.  Every machine
+runs the fused loop in :meth:`TamMachine._run_codegen_fused` over the
+:class:`repro.sim.sweep.ActiveSweep` flag arrays; machines with an
+observer attached post through ``machine._post`` captured at compile
+time, and the loop sends each of their messages through the observed
+handlers, so a codegen run is bit-identical to a reference run either
+way (``tests/tam/test_backend_matrix``,
 ``tests/tam/test_codegen_differential``).
 """
 
@@ -331,8 +330,8 @@ class _Emitter:
             "_ck_ifetch": _check_ifetch_ref,
             "_ck_istore": _check_istore_ref,
         }
-        # Unobserved machines (the ones _run_codegen_fused drives) get
-        # the post transport inlined: generated message instructions
+        # Unobserved machines get the post transport inlined into
+        # _run_codegen_fused's flags: generated message instructions
         # append to the target inbox and set the sweep flag directly,
         # skipping the closure call, and build plain tuples instead of
         # TamMessages for the kinds the fused loop consumes positionally

@@ -19,18 +19,16 @@ Two execution backends implement those semantics:
 
 * the **codegen** backend (default): each whole thread is compiled at
   ``load()`` time to one generated Python function over flat-list frames
-  (:mod:`repro.tam.codegen`), and nodes are driven by
-  :class:`repro.sim.sweep.ActiveSweep` — the flag-array scheduler that
-  skips idle nodes for free, inlined into one fused loop for unobserved
-  runs;
+  (:mod:`repro.tam.codegen`), and nodes are driven by one fused loop over
+  the flag arrays of :class:`repro.sim.sweep.ActiveSweep`, which skips
+  idle nodes for free, observed or not;
 * the **reference** backend (``TamMachine(n, backend="reference")``):
   the original per-instruction ``isinstance`` interpreter driven by
   :class:`repro.sim.sweep.ReferenceSweep` (scan every node each sweep),
   kept as the executable specification.
 
-The sweep policies are contract-equivalent (same service order, same
-exact ``max_turns`` bound — ``tests/sim/test_sweep.py``) and both
-backends produce field-for-field identical
+Both loops serve nodes in the same order under the same exact
+``max_turns`` bound, and both backends produce field-for-field identical
 :class:`~repro.tam.stats.TamStats` and turn-for-turn identical trace
 streams (``tests/tam/test_backend_matrix.py``,
 ``tests/tam/test_codegen_differential.py``,
@@ -90,6 +88,10 @@ __all__ = ["IStructRef", "MsgKind", "TamMessage", "TamMachine"]
 # itself ([2] and [3]), so delivery is one call with no frame or inlet
 # lookup.  Only _run_codegen_fused creates and consumes these.
 _FAST_REPLY = object()
+
+# A message kind no message carries: an observed run binds the fused
+# loop's inline kinds to it, so every message takes _process_message.
+_NO_KIND = object()
 
 
 class _NodeState:
@@ -152,12 +154,10 @@ class TamMachine:
         self.turns_executed = 0
         self._rr_next = 0
         self._compiled: Dict[str, object] = {}
-        # The kernel's service policies (repro.sim.sweep).  The codegen
-        # backend's active-flag scheduler is per-machine state because
-        # _post pokes it directly; it is `.active` only while a run is in
-        # progress.
+        # The codegen loop's activity flags (repro.sim.sweep) are
+        # per-machine state because _post and generated code set them
+        # directly; they are `.active` only while a run is in progress.
         self._sched = ActiveSweep(n_nodes)
-        self._reference_sched = ReferenceSweep()
         if self._is_codegen:
             self._deliver = self._deliver_message_codegen
         else:
@@ -188,13 +188,15 @@ class TamMachine:
 
         Installed as *instance* attributes, which is what makes
         observation free when absent: the generated code captures
-        ``machine._post`` at ``load()`` time and the run loops bind
-        ``self._deliver`` / ``self._on_pread`` at entry, so with nothing
-        attached they resolve to the original methods.  Only the seven
-        leaf handlers are wrapped (not ``_process_message``, which
-        dispatches to them), so each handled message raises one
-        begin/end pair on both backends; a reply posted inside a handler
-        falls between the two, which links request to response.
+        ``machine._post`` at ``load()`` time, and ``_process_message``,
+        which every message of an observed run takes, reads
+        ``self._deliver`` / ``self._on_pread`` and the rest on each
+        call, so with nothing attached they resolve to the original
+        methods.  Only the seven leaf handlers are wrapped (not
+        ``_process_message``, which dispatches to them), so each handled
+        message raises one begin/end pair on both backends; a reply
+        posted inside a handler falls between the two, which links
+        request to response.
         """
         plain_post = self._post
 
@@ -335,15 +337,18 @@ class TamMachine:
         turn.  Sweeps over idle nodes are not charged against it.
         """
         if self._is_codegen:
-            turns = self._run_codegen(max_turns)
+            try:
+                turns = self._run_codegen_fused(max_turns)
+            finally:
+                # Fold even when the run raised mid-way: the generated
+                # code has already bumped its run counters, and stats
+                # accumulate across run() calls.
+                self._fold_codegen_stats()
         else:
             turns = self._run_reference(max_turns)
         self.turns_executed += turns
         self._check_quiescence()
         return self.stats
-
-    def _turn_stall(self, max_turns: int) -> Callable[[], TamError]:
-        return lambda: TamError(f"TAM run exceeded {max_turns} turns")
 
     def _run_reference(self, max_turns: int) -> int:
         """The scan-all-nodes policy (executable spec).
@@ -352,14 +357,14 @@ class TamMachine:
         continuation vector has priority over inlets); this also
         guarantees a counter re-armed by its own thread is reset before
         the next message decrements it — the priority lives in
-        ``_do_one_unit``, which both policies' callbacks share.
+        ``_do_one_unit`` here and in the fused loop's stack test.
         """
-        return self._reference_sched.run(
+        return ReferenceSweep().run(
             self.nodes,
             has_work=lambda state: state.stack or state.inbox,
             do_one=self._do_one_unit,
             max_turns=max_turns,
-            stall=self._turn_stall(max_turns),
+            stall=lambda: TamError(f"TAM run exceeded {max_turns} turns"),
         )
 
     def _do_one_unit(self, state: _NodeState) -> None:
@@ -370,42 +375,29 @@ class TamMachine:
         else:
             self._process_message(state, state.inbox.popleft())
 
-    def _run_codegen(self, max_turns: int) -> int:
-        """The generated-code policy: one call per thread, flat frames.
+    def _run_codegen_fused(self, max_turns: int) -> int:
+        """The generated-code policy: scheduling, delivery, and presence
+        bits in one loop.
 
         Threads were compiled to single functions at ``load()`` time
         (:mod:`repro.tam.codegen`); a continuation is two stack elements
         (frame list, thread function), so a thread turn is two pops and
-        one call.  Unobserved runs take :meth:`_run_codegen_fused` — the
-        scheduling, delivery, and presence-bit logic fused into one
-        loop; runs with an observer attached keep the callback shape
-        (:meth:`_run_codegen_generic`) so the observed event stream is
-        identical to the reference backend's.
-        """
-        try:
-            if self.observer is None:
-                return self._run_codegen_fused(max_turns)
-            return self._run_codegen_generic(max_turns)
-        finally:
-            # Fold even when the run raised mid-way: the generated code
-            # has already bumped its run counters, and stats accumulate
-            # across run() calls.
-            self._fold_codegen_stats()
+        one call.  This inlines, in one frame: the flag-array
+        realization of :class:`~repro.sim.sweep.ReferenceSweep`'s
+        service order over :class:`~repro.sim.sweep.ActiveSweep`'s
+        flags, inlet delivery through the flat frame's dispatch dict
+        (``frame[0]``), and the PRead/PWrite protocols over the
+        I-structure internals
+        (:class:`~repro.node.istructure.IStructureMemory`, with no
+        :class:`~repro.node.istructure.DeferredReader` built).  Per-turn
+        cost is what makes or breaks the codegen backend; every layer
+        boundary that remains here shows up directly in the benchmarks.
 
-    def _run_codegen_fused(self, max_turns: int) -> int:
-        """One loop for scheduling, delivery, and presence bits.
-
-        This inlines, in one frame: :meth:`ActiveSweep.run
-        <repro.sim.sweep.ActiveSweep.run>` — the flag-array realization
-        of the service order both sweep policies share, which observed
-        runs call directly — inlet delivery through the flat frame's
-        dispatch dict (``frame[0]``), and the PRead/PWrite protocols
-        over the I-structure internals
-        (:class:`~repro.node.istructure.IStructureMemory`, with the
-        :class:`~repro.node.istructure.DeferredReader` built only when
-        the read actually defers).  Per-turn cost is what makes or
-        breaks the codegen backend; every layer boundary that remains
-        here shows up directly in the benchmarks.
+        An observed run binds the four inline kinds to ``_NO_KIND``, so
+        every message takes the ``_process_message`` branch and reaches
+        the observed handler wrappers; its event stream is then the
+        reference backend's.  Only the inline branches build
+        ``_FAST_REPLY`` messages, so an observed run has none.
         """
         nodes = self.nodes
         sched = self._sched
@@ -426,10 +418,13 @@ class TamMachine:
         process = self._process_message
         mix = self.stats.messages
         fast_reply = _FAST_REPLY
-        kind_send = MsgKind.SEND
-        kind_reply = MsgKind.REPLY
-        kind_pread = MsgKind.PREAD
-        kind_pwrite = MsgKind.PWRITE
+        if self.observer is None:
+            kind_send = MsgKind.SEND
+            kind_reply = MsgKind.REPLY
+            kind_pread = MsgKind.PREAD
+            kind_pwrite = MsgKind.PWRITE
+        else:
+            kind_send = kind_reply = kind_pread = kind_pwrite = _NO_KIND
 
         for state in nodes:
             if state.stack or state.inbox:
@@ -597,9 +592,10 @@ class TamMachine:
                                 istats[i].writes_empty += 1
                                 mix.pwrites_empty += 1
                         else:
-                            # Cold kinds (FALLOC/IALLOC/READ/WRITE)
-                            # post replies through _post, which reads
-                            # sweep_pos for its wake rule.
+                            # Cold kinds (FALLOC/IALLOC/READ/WRITE), and
+                            # every kind when observed, post replies
+                            # through _post, which reads sweep_pos for
+                            # its wake rule.
                             sched.sweep_pos = i
                             process(nodes[i], message)
                     turns += 1
@@ -636,52 +632,6 @@ class TamMachine:
             for i in range(n):
                 in_current[i] = False
                 in_next[i] = False
-
-    def _run_codegen_generic(self, max_turns: int) -> int:
-        """The codegen backend under observation: ActiveSweep + callbacks.
-
-        Generated code posts through ``machine._post`` here (captured at
-        ``load()``), which keeps the :class:`~repro.sim.sweep.ActiveSweep`
-        flags current; delivery goes through ``self._deliver`` — the
-        observed wrapper when an observer is attached, else the plain
-        :meth:`_deliver_message_codegen` — so every handled message
-        raises its handle events.
-        """
-        nodes = self.nodes
-        process = self._process_message
-        deliver = self._deliver
-        on_pread = self._on_pread
-        kind_send = MsgKind.SEND
-        kind_reply = MsgKind.REPLY
-        kind_pread = MsgKind.PREAD
-
-        def service(state: _NodeState):
-            stack = state.stack
-            if stack:
-                fn = stack.pop()
-                fn(stack, stack.pop())
-            elif state.inbox:
-                message = state.inbox.popleft()
-                kind = message[0]
-                if kind is kind_send or kind is kind_reply:
-                    deliver(state, message)
-                elif kind is kind_pread:
-                    on_pread(state, message)
-                else:
-                    process(state, message)
-            else:  # pragma: no cover - flagged nodes always have work
-                return None
-            return True if (stack or state.inbox) else False
-
-        return self._sched.run(
-            nodes,
-            service,
-            initially_active=[
-                state.node_id for state in nodes if state.stack or state.inbox
-            ],
-            max_turns=max_turns,
-            stall=self._turn_stall(max_turns),
-        )
 
     def _fold_codegen_stats(self) -> None:
         """Fold per-thread run counts into the cumulative statistics.
@@ -880,8 +830,7 @@ class TamMachine:
         if sched.active:
             # Keep the activity flags in sync: a node the sweep has not
             # reached yet joins the current sweep, otherwise the next one
-            # (inlined ActiveSweep.wake — this is the hottest path in a
-            # TAM run).
+            # (this is the hottest path in an observed TAM run).
             if node > sched.sweep_pos:
                 sched.in_current[node] = True
             else:

@@ -83,15 +83,16 @@ class TestOperationsAndShapes:
         assert nic.results == proc.results
         assert set(nic.results.values()) == {16}
 
-    def test_multiword_broadcast_uses_scatter_gather(self):
-        payload = tuple(range(200, 211))
-        values = [list(payload)] + [0] * 15
-        nic = run_nic_collective("broadcast", Mesh2D(4, 4), values=values)
-        proc = run_proc_collective("broadcast", Mesh2D(4, 4), values=values)
-        assert nic.results == proc.results
-        assert all(result == payload for result in nic.results.values())
-        # Fragments (2 values each for type 0) outnumber tree edges.
-        assert nic.fabric_delivered > 15
+    @pytest.mark.parametrize("payload", [(200, 201), [7], ()])
+    def test_sequence_broadcast_payload_rejected(self, payload):
+        # A broadcast carries one word (m2); a sequence is refused by
+        # both engines and by the closed form.
+        values = [payload] + [0] * 15
+        for run in (run_nic_collective, run_proc_collective):
+            with pytest.raises(CollectiveError, match="one word"):
+                run("broadcast", Mesh2D(4, 4), values=values)
+        with pytest.raises(CollectiveError, match="one word"):
+            expected_result("broadcast", "sum", CombiningTree(16), values)
 
 
 class TestDispatchFidelity:

@@ -343,45 +343,3 @@ class TestTransmit:
         ni.send(2)
         assert ni.peek_outgoing() is not None
         assert ni.output_queue.depth == 1
-
-
-class TestSendGather:
-    def test_fragments_travel_through_the_output_queue(self):
-        from repro.nic.messages import GatherAssembler
-
-        ni = NetworkInterface(node=0)
-        elements = [(i, 50 + i) for i in range(7)]
-        sent = ni.send_gather(2, destination=4, elements=elements)
-        assert sent == 3
-        assert ni.stats.sends == 3
-        assembler = GatherAssembler()
-        while True:
-            fragment = ni.transmit()
-            if fragment is None:
-                break
-            assert fragment.destination == 4
-            assembler.accept(fragment)
-        assert assembler.complete
-        assert assembler.result() == elements
-
-    def test_stall_stops_at_a_fragment_boundary(self):
-        ni = NetworkInterface(node=0, output_capacity=2)
-        elements = [(i, i) for i in range(9)]  # 3 typed fragments
-        sent = ni.send_gather(2, destination=1, elements=elements)
-        assert sent == 2  # third fragment stalled, never half-queued
-        assert ni.output_queue.depth == 2
-        assert ni.stats.send_stalls == 1
-        # Drain one slot and resume from where the return value points.
-        ni.transmit()
-        resumed = ni.send_gather(2, destination=1, elements=elements[6:])
-        assert resumed == 1
-
-    def test_type0_gather_carries_the_handler_ip(self):
-        ni = NetworkInterface(node=0)
-        sent = ni.send_gather(
-            0, destination=2, elements=[(0, 1), (1, 2)], ip=0x5020
-        )
-        assert sent == 1
-        fragment = ni.transmit()
-        assert fragment.mtype == 0
-        assert fragment.word(1) == 0x5020

@@ -1,5 +1,7 @@
 """Tests for interrupt-driven reception (paper Section 2.1's open choice)."""
 
+from dataclasses import replace
+
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message, pack_destination
 
@@ -52,7 +54,7 @@ class TestArrivalInterrupts:
         ni = NetworkInterface()
         fired = []
         ni.enable_arrival_interrupts(lambda: fired.append(True))
-        ni.deliver(msg().as_privileged())
+        ni.deliver(replace(msg(), privileged=True))
         assert fired == []
 
     def test_interrupt_driven_service_loop(self):

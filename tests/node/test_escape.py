@@ -3,20 +3,41 @@
 import pytest
 
 from repro.errors import MessageFormatError
-from repro.nic.messages import Message, default_registry, pack_destination
-from repro.node.handlers import ESCAPE_TYPE
+from repro.kernels import protocol as P
+from repro.nic.messages import (
+    LAST_USER_TYPE,
+    TYPE_EXCEPTION,
+    Message,
+    check_type,
+    pack_destination,
+)
+from repro.node.handlers import DEFAULT_HANDLERS, handle_escape
 from repro.node.node import Node
 
 
 def escape_message(escape_id: int, payload: int = 0) -> Message:
     return Message(
-        ESCAPE_TYPE, (pack_destination(0), payload, 0, 0, escape_id)
+        P.TYPE_ESCAPE, (pack_destination(0), payload, 0, 0, escape_id)
     )
 
 
 class TestEscapeDispatch:
-    def test_escape_type_matches_registry_convention(self):
-        assert default_registry().escape_type == ESCAPE_TYPE
+    def test_protocol_types_are_distinct_and_sendable(self):
+        types = [
+            P.TYPE_SEND,
+            P.TYPE_READ,
+            P.TYPE_WRITE,
+            P.TYPE_PREAD,
+            P.TYPE_PWRITE,
+            P.TYPE_ESCAPE,
+        ]
+        for mtype in types:
+            check_type(mtype)
+        assert len(set(types)) == len(types)
+        assert TYPE_EXCEPTION not in types
+        assert P.TYPE_ESCAPE == LAST_USER_TYPE
+        assert sorted(DEFAULT_HANDLERS) == sorted(types)
+        assert DEFAULT_HANDLERS[P.TYPE_ESCAPE] is handle_escape
 
     def test_escape_handler_invoked_by_word4_id(self):
         node = Node(0)

@@ -7,11 +7,14 @@ not matter.  The laziness checks run in a subprocess because the rest
 of the suite imports the submodules eagerly.
 """
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import repro
 import repro.obs as obs
 from repro.obs.tracer import HOP, SEND, Tracer
 
@@ -72,8 +75,20 @@ class TestLazyExports:
         assert out == "True"
 
     def test_all_names_resolve(self):
-        for name in obs.__all__:
-            assert getattr(obs, name) is not None
+        # Every repro package's __all__, not only this one's: a name
+        # deleted from a module but left in __all__ breaks only
+        # `from ... import *`.
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert obs in packages
+        for package in packages:
+            for name in package.__all__:
+                assert getattr(package, name, None) is not None, (
+                    f"{package.__name__}.__all__ names {name!r}"
+                )
 
     def test_all_is_complete(self):
         # Every public name of the submodules' own __all__ that the

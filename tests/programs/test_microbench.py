@@ -1,13 +1,9 @@
-"""Tests for the synthetic microbenchmark workloads."""
+"""Tests for the grain-study workload."""
 
 import pytest
 
 from repro.errors import TamError
-from repro.programs.microbench import (
-    run_fan_out,
-    run_grain_sweep_point,
-    run_ping_pong,
-)
+from repro.programs.microbench import run_grain_sweep_point
 
 
 class TestGrainPoint:
@@ -42,33 +38,3 @@ class TestGrainPoint:
         b = run_grain_sweep_point(3, workers=4, rounds=4)
         assert a.stats.messages.as_dict() == b.stats.messages.as_dict()
         assert a.total == b.total
-
-
-class TestPingPong:
-    def test_ball_crosses_rounds_times(self):
-        stats = run_ping_pong(rounds=20)
-        assert stats.messages.sends_by_words[1] >= 20
-
-    def test_two_frames_plus_driver(self):
-        stats = run_ping_pong(rounds=4)
-        assert stats.frames_allocated == 3
-
-    def test_single_node_ok(self):
-        stats = run_ping_pong(rounds=8, nodes=1)
-        assert stats.messages.sends >= 8
-
-
-class TestFanOut:
-    def test_sum_of_squares_verified_internally(self):
-        stats = run_fan_out(width=16)
-        assert stats.frames_allocated == 17
-
-    def test_report_counts(self):
-        stats = run_fan_out(width=10)
-        # Each worker: one send2 report; plus arg sends and falloc traffic.
-        assert stats.messages.sends_by_words[2] >= 10
-
-    @pytest.mark.parametrize("nodes", [1, 3, 8])
-    def test_node_count_invariant(self, nodes):
-        stats = run_fan_out(width=12, nodes=nodes)
-        assert stats.messages.total_messages == run_fan_out(width=12, nodes=8).messages.total_messages

@@ -21,6 +21,11 @@ from repro.programs.matmul import run_matmul
 # same-process pairs.  The floor sits well below that and well above 1x.
 MIN_SPEEDUP_OVER_REFERENCE = 3.0
 
+# Interleaved pairs, compared by each side's fastest run: one run per
+# side once read 2.8x on a busy host, and the first default run also
+# pays for a cold code-generation cache.
+PAIRS = 3
+
 
 def _timed_matmul(**kwargs):
     start = time.perf_counter()
@@ -29,13 +34,18 @@ def _timed_matmul(**kwargs):
 
 
 def test_matmul_fast_path_within_budget():
-    default, turns = _timed_matmul()
-    reference, reference_turns = _timed_matmul(backend="reference")
-    assert turns == reference_turns > 0
+    defaults, references = [], []
+    for _ in range(PAIRS):
+        default, turns = _timed_matmul()
+        reference, reference_turns = _timed_matmul(backend="reference")
+        assert turns == reference_turns > 0
+        defaults.append(default)
+        references.append(reference)
+    default, reference = min(defaults), min(references)
     assert reference / default >= MIN_SPEEDUP_OVER_REFERENCE, (
         f"matmul 40x40 took {default:.2f}s on the default TAM backend and "
-        f"{reference:.2f}s on the reference interpreter: "
-        f"{reference / default:.1f}x, below the "
+        f"{reference:.2f}s on the reference interpreter (fastest of "
+        f"{PAIRS} each): {reference / default:.1f}x, below the "
         f"{MIN_SPEEDUP_OVER_REFERENCE}x floor — the default backend has "
         "regressed"
     )

@@ -209,8 +209,9 @@ class TestTurnBoundExactness:
     Regression pin: the pre-kernel scheduler loops tested
     ``turns > max_turns`` after incrementing, silently permitting
     ``max_turns + 1`` productive turns before raising.  Run on every
-    backend, unobserved and observed, which covers both codegen loops
-    (the fused one and the callback one on ActiveSweep).
+    backend, unobserved and observed, which covers the one codegen loop
+    in both of its modes (observed, every message takes the
+    ``_process_message`` branch).
     """
 
     @staticmethod
