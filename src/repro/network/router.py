@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.nic.messages import Message
@@ -114,6 +114,10 @@ class Router:
         ) + (self.injection,)
         #: Messages held in all buffers, maintained on every entry and exit.
         self.occupancy = 0
+        #: The fabric's record of this router's last arbitration while its
+        #: heads cannot move, replayed instead of re-arbitrated (see
+        #: :class:`~repro.network.fabric.Fabric`); ``None`` otherwise.
+        self.hold: Optional[tuple] = None
         self.stats = RouterStats()
 
     def inject(self, item: InTransit) -> None:

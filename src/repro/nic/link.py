@@ -4,8 +4,10 @@ Wires the transmit port of each :class:`~repro.nic.rtl.ClockedNIC` to the
 receive port of the other, with one cycle of wire delay per flit and
 honest credit sampling: a flit is launched only when the far receive port
 asserted ready on the *previous* cycle, exactly as a registered
-ready/valid interface behaves.  Used by the RTL tests and the walkthrough
-example to build two-chip systems without hand-rolled wiring loops.
+ready/valid interface behaves.  Its one user is the RTL link tests
+(``tests/nic/test_link.py``), which build two-chip systems with it; the
+walkthrough example (``examples/rtl_walkthrough.py``) wires its two chips
+by hand instead.
 """
 
 from __future__ import annotations
