@@ -22,7 +22,6 @@ from typing import List, Optional
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric, _FabricComponent
 from repro.network.topology import Mesh2D, Topology
-from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message, pack_destination
 from repro.node.handlers import (
     build_pread_request,
@@ -32,7 +31,6 @@ from repro.node.handlers import (
     build_write_request,
 )
 from repro.node.node import Node
-from repro.obs.metrics import MetricsRecorder
 from repro.obs.tracer import Tracer
 from repro.sim import SimComponent, SimKernel
 
@@ -83,40 +81,16 @@ class Cluster:
     def __init__(
         self,
         topology: Optional[Topology] = None,
-        link_buffer_depth: int = 4,
-        serialization_cycles: int = 6,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRecorder] = None,
-        input_capacity: Optional[int] = None,
-        output_capacity: Optional[int] = None,
     ) -> None:
         self.topology = topology or Mesh2D(2, 2)
-        # Queue depths default to the interface's own (None); explicit
-        # values size every node's queues, e.g. for tenancy studies that
-        # want shallow input queues so per-tenant caps actually bind.
-        nic_kwargs = {}
-        if input_capacity is not None:
-            nic_kwargs["input_capacity"] = input_capacity
-        if output_capacity is not None:
-            nic_kwargs["output_capacity"] = output_capacity
         self.nodes: List[Node] = [
-            Node(
-                node_id,
-                interface=(
-                    NetworkInterface(node=node_id, **nic_kwargs)
-                    if nic_kwargs
-                    else None
-                ),
-            )
-            for node_id in range(self.topology.n_nodes)
+            Node(node_id) for node_id in range(self.topology.n_nodes)
         ]
         self.fabric = Fabric(
             self.topology,
             [node.interface for node in self.nodes],
-            link_buffer_depth=link_buffer_depth,
-            serialization_cycles=serialization_cycles,
             tracer=tracer,
-            metrics=metrics,
         )
         for node in self.nodes:
             node.set_drain_hook(self.fabric.step)
@@ -260,10 +234,9 @@ class Cluster:
         target: int,
         inlet_ip: int,
         data=(),
-        fp_low: int = 0,
     ) -> None:
         """Send a type-0 message invoking ``inlet_ip`` on ``target``."""
-        self._post(source, build_send(target, fp_low, inlet_ip, data))
+        self._post(source, build_send(target, 0, inlet_ip, data))
         self.run()
 
     def _post(self, source: int, message: Message) -> None:

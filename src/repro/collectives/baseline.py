@@ -69,9 +69,6 @@ def run_proc_collective(
     values: Optional[Sequence] = None,
     root: int = 0,
     arity: int = 2,
-    link_buffer_depth: int = 4,
-    serialization_cycles: int = 6,
-    max_rounds: int = 200_000,
 ) -> CollectiveRun:
     """Run one collective processor-side and return its record.
 
@@ -83,11 +80,7 @@ def run_proc_collective(
     n = topology.n_nodes
     if values is None:
         values = list(range(n))
-    cluster = Cluster(
-        topology,
-        link_buffer_depth=link_buffer_depth,
-        serialization_cycles=serialization_cycles,
-    )
+    cluster = Cluster(topology)
     tree = CombiningTree(n, root=root, arity=arity)
     contexts = [
         _ProcContext(node, tree, kind, op) for node in cluster.nodes
@@ -95,7 +88,7 @@ def run_proc_collective(
     _install(cluster, contexts)
     for node_id in range(n):
         program_enter(contexts[node_id], values[node_id])
-    cycles = cluster.run(max_rounds=max_rounds)
+    cycles = cluster.run(max_rounds=200_000)
     incomplete = [c.node for c in contexts if not c.state.completed]
     if incomplete:
         raise CollectiveError(

@@ -52,7 +52,6 @@ from repro.nic.dispatch import (
 )
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import Message
-from repro.nic.queues import DEFAULT_CAPACITY
 from repro.obs.observer import Observer, observer_of
 from repro.sim import SimComponent, SimKernel
 
@@ -112,7 +111,6 @@ class NicHandlerEngine(SimComponent):
         tree: CombiningTree,
         kind: str,
         op: str = "sum",
-        ip_base: int = NIC_IP_BASE,
         step_cycles: int = 0,
     ) -> None:
         if fabric.topology.n_nodes != tree.n_nodes:
@@ -141,7 +139,7 @@ class NicHandlerEngine(SimComponent):
             for node in range(tree.n_nodes)
         ]
         for interface in fabric.interfaces:
-            interface.ip_base = ip_base
+            interface.ip_base = NIC_IP_BASE
 
     def attach(self, observer: Observer) -> None:
         """Subscribe ``observer`` to the handler events, beside any earlier
@@ -287,13 +285,8 @@ def run_nic_collective(
     values: Optional[Sequence] = None,
     root: int = 0,
     arity: int = 2,
-    link_buffer_depth: int = 4,
-    serialization_cycles: int = 6,
-    input_capacity: int = DEFAULT_CAPACITY,
-    output_capacity: int = DEFAULT_CAPACITY,
     iq_threshold: Optional[int] = None,
     step_cycles: int = 0,
-    max_cycles: int = 200_000,
     lineage=None,
 ) -> CollectiveRun:
     """Run one collective entirely NIC-side and return its record.
@@ -304,24 +297,10 @@ def run_nic_collective(
     n = topology.n_nodes
     if values is None:
         values = list(range(n))
-    interfaces = [
-        NetworkInterface(
-            node=i,
-            input_capacity=input_capacity,
-            output_capacity=output_capacity,
-        )
-        for i in range(n)
-    ]
+    fabric = Fabric(topology, lineage=lineage)
     if iq_threshold is not None:
-        for interface in interfaces:
+        for interface in fabric.interfaces:
             interface.control["iq_threshold"] = iq_threshold
-    fabric = Fabric(
-        topology,
-        interfaces,
-        link_buffer_depth=link_buffer_depth,
-        serialization_cycles=serialization_cycles,
-        lineage=lineage,
-    )
     tree = CombiningTree(n, root=root, arity=arity)
     engine = NicHandlerEngine(fabric, tree, kind, op, step_cycles=step_cycles)
     if lineage is not None:
@@ -332,7 +311,7 @@ def run_nic_collective(
     for node in range(n):
         engine.enter(node, values[node])
     result = kernel.run(
-        max_cycles=max_cycles,
+        max_cycles=200_000,
         stall_error=NetworkError,
         label=f"nic-{kind}",
     )

@@ -24,8 +24,6 @@ from typing import Optional, Tuple
 from repro.errors import EvaluationError
 from repro.isa.costs import CostModel, off_chip_with_latency
 from repro.isa.machine import DEFAULT_COSTS, Machine, Placement
-from repro.nic.interface import NetworkInterface
-from repro.node.memory import Memory
 
 
 class Architecture(enum.Enum):
@@ -65,18 +63,9 @@ class InterfaceModel:
     def costs(self) -> CostModel:
         return self.cost_model or DEFAULT_COSTS[self.placement]
 
-    def make_machine(
-        self,
-        interface: Optional[NetworkInterface] = None,
-        memory: Optional[Memory] = None,
-    ) -> Machine:
+    def make_machine(self) -> Machine:
         """A machine configured for this model's placement and timing."""
-        return Machine(
-            self.placement,
-            interface=interface,
-            memory=memory,
-            cost_model=self.costs(),
-        )
+        return Machine(self.placement, cost_model=self.costs())
 
     def with_off_chip_latency(self, dead_cycles: int) -> "InterfaceModel":
         """This model with a different off-chip read latency (Section 4.2.3).

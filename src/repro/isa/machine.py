@@ -103,13 +103,12 @@ class Machine:
         self,
         placement: Placement,
         interface: Optional[NetworkInterface] = None,
-        memory: Optional[Memory] = None,
         cost_model: Optional[CostModel] = None,
         trace: bool = False,
     ) -> None:
         self.placement = placement
         self.interface = interface or NetworkInterface()
-        self.memory = memory or Memory()
+        self.memory = Memory()
         self.costs = cost_model or DEFAULT_COSTS[placement]
         self.registers = RegisterFile()
         self.trace_enabled = trace

@@ -51,6 +51,8 @@ VALUE_A = 0x1111
 VALUE_B = 0x2222
 MEMORY_WORD = 0x7777
 INDEX = 3
+#: The address of I-structure element INDEX at ADDR_LOCAL.
+ELEMENT_ADDRESS = ADDR_LOCAL + INDEX * P.ELEMENT_BYTES
 IP_BASE_HW = 0x0008_0000
 IP_BASE_SW = 0x9000
 
@@ -204,10 +206,10 @@ def measure_sending(
 # ---------------------------------------------------------------------------
 
 
-def _read_request(reply_to: int = REMOTE_NODE, basic: bool = False) -> Message:
+def _read_request(basic: bool) -> Message:
     words = (
         pack_destination(LOCAL_NODE, ADDR_LOCAL),
-        pack_destination(reply_to, FP_LOCAL),
+        pack_destination(REMOTE_NODE, FP_LOCAL),
         P.REPLY_IP,
         0,
         P.ID_READ if basic else 0,
@@ -244,10 +246,6 @@ def measure_dispatch(model: InterfaceModel) -> Measurement:
 # ---------------------------------------------------------------------------
 # PROCESSING.
 # ---------------------------------------------------------------------------
-
-
-def _element_address(index: int = INDEX) -> int:
-    return ADDR_LOCAL + index * P.ELEMENT_BYTES
 
 
 def _processing_message(case: str, basic: bool) -> Message:
@@ -314,23 +312,22 @@ def measure_processing(
     """Run one PROCESSING kernel and verify its effects."""
     machine = _fresh_machine(model)
     basic = not model.optimized
-    element = _element_address()
     # Element preconditions.
     if case == "read":
         machine.memory.store(ADDR_LOCAL, MEMORY_WORD)
     elif case == "pread_full":
-        machine.memory.store(element + P.TAG_OFFSET, P.TAG_FULL)
-        machine.memory.store(element + P.VALUE_OFFSET, MEMORY_WORD)
+        machine.memory.store(ELEMENT_ADDRESS + P.TAG_OFFSET, P.TAG_FULL)
+        machine.memory.store(ELEMENT_ADDRESS + P.VALUE_OFFSET, MEMORY_WORD)
     elif case == "pread_empty":
-        machine.memory.store(element + P.TAG_OFFSET, P.TAG_EMPTY)
+        machine.memory.store(ELEMENT_ADDRESS + P.TAG_OFFSET, P.TAG_EMPTY)
     elif case == "pread_deferred":
         chain = _prebuild_deferred_chain(machine, 1)
-        machine.memory.store(element + P.TAG_OFFSET, chain[0])
+        machine.memory.store(ELEMENT_ADDRESS + P.TAG_OFFSET, chain[0])
     elif case == "pwrite_empty":
-        machine.memory.store(element + P.TAG_OFFSET, P.TAG_EMPTY)
+        machine.memory.store(ELEMENT_ADDRESS + P.TAG_OFFSET, P.TAG_EMPTY)
     elif case == "pwrite_deferred":
         chain = _prebuild_deferred_chain(machine, deferred_readers)
-        machine.memory.store(element + P.TAG_OFFSET, chain[0])
+        machine.memory.store(ELEMENT_ADDRESS + P.TAG_OFFSET, chain[0])
     machine.interface.deliver(_processing_message(case, basic))
     kernel = processing_kernel(case, model)
     measurement = _run(machine, kernel)
@@ -343,7 +340,6 @@ def _verify_processing(
 ) -> None:
     ni = machine.interface
     mem = machine.memory
-    element = _element_address()
     name = f"proc:{case}"
     _check(not ni.msg_valid, f"{name}: NEXT was not issued")
     if case == "send0":
@@ -375,7 +371,7 @@ def _verify_processing(
     elif case == "write":
         _check(mem.load(ADDR_LOCAL) == VALUE_A, f"{name}: value not written")
     elif case in ("pread_empty", "pread_deferred"):
-        node = mem.load(element + P.TAG_OFFSET)
+        node = mem.load(ELEMENT_ADDRESS + P.TAG_OFFSET)
         _check(node >= P.NODE_AREA_MIN, f"{name}: reader not deferred")
         _check(
             mem.load(node + P.NODE_FP_OFFSET)
@@ -398,15 +394,15 @@ def _verify_processing(
             )
         _check(ni.peek_outgoing() is None, f"{name}: unexpected reply")
     elif case == "pwrite_empty":
-        _check(mem.load(element + P.TAG_OFFSET) == P.TAG_FULL, f"{name}: not full")
+        _check(mem.load(ELEMENT_ADDRESS + P.TAG_OFFSET) == P.TAG_FULL, f"{name}: not full")
         _check(
-            mem.load(element + P.VALUE_OFFSET) == VALUE_A,
+            mem.load(ELEMENT_ADDRESS + P.VALUE_OFFSET) == VALUE_A,
             f"{name}: value not written",
         )
     elif case == "pwrite_deferred":
-        _check(mem.load(element + P.TAG_OFFSET) == P.TAG_FULL, f"{name}: not full")
+        _check(mem.load(ELEMENT_ADDRESS + P.TAG_OFFSET) == P.TAG_FULL, f"{name}: not full")
         _check(
-            mem.load(element + P.VALUE_OFFSET) == VALUE_A,
+            mem.load(ELEMENT_ADDRESS + P.VALUE_OFFSET) == VALUE_A,
             f"{name}: value not written",
         )
         for i in range(deferred_readers):

@@ -166,10 +166,8 @@ class StreamMeasurement:
     handled: int
 
 
-def measure_stream(
-    model: InterfaceModel, stream: Seq[str], handlers: Seq[str] = ("send1", "read", "write")
-) -> StreamMeasurement:
-    """Deliver ``stream`` (handler names) and run the composed loop.
+def measure_stream(model: InterfaceModel, stream: Seq[str]) -> StreamMeasurement:
+    """Deliver ``stream`` (handler names) and run the default composed loop.
 
     Returns total cycles from first dispatch to the final empty-queue
     dispatch's fall-out.  Functional effects (replies, memory writes) are
@@ -177,7 +175,7 @@ def measure_stream(
     """
     if len(stream) > 60:
         raise EvaluationError("streams are capped at 60 messages")
-    loop = build_service_loop(model, handlers)
+    loop = build_service_loop(model)
     machine = _fresh_machine(model)
     machine.interface.input_queue.capacity = max(64, len(stream) + 4)
     machine.interface.output_queue.capacity = max(64, len(stream) + 4)

@@ -84,7 +84,7 @@ that the run timed out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, RoutingError
@@ -126,11 +126,6 @@ class FabricStats:
     deliveries_refused: int = 0
     peak_in_flight: int = 0
     held: int = 0
-    #: Deliveries and hop totals partitioned by message type, so mixed
-    #: workloads (e.g. collective traffic riding alongside point-to-point)
-    #: can attribute fabric load per protocol.
-    delivered_by_type: Dict[int, int] = dataclass_field(default_factory=dict)
-    hops_by_type: Dict[int, int] = dataclass_field(default_factory=dict)
 
     @property
     def mean_hops(self) -> float:
@@ -495,11 +490,6 @@ class Fabric:
                     stats.delivered += 1
                     stats.total_hops += item.hops
                     stats.total_latency += cycle - item.injected_at
-                    mtype = message.mtype
-                    by_type = stats.delivered_by_type
-                    by_type[mtype] = by_type.get(mtype, 0) + 1
-                    hops_by = stats.hops_by_type
-                    hops_by[mtype] = hops_by.get(mtype, 0) + item.hops
                     if observer is not None:
                         latency = cycle - item.injected_at
                         observer.on_eject(cycle, router.node, message, item.hops, latency)

@@ -121,7 +121,6 @@ class TrafficSource(SimComponent):
         rate: float,
         seed: int,
         duration: int,
-        hot_node: int = 0,
     ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise NetworkError(f"injection rate must be in [0, 1], got {rate}")
@@ -134,7 +133,6 @@ class TrafficSource(SimComponent):
         self.rate = rate
         self.rng = random.Random(seed)
         self.duration = duration
-        self.hot_node = hot_node
         self.offered = 0
         self.accepted = 0
         self.refused_offers = 0
@@ -152,9 +150,7 @@ class TrafficSource(SimComponent):
         for node in range(n):
             if rng.random() >= rate:
                 continue
-            destination = pattern_destination(
-                self.pattern, node, n, rng, self.hot_node
-            )
+            destination = pattern_destination(self.pattern, node, n, rng)
             self.offered += 1
             ni = fabric.interfaces[node]
             ni.write_output(0, pack_destination(destination))
@@ -239,9 +235,6 @@ def run_traffic(
     warmup_cycles: int = 200,
     measure_cycles: int = 600,
     drain_cycles: int = 2_000,
-    link_buffer_depth: int = 4,
-    serialization_cycles: int = 1,
-    interface_capacity: int = 8,
 ) -> Dict[str, object]:
     """One synthetic-traffic run; returns a plain (picklable) payload.
 
@@ -274,15 +267,10 @@ def run_traffic(
     fabric = Fabric(
         topology,
         [
-            NetworkInterface(
-                node=node,
-                input_capacity=interface_capacity,
-                output_capacity=interface_capacity,
-            )
+            NetworkInterface(node=node, input_capacity=8, output_capacity=8)
             for node in range(topology.n_nodes)
         ],
-        link_buffer_depth=link_buffer_depth,
-        serialization_cycles=serialization_cycles,
+        serialization_cycles=1,
         routing=routing,
     )
     duration = warmup_cycles + measure_cycles

@@ -9,9 +9,12 @@ Public surface of the subpackage:
 * :class:`~repro.nic.messages.Message` — the five-word message (Figure 2).
 * :mod:`~repro.nic.dispatch` — MsgIp / NextMsgIp hardware dispatch (Figure 7).
 * :mod:`~repro.nic.mmio` — the Figure 9 memory-mapped command encoding.
-* :mod:`~repro.nic.scroll` — SCROLL-IN / SCROLL-OUT variable-length messages.
 * :mod:`~repro.nic.protection` — PINs, privileged messages, gang scheduling.
 * :class:`~repro.nic.rtl.ClockedNIC` — the cycle-stepped RTL-style chip model.
+
+Every message is five words.  The SCROLL-IN / SCROLL-OUT extension for
+longer messages (Section 2.1.2) is not modelled: no experiment sends more
+than five words.
 """
 
 from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister

@@ -194,7 +194,6 @@ class ControlRegister(Register):
         self,
         iq_threshold: int = 12,
         oq_threshold: int = 12,
-        full_policy: SendFullPolicy = SendFullPolicy.STALL,
         queues=(),
     ) -> None:
         super().__init__(
@@ -202,7 +201,7 @@ class ControlRegister(Register):
             CONTROL_LAYOUT.pack(
                 iq_threshold=iq_threshold,
                 oq_threshold=oq_threshold,
-                full_policy=int(full_policy),
+                full_policy=SendFullPolicy.STALL,
             ),
         )
         self._queues = tuple(queues)

@@ -428,7 +428,7 @@ class NetworkInterface:
         return SendResult.SENT
 
     def stall_send(self, mtype: int, mode: SendMode = SendMode.NORMAL) -> SendResult:
-        """A SEND or SCROLL-OUT that finds the output queue full.
+        """A SEND that finds the output queue full.
 
         The command is checked first, as :meth:`compose` checks it, so a
         bad one raises the same error whether or not the queue has room.

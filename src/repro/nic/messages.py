@@ -133,8 +133,6 @@ class Message:
         destination: int,
         payload: Sequence[int] = (),
         m0_low: int = 0,
-        pin: int = 0,
-        privileged: bool = False,
     ) -> "Message":
         """Construct a message to ``destination`` with ``payload`` in m1..m4.
 
@@ -148,7 +146,7 @@ class Message:
         words: List[int] = [pack_destination(destination, m0_low)]
         words.extend(to_word(w) for w in payload)
         words.extend([0] * (MESSAGE_WORDS - len(words)))
-        return cls(mtype, tuple(words), pin=pin, privileged=privileged)
+        return cls(mtype, tuple(words))
 
     @property
     def destination(self) -> int:

@@ -101,14 +101,13 @@ def encode_address(
     )
 
 
-def decode_address(
-    address: int, base: int = DEFAULT_BASE_ADDRESS
-) -> tuple[str, Riders]:
+def decode_address(address: int) -> tuple[str, Riders]:
     """Decode the low bits of ``address``: the register name and the
     commands the access carries."""
-    if not matches_base(address, base):
+    if not matches_base(address):
         raise MessageFormatError(
-            f"address {address:#x} does not select the interface at {base:#x}"
+            f"address {address:#x} does not select the interface at "
+            f"{DEFAULT_BASE_ADDRESS:#x}"
         )
     fields = ADDRESS_LAYOUT.unpack(address)
     number = fields["register"]
@@ -121,10 +120,10 @@ def decode_address(
     )
 
 
-def matches_base(address: int, base: int = DEFAULT_BASE_ADDRESS) -> bool:
+def matches_base(address: int) -> bool:
     """Whether ``address``'s upper bits select the interface region."""
     mask = ~((1 << COMMAND_BITS) - 1) & 0xFFFF_FFFF
-    return (to_word(address) & mask) == (to_word(base) & mask)
+    return (to_word(address) & mask) == DEFAULT_BASE_ADDRESS
 
 
 class MemoryMappedInterface:
@@ -145,28 +144,23 @@ class MemoryMappedInterface:
     register is ignored, as on the NIC chip.
     """
 
-    def __init__(
-        self,
-        interface: NetworkInterface,
-        base: int = DEFAULT_BASE_ADDRESS,
-    ) -> None:
+    def __init__(self, interface: NetworkInterface) -> None:
         self.interface = interface
-        self.base = base
 
     def selects(self, address: int) -> bool:
         """Whether ``address`` targets this interface."""
-        return matches_base(address, self.base)
+        return matches_base(address)
 
     def load(self, address: int) -> tuple[int, Optional[SendResult]]:
         """A processor load from the interface region: the loaded value
         and the result of the SEND the address carries (None if none)."""
-        register, riders = decode_address(address, self.base)
+        register, riders = decode_address(address)
         value = self.interface.read_register(register)
         return value, self.interface.run_commands(riders)
 
     def store(self, address: int, value: int) -> Optional[SendResult]:
         """A processor store to the interface region; returns the result
         of the SEND the address carries (None if none)."""
-        register, riders = decode_address(address, self.base)
+        register, riders = decode_address(address)
         self.interface.write_register(register, value)
         return self.interface.run_commands(riders)

@@ -159,17 +159,13 @@ class MessageQueue:
             self.threshold = default_threshold(self.capacity)
         self.set_threshold(self.threshold)
 
-    def attach_tenant_stats(
-        self, tenant_stats: Optional[TenantOccupancy] = None
-    ) -> TenantOccupancy:
+    def attach_tenant_stats(self) -> TenantOccupancy:
         """Opt in to per-PIN occupancy accounting; returns the accountant.
 
         Called once by workloads that multiplex tenants over this queue;
         queues with no accountant attached pay only an identity check.
         """
-        if tenant_stats is None:
-            tenant_stats = TenantOccupancy()
-        self.tenant_stats = tenant_stats
+        tenant_stats = self.tenant_stats = TenantOccupancy()
         for message in self._items:
             tenant_stats.on_push(message.pin)
         return tenant_stats

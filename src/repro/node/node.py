@@ -13,7 +13,7 @@ hardware; the handlers themselves use the REPLY / FORWARD hardware modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.errors import MessageFormatError, QueueOverflowError
@@ -29,13 +29,8 @@ class NodeStats:
     """Per-node message accounting."""
 
     handled: int = 0
-    handled_by_type: Dict[int, int] = field(default_factory=dict)
     send_retries: int = 0
     exceptions_handled: int = 0
-
-    def count(self, mtype: int) -> None:
-        self.handled += 1
-        self.handled_by_type[mtype] = self.handled_by_type.get(mtype, 0) + 1
 
 
 class Node:
@@ -103,10 +98,10 @@ class Node:
     # Sending with stall semantics.
     # ------------------------------------------------------------------
 
-    def send_with_retry(
-        self, mtype: int, mode: SendMode = SendMode.NORMAL, max_retries: int = 10_000
-    ) -> None:
-        """SEND, retrying through the drain hook while the queue is full."""
+    def send_with_retry(self, mtype: int, mode: SendMode = SendMode.NORMAL) -> None:
+        """SEND, retrying through the drain hook while the queue is full,
+        at most 10,000 times."""
+        max_retries = 10_000
         for _ in range(max_retries):
             if self.interface.send(mtype, mode) is SendResult.SENT:
                 return
@@ -161,7 +156,7 @@ class Node:
                 f"node {self.node_id}: no handler for message type {message.mtype}"
             )
         handler(self, message)
-        self.stats.count(message.mtype)
+        self.stats.handled += 1
         self.interface.next()
         return True
 

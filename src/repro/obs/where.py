@@ -60,7 +60,6 @@ BOUNDARIES: Tuple[Tuple[str, str], ...] = (
     ("repro.network.fabric", "_FabricComponent.tick"),
     ("repro.network.traffic", "TrafficSource.tick"),
     ("repro.network.traffic", "TrafficSink.tick"),
-    ("repro.nic.link", "Link.tick"),
     ("repro.api.cluster", "_NodeComponent.tick"),
     ("repro.collectives.engine", "NicHandlerEngine.tick"),
     ("repro.tenancy.scheduler", "RoundRobinScheduler.tick"),

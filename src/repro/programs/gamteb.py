@@ -465,10 +465,10 @@ def run_gamteb(
     n_photons: int = 16,
     nodes: int = 16,
     seed: int = 19920501,
-    verify: bool = True,
     backend: str = "codegen",
 ) -> GamtebResult:
-    """Run the Gamteb reproduction with ``n_photons`` source particles.
+    """Run the Gamteb reproduction with ``n_photons`` source particles
+    and check photon conservation (:meth:`GamtebResult.verify`).
 
     ``backend`` names the execution backend (``"codegen"``, the default,
     or ``"reference"``).
@@ -499,8 +499,7 @@ def run_gamteb(
         machine=machine,
         driver_ref=ref,
     )
-    if verify:
-        result.verify()
+    result.verify()
     return result
 
 

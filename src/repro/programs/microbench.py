@@ -134,12 +134,11 @@ def run_grain_sweep_point(
     flops_per_message: int,
     workers: int = 8,
     rounds: int = 8,
-    nodes: int = 8,
 ) -> GrainPoint:
-    """One point of the grain study: k flops between messages."""
+    """One point of the grain study on 8 nodes: k flops between messages."""
     if flops_per_message < 0:
         raise TamError("flops_per_message must be non-negative")
-    machine = TamMachine(nodes)
+    machine = TamMachine(8)
     machine.load(_build_grain_worker(flops_per_message, rounds))
     machine.load(_build_grain_driver(workers, rounds))
     ref = machine.boot("grain_driver")

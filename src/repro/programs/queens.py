@@ -361,11 +361,11 @@ class QueensResult:
 def run_queens(
     n: int = 6,
     nodes: int = 16,
-    verify: bool = True,
     tracer=None,
     backend: str = "codegen",
 ) -> QueensResult:
-    """Count the N-Queens solutions with one activation per tree node.
+    """Count the N-Queens solutions with one activation per tree node and
+    check the count against the known one (:meth:`QueensResult.verify`).
 
     ``backend`` names the execution backend (``"codegen"``, the default,
     or ``"reference"``).  ``tracer`` opts the machine into message-path event tracing
@@ -387,6 +387,5 @@ def run_queens(
         stats=stats,
         machine=machine,
     )
-    if verify:
-        result.verify()
+    result.verify()
     return result

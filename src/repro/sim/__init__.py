@@ -19,8 +19,7 @@ single engine they all run on now:
 
 Drivers rebased on this package: ``api.cluster.Cluster.run``, the
 flow-control hot-spot experiment, ``network.fabric.Fabric
-.run_until_quiescent``, ``nic.link.Link.run_until_idle``, and both TAM
-schedulers in ``tam.runtime``.
+.run_until_quiescent``, and both TAM schedulers in ``tam.runtime``.
 """
 
 from repro.sim.component import SimComponent

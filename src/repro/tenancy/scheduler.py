@@ -456,7 +456,7 @@ class GangTenantScheduler(TenantPolicy):
     work (workload backlog via :meth:`set_backlog_fn`, saved network
     state, or cap-diverted store entries) receive slices, and a slice
     ends early once its tenant goes quiet for ``min_slice`` cycles'
-    worth of inspection.  The context-switch cost is charged globally:
+    worth of inspection (the switch cost plus 4).  The context-switch cost is charged globally:
     no node dispatches during the switch window.
     """
 
@@ -473,7 +473,6 @@ class GangTenantScheduler(TenantPolicy):
         interfaces: Sequence[NetworkInterface],
         tenants: Sequence[int],
         slice_cycles: int = 80,
-        min_slice: Optional[int] = None,
         costs: Optional[SwitchCosts] = None,
         tenant_cap: Optional[int] = None,
         fabric=None,
@@ -486,11 +485,7 @@ class GangTenantScheduler(TenantPolicy):
         self.gang = GangScheduler([state.interface for state in self.states])
         self.fabric = fabric
         self.slice_cycles = slice_cycles
-        self.min_slice = (
-            min_slice
-            if min_slice is not None
-            else self.costs.switch_cycles + 4
-        )
+        self.min_slice = self.costs.switch_cycles + 4
         self.backlog_fn: Callable[[int], int] = lambda pin: 0
         self.phase = self.IDLE
         self.active_pin: Optional[int] = None

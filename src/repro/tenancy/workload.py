@@ -135,37 +135,31 @@ def make_tenants(
     n_nodes: int,
     seed: int,
     hot_node: int = 0,
-    victim_count: Optional[int] = None,
     flooder: bool = True,
-    flood_interval: int = 3,
-    flood_sources: int = 4,
     gap_mean: float = 16000.0,
-    distribution: str = "pareto",
     victim_hot_weight: float = 0.8,
 ) -> List[TenantSpec]:
     """Build the tenant population for one run.
 
-    PIN 1 is the flooder (when enabled), the next ``victim_count``
-    (default ``n_tenants // 8``) PINs are victims, the rest normal.
-    Source nodes and destination mixes are drawn from a stream derived
-    only from ``seed``, so the population is reproducible independent of
-    the schedule draws.
+    PIN 1 is the flooder (when enabled), sending every 3 cycles from 4
+    sources; the next ``n_tenants // 8`` PINs (at least one) are victims,
+    the rest normal, with Pareto gaps.  Source nodes and destination mixes
+    are drawn from a stream derived only from ``seed``, so the population
+    is reproducible independent of the schedule draws.
     """
     if n_tenants < 1:
         raise ProtectionError("need at least one tenant")
     if n_nodes < 2:
         raise ProtectionError("need at least two nodes")
     rng = stream_for(seed, 0xBEEF)
-    if victim_count is None:
-        victim_count = max(1, n_tenants // 8)
+    victim_count = max(1, n_tenants // 8)
     others = [node for node in range(n_nodes) if node != hot_node]
     specs: List[TenantSpec] = []
     for pin in range(1, n_tenants + 1):
         check_pin(pin)
         if flooder and pin == 1:
             sources = tuple(
-                others[rng.next_below(len(others))]
-                for _ in range(max(1, flood_sources))
+                others[rng.next_below(len(others))] for _ in range(4)
             )
             weights = tuple(
                 1.0 if node == hot_node else 0.0 for node in range(n_nodes)
@@ -177,7 +171,7 @@ def make_tenants(
                     sources=sources,
                     dest_weights=weights,
                     distribution="fixed",
-                    gap_mean=float(flood_interval),
+                    gap_mean=3.0,
                     burst_mean=1.0,
                 )
             )
@@ -204,7 +198,7 @@ def make_tenants(
                 role=role,
                 sources=(source,),
                 dest_weights=weights,
-                distribution=distribution,
+                distribution="pareto",
                 gap_mean=gap_mean,
             )
         )
@@ -383,10 +377,6 @@ class MultiTenantRun:
         slice_cycles: int = 80,
         switch_cycles: int = 4,
         tenant_cap: Optional[int] = 8,
-        input_capacity: int = 16,
-        output_capacity: int = 16,
-        link_buffer_depth: int = 2,
-        serialization_cycles: int = 4,
     ) -> None:
         if horizon < gen_window:
             raise ProtectionError("horizon must cover the generation window")
@@ -396,18 +386,13 @@ class MultiTenantRun:
         self.horizon = horizon
         topology = Mesh2D(width, height)
         self.interfaces = [
-            NetworkInterface(
-                node=node,
-                input_capacity=input_capacity,
-                output_capacity=output_capacity,
-            )
-            for node in range(topology.n_nodes)
+            NetworkInterface(node=node) for node in range(topology.n_nodes)
         ]
         self.fabric = Fabric(
             topology,
             self.interfaces,
-            link_buffer_depth=link_buffer_depth,
-            serialization_cycles=serialization_cycles,
+            link_buffer_depth=2,
+            serialization_cycles=4,
         )
         pins = [spec.pin for spec in self.tenants]
         self.scheduler = make_scheduler(

@@ -119,9 +119,18 @@ class TestDispatchFidelity:
     def test_all_collective_traffic_is_type_0(self):
         from repro.collectives.engine import NicHandlerEngine
         from repro.network.fabric import Fabric, _FabricComponent
+        from repro.obs.observer import Observer
         from repro.sim import SimKernel
 
-        fabric = Fabric(Mesh2D(4, 4))
+        class Ejections(Observer):
+            def __init__(self):
+                self.types = []
+
+            def on_eject(self, ts, node, message, hops, latency):
+                self.types.append(message.mtype)
+
+        ejections = Ejections()
+        fabric = Fabric(Mesh2D(4, 4), tracer=ejections)
         engine = NicHandlerEngine(fabric, CombiningTree(16), "allreduce")
         kernel = SimKernel()
         kernel.register(_FabricComponent(fabric))
@@ -129,11 +138,10 @@ class TestDispatchFidelity:
         for node in range(16):
             engine.enter(node, node)
         kernel.run(max_cycles=10_000)
-        # Per-type fabric accounting: everything the collective moved was
-        # a type-0 (MsgIp) message.
+        # Everything the collective moved was a type-0 (MsgIp) message.
         assert engine.done
-        assert fabric.stats.delivered_by_type == {0: fabric.stats.delivered}
-        assert fabric.stats.hops_by_type == {0: fabric.stats.total_hops}
+        assert fabric.stats.delivered > 0
+        assert ejections.types == [0] * fabric.stats.delivered
 
 
 class TestProtocolErrors:

@@ -30,7 +30,7 @@ class TestServiceLoop:
         node.interface.deliver(build_write_request(0, 0x100, 1))
         node.interface.deliver(build_write_request(0, 0x104, 2))
         assert node.service() == 2
-        assert node.stats.handled_by_type[P.TYPE_WRITE] == 2
+        assert node.stats.handled == 2
 
     def test_service_limit(self):
         node = make_node()

@@ -1,5 +1,10 @@
 """Tests for the Gamteb photon-transport program."""
 
+import dataclasses
+
+import pytest
+
+from repro.errors import TamError
 from repro.programs.gamteb import GROUPS, run_gamteb
 
 
@@ -19,6 +24,24 @@ class TestConservation:
         # With 10% split probability above group 4, some pair production
         # must occur in 64 source photons.
         assert result.photons_traced > 64
+
+
+class TestVerifyFails:
+    """The output check raises on a real run's result made wrong."""
+
+    def test_unconserved_photons_raise(self):
+        result = run_gamteb(n_photons=4, nodes=4)
+        wrong = dataclasses.replace(result, absorbed=result.absorbed + 1)
+        with pytest.raises(TamError, match="photon count not conserved"):
+            wrong.verify()
+
+    def test_fewer_traced_than_sourced_raises(self):
+        result = run_gamteb(n_photons=4, nodes=4)
+        # Conserved, but the run claims one more source photon than it
+        # traced.
+        wrong = dataclasses.replace(result, n_photons=result.photons_traced + 1)
+        with pytest.raises(TamError, match="fewer photons traced"):
+            wrong.verify()
 
 
 class TestDeterminism:

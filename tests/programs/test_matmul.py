@@ -1,5 +1,7 @@
 """Tests for the TAM matrix-multiply program."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.programs.matmul import (
     reference_matrices,
     run_matmul,
 )
+from repro.tam.messages import IStructRef
 
 
 class TestCorrectness:
@@ -48,6 +51,30 @@ class TestCorrectness:
         r2 = run_matmul(n=8, nodes=4)
         assert r1.stats.messages.as_dict() == r2.stats.messages.as_dict()
         assert r1.stats.total_instructions == r2.stats.total_instructions
+
+
+class TestVerifyFails:
+    """The output check raises on a real run's result made wrong."""
+
+    def test_wrong_element_raises(self):
+        result = run_matmul(n=8, nodes=4)
+        # A C directory naming the run's four blocks in reverse order.
+        machine = result.machine
+        blocks = [machine.istructure_peek(result.dir_c, i) for i in range(4)]
+        heap = machine.nodes[0].istructures
+        reversed_c = heap.allocate(len(blocks))
+        heap.store_sequence(reversed_c, blocks[::-1])
+        wrong = dataclasses.replace(result, dir_c=IStructRef(0, reversed_c))
+        with pytest.raises(TamError, match="matmul result error .* exceeds 1e-06"):
+            wrong.verify()
+
+    def test_wrong_total_raises(self):
+        result = run_matmul(n=8, nodes=4)
+        # Every element is right; only the accumulated total is off.
+        dataclasses.replace(result, total=result.total + 1e-5).verify()
+        wrong = dataclasses.replace(result, total=result.total + 1.0)
+        with pytest.raises(TamError, match="accumulated total"):
+            wrong.verify()
 
 
 class TestMessageMix:

@@ -1,0 +1,130 @@
+"""Which functions under src/ run in the driver surfaces, and which only under tier-1.
+
+Records, with ``sys.setprofile``, the code objects called by the driver
+surfaces (the default eval, the paper-scale eval without netsweep, the
+paper-scale traced and profiled hot-spot, the ``examples/`` scripts and
+the bench workloads), then by the tier-1 suite, and matches them to the
+``def``s under ``src/repro`` by file and first line.  Prints one count
+line per group and writes the full list to ``calltrace.txt``; the eval
+artifacts land under ``calltrace-out/``.  Both are written into the
+working directory.
+
+Run from the repository root (about 8 minutes on 2 vCPUs)::
+
+    python tools/calltrace.py
+
+Exits non-zero when a surface or the traced tier-1 run fails.
+"""
+
+import ast
+import os
+import pathlib
+import runpy
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+sys.path.insert(0, SRC)
+# Tier-1's subprocess tests import repro too.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+seen = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+
+def traced(fn):
+    """Run ``fn`` under the hook; return its calls as (file, first line)."""
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    codes = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
+    seen.clear()
+    return codes
+
+
+def cli(*argv):
+    def run():
+        sys.argv = ["repro", *argv]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as exit:
+            if exit.code:
+                raise RuntimeError(f"python -m repro {' '.join(argv)}: exit {exit.code}")
+    return run
+
+
+def examples():
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        runpy.run_path(str(path), run_name="__main__")
+
+
+def bench():
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS
+
+    for spec in WORKLOADS.values():
+        run, finish = spec.setup(42, False)
+        finish(run())
+
+
+def tier1():
+    code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    if code:
+        raise RuntimeError(f"tier-1 failed under the trace: pytest exit {code}")
+
+
+def defs():
+    """Every def under src/repro: (file, first line) -> (name, lines)."""
+    every = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # A decorated function's code object starts at its first decorator.
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                every[(os.path.realpath(path), first)] = (
+                    node.name,
+                    node.end_lineno - first + 1,
+                )
+    return every
+
+
+def main():
+    surfaces = set()
+    for fn in (
+        cli("--json-dir", "calltrace-out/default"),
+        cli("--paper-scale", "--skip", "netsweep", "--json-dir", "calltrace-out/paper"),
+        cli(
+            "--paper-scale", "--only", "flowcontrol", "--trace", "--lineage",
+            "--profile", "--json-dir", "calltrace-out/traced",
+        ),
+        examples,
+        bench,
+    ):
+        surfaces |= traced(fn)
+    tests = traced(tier1)
+    every = defs()
+    groups = {
+        "surfaces": [k for k in every if k in surfaces],
+        "tests only": [k for k in every if k in tests and k not in surfaces],
+        "never": [k for k in every if k not in surfaces and k not in tests],
+    }
+    with open("calltrace.txt", "w") as report:
+        for label, keys in groups.items():
+            lines = sum(every[k][1] for k in keys)
+            print(f"{label}: {len(keys)} defs, {lines} lines")
+            report.write(f"## {label}: {len(keys)} defs, {lines} lines\n")
+            for path, line in sorted(keys):
+                name, length = every[(path, line)]
+                relative = os.path.relpath(path, ROOT)
+                report.write(f"{relative}:{line} {name} ({length} lines)\n")
+
+
+if __name__ == "__main__":
+    main()
