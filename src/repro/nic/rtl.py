@@ -106,10 +106,6 @@ class ReceivePort:
             return True
         return self.interface.can_accept()
 
-    @property
-    def busy(self) -> bool:
-        return self._state is not _RxState.IDLE
-
     def offer(self, flit: Flit) -> bool:
         """Present one flit; returns False when backpressured this cycle."""
         if not self.ready:
