@@ -22,7 +22,7 @@ five data words, mirroring how real hardware would widen the flit format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import MessageFormatError
 from repro.utils.bitfield import WORD_MASK, to_word
@@ -125,28 +125,6 @@ class Message:
         )
         if clean != words:
             object.__setattr__(self, "words", clean)
-
-    @classmethod
-    def build(
-        cls,
-        mtype: int,
-        destination: int,
-        payload: Sequence[int] = (),
-        m0_low: int = 0,
-    ) -> "Message":
-        """Construct a message to ``destination`` with ``payload`` in m1..m4.
-
-        ``payload`` may hold up to four words; missing words are zero.  The
-        destination and ``m0_low`` are packed into ``m0``.
-        """
-        if len(payload) > MESSAGE_WORDS - 1:
-            raise MessageFormatError(
-                f"payload of {len(payload)} words does not fit in m1..m4"
-            )
-        words: List[int] = [pack_destination(destination, m0_low)]
-        words.extend(to_word(w) for w in payload)
-        words.extend([0] * (MESSAGE_WORDS - len(words)))
-        return cls(mtype, tuple(words))
 
     @property
     def destination(self) -> int:

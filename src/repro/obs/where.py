@@ -44,7 +44,6 @@ BOUNDARIES: Tuple[Tuple[str, str], ...] = (
     ("repro.sim.kernel", "SimKernel.run"),
     ("repro.isa.machine", "Machine.run"),
     ("repro.network.fabric", "Fabric.__init__"),
-    ("repro.network.fabric", "Fabric.route"),
     ("repro.network.fabric", "Fabric.step"),
     ("repro.network.routing", "AdaptiveRandom.rank"),
     ("repro.nic.interface", "NetworkInterface.send"),

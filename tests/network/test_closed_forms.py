@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
+from repro.network.fabric import Fabric
 from repro.network.routing import AdaptiveRandom, DimensionOrder, EscapeVC
 from repro.network.topology import Hypercube, Mesh2D, Topology, Torus2D
 from repro.network.traffic import run_traffic
@@ -200,3 +201,10 @@ def test_topology_without_closed_form_routes_adaptively():
     )
     assert payload["drained"]
     assert payload["delivered"] > 0
+
+
+def test_policy_that_cannot_route_fails_at_fabric_build():
+    # Without dimensions the ring has no dimension-order hop; each
+    # destination is its own class, and the first one routed is named.
+    with pytest.raises(RoutingError, match=r"node 0's destination class 1 .*Ring"):
+        Fabric(Ring(8), routing=DimensionOrder())

@@ -69,10 +69,7 @@ class PerCycleFabric(Fabric):
                             (router, buffer, None, interfaces[node].can_accept())
                         )
                     continue
-                entry = table[destination]
-                if entry is None:
-                    entry = self.route(node, destination)
-                ranked, candidates = entry
+                ranked, candidates = table[destination]
                 if ranked:
                     if len(ranked) > 1:
                         ranked = rank(

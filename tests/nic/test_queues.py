@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import QueueOverflowError, QueueUnderflowError
-from repro.nic.messages import Message
+from repro.nic.messages import Message, pack_destination
 from repro.nic.queues import DEFAULT_CAPACITY, MessageQueue
 
 
 def msg(tag: int) -> Message:
-    return Message.build(2, 0, payload=[tag])
+    return Message(2, (pack_destination(0), tag, 0, 0, 0))
 
 
 class TestBasicFifo:
