@@ -18,11 +18,11 @@ offered after them.  The **dynamic** part (:meth:`RoutingPolicy.rank`)
 orders the ranked ports by the cycle-start congestion view.  The fabric
 keeps the static part in per-node route tables (garnet2.0-style
 table-driven routing) and calls only :meth:`~RoutingPolicy.rank` per
-message; :meth:`~RoutingPolicy.candidates` composes the two for callers
-outside the fabric.  Static routes are closed-form arithmetic over the
-topology's coordinates; the independent reference they are tested
-against is the base :class:`~repro.network.topology.Topology`'s
-distance search.
+message.  Static routes are closed-form arithmetic over the topology's
+axes; the independent reference they are tested against is the base
+:class:`~repro.network.topology.Topology`'s distance search.  No policy
+names a topology class: what a route needs of the structure is its
+minimal neighbors, its dimension-order leg and whether its axes wrap.
 
 Three policies cover the classic design points (the gem5/Garnet sweep
 the evaluation mirrors uses the same trio):
@@ -49,10 +49,10 @@ bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple, TypeVar
 
 from repro.errors import RoutingError
-from repro.network.topology import Topology, Torus2D
+from repro.network.topology import Topology
 
 #: One candidate output port: (next node, virtual channel).
 Port = Tuple[int, int]
@@ -64,10 +64,6 @@ StaticRoute = Tuple[Tuple[Port, ...], Tuple[Port, ...]]
 #: Whatever a caller ranks: plain :data:`Port` pairs, or the fabric's
 #: richer link records.
 P = TypeVar("P")
-
-#: The router's local congestion view: free downstream buffer slots for
-#: the link to ``next_node`` on ``vc``, as of the start of the cycle.
-FreeSlots = Callable[[int, int], int]
 
 #: Registry of policy names accepted by ``routing=`` knobs.
 POLICY_NAMES = ("dimension-order", "adaptive-random", "escape-vc")
@@ -112,26 +108,11 @@ class RoutingPolicy:
         one's free downstream slots ``free``; the default keeps them."""
         return ports
 
-    def candidates(
-        self,
-        topology: Topology,
-        node: int,
-        destination: int,
-        free_slots: FreeSlots,
-    ) -> Tuple[Port, ...]:
-        """Ordered candidate output ports for one head-of-buffer message:
-        the ranked ports in :meth:`rank` order, then the fixed ports."""
-        ranked, fixed = self.static_route(topology, node, destination)
-        if len(ranked) > 1:
-            ranked = tuple(
-                self.rank(ranked, [free_slots(n, vc) for n, vc in ranked])
-            )
-        return ranked + fixed
-
 
 class DimensionOrder(RoutingPolicy):
     """Deterministic dimension-order routing, by the topology's
-    :meth:`~repro.network.topology.Topology.dimension_order_hop`.
+    :meth:`~repro.network.topology.Topology.dimension_order_hop`: correct
+    the lowest unresolved axis first.
 
     * Mesh: correct X to the destination column, then Y.
     * Torus: same, but each axis steps in its shortest wrap direction
@@ -223,17 +204,16 @@ class EscapeVC(AdaptiveRandom):
     hypercube) and every blocked message is eventually offered it, a
     cycle of waits cannot involve only full buffers — Duato's condition.
 
-    On a torus the wraparound links make dimension-order cyclic within
-    each ring, so the escape path additionally applies Dally's
-    **dateline** discipline: the wraparound link of each directed ring
-    is its dateline, a leg that still has the dateline ahead of it rides
-    escape channel 0, and a leg past the dateline (or one that never
-    crosses it) rides the dateline channel (virtual channel 2).  The
-    dateline link itself is only ever requested on channel 0 and every
-    transition is 0 → 2, never back, so the escape dependency graph is
-    acyclic on the torus too — the policy is deadlock-free on all three
-    topologies.  ``dateline=False`` reinstates the single-escape-channel
-    behaviour (deadlockable on a torus) for the regression tests.
+    On a topology whose axes wrap (the torus) the wraparound links make
+    dimension-order cyclic within each ring, so the escape path
+    additionally applies Dally's **dateline** discipline: the wraparound
+    link of each directed ring is its dateline, a leg that still has the
+    dateline ahead of it rides escape channel 0, and a leg past the
+    dateline (or one that never crosses it) rides the dateline channel
+    (virtual channel 2).  The dateline link itself is only ever
+    requested on channel 0 and every transition is 0 → 2, never back, so
+    the escape dependency graph is acyclic on the torus too — the policy
+    is deadlock-free on all three topologies.
 
     A message may hop between adaptive and escape channels freely: the
     candidates are recomputed at every router from the message's current
@@ -250,35 +230,13 @@ class EscapeVC(AdaptiveRandom):
     #: The post-dateline escape channel on torus wraparound rings.
     dateline_vc = 2
 
-    def __init__(self, seed: int = 0, dateline: bool = True) -> None:
-        super().__init__(seed=seed)
-        self.dateline = dateline
-        if not dateline:
-            self.num_vcs = 2
-
     def _escape_port(
         self, topology: Topology, node: int, destination: int
     ) -> Port:
         """The dimension-order escape candidate with its dateline channel."""
-        hop = topology.dimension_order_hop(node, destination)
-        if not self.dateline or not isinstance(topology, Torus2D):
-            return (hop, self.escape_vc)
-        # The hop has checked both nodes: decode without checking.
-        width = topology.width
-        y, x = divmod(node, width)
-        dy, dx = divmod(destination, width)
-        if hop % width != x:  # routing the X ring
-            position, target, size, step = x, dx, width, hop % width
-        else:  # X done; routing the Y ring
-            position, target, size, step = y, dy, topology.height, hop // width
-        # Whether the rest of the leg crosses the ring's wrap link, in the
-        # direction the hop takes: forward (the +1 neighbour) the dateline
-        # is the size-1 -> 0 link, backward it is 0 -> size-1.
-        if step == (position + 1) % size:
-            crosses = target < position
-        else:
-            crosses = target > position
-        return (hop, self.escape_vc if crosses else self.dateline_vc)
+        hop, crosses = topology.dimension_order_leg(node, destination)
+        past = topology.wrap and not crosses
+        return (hop, self.dateline_vc if past else self.escape_vc)
 
     def static_route(
         self, topology: Topology, node: int, destination: int

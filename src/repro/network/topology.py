@@ -9,31 +9,37 @@ toward a destination; *how* a message moves through that structure is a
 :class:`~repro.network.routing.RoutingPolicy` (dimension-order,
 minimal-adaptive, escape-channel), chosen per fabric.
 
-Three classic direct topologies are provided:
+The three classic direct topologies are one k-ary n-cube (Dally &
+Towles): axes of fixed sizes, axis 0 the fastest-varying digit of the
+node id, each axis a line or, where the class sets ``wrap``, a ring.
 
-* :class:`Mesh2D` — k × m mesh, Manhattan distance;
-* :class:`Torus2D` — the mesh plus wraparound links, wrap-aware distance;
-* :class:`Hypercube` — 2^d nodes, Hamming distance.
+* :class:`Mesh2D` — width × height, two line axes, Manhattan distance;
+* :class:`Torus2D` — the mesh with both axes closed into rings;
+* :class:`Hypercube` — d axes of two positions each, Hamming distance.
 
-Each computes :meth:`~Topology.minimal_neighbors` in closed form; the
-base class's distance search is the default for any other topology and
-the reference the closed forms are tested against.  Each also computes
-its :meth:`~Topology.dimension_order_hop`, the one next node that
-:class:`~repro.network.routing.DimensionOrder` and the escape channel of
-:class:`~repro.network.routing.EscapeVC` route by; any other topology
-has none.
+Their shared base writes each closed form once, axis by axis.
+:meth:`~Topology.minimal_neighbors` takes the shorter way along each
+axis; the base class's distance search is the default for any other
+topology and the reference the closed form is tested against.
+:meth:`~Topology.dimension_order_leg` corrects the lowest unresolved
+axis, going forward at a half-ring tie, and says whether the rest of
+that leg crosses the ring's wrap link.  Its hop is the one next node
+that :class:`~repro.network.routing.DimensionOrder` and the escape
+channel of :class:`~repro.network.routing.EscapeVC` route by, and its
+flag is all the escape channel's dateline reads: the wrap-crossing rule
+lives here alone.  Any other topology has no dimension-order leg.
 
 :meth:`~Topology.destination_classes` groups a node's destinations so
 that every policy's static route from the node is the same across a
-group: by side along each axis on the mesh, by way round each ring on
-the torus, one destination per group otherwise.  The fabric routes one
-representative per group when it builds its route tables.
+group: by the way along each axis and whether its leg crosses the wrap
+link, one destination per group on any other topology.  The fabric
+routes one representative per group when it builds its route tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.errors import RoutingError
 
@@ -42,6 +48,10 @@ class Topology:
     """Abstract structure: node count, neighbors, distance, diameter."""
 
     n_nodes: int
+
+    #: Whether the axes are rings, whose wrap links the escape channel's
+    #: dateline discipline watches.
+    wrap = False
 
     def describe(self) -> str:
         """Human-readable identity used in diagnostics, e.g. ``Mesh2D 8x8``."""
@@ -77,10 +87,15 @@ class Topology:
         )
 
     def dimension_order_hop(self, node: int, destination: int) -> int:
+        """The dimension-order next node: :meth:`dimension_order_leg`'s hop."""
+        return self.dimension_order_leg(node, destination)[0]
+
+    def dimension_order_leg(self, node: int, destination: int) -> Tuple[int, bool]:
         """The dimension-order next node from ``node`` toward a
-        different ``destination``: one of :meth:`minimal_neighbors`, the
-        one that corrects the lowest dimension not yet resolved.  Only
-        topologies with dimensions define it."""
+        different ``destination`` — one of :meth:`minimal_neighbors`, the
+        one that corrects the lowest dimension not yet resolved — and
+        whether the rest of that dimension's leg crosses a wrap link.
+        Only topologies with dimensions define it."""
         raise RoutingError(
             f"dimension-order routing does not know {type(self).__name__}"
         )
@@ -117,8 +132,147 @@ def _dense(keys: Sequence[Hashable]) -> Tuple[List[int], List[int]]:
     return indices, firsts
 
 
+def _ring_way(position: int, target: int, size: int) -> Tuple[Tuple[int, ...], bool]:
+    """Round one ring from ``position`` toward ``target``: the unit steps
+    the shorter way, ascending (both at a half-ring tie, none when
+    there), and whether the leg the last step takes crosses the ring's
+    wrap link, which forward is the ``size-1 -> 0`` link and backward
+    ``0 -> size-1``.  The dimension-order leg takes the last step, so a
+    tie goes forward."""
+    forward = (target - position) % size
+    if forward == 0:
+        return (), False
+    backward = size - forward
+    if forward < backward:
+        return (1,), target < position
+    if backward < forward:
+        return (-1,), target > position
+    return (-1, 1), target < position
+
+
+class _Grid(Topology):
+    """A k-ary n-cube: axes of fixed sizes, axis 0 the fastest-varying
+    digit of the node id, each a line or, with ``wrap``, a ring.
+
+    Every closed form walks the axes once: along a line a step goes
+    toward the target, round a ring it follows :func:`_ring_way`.
+    Subclasses call :meth:`_set_axes` when they are built.
+    """
+
+    def _set_axes(self, sizes: Sequence[int]) -> None:
+        axes = []
+        n_nodes = 1
+        for size in sizes:
+            axes.append((size, n_nodes))
+            n_nodes *= size
+        #: (size, node-id stride) per axis, axis 0 first.
+        self._axes = tuple(axes)
+        self.n_nodes = n_nodes
+        #: (size, position) -> that axis's destination classes, as
+        #: :func:`_dense` numbers them.
+        self._axis_classes: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+
+    def neighbors(self, node: int) -> Tuple[int, ...]:
+        # Per axis the step down, then up; a router serves its buffers
+        # in this order.
+        self.check_node(node)
+        wrap = self.wrap
+        hops = []
+        for size, stride in self._axes:
+            position = node // stride % size
+            for moved in (position - 1, position + 1):
+                if wrap:
+                    moved %= size
+                if 0 <= moved < size:
+                    hops.append(node + (moved - position) * stride)
+        if wrap:
+            # A ring of one or two positions reaches one node both ways.
+            return tuple(set(hops) - {node})
+        return tuple(hops)
+
+    def distance(self, source: int, destination: int) -> int:
+        self.check_node(source)
+        self.check_node(destination)
+        hops = 0
+        for size, stride in self._axes:
+            span = abs(source // stride % size - destination // stride % size)
+            hops += min(span, size - span) if self.wrap else span
+        return hops
+
+    def diameter(self) -> int:
+        if self.wrap:
+            return sum(size // 2 for size, _ in self._axes)
+        return sum(size - 1 for size, _ in self._axes)
+
+    def minimal_neighbors(self, node: int, destination: int) -> Tuple[int, ...]:
+        self.check_node(node)
+        self.check_node(destination)
+        wrap = self.wrap
+        hops = []
+        for size, stride in self._axes:
+            position = node // stride % size
+            target = destination // stride % size
+            if position == target:
+                continue
+            if wrap:
+                for step in _ring_way(position, target, size)[0]:
+                    hops.append(node + ((position + step) % size - position) * stride)
+            else:
+                hops.append(node + stride if position < target else node - stride)
+        if wrap:
+            # Both ways round a 2-wide ring reach the same node.
+            return tuple(sorted(set(hops)))
+        hops.sort()
+        return tuple(hops)
+
+    def dimension_order_leg(self, node: int, destination: int) -> Tuple[int, bool]:
+        self.check_node(node)
+        self.check_node(destination)
+        if node == destination:
+            raise RoutingError(f"no dimension-order hop at the destination {node}")
+        for size, stride in self._axes:
+            position = node // stride % size
+            target = destination // stride % size
+            if position != target:
+                break
+        if not self.wrap:
+            return node + stride if position < target else node - stride, False
+        steps, crosses = _ring_way(position, target, size)
+        return node + ((position + steps[-1]) % size - position) * stride, crosses
+
+    def destination_classes(self, node: int) -> Tuple[List[int], List[int]]:
+        # Every static route from a node reads only, per axis, the way
+        # toward the destination: its side along a line (at most 3
+        # classes), its steps and wrap crossing round a ring (at most
+        # 6).  Class indices run axis 0 fastest, like node ids.
+        self.check_node(node)
+        classes = [0]
+        representatives = [0]
+        for size, stride in self._axes:
+            position = node // stride % size
+            dense = self._axis_classes.get((size, position))
+            if dense is None:
+                if self.wrap:
+                    keys = [_ring_way(position, target, size) for target in range(size)]
+                else:
+                    keys = [(target > position) - (target < position) for target in range(size)]
+                dense = self._axis_classes[size, position] = _dense(keys)
+            indices, firsts = dense
+            count = len(representatives)
+            # Destinations one class apart along this axis share a run
+            # of class indices over the lower axes.
+            runs = [[index * count + lower for lower in classes] for index in range(len(firsts))]
+            classes = []
+            for index in indices:
+                classes += runs[index]
+            representatives = [
+                first * stride + lower for first in firsts for lower in representatives
+            ]
+        return classes, representatives
+
+
 @dataclass
-class Mesh2D(Topology):
+class Mesh2D(_Grid):
     """A width × height mesh.
 
     Distance is Manhattan; the canonical deterministic policy routes
@@ -133,7 +287,7 @@ class Mesh2D(Topology):
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise RoutingError("mesh dimensions must be at least 1x1")
-        self.n_nodes = self.width * self.height
+        self._set_axes((self.width, self.height))
 
     def describe(self) -> str:
         return f"{type(self).__name__} {self.width}x{self.height}"
@@ -149,204 +303,24 @@ class Mesh2D(Topology):
             )
         return y * self.width + x
 
-    def neighbors(self, node: int) -> Tuple[int, ...]:
-        x, y = self.coordinates(node)
-        result = []
-        if x > 0:
-            result.append(self.node_at(x - 1, y))
-        if x < self.width - 1:
-            result.append(self.node_at(x + 1, y))
-        if y > 0:
-            result.append(self.node_at(x, y - 1))
-        if y < self.height - 1:
-            result.append(self.node_at(x, y + 1))
-        return tuple(result)
 
-    def distance(self, source: int, destination: int) -> int:
-        x, y = self.coordinates(source)
-        dx, dy = self.coordinates(destination)
-        return abs(x - dx) + abs(y - dy)
-
-    def diameter(self) -> int:
-        return (self.width - 1) + (self.height - 1)
-
-    def minimal_neighbors(self, node: int, destination: int) -> Tuple[int, ...]:
-        # At most one step per axis, listed in id order: down a row,
-        # then along it, then up a row.
-        self.check_node(node)
-        self.check_node(destination)
-        width = self.width
-        y, x = divmod(node, width)
-        dy, dx = divmod(destination, width)
-        steps = []
-        if y > dy:
-            steps.append(node - width)
-        if x > dx:
-            steps.append(node - 1)
-        elif x < dx:
-            steps.append(node + 1)
-        if y < dy:
-            steps.append(node + width)
-        return tuple(steps)
-
-    def dimension_order_hop(self, node: int, destination: int) -> int:
-        # X, then Y.
-        self.check_node(node)
-        self.check_node(destination)
-        if node == destination:
-            raise RoutingError(f"no dimension-order hop at the destination {node}")
-        width = self.width
-        x = node % width
-        dx = destination % width
-        if x < dx:
-            return node + 1
-        if x > dx:
-            return node - 1
-        # Same column: the lower id is the lower row.
-        return node + width if node < destination else node - width
-
-    def destination_classes(self, node: int) -> Tuple[List[int], List[int]]:
-        # Every route from a mesh node reads only the destination's side
-        # (below, at, above) along each axis: at most 9 classes.
-        y, x = divmod(self.check_node(node), self.width)
-        return self._grid_classes(
-            [(column > x) - (column < x) for column in range(self.width)],
-            [(row > y) - (row < y) for row in range(self.height)],
-        )
-
-    def _grid_classes(
-        self, column_keys: Sequence[Hashable], row_keys: Sequence[Hashable]
-    ) -> Tuple[List[int], List[int]]:
-        """Destination classes keyed by (row key, column key), given the
-        key of each column and of each row."""
-        columns, column_firsts = _dense(column_keys)
-        rows, row_firsts = _dense(row_keys)
-        n_columns = len(column_firsts)
-        width = self.width
-        # Rows of one class share their run of class indices.
-        runs = [
-            [row * n_columns + column for column in columns]
-            for row in range(len(row_firsts))
-        ]
-        classes = []
-        for row in rows:
-            classes += runs[row]
-        representatives = [
-            row * width + column for row in row_firsts for column in column_firsts
-        ]
-        return classes, representatives
-
-
-@dataclass
 class Torus2D(Mesh2D):
-    """A width × height torus: the mesh plus wraparound links."""
+    """A width × height torus: the mesh with both axes closed into rings."""
 
-    def neighbors(self, node: int) -> Tuple[int, ...]:
-        x, y = self.coordinates(node)
-        return tuple(
-            {
-                self.node_at((x - 1) % self.width, y),
-                self.node_at((x + 1) % self.width, y),
-                self.node_at(x, (y - 1) % self.height),
-                self.node_at(x, (y + 1) % self.height),
-            }
-            - {node}
-        )
-
-    @staticmethod
-    def _axis_distance(a: int, b: int, size: int) -> int:
-        """Wrap-aware separation along one axis."""
-        span = abs(a - b)
-        return min(span, size - span)
-
-    def distance(self, source: int, destination: int) -> int:
-        x, y = self.coordinates(source)
-        dx, dy = self.coordinates(destination)
-        return self._axis_distance(x, dx, self.width) + self._axis_distance(
-            y, dy, self.height
-        )
-
-    def diameter(self) -> int:
-        return self.width // 2 + self.height // 2
-
-    @staticmethod
-    def _ring_steps(position: int, target: int, size: int) -> Tuple[int, ...]:
-        """Positions one step the shorter way round a ring toward
-        ``target``: both ways at a half-ring tie (backward, then
-        forward), none when there."""
-        forward = (target - position) % size
-        if forward == 0:
-            return ()
-        backward = size - forward
-        if forward < backward:
-            return ((position + 1) % size,)
-        if backward < forward:
-            return ((position - 1) % size,)
-        return ((position - 1) % size, (position + 1) % size)
-
-    def minimal_neighbors(self, node: int, destination: int) -> Tuple[int, ...]:
-        self.check_node(node)
-        self.check_node(destination)
-        width = self.width
-        y, x = divmod(node, width)
-        dy, dx = divmod(destination, width)
-        row = node - x
-        # A set: both ways round a 2-wide ring reach the same node.
-        steps = set()
-        for nx in self._ring_steps(x, dx, width):
-            steps.add(row + nx)
-        for ny in self._ring_steps(y, dy, self.height):
-            steps.add(ny * width + x)
-        return tuple(sorted(steps))
-
-    def dimension_order_hop(self, node: int, destination: int) -> int:
-        # The X ring, then the Y ring; a ring's last step is the forward
-        # one at a half-ring tie.
-        self.check_node(node)
-        self.check_node(destination)
-        if node == destination:
-            raise RoutingError(f"no dimension-order hop at the destination {node}")
-        width = self.width
-        y, x = divmod(node, width)
-        dy, dx = divmod(destination, width)
-        if x != dx:
-            return node - x + self._ring_steps(x, dx, width)[-1]
-        return self._ring_steps(y, dy, self.height)[-1] * width + x
-
-    @classmethod
-    def _ring_class(
-        cls, position: int, target: int, size: int
-    ) -> Tuple[Tuple[int, ...], bool]:
-        """``target``'s class from ``position`` round a ring: the steps
-        the shorter way round, and whether the leg the dimension-order
-        hop takes (the last step) crosses the ring's wrap link."""
-        steps = cls._ring_steps(position, target, size)
-        if not steps:
-            return steps, False
-        if steps[-1] == (position + 1) % size:
-            return steps, target < position
-        return steps, target > position
-
-    def destination_classes(self, node: int) -> Tuple[List[int], List[int]]:
-        # The way round each ring, plus whether the leg crosses the wrap
-        # link, which EscapeVC's dateline channel reads: at most 36.
-        y, x = divmod(self.check_node(node), self.width)
-        return self._grid_classes(
-            [self._ring_class(x, column, self.width) for column in range(self.width)],
-            [self._ring_class(y, row, self.height) for row in range(self.height)],
-        )
+    wrap = True
 
 
 @dataclass
-class Hypercube(Topology):
-    """A 2^d-node hypercube; distance is the Hamming distance."""
+class Hypercube(_Grid):
+    """A 2^d-node hypercube: d axes of two positions each, so a step
+    flips one address bit and distance is the Hamming distance."""
 
     dimensions: int
 
     def __post_init__(self) -> None:
         if self.dimensions < 0 or self.dimensions > 16:
             raise RoutingError("hypercube dimensions must be in [0, 16]")
-        self.n_nodes = 1 << self.dimensions
+        self._set_axes((2,) * self.dimensions)
 
     def describe(self) -> str:
         return f"{type(self).__name__} d={self.dimensions}"
@@ -363,39 +337,6 @@ class Hypercube(Topology):
                 f"Hypercube needs a power-of-two node count, got {n_nodes}"
             )
         return cls(n_nodes.bit_length() - 1)
-
-    def neighbors(self, node: int) -> Tuple[int, ...]:
-        self.check_node(node)
-        return tuple(node ^ (1 << bit) for bit in range(self.dimensions))
-
-    def distance(self, source: int, destination: int) -> int:
-        self.check_node(source)
-        self.check_node(destination)
-        return (source ^ destination).bit_count()
-
-    def diameter(self) -> int:
-        return self.dimensions
-
-    def minimal_neighbors(self, node: int, destination: int) -> Tuple[int, ...]:
-        # One bit flip per differing address bit.
-        self.check_node(node)
-        self.check_node(destination)
-        differ = node ^ destination
-        flips = []
-        while differ:
-            bit = differ & -differ
-            flips.append(node ^ bit)
-            differ ^= bit
-        return tuple(sorted(flips))
-
-    def dimension_order_hop(self, node: int, destination: int) -> int:
-        # Flip the lowest differing address bit.
-        self.check_node(node)
-        self.check_node(destination)
-        if node == destination:
-            raise RoutingError(f"no dimension-order hop at the destination {node}")
-        differ = node ^ destination
-        return node ^ (differ & -differ)
 
 
 def build_topology(kind: str, n_nodes: int) -> Topology:

@@ -234,16 +234,6 @@ class TenantPolicy(SimComponent):
         """User messages parked across every node's store."""
         return sum(self._stored.values())
 
-    def quiescent(self) -> bool:
-        return self.stored_messages() == 0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "stored": self.stored_messages(),
-            "switches": self.switches,
-            "redelivered": self.redelivered,
-        }
-
     # ------------------------------------------------------------------
     # Internals shared by the concrete policies.
     # ------------------------------------------------------------------
@@ -517,25 +507,6 @@ class GangTenantScheduler(TenantPolicy):
         # The slice switch stalls every node; cap-divert handling during
         # a tenant's own slice additionally stalls that node.
         return cycle < self.switch_done or cycle < self._by_node[node].busy_until
-
-    def quiescent(self) -> bool:
-        return (
-            self.phase == self.IDLE
-            and self.stored_messages() == 0
-            and all(
-                self.gang.saved_message_count(pin) == 0 for pin in self.tenants
-            )
-        )
-
-    def snapshot(self) -> Dict[str, object]:
-        saved = sum(self.gang.saved_message_count(pin) for pin in self.tenants)
-        return {
-            "phase": self.phase,
-            "active_pin": self.active_pin,
-            "stored": self.stored_messages(),
-            "saved": saved,
-            "slices": self.slices,
-        }
 
     # ------------------------------------------------------------------
     # The slice state machine.

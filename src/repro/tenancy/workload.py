@@ -315,16 +315,6 @@ class _ArrivalPump(SimComponent):
         self.injected_by_pin[pin] = self.injected_by_pin.get(pin, 0) + 1
         return True
 
-    def quiescent(self) -> bool:
-        return self.index >= len(self.schedule) and not self.blocked
-
-    def snapshot(self):
-        return {
-            "scheduled": len(self.schedule),
-            "injected": self.injected,
-            "backlogged": sum(len(q) for q in self.blocked.values()),
-        }
-
 
 class _NodeServer(SimComponent):
     """One node's processor: dispatches one message per service slot,
@@ -349,15 +339,6 @@ class _NodeServer(SimComponent):
             ni.next()
             self.serviced += 1
         self.handle.wake_at(cycle + self.interval)
-
-    def quiescent(self) -> bool:
-        return not self.interface.msg_valid and self.interface.input_queue.is_empty
-
-    def snapshot(self):
-        return {
-            "serviced": self.serviced,
-            "input_queue": self.interface.input_queue.depth,
-        }
 
 
 class MultiTenantRun:

@@ -1,15 +1,18 @@
 """Closed-form routing against its references.
 
-Each topology computes :meth:`~repro.network.topology.Topology.minimal_neighbors`
-by arithmetic; the base class's distance search is the reference it must
-equal on every (node, destination) pair.  The dimension-order hop must be
-one of those neighbors, change only the lowest dimension not yet
-resolved and, at a half-ring tie, go forward: together the three fix it
-uniquely.
+The mesh, torus and hypercube share one k-ary n-cube base, which
+computes :meth:`~repro.network.topology.Topology.minimal_neighbors` by
+arithmetic along each axis; the base class's distance search is the
+reference it must equal on every (node, destination) pair.  The
+dimension-order hop must be one of those neighbors, change only the
+lowest dimension not yet resolved and, at a half-ring tie, go forward:
+together the three fix it uniquely.
 
-``EscapeVC`` reads a torus leg's direction from that hop; the ring rule
-(shorter way round, ties forward) restated here is the reference for its
-escape port and dateline channel.
+:meth:`~repro.network.topology.Topology.dimension_order_leg` also says
+whether the rest of that leg crosses a ring's wrap link, and
+``EscapeVC`` picks its escape port's channel from that flag alone; the
+ring rule (shorter way round, ties forward) restated here is the
+reference for both.  A line never crosses one.
 
 ``AdaptiveRandom.rank`` orders two ports by comparing their free slots;
 the general most-free ranking, kept here as it was before that
@@ -81,6 +84,8 @@ def test_dimension_order_hop_properties(topology):
                 (),
                 ((hop, 0),),
             )
+            if not isinstance(topology, Torus2D):
+                assert topology.dimension_order_leg(node, destination) == (hop, False)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +96,11 @@ def test_dimension_order_hop_properties(topology):
 def test_closed_forms_check_both_nodes(topology):
     n = topology.n_nodes
     for node, destination in ((n, 0), (0, n), (-1, 0), (0, -1)):
-        for closed_form in (topology.minimal_neighbors, topology.dimension_order_hop):
+        for closed_form in (
+            topology.minimal_neighbors,
+            topology.dimension_order_hop,
+            topology.dimension_order_leg,
+        ):
             with pytest.raises(RoutingError, match="outside"):
                 closed_form(node, destination)
 
@@ -125,6 +134,7 @@ def test_escape_port_follows_the_ring_rule(shape):
                 crosses = crosses_dateline(x, dx, width)
             else:
                 crosses = crosses_dateline(y, dy, topology.height)
+            assert topology.dimension_order_leg(node, destination) == (hop, crosses)
             vc = policy.escape_vc if crosses else policy.dateline_vc
             _, fixed = policy.static_route(topology, node, destination)
             assert fixed == ((hop, vc),)

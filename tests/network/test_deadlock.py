@@ -15,6 +15,7 @@ from repro.network.routing import AdaptiveRandom, EscapeVC, make_policy
 from repro.network.topology import Mesh2D, Torus2D
 from repro.network.traffic import run_traffic
 from repro.nic.messages import Message, pack_destination
+from routing_reference import NoDateline
 
 
 def msg(dest: int, tag: int = 0) -> Message:
@@ -170,7 +171,7 @@ class TestTorusDateline:
     On an 8-node torus ring every router holds a message for the node 3
     hops forward, with both the adaptive channel *and* the escape channel
     full.  A single dimension-order escape channel is itself a cycle
-    around the ring — the legacy policy (``dateline=False``) deadlocks —
+    around the ring — the legacy policy (``NoDateline``) deadlocks —
     while the dateline discipline leaves channel 2 open for every leg
     that no longer has the wrap link ahead, so the identical placement
     drains.
@@ -197,7 +198,7 @@ class TestTorusDateline:
         return fabric
 
     def test_legacy_escape_channel_deadlocks_on_the_torus(self):
-        fabric = self.make_ring_fabric(EscapeVC(seed=0, dateline=False))
+        fabric = self.make_ring_fabric(NoDateline(seed=0))
         cycle = fabric.find_deadlock()
         assert cycle is not None and "router" in cycle[0]
         for _ in range(100):

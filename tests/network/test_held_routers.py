@@ -36,6 +36,7 @@ from repro.network.traffic import TrafficSink, TrafficSource
 from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message, pack_destination
 from repro.obs.observer import EVENTS, Observer
+from routing_reference import NoDateline
 
 # ----------------------------------------------------------------------
 # The per-cycle arbitration, kept as the oracle.
@@ -128,7 +129,7 @@ POLICIES = (
     lambda seed: DimensionOrder(),
     lambda seed: AdaptiveRandom(seed=seed),
     lambda seed: EscapeVC(seed=seed),
-    lambda seed: EscapeVC(seed=seed, dateline=False),
+    lambda seed: NoDateline(seed=seed),
 )
 
 

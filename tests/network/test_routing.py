@@ -11,6 +11,7 @@ from repro.network.routing import (
     make_policy,
 )
 from repro.network.topology import Hypercube, Mesh2D, Topology, Torus2D
+from routing_reference import NoDateline, candidates
 
 
 def plenty(neighbor: int, vc: int) -> int:
@@ -101,8 +102,8 @@ class TestDimensionOrder:
     def test_single_candidate_matches_legacy_next_hop(self, topology):
         policy = DimensionOrder()
         for source, destination in all_pairs(topology):
-            candidates = policy.candidates(topology, source, destination, plenty)
-            assert candidates == ((legacy_next_hop(topology, source, destination), 0),)
+            ports = candidates(policy, topology, source, destination, plenty)
+            assert ports == ((legacy_next_hop(topology, source, destination), 0),)
 
     def test_mesh_routes_x_before_y(self):
         assert Mesh2D(4, 4).dimension_order_hop(0, 10) == 1
@@ -132,27 +133,25 @@ class TestAdaptiveRandom:
         mesh = Mesh2D(4, 4)
         policy = AdaptiveRandom(seed=1)
         for source, destination in all_pairs(mesh):
-            candidates = policy.candidates(mesh, source, destination, plenty)
+            ports = candidates(policy, mesh, source, destination, plenty)
             minimal = mesh.minimal_neighbors(source, destination)
-            assert sorted(n for n, _ in candidates) == sorted(minimal)
-            assert all(vc == 0 for _, vc in candidates)
+            assert sorted(n for n, _ in ports) == sorted(minimal)
+            assert all(vc == 0 for _, vc in ports)
 
     def test_prefers_freer_downstream_buffer(self):
         mesh = Mesh2D(4, 4)
         policy = AdaptiveRandom(seed=1)
         # From 0 to 15 both 1 and 4 are minimal; make 4 clearly freer.
         free = {1: 0, 4: 3}
-        candidates = policy.candidates(
-            mesh, 0, 15, lambda n, vc: free.get(n, 4)
-        )
-        assert candidates == ((4, 0), (1, 0))
+        ports = candidates(policy, mesh, 0, 15, lambda n, vc: free.get(n, 4))
+        assert ports == ((4, 0), (1, 0))
 
     def test_same_seed_same_choices(self):
         mesh = Mesh2D(4, 4)
         a, b = AdaptiveRandom(seed=7), AdaptiveRandom(seed=7)
         for source, destination in all_pairs(mesh):
-            assert a.candidates(mesh, source, destination, plenty) == (
-                b.candidates(mesh, source, destination, plenty)
+            assert candidates(a, mesh, source, destination, plenty) == (
+                candidates(b, mesh, source, destination, plenty)
             )
 
     def test_single_productive_neighbor_is_deterministic(self):
@@ -161,27 +160,26 @@ class TestAdaptiveRandom:
         # A 1-D mesh never has a routing choice, so the RNG is never
         # consulted and every query gives the one productive port.
         state = policy._rng.getstate()
-        assert policy.candidates(mesh, 0, 3, plenty) == ((1, 0),)
+        assert candidates(policy, mesh, 0, 3, plenty) == ((1, 0),)
         assert policy._rng.getstate() == state
 
     def test_no_productive_neighbor_rejected(self):
         with pytest.raises(RoutingError, match="no productive neighbor"):
-            AdaptiveRandom().candidates(Mesh2D(2, 2), 1, 1, plenty)
+            candidates(AdaptiveRandom(), Mesh2D(2, 2), 1, 1, plenty)
 
 
 class TestEscapeVC:
     def test_three_virtual_channels_with_datelines(self):
         # Adaptive (1), escape (0), and the torus dateline channel (2);
-        # dateline=False reinstates the legacy two-channel policy.
+        # without datelines the legacy policy needs two.
         assert EscapeVC().num_vcs == 3
-        assert EscapeVC(dateline=False).num_vcs == 2
+        assert NoDateline().num_vcs == 2
 
     def test_escape_candidate_is_dimension_order_last(self):
         mesh = Mesh2D(4, 4)
         policy = EscapeVC(seed=5)
         for source, destination in all_pairs(mesh):
-            candidates = policy.candidates(mesh, source, destination, plenty)
-            *adaptive, escape = candidates
+            *adaptive, escape = candidates(policy, mesh, source, destination, plenty)
             assert escape == (mesh.dimension_order_hop(source, destination), 0)
             assert adaptive  # never only the escape path
             assert all(vc == 1 for _, vc in adaptive)
@@ -191,8 +189,8 @@ class TestEscapeVC:
         escape = EscapeVC(seed=11)
         plain = AdaptiveRandom(seed=11)
         for source, destination in all_pairs(mesh):
-            got = escape.candidates(mesh, source, destination, plenty)[:-1]
-            want = plain.candidates(mesh, source, destination, plenty)
+            got = candidates(escape, mesh, source, destination, plenty)[:-1]
+            want = candidates(plain, mesh, source, destination, plenty)
             assert tuple((n, 1) for n, _ in want) == got
 
 
@@ -200,16 +198,14 @@ class TestDateline:
     """The escape channel's dateline discipline on torus wraparound rings."""
 
     def ring_escape(self, policy, ring, source, destination):
-        *_, escape = policy.candidates(ring, source, destination, plenty)
+        *_, escape = candidates(policy, ring, source, destination, plenty)
         return escape
 
     def test_mesh_and_hypercube_never_use_the_dateline_channel(self):
         policy = EscapeVC(seed=0)
         for topology in (Mesh2D(4, 4), Hypercube(4)):
             for source, destination in all_pairs(topology):
-                *_, escape = policy.candidates(
-                    topology, source, destination, plenty
-                )
+                *_, escape = candidates(policy, topology, source, destination, plenty)
                 assert escape[1] == policy.escape_vc
 
     def test_pre_dateline_leg_rides_channel_zero(self):
@@ -244,7 +240,7 @@ class TestDateline:
 
     def test_dateline_false_matches_legacy_escape(self):
         ring = Torus2D(8, 1)
-        legacy = EscapeVC(seed=0, dateline=False)
+        legacy = NoDateline(seed=0)
         for source, destination in all_pairs(ring):
             assert self.ring_escape(legacy, ring, source, destination)[1] == 0
 
@@ -253,24 +249,24 @@ class TestDateline:
         policy = EscapeVC(seed=0)
         # X resolved; 4 rows at x=0: (0,3) -> (0,2) continues past the
         # Y wrap, (0,1) -> (0,2) never crosses it.
-        past = policy.candidates(
-            torus, torus.node_at(0, 3), torus.node_at(0, 2), plenty
+        past = candidates(
+            policy, torus, torus.node_at(0, 3), torus.node_at(0, 2), plenty
         )[-1]
         assert past == (torus.node_at(0, 2), policy.dateline_vc)
-        before = policy.candidates(
-            torus, torus.node_at(0, 1), torus.node_at(0, 2), plenty
+        before = candidates(
+            policy, torus, torus.node_at(0, 1), torus.node_at(0, 2), plenty
         )[-1]
         assert before == (torus.node_at(0, 2), policy.dateline_vc)
         # (0,2) -> (0,1) backward is distance 1 with no wrap; but
         # (0,0) -> (0,2): forward distance 2 ties backward 2, ties go
         # forward, no wrap ahead -> dateline channel.
-        tie = policy.candidates(
-            torus, torus.node_at(0, 0), torus.node_at(0, 2), plenty
+        tie = candidates(
+            policy, torus, torus.node_at(0, 0), torus.node_at(0, 2), plenty
         )[-1]
         assert tie == (torus.node_at(0, 1), policy.dateline_vc)
         # Forward through the wrap: (0,2) -> (0,0) ties 2-vs-2, ties go
         # forward (2 -> 3 -> 0), so the 3 -> 0 dateline is ahead: channel 0.
-        crossing = policy.candidates(
-            torus, torus.node_at(0, 2), torus.node_at(0, 0), plenty
+        crossing = candidates(
+            policy, torus, torus.node_at(0, 2), torus.node_at(0, 0), plenty
         )[-1]
         assert crossing == (torus.node_at(0, 3), policy.escape_vc)

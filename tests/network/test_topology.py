@@ -1,7 +1,7 @@
 """Tests for topologies and deterministic routing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
@@ -33,6 +33,55 @@ def route(topology, source, destination):
         path.append(topology.dimension_order_hop(path[-1], destination))
         assert len(path) - 1 <= topology.diameter()
     return path
+
+
+def service_order(topology, node):
+    """``node``'s neighbors in the order its router serves their link
+    buffers, restated per topology: x-1, x+1, y-1, y+1 within bounds on
+    the mesh; those four wrapped, through a set, on the torus; the bit
+    flips from low to high on the hypercube."""
+    if isinstance(topology, Hypercube):
+        return tuple(node ^ (1 << bit) for bit in range(topology.dimensions))
+    width, height = topology.width, topology.height
+    x, y = node % width, node // width
+    if isinstance(topology, Torus2D):
+        return tuple(
+            {
+                y * width + (x - 1) % width,
+                y * width + (x + 1) % width,
+                (y - 1) % height * width + x,
+                (y + 1) % height * width + x,
+            }
+            - {node}
+        )
+    steps = []
+    if x > 0:
+        steps.append(node - 1)
+    if x < width - 1:
+        steps.append(node + 1)
+    if y > 0:
+        steps.append(node - width)
+    if y < height - 1:
+        steps.append(node + width)
+    return tuple(steps)
+
+
+sides = st.integers(1, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(Mesh2D, sides, sides),
+        st.builds(Torus2D, sides, sides),
+        st.builds(Hypercube, st.integers(0, 6)),
+    )
+)
+def test_neighbors_are_listed_in_service_order(topology):
+    # A tuple, not a set: routers serve their link buffers in this order,
+    # so every arbitration and payload depends on it.
+    for node in range(topology.n_nodes):
+        assert topology.neighbors(node) == service_order(topology, node)
 
 
 class TestMesh2D:

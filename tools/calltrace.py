@@ -1,13 +1,17 @@
 """Which functions under src/ run in the driver surfaces, and which only under tier-1.
 
 Records, with ``sys.setprofile``, the code objects called by the driver
-surfaces (the default eval, the paper-scale eval without netsweep, the
-paper-scale traced and profiled hot-spot, the ``examples/`` scripts and
-the bench workloads), then by the tier-1 suite, and matches them to the
-``def``s under ``src/repro`` by file and first line.  Prints one count
-line per group and writes the full list to ``calltrace.txt``; the eval
-artifacts land under ``calltrace-out/``.  Both are written into the
-working directory.
+surfaces (the default eval, the paper-scale eval without netsweep, one
+paper-scale netsweep point that never drains, the paper-scale traced and
+profiled hot-spot, the ``examples/`` scripts and the bench workloads),
+then by the tier-1 suite, and matches them to the ``def``s under
+``src/repro`` by file and first line.  The whole paper-scale netsweep
+would take minutes more under the hook; its one point stands for the
+eight that never drain, whose deadlock report (``Fabric.find_deadlock``,
+``Fabric.snapshot``, the kernel's stall report) no other surface
+reaches.  Prints one count line per group and writes the full list to
+``calltrace.txt``; the eval artifacts land under ``calltrace-out/``.
+Both are written into the working directory.
 
 Run from the repository root (about 8 minutes on 2 vCPUs)::
 
@@ -60,6 +64,20 @@ def cli(*argv):
     return run
 
 
+def netsweep_point():
+    """Paper-scale netsweep's dimension-order torus64 point at 0.5, which
+    never drains (0.3 s untraced)."""
+    from repro.network.routing import make_policy
+    from repro.network.traffic import run_traffic_named
+
+    payload = run_traffic_named(
+        "torus", 64, make_policy("dimension-order", seed=42), "uniform", 0.5,
+        seed=42, warmup_cycles=200, measure_cycles=600,
+    )
+    if payload["deadlock"] is None:
+        raise RuntimeError("the traced netsweep point reported no deadlock")
+
+
 def examples():
     for path in sorted((ROOT / "examples").glob("*.py")):
         runpy.run_path(str(path), run_name="__main__")
@@ -100,6 +118,7 @@ def main():
     for fn in (
         cli("--json-dir", "calltrace-out/default"),
         cli("--paper-scale", "--skip", "netsweep", "--json-dir", "calltrace-out/paper"),
+        netsweep_point,
         cli(
             "--paper-scale", "--only", "flowcontrol", "--trace", "--lineage",
             "--profile", "--json-dir", "calltrace-out/traced",
