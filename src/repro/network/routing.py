@@ -28,8 +28,8 @@ Three policies cover the classic design points (the gem5/Garnet sweep
 the evaluation mirrors uses the same trio):
 
 * :class:`DimensionOrder` — deterministic minimal routing, one
-  candidate, one virtual channel: the topology's closed-form
-  :meth:`~repro.network.topology.Topology.dimension_order_hop`.
+  candidate, one virtual channel: the hop of the topology's closed-form
+  :meth:`~repro.network.topology.Topology.dimension_order_leg`.
 * :class:`AdaptiveRandom` — minimal-adaptive: every productive neighbor
   is a candidate, preferred by downstream buffer space, ties broken by
   a seeded RNG so runs stay reproducible.  No escape path — this policy
@@ -110,8 +110,8 @@ class RoutingPolicy:
 
 
 class DimensionOrder(RoutingPolicy):
-    """Deterministic dimension-order routing, by the topology's
-    :meth:`~repro.network.topology.Topology.dimension_order_hop`: correct
+    """Deterministic dimension-order routing, by the hop of the topology's
+    :meth:`~repro.network.topology.Topology.dimension_order_leg`: correct
     the lowest unresolved axis first.
 
     * Mesh: correct X to the destination column, then Y.
@@ -130,7 +130,8 @@ class DimensionOrder(RoutingPolicy):
     def static_route(
         self, topology: Topology, node: int, destination: int
     ) -> StaticRoute:
-        return ((), ((topology.dimension_order_hop(node, destination), 0),))
+        hop, _ = topology.dimension_order_leg(node, destination)
+        return ((), ((hop, 0),))
 
 
 class AdaptiveRandom(RoutingPolicy):
