@@ -465,15 +465,10 @@ def run_gamteb(
     n_photons: int = 16,
     nodes: int = 16,
     seed: int = 19920501,
-    backend: str = "codegen",
 ) -> GamtebResult:
     """Run the Gamteb reproduction with ``n_photons`` source particles
-    and check photon conservation (:meth:`GamtebResult.verify`).
-
-    ``backend`` names the execution backend (``"codegen"``, the default,
-    or ``"reference"``).
-    """
-    machine = TamMachine(nodes, backend=backend)
+    and check photon conservation (:meth:`GamtebResult.verify`)."""
+    machine = TamMachine(nodes)
     driver = build_driver_codeblock(n_photons, seed)
     machine.load(build_photon_codeblock(done_inlet=PHOTON_DONE_INLET))
     machine.load(driver)

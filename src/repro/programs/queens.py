@@ -362,18 +362,16 @@ def run_queens(
     n: int = 6,
     nodes: int = 16,
     tracer=None,
-    backend: str = "codegen",
 ) -> QueensResult:
     """Count the N-Queens solutions with one activation per tree node and
     check the count against the known one (:meth:`QueensResult.verify`).
 
-    ``backend`` names the execution backend (``"codegen"``, the default,
-    or ``"reference"``).  ``tracer`` opts the machine into message-path event tracing
+    ``tracer`` opts the machine into message-path event tracing
     (:mod:`repro.obs.tracer`).
     """
     if n < 1 or n > MAX_N:
         raise TamError(f"board size {n} outside 1..{MAX_N}")
-    machine = TamMachine(nodes, tracer=tracer, backend=backend)
+    machine = TamMachine(nodes, tracer=tracer)
     machine.load(build_worker(n))
     machine.load(build_driver())
     ref = machine.boot("queens_driver")

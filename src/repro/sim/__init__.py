@@ -12,23 +12,21 @@ single engine they all run on now:
   state snapshot, custom predicates), and one run loop.
 * :class:`~repro.sim.component.SimComponent` — the component contract a
   clocked object implements to be driven by the kernel.
-* :mod:`repro.sim.sweep` — turn-based service for the TAM runtime:
-  :class:`~repro.sim.sweep.ReferenceSweep`, the reference backend's
-  scheduler, and :class:`~repro.sim.sweep.ActiveSweep`, the flag arrays
-  the codegen backend's one loop serves in the same order.
+* :mod:`repro.sim.sweep` — turn-based service for the TAM runtime: its
+  service order and :class:`~repro.sim.sweep.ActiveSweep`, the flag
+  arrays the TAM's one loop serves in that order.
 
 Drivers rebased on this package: ``api.cluster.Cluster.run``, the
 flow-control hot-spot experiment, ``network.fabric.Fabric
-.run_until_quiescent``, and both TAM schedulers in ``tam.runtime``.
+.run_until_quiescent``, and the TAM loop in ``tam.runtime``.
 """
 
 from repro.sim.component import SimComponent
 from repro.sim.kernel import SimHandle, SimKernel, SimResult
-from repro.sim.sweep import ActiveSweep, ReferenceSweep
+from repro.sim.sweep import ActiveSweep
 
 __all__ = [
     "ActiveSweep",
-    "ReferenceSweep",
     "SimComponent",
     "SimHandle",
     "SimKernel",

@@ -9,7 +9,7 @@ from repro.tam.costmap import (
     breakdown_all_models,
     cost_table,
 )
-from repro.tam.frame import Frame, FrameRef
+from repro.tam.frame import FrameRef
 from repro.tam.instructions import (
     ConInstr,
     FallocInstr,
@@ -39,7 +39,6 @@ __all__ = [
     "CycleBreakdown",
     "FallocInstr",
     "ForkInstr",
-    "Frame",
     "FrameRef",
     "IStructRef",
     "IallocInstr",

@@ -95,7 +95,7 @@ class Codeblock:
         ``(instructions, complete)`` where ``complete`` is False for a
         malformed thread that falls off its end without stopping (the
         interpreter reports that as an error *after* executing the run).
-        The codegen backend uses this to precompute a thread's static
+        Code generation uses this to precompute a thread's static
         instruction mix.
         """
         from repro.tam.instructions import StopInstr

@@ -1,6 +1,7 @@
-"""Whole-thread code generation: the TAM's default execution backend.
+"""Whole-thread code generation: how the TAM machine executes threads.
 
-The reference interpreter (:mod:`repro.tam.runtime`) decides what every
+The reference interpreter (``ReferenceMachine`` in
+``tests/tam/tam_reference.py``, the tests' oracle) decides what every
 instruction is — an ``isinstance`` chain, operand classification, a
 frame-slot bounds check, an enum-keyed stats update — every time it
 executes it.  Those decisions are static properties of the codeblock,
@@ -14,16 +15,16 @@ dispatched as one call per thread run.
 
 Three structural choices make the generated code fast:
 
-* **Flat frames** — an activation is a plain list, not a
-  :class:`~repro.tam.frame.Frame`: ``f[0]`` is the codeblock's inlet
+* **Flat frames** — an activation is a plain list, not an object:
+  ``f[0]`` is the codeblock's inlet
   dispatch dict (message delivery is two list indexes and a dict get),
   ``f[1]`` the :class:`~repro.tam.frame.FrameRef`, ``f[2]`` the
   :class:`CodegenBlock` descriptor, ``f[3]`` the owner node id (so
   inlined message code never touches the FrameRef descriptors on the
   hot path), slots live at ``f[SLOT_BASE + s]`` and counters after the
   slots — every offset a compile-time constant in the generated source.
-  ``Frame`` remains the reference path's view; :class:`FlatFrameView`
-  re-presents a flat frame in that shape for hosts and tests.
+  :class:`FlatFrameView` re-presents a flat frame in the reference
+  interpreter's ``Frame`` shape for hosts and tests.
 * **Two-element stack pushes** — a continuation is pushed as two bare
   appends (frame, then thread function) instead of an allocated tuple;
   the service loop pops the function and calls it with the frame.
@@ -40,12 +41,12 @@ Equivalence: generated code raises the reference path's exact errors at
 the same execution points (out-of-range slots, bad SEND/IFETCH/ISTORE
 references, counter underflow, missing threads, threads without STOP)
 and reproduces the reference service order exactly.  Every machine
-runs the fused loop in :meth:`TamMachine._run_codegen_fused` over the
+runs the fused loop in :meth:`TamMachine._run_loop` over the
 :class:`repro.sim.sweep.ActiveSweep` flag arrays; machines with an
 observer attached post through ``machine._post`` captured at compile
 time, and the loop sends each of their messages through the observed
-handlers, so a codegen run is bit-identical to a reference run either
-way (``tests/tam/test_backend_matrix``,
+handlers, so a run is bit-identical to a reference run either way
+(``tests/tam/test_backend_matrix``,
 ``tests/tam/test_codegen_differential``).
 """
 
@@ -81,8 +82,8 @@ from repro.tam.messages import IStructRef, MsgKind, TamMessage
 # slot 0..frame_size-1, counter 0..n_counters-1].
 SLOT_BASE = 4
 
-# ALU source templates mirroring the reference interpreter's
-# runtime.OP_FUNCS so both backends compute bit-identical values.  {a}/{b}
+# ALU source templates mirroring the reference interpreter's ALU table
+# (tests/tam/tam_reference.py) so both compute bit-identical values.  {a}/{b}
 # are side-effect-free expressions, safe to evaluate twice (MIN/MAX).
 # The second element names the coercion each operand gets; immediates
 # are coerced at emission time instead (``int(16)`` folds to ``16``),
@@ -253,11 +254,12 @@ def flat_write(frame: list, slot: int, value) -> None:
 
 
 class FlatFrameView:
-    """A :class:`~repro.tam.frame.Frame`-shaped view of a flat frame.
+    """A flat frame seen as ``codeblock`` / ``ref`` / ``slots`` / ``read`` /
+    ``counter_value``.
 
     Slots and counters read through to the live flat frame, so the view
-    compares field for field against a reference-path ``Frame`` — the
-    backend-matrix tests use exactly that.
+    compares field for field against the reference interpreter's
+    ``Frame`` — the backend-matrix tests use exactly that.
     """
 
     __slots__ = ("_frame",)
@@ -331,7 +333,7 @@ class _Emitter:
             "_ck_istore": _check_istore_ref,
         }
         # Unobserved machines get the post transport inlined into
-        # _run_codegen_fused's flags: generated message instructions
+        # _run_loop's flags: generated message instructions
         # append to the target inbox and set the sweep flag directly,
         # skipping the closure call, and build plain tuples instead of
         # TamMessages for the kinds the fused loop consumes positionally

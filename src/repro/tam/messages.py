@@ -1,11 +1,10 @@
 """TAM inter-frame message types.
 
-Split out of :mod:`repro.tam.runtime` so both the reference interpreter
-and the generated code of the codegen backend (:mod:`repro.tam.codegen`)
-can construct messages without an import cycle.  A message is what the paper's network
-would carry between nodes: argument Sends, frame/I-structure allocation
-requests, presence-bit reads and writes, and plain remote memory
-accesses.
+Split out of :mod:`repro.tam.runtime` so the machine and its generated
+code (:mod:`repro.tam.codegen`) can construct messages without an import
+cycle.  A message is what the paper's network would carry between
+nodes: argument Sends, frame/I-structure allocation requests,
+presence-bit reads and writes, and plain remote memory accesses.
 """
 
 from __future__ import annotations

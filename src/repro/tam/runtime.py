@@ -15,22 +15,15 @@ outcome ratios under "LIFO scheduling of dataflow tokens"); nodes are
 serviced round-robin, one message or one thread per turn, so runs are
 reproducible bit for bit.
 
-Two execution backends implement those semantics:
-
-* the **codegen** backend (default): each whole thread is compiled at
-  ``load()`` time to one generated Python function over flat-list frames
-  (:mod:`repro.tam.codegen`), and nodes are driven by one fused loop over
-  the flag arrays of :class:`repro.sim.sweep.ActiveSweep`, which skips
-  idle nodes for free, observed or not;
-* the **reference** backend (``TamMachine(n, backend="reference")``):
-  the original per-instruction ``isinstance`` interpreter driven by
-  :class:`repro.sim.sweep.ReferenceSweep` (scan every node each sweep),
-  kept as the executable specification.
-
-Both loops serve nodes in the same order under the same exact
-``max_turns`` bound, and both backends produce field-for-field identical
-:class:`~repro.tam.stats.TamStats` and turn-for-turn identical trace
-streams (``tests/tam/test_backend_matrix.py``,
+Each whole thread is compiled at ``load()`` time to one generated Python
+function over flat-list frames (:mod:`repro.tam.codegen`), and nodes are
+served by one fused loop over the flag arrays of
+:class:`repro.sim.sweep.ActiveSweep`, which skips idle nodes for free,
+observed or not.  The per-instruction interpreter that specifies the
+same semantics is this machine's subclass ``ReferenceMachine`` in
+``tests/tam/tam_reference.py``, the oracle the tests compare every run
+with: field-for-field identical :class:`~repro.tam.stats.TamStats` and
+turn-for-turn identical trace streams (``tests/tam/test_backend_matrix.py``,
 ``tests/tam/test_codegen_differential.py``,
 ``tests/sim/test_determinism.py``).
 """
@@ -38,7 +31,7 @@ streams (``tests/tam/test_backend_matrix.py``,
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError, IStructureError, TamError
 from repro.node.istructure import DeferredReader, IStructureMemory
@@ -50,27 +43,7 @@ from repro.tam.codegen import (
     flat_read,
     flat_write,
 )
-from repro.tam.frame import Frame, FrameRef
-from repro.tam.instructions import (
-    ConInstr,
-    FallocInstr,
-    ForkInstr,
-    IallocInstr,
-    IfetchInstr,
-    Imm,
-    Instr,
-    IstoreInstr,
-    MovInstr,
-    Op,
-    OpInstr,
-    ReadInstr,
-    ResetInstr,
-    SelfInstr,
-    SendInstr,
-    StopInstr,
-    SwitchInstr,
-    WriteInstr,
-)
+from repro.tam.frame import FrameRef
 from repro.tam.messages import (
     FRAME_ID_BITS as _FRAME_ID_BITS,
     IStructRef,
@@ -78,15 +51,15 @@ from repro.tam.messages import (
     TamMessage,
 )
 from repro.obs.observer import Observer, observer_of
-from repro.sim.sweep import ActiveSweep, ReferenceSweep
+from repro.sim.sweep import ActiveSweep
 from repro.tam.stats import TamStats
 
 __all__ = ["IStructRef", "MsgKind", "TamMessage", "TamMachine"]
 
-# Message-kind sentinel for machine-built replies on the fused codegen
-# path: the tuple carries the bound inlet function and the flat frame
-# itself ([2] and [3]), so delivery is one call with no frame or inlet
-# lookup.  Only _run_codegen_fused creates and consumes these.
+# Message-kind sentinel for machine-built replies on the fused loop: the
+# tuple carries the bound inlet function and the flat frame itself ([2]
+# and [3]), so delivery is one call with no frame or inlet lookup.  Only
+# _run_loop creates and consumes these.
 _FAST_REPLY = object()
 
 # A message kind no message carries: an observed run binds the fused
@@ -100,12 +73,10 @@ class _NodeState:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.inbox: Deque[TamMessage] = deque()
-        # Continuation stack.  The reference backend pushes (frame,
-        # label) tuples; the codegen backend pushes two bare elements —
-        # frame, then thread function — so popping a continuation
-        # allocates nothing.
+        # Continuation stack: two bare elements per continuation — frame,
+        # then thread function — so popping one allocates nothing.
         self.stack: List = []
-        self.frames: Dict[int, Frame] = {}
+        self.frames: Dict[int, list] = {}
         self.istructures = IStructureMemory()
         self.memory = Memory()
         self.next_frame_id = 1
@@ -114,11 +85,8 @@ class _NodeState:
 class TamMachine:
     """A whole TAM machine.
 
-    ``backend`` selects the execution backend by name: ``"codegen"``
-    (the default; :mod:`repro.tam.codegen`, the whole-thread
-    generated-code path) or ``"reference"`` (the per-instruction
-    interpreter, the executable specification).  Both produce identical
-    statistics and results.
+    :meth:`load` compiles each codeblock's threads to generated code and
+    :meth:`run` serves the nodes to quiescence in one loop.
 
     ``tracer`` / ``lineage`` fill the machine's one ``observer`` slot
     (:meth:`attach` adds any :class:`~repro.obs.observer.Observer`):
@@ -129,42 +97,28 @@ class TamMachine:
     byte-identical hot-path code (zero overhead when off).
     """
 
-    BACKENDS = ("reference", "codegen")
-
     def __init__(
         self,
         n_nodes: int = 1,
         tracer: Optional[Observer] = None,
-        backend: str = "codegen",
         lineage: Optional[Observer] = None,
     ) -> None:
         if n_nodes < 1:
             raise TamError("a TAM machine needs at least one node")
-        if backend not in self.BACKENDS:
-            raise TamError(
-                f"unknown TAM backend {backend!r} "
-                f"(choose from {', '.join(self.BACKENDS)})"
-            )
         self.n_nodes = n_nodes
-        self.backend = backend
-        self._is_codegen = backend == "codegen"
         self.nodes = [_NodeState(n) for n in range(n_nodes)]
         self.codeblocks: Dict[str, Codeblock] = {}
         self.stats = TamStats()
         self.turns_executed = 0
         self._rr_next = 0
         self._compiled: Dict[str, object] = {}
-        # The codegen loop's activity flags (repro.sim.sweep) are
-        # per-machine state because _post and generated code set them
-        # directly; they are `.active` only while a run is in progress.
+        # The loop's activity flags (repro.sim.sweep) are per-machine
+        # state because _post and generated code set them directly; they
+        # are `.active` only while a run is in progress.
         self._sched = ActiveSweep(n_nodes)
-        if self._is_codegen:
-            self._deliver = self._deliver_message_codegen
-        else:
-            self._deliver = self._deliver_message
-        # Codegen run accounting: one run counter per generated thread
-        # (bumped by the generated code), one (instruction mix, send-word
-        # mix) record per thread, folded into stats after each run.
+        # Run accounting: one run counter per generated thread (bumped by
+        # the generated code), one (instruction mix, send-word mix)
+        # record per thread, folded into stats after each run.
         self._cg_runs: List[int] = []
         self._cg_meta: List[Tuple[Tuple, Tuple]] = []
         self.observer: Optional[Observer] = None
@@ -194,9 +148,8 @@ class TamMachine:
         call, so with nothing attached they resolve to the original
         methods.  Only the seven leaf handlers are wrapped (not
         ``_process_message``, which dispatches to them), so each handled
-        message raises one begin/end pair on both backends; a reply
-        posted inside a handler falls between the two, which links
-        request to response.
+        message raises one begin/end pair; a reply posted inside a
+        handler falls between the two, which links request to response.
         """
         plain_post = self._post
 
@@ -237,8 +190,11 @@ class TamMachine:
         if codeblock.name in self.codeblocks:
             raise TamError(f"codeblock {codeblock.name!r} already loaded")
         self.codeblocks[codeblock.name] = codeblock
-        if self._is_codegen:
-            self._compiled[codeblock.name] = compile_codegen(codeblock, self)
+        self._compile(codeblock)
+
+    def _compile(self, codeblock: Codeblock) -> None:
+        """Generate the codeblock's thread and inlet functions."""
+        self._compiled[codeblock.name] = compile_codegen(codeblock, self)
 
     def boot(
         self, codeblock_name: str, slots: Optional[Dict[int, object]] = None
@@ -248,72 +204,43 @@ class TamMachine:
         Boot is runtime setup, not program communication: it sends no
         messages and counts nothing.
         """
-        frame = self._allocate_frame(0, codeblock_name)
-        if self._is_codegen:
-            for slot, value in (slots or {}).items():
-                flat_write(frame, slot, value)
-            block = frame[2]
-            if block.entry_fn is None:
-                raise TamError(
-                    f"codeblock {codeblock_name!r} has no entry thread"
-                )
-            stack = self.nodes[0].stack
-            stack.append(frame)
-            stack.append(block.entry_fn)
-            return frame[1]
+        ref = self._activate(0, codeblock_name)
         for slot, value in (slots or {}).items():
-            frame.write(slot, value)
-        codeblock = frame.codeblock
-        if codeblock.entry is None:
+            self.write_slot(ref, slot, value)
+        if self.codeblocks[codeblock_name].entry is None:
             raise TamError(f"codeblock {codeblock_name!r} has no entry thread")
-        self.nodes[0].stack.append((frame, codeblock.entry))
-        return frame.ref
+        return ref
 
-    def _allocate_frame(self, node_id: int, codeblock_name: str):
+    def _activate(self, node_id: int, codeblock_name: str) -> FrameRef:
+        """Allocate a frame on ``node_id`` and post its entry thread, if any."""
         try:
-            codeblock = self.codeblocks[codeblock_name]
+            block = self._compiled[codeblock_name]
         except KeyError:
             raise TamError(f"unknown codeblock {codeblock_name!r}") from None
         state = self.nodes[node_id]
         ref = FrameRef(node_id, state.next_frame_id)
         state.next_frame_id += 1
-        if self._is_codegen:
-            frame = self._compiled[codeblock_name].make_frame(ref)
-        else:
-            frame = Frame(codeblock, ref)
+        frame = block.make_frame(ref)
         state.frames[ref.frame_id] = frame
         self.stats.frames_allocated += 1
-        return frame
+        if block.entry_fn is not None:
+            state.stack.append(frame)
+            state.stack.append(block.entry_fn)
+        return ref
 
     def read_slot(self, ref: FrameRef, slot: int):
         """Host-level frame inspection (results, not program semantics)."""
-        frame = self._frame(self.nodes[ref.node], ref.frame_id)
-        if self._is_codegen:
-            return flat_read(frame, slot)
-        return frame.read(slot)
+        return flat_read(self._frame(self.nodes[ref.node], ref.frame_id), slot)
 
     def write_slot(self, ref: FrameRef, slot: int, value) -> None:
         """Host-level frame setup (e.g. banking the root's own reference)."""
-        frame = self._frame(self.nodes[ref.node], ref.frame_id)
-        if self._is_codegen:
-            flat_write(frame, slot, value)
-        else:
-            frame.write(slot, value)
+        flat_write(self._frame(self.nodes[ref.node], ref.frame_id), slot, value)
 
-    def frame_view(self, ref: FrameRef):
-        """A ``Frame``-shaped view of an activation on any backend.
-
-        The reference backend returns the live :class:`Frame`; the codegen
-        backend wraps its flat list in a
-        :class:`~repro.tam.codegen.FlatFrameView` with the same
-        ``slots`` / ``read`` / ``counter_value`` surface, so hosts and
-        equivalence tests compare activations field by field without
-        knowing the backend.
-        """
-        frame = self._frame(self.nodes[ref.node], ref.frame_id)
-        if self._is_codegen:
-            return FlatFrameView(frame)
-        return frame
+    def frame_view(self, ref: FrameRef) -> FlatFrameView:
+        """An activation's ``slots`` / ``read`` / ``counter_value`` view
+        (:class:`~repro.tam.codegen.FlatFrameView`), read through to the
+        live frame."""
+        return FlatFrameView(self._frame(self.nodes[ref.node], ref.frame_id))
 
     def istructure_peek(self, ref: "IStructRef", index: int):
         """Host-level I-structure inspection."""
@@ -336,68 +263,41 @@ class TamMachine:
         succeeds, one needing more raises before executing the excess
         turn.  Sweeps over idle nodes are not charged against it.
         """
-        if self._is_codegen:
-            try:
-                turns = self._run_codegen_fused(max_turns)
-            finally:
-                # Fold even when the run raised mid-way: the generated
-                # code has already bumped its run counters, and stats
-                # accumulate across run() calls.
-                self._fold_codegen_stats()
-        else:
-            turns = self._run_reference(max_turns)
+        try:
+            turns = self._run_loop(max_turns)
+        finally:
+            # Fold even when the run raised mid-way: the generated code
+            # has already bumped its run counters, and stats accumulate
+            # across run() calls.
+            self._fold_codegen_stats()
         self.turns_executed += turns
         self._check_quiescence()
         return self.stats
 
-    def _run_reference(self, max_turns: int) -> int:
-        """The scan-all-nodes policy (executable spec).
-
-        Enabled threads drain before new messages are accepted (TAM's
-        continuation vector has priority over inlets); this also
-        guarantees a counter re-armed by its own thread is reset before
-        the next message decrements it — the priority lives in
-        ``_do_one_unit`` here and in the fused loop's stack test.
-        """
-        return ReferenceSweep().run(
-            self.nodes,
-            has_work=lambda state: state.stack or state.inbox,
-            do_one=self._do_one_unit,
-            max_turns=max_turns,
-            stall=lambda: TamError(f"TAM run exceeded {max_turns} turns"),
-        )
-
-    def _do_one_unit(self, state: _NodeState) -> None:
-        """One productive turn on ``state`` via the reference dispatch."""
-        if state.stack:
-            frame, label = state.stack.pop()
-            self._run_thread(state, frame, label)
-        else:
-            self._process_message(state, state.inbox.popleft())
-
-    def _run_codegen_fused(self, max_turns: int) -> int:
-        """The generated-code policy: scheduling, delivery, and presence
-        bits in one loop.
+    def _run_loop(self, max_turns: int) -> int:
+        """Scheduling, delivery, and presence bits in one loop.
 
         Threads were compiled to single functions at ``load()`` time
         (:mod:`repro.tam.codegen`); a continuation is two stack elements
         (frame list, thread function), so a thread turn is two pops and
-        one call.  This inlines, in one frame: the flag-array
-        realization of :class:`~repro.sim.sweep.ReferenceSweep`'s
-        service order over :class:`~repro.sim.sweep.ActiveSweep`'s
-        flags, inlet delivery through the flat frame's dispatch dict
-        (``frame[0]``), and the PRead/PWrite protocols over the
+        one call.  This inlines, in one frame: the service order of
+        :mod:`repro.sim.sweep` over :class:`~repro.sim.sweep.ActiveSweep`'s
+        flags, with enabled threads served before messages (TAM's
+        continuation vector has priority over inlets, so a counter
+        re-armed by its own thread is reset before the next message
+        decrements it), inlet delivery through the flat frame's dispatch
+        dict (``frame[0]``), and the PRead/PWrite protocols over the
         I-structure internals
         (:class:`~repro.node.istructure.IStructureMemory`, with no
         :class:`~repro.node.istructure.DeferredReader` built).  Per-turn
-        cost is what makes or breaks the codegen backend; every layer
-        boundary that remains here shows up directly in the benchmarks.
+        cost is what makes or breaks the machine; every layer boundary
+        that remains here shows up directly in the benchmarks.
 
         An observed run binds the four inline kinds to ``_NO_KIND``, so
         every message takes the ``_process_message`` branch and reaches
-        the observed handler wrappers; its event stream is then the
-        reference backend's.  Only the inline branches build
-        ``_FAST_REPLY`` messages, so an observed run has none.
+        the observed handler wrappers, one begin/end pair per message.
+        Only the inline branches build ``_FAST_REPLY`` messages, so an
+        observed run has none.
         """
         nodes = self.nodes
         sched = self._sched
@@ -680,144 +580,6 @@ class TamMachine:
             )
 
     # ------------------------------------------------------------------
-    # Thread execution.
-    # ------------------------------------------------------------------
-
-    def _run_thread(self, state: _NodeState, frame: Frame, label: str) -> None:
-        self.stats.threads_run += 1
-        for instr in frame.codeblock.thread(label):
-            self.stats.count_instruction(instr.kind)
-            if self._execute(state, frame, instr):
-                return
-        raise TamError(
-            f"thread {label!r} of {frame.codeblock.name!r} fell off its end "
-            "without STOP"
-        )
-
-    def _operand(self, frame: Frame, operand) -> object:
-        if isinstance(operand, Imm):
-            return operand.value
-        return frame.read(operand)
-
-    def _execute(self, state: _NodeState, frame: Frame, instr: Instr) -> bool:
-        """Run one instruction; True ends the thread."""
-        if isinstance(instr, ConInstr):
-            frame.write(instr.dest, instr.value)
-        elif isinstance(instr, MovInstr):
-            frame.write(instr.dest, frame.read(instr.src))
-        elif isinstance(instr, SelfInstr):
-            frame.write(instr.dest, frame.ref)
-        elif isinstance(instr, OpInstr):
-            a = self._operand(frame, instr.a)
-            b = self._operand(frame, instr.b)
-            frame.write(instr.dest, _apply(instr.op, a, b))
-        elif isinstance(instr, ForkInstr):
-            state.stack.append((frame, instr.label))
-        elif isinstance(instr, SwitchInstr):
-            if frame.read(instr.cond):
-                state.stack.append((frame, instr.then_label))
-            elif instr.else_label is not None:
-                state.stack.append((frame, instr.else_label))
-        elif isinstance(instr, StopInstr):
-            return True
-        elif isinstance(instr, ResetInstr):
-            frame.reset(instr.counter, instr.count)
-        elif isinstance(instr, FallocInstr):
-            target = self._round_robin()
-            self.stats.messages.count_send(1)
-            self._post(
-                TamMessage(
-                    MsgKind.FALLOC,
-                    node=target,
-                    codeblock=instr.codeblock,
-                    reply_to=(frame.ref, instr.reply_inlet),
-                )
-            )
-        elif isinstance(instr, SendInstr):
-            ref = frame.read(instr.frame_slot)
-            if not isinstance(ref, FrameRef):
-                raise TamError(
-                    f"SEND through slot {instr.frame_slot} which holds "
-                    f"{ref!r}, not a frame reference"
-                )
-            values = tuple(frame.read(slot) for slot in instr.values)
-            self.stats.messages.count_send(len(values))
-            self._post(
-                TamMessage(
-                    MsgKind.SEND,
-                    node=ref.node,
-                    frame_id=ref.frame_id,
-                    inlet=instr.inlet,
-                    values=values,
-                )
-            )
-        elif isinstance(instr, IallocInstr):
-            target = self._round_robin()
-            length = int(self._operand(frame, instr.length))
-            self.stats.messages.count_send(1)
-            self._post(
-                TamMessage(
-                    MsgKind.IALLOC,
-                    node=target,
-                    index=length,
-                    reply_to=(frame.ref, instr.reply_inlet),
-                )
-            )
-        elif isinstance(instr, IfetchInstr):
-            ref = frame.read(instr.desc_slot)
-            if not isinstance(ref, IStructRef):
-                raise TamError(
-                    f"IFETCH through slot {instr.desc_slot} which holds "
-                    f"{ref!r}, not an I-structure reference"
-                )
-            self._post(
-                TamMessage(
-                    MsgKind.PREAD,
-                    node=ref.node,
-                    descriptor=ref.descriptor,
-                    index=int(self._operand(frame, instr.index)),
-                    reply_to=(frame.ref, instr.reply_inlet),
-                )
-            )
-        elif isinstance(instr, IstoreInstr):
-            ref = frame.read(instr.desc_slot)
-            if not isinstance(ref, IStructRef):
-                raise TamError(
-                    f"ISTORE through slot {instr.desc_slot} which holds "
-                    f"{ref!r}, not an I-structure reference"
-                )
-            self._post(
-                TamMessage(
-                    MsgKind.PWRITE,
-                    node=ref.node,
-                    descriptor=ref.descriptor,
-                    index=int(self._operand(frame, instr.index)),
-                    values=(frame.read(instr.value),),
-                )
-            )
-        elif isinstance(instr, ReadInstr):
-            self._post(
-                TamMessage(
-                    MsgKind.READ,
-                    node=int(frame.read(instr.node_slot)),
-                    address=int(self._operand(frame, instr.address)),
-                    reply_to=(frame.ref, instr.reply_inlet),
-                )
-            )
-        elif isinstance(instr, WriteInstr):
-            self._post(
-                TamMessage(
-                    MsgKind.WRITE,
-                    node=int(frame.read(instr.node_slot)),
-                    address=int(self._operand(frame, instr.address)),
-                    values=(frame.read(instr.value),),
-                )
-            )
-        else:  # pragma: no cover - exhaustive over instruction types
-            raise TamError(f"unimplemented instruction {instr!r}")
-        return False
-
-    # ------------------------------------------------------------------
     # Message processing.
     # ------------------------------------------------------------------
 
@@ -836,25 +598,13 @@ class TamMachine:
             else:
                 sched.in_next[node] = True
 
-    def _frame(self, state: _NodeState, frame_id: int) -> Frame:
+    def _frame(self, state: _NodeState, frame_id: int) -> list:
         try:
             return state.frames[frame_id]
         except KeyError:
             raise TamError(
                 f"node {state.node_id}: no frame {frame_id}"
             ) from None
-
-    def _deliver_to_inlet(
-        self, state: _NodeState, frame_id: int, inlet: int, values: Tuple
-    ) -> None:
-        frame = self._frame(state, frame_id)
-        spec = frame.codeblock.inlet(inlet)
-        for slot, value in zip(spec.dest_slots, values):
-            frame.write(slot, value)
-        if spec.counter is not None:
-            posted = frame.decrement(spec.counter)
-            if posted is not None:
-                state.stack.append((frame, posted))
 
     def _reply(self, reply_to: Tuple[FrameRef, int], values: Tuple) -> None:
         ref, inlet = reply_to
@@ -882,14 +632,7 @@ class TamMachine:
         else:  # pragma: no cover - exhaustive over MsgKind
             raise TamError(f"unimplemented message kind {kind}")
 
-    def _deliver_message(self, state: _NodeState, message: TamMessage) -> None:
-        self._deliver_to_inlet(
-            state, message.frame_id, message.inlet, message.values
-        )
-
-    def _deliver_message_codegen(
-        self, state: _NodeState, message: TamMessage
-    ) -> None:
+    def _deliver(self, state: _NodeState, message: TamMessage) -> None:
         frame = state.frames.get(message.frame_id)
         if frame is None:
             raise TamError(f"node {state.node_id}: no frame {message.frame_id}")
@@ -902,18 +645,7 @@ class TamMachine:
         deliver(state.stack, frame, message.values)
 
     def _on_falloc(self, state: _NodeState, message: TamMessage) -> None:
-        frame = self._allocate_frame(state.node_id, message.codeblock)
-        if self._is_codegen:
-            entry_fn = frame[2].entry_fn
-            if entry_fn is not None:
-                stack = state.stack
-                stack.append(frame)
-                stack.append(entry_fn)
-            ref = frame[1]
-        else:
-            if frame.codeblock.entry is not None:
-                state.stack.append((frame, frame.codeblock.entry))
-            ref = frame.ref
+        ref = self._activate(state.node_id, message.codeblock)
         assert message.reply_to is not None
         self.stats.messages.count_send(1)  # the frame-ref reply is a Send
         self._post(
@@ -990,31 +722,3 @@ def _decode_reader(reader: DeferredReader) -> Tuple[FrameRef, int]:
     node = reader.frame_pointer >> _FRAME_ID_BITS
     frame_id = reader.frame_pointer & ((1 << _FRAME_ID_BITS) - 1)
     return FrameRef(node, frame_id), reader.instruction_pointer
-
-
-# ALU semantics of the reference interpreter; the codegen backend's
-# source templates (repro.tam.codegen._OP_TEMPLATES) mirror them exactly.
-OP_FUNCS: Dict[Op, Callable] = {
-    Op.IADD: lambda a, b: int(a) + int(b),
-    Op.ISUB: lambda a, b: int(a) - int(b),
-    Op.IMUL: lambda a, b: int(a) * int(b),
-    Op.IDIV: lambda a, b: int(a) // int(b),
-    Op.FADD: lambda a, b: float(a) + float(b),
-    Op.FSUB: lambda a, b: float(a) - float(b),
-    Op.FMUL: lambda a, b: float(a) * float(b),
-    Op.FDIV: lambda a, b: float(a) / float(b),
-    Op.LT: lambda a, b: 1 if a < b else 0,
-    Op.LE: lambda a, b: 1 if a <= b else 0,
-    Op.EQ: lambda a, b: 1 if a == b else 0,
-    Op.AND: lambda a, b: 1 if (a and b) else 0,
-    Op.OR: lambda a, b: 1 if (a or b) else 0,
-    Op.MIN: lambda a, b: a if a < b else b,
-    Op.MAX: lambda a, b: a if a > b else b,
-}
-
-
-def _apply(op: Op, a, b):
-    fn = OP_FUNCS.get(op)
-    if fn is None:
-        raise TamError(f"unimplemented op {op}")
-    return fn(a, b)

@@ -30,7 +30,7 @@ from repro.obs.lineage import (
     LineageTracker,
     Span,
 )
-from repro.tam.runtime import TamMachine
+from tam_reference import MACHINES, each_machine
 
 
 class FakeMessage:
@@ -273,7 +273,7 @@ class TestCollectivesCriticalPath:
 
 
 class TestTamLineage:
-    def producer_consumer(self, backend):
+    def producer_consumer(self, Machine):
         from repro.tam.codeblock import Codeblock
         from repro.tam.instructions import (
             ConInstr,
@@ -306,15 +306,15 @@ class TestTamLineage:
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
         tracker = LineageTracker(origin="tam")
-        machine = TamMachine(2, backend=backend, lineage=tracker)
+        machine = Machine(2, lineage=tracker)
         machine.load(block)
         machine.boot("pc")
         machine.run()
         return tracker
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_request_response_edge(self, backend):
-        tracker = self.producer_consumer(backend)
+    @each_machine
+    def test_request_response_edge(self, Machine):
+        tracker = self.producer_consumer(Machine)
         assert tracker.live == {}
         reconcile_lineage(tracker, require_complete=True)
         # The ifetch reply was posted inside the wrapped pread handler,
@@ -324,8 +324,8 @@ class TestTamLineage:
 
     def test_backends_record_identical_structure(self):
         shapes = set()
-        for backend in TamMachine.BACKENDS:
-            tracker = self.producer_consumer(backend)
+        for Machine in MACHINES.values():
+            tracker = self.producer_consumer(Machine)
             shapes.add(
                 (
                     len(tracker.records),
@@ -338,7 +338,7 @@ class TestTamLineage:
         assert len(shapes) == 1
 
     def test_turn_timeline_tagged(self):
-        tracker = self.producer_consumer("codegen")
+        tracker = self.producer_consumer(MACHINES["codegen"])
         assert {record.timeline for record in tracker.records} == {"turns"}
         phases = {
             span.phase for record in tracker.records for span in record.spans

@@ -13,7 +13,8 @@ every workload family that feeds it:
   25,660 of its 91,196 events: the retained stream as iteration yields
   it, the eviction-proof counts, first timestamps and totals, and the
   metrics recording's ``to_dict()``;
-* the TAM tracer stream of a small matmul on both backends;
+* the TAM tracer stream of a small matmul on both machines (the
+  reference from ``tam_reference``);
 * the lineage records of a TAM producer/consumer pair, the 64-node NIC
   barrier, and the quantum and round-robin tenancy runs at 32 tenants.
 
@@ -39,7 +40,7 @@ from repro.obs.lineage import LineageTracker
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.tracer import TAM_HANDLE, TAM_POST, Tracer
 from repro.programs.matmul import run_matmul
-from repro.tam.runtime import TamMachine
+from tam_reference import each_machine, on_machine
 
 GOLDEN_CHROME_TRACE = (
     "d0feebc847949f8faeaa06b98d858b46c1d52ff10f62392bb65c17f741f18853"
@@ -68,12 +69,12 @@ GOLDEN_PAPER_METRICS = (
     "1e4c2c38972b17fecb09d69d383090d79be8174e5788afda4fe371ae5aedc8a7"
 )
 
-#: sha256 of run_matmul(n=8, nodes=4)'s TAM event stream, either backend.
+#: sha256 of run_matmul(n=8, nodes=4)'s TAM event stream, either machine.
 GOLDEN_TAM_STREAM = (
     "06a7100a03ace76a4e62c9157bf23e84519fbc0d6c2beff36087573689be90ea"
 )
 
-#: sha256 of the producer/consumer lineage records, either backend.
+#: sha256 of the producer/consumer lineage records, either machine.
 GOLDEN_TAM_RECORDS = (
     "f0782dfcc723295ef681c45149c0de6c71e8ec38e6e16131d0d017ca02d0bcc0"
 )
@@ -180,10 +181,10 @@ def test_paper_hotspot_metrics_match_golden(paper_hotspot):
     assert sha256(json.dumps(metrics.to_dict())) == GOLDEN_PAPER_METRICS
 
 
-@pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-def test_matmul_tam_stream_matches_golden(backend):
+@each_machine
+def test_matmul_tam_stream_matches_golden(monkeypatch, Machine):
     tracer = Tracer(capacity=None)
-    run_matmul(n=8, nodes=4, backend=backend, tracer=tracer)
+    on_machine(monkeypatch, Machine, run_matmul)(n=8, nodes=4, tracer=tracer)
     stream = [
         [event.ts, event.kind, event.node, event.detail]
         for event in tracer
@@ -193,7 +194,7 @@ def test_matmul_tam_stream_matches_golden(backend):
     assert sha256(json.dumps(stream, sort_keys=True)) == GOLDEN_TAM_STREAM
 
 
-def producer_consumer(backend: str) -> LineageTracker:
+def producer_consumer(Machine: type) -> LineageTracker:
     """An I-structure fetch that defers until a sibling thread stores."""
     from repro.tam.codeblock import Codeblock
     from repro.tam.instructions import (
@@ -220,16 +221,16 @@ def producer_consumer(backend: str) -> LineageTracker:
     block.add_thread("done", [StopInstr()])
     block.set_entry("entry")
     tracker = LineageTracker(origin="tam")
-    machine = TamMachine(2, backend=backend, lineage=tracker)
+    machine = Machine(2, lineage=tracker)
     machine.load(block)
     machine.boot("pc")
     machine.run()
     return tracker
 
 
-@pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-def test_tam_lineage_records_match_golden(backend):
-    tracker = producer_consumer(backend)
+@each_machine
+def test_tam_lineage_records_match_golden(Machine):
+    tracker = producer_consumer(Machine)
     assert records_digest(tracker) == GOLDEN_TAM_RECORDS
 
 

@@ -25,6 +25,7 @@ from repro.obs.metrics import MetricsRecorder
 from repro.obs.observer import EVENTS, Observer, observer_of
 from repro.obs import tracer as trace
 from repro.tam.runtime import TamMachine
+from tam_reference import each_machine, on_machine
 
 #: Protocol event -> the trace kind the tracer records for it.
 TRACED = {
@@ -93,12 +94,14 @@ class TestNewObserver:
         assert counter.counts["on_step"] == payload["cycles"]
         assert counter.counts["on_serialize_start"] == payload["sends"]
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_tam(self, monkeypatch, backend):
+    @each_machine
+    def test_tam(self, monkeypatch, Machine):
         counter = EventCounter()
+        # The machine first, so that attach_on_build wraps it.
+        run_matmul = on_machine(monkeypatch, Machine, matmul.run_matmul)
         attach_on_build(monkeypatch, matmul, "TamMachine", counter)
         tracer = trace.Tracer(capacity=None)
-        matmul.run_matmul(n=8, nodes=4, backend=backend, tracer=tracer)
+        run_matmul(n=8, nodes=4, tracer=tracer)
         assert_counts_match(counter, tracer)
         assert tracer.count(trace.TAM_HANDLE) > 0
         assert counter.counts["on_tam_handle_end"] == tracer.count(trace.TAM_HANDLE)
@@ -171,9 +174,9 @@ class TestFreeWhenOff:
         )
         assert payload["drained"]
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_matmul(self, backend):
-        result = matmul.run_matmul(n=8, nodes=4, backend=backend)
+    @each_machine
+    def test_matmul(self, monkeypatch, Machine):
+        result = on_machine(monkeypatch, Machine, matmul.run_matmul)(n=8, nodes=4)
         assert result.machine.observer is None
 
     def test_nic_barrier(self):

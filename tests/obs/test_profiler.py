@@ -43,7 +43,7 @@ from repro.obs.where import (
 )
 from repro.programs.matmul import run_matmul
 from repro.sim import SimKernel
-from repro.tam.runtime import TamMachine
+from tam_reference import MACHINES, on_machine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -250,13 +250,14 @@ class TestKernelAttribution:
 
 
 class TestTamAttribution:
-    def test_profiled_run_identical_to_unprofiled(self):
-        for backend in TamMachine.BACKENDS:
-            plain = run_matmul(n=8, nodes=4, backend=backend)
+    def test_profiled_run_identical_to_unprofiled(self, monkeypatch):
+        for Machine in MACHINES.values():
+            run = on_machine(monkeypatch, Machine, run_matmul)
+            plain = run(n=8, nodes=4)
             instrument = Instrument()
             instrument.install()
             try:
-                profiled = run_matmul(n=8, nodes=4, backend=backend)
+                profiled = run(n=8, nodes=4)
             finally:
                 instrument.uninstall()
             assert plain.total == profiled.total
@@ -267,10 +268,10 @@ class TestTamAttribution:
                 "TamMachine.run": 1,
             }
 
-    def test_fast_and_reference_attribute_identically(self, instrument):
+    def test_fast_and_reference_attribute_identically(self, monkeypatch, instrument):
         profiles = []
-        for backend in TamMachine.BACKENDS:
-            run_matmul(n=8, nodes=4, backend=backend, tracer=Tracer())
+        for Machine in MACHINES.values():
+            on_machine(monkeypatch, Machine, run_matmul)(n=8, nodes=4, tracer=Tracer())
             profiles.append(calls(instrument.take()))
         assert profiles[0] == profiles[1]
         assert profiles[0]["Tracer.emit"] > 0

@@ -29,6 +29,8 @@ from repro.obs.tracer import (
     Tracer,
 )
 from repro.programs.matmul import run_matmul
+from repro.tam.runtime import TamMachine
+from tam_reference import ReferenceMachine, on_machine
 
 
 def run_congested_fabric(tracer=None, metrics=None) -> Fabric:
@@ -166,10 +168,10 @@ class TestTamReconciliation:
             plain.machine.turns_executed == traced.machine.turns_executed
         )
 
-    def test_both_interpreter_paths_emit_identical_counts(self):
+    def test_both_interpreter_paths_emit_identical_counts(self, monkeypatch):
         codegen_tracer = Tracer(capacity=None)
         ref_tracer = Tracer(capacity=None)
-        run_matmul(n=8, nodes=4, tracer=codegen_tracer)
-        run_matmul(n=8, nodes=4, backend="reference", tracer=ref_tracer)
+        on_machine(monkeypatch, TamMachine, run_matmul)(n=8, nodes=4, tracer=codegen_tracer)
+        on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=8, nodes=4, tracer=ref_tracer)
         assert codegen_tracer.count(TAM_POST) == ref_tracer.count(TAM_POST)
         assert codegen_tracer.count(TAM_HANDLE) == ref_tracer.count(TAM_HANDLE)

@@ -6,9 +6,10 @@ Two kinds of guarantee:
   payloads, cycle counts, and trace event streams.  The kernel has no
   hidden state (no wall clock, no hashing order, no RNG), so any
   divergence here is a scheduling bug.
-* **Policy equivalence** — the TAM reference and codegen backends are
-  two policies over the same sweep contract; their observable event
-  streams must match turn for turn, not just in aggregate.
+* **Policy equivalence** — the TAM machine and the reference interpreter
+  (``tam_reference.ReferenceMachine``) are two policies over the same
+  sweep contract; their observable event streams must match turn for
+  turn, not just in aggregate.
 """
 
 from repro.api.cluster import Cluster
@@ -19,6 +20,8 @@ from repro.obs.metrics import MetricsRecorder
 from repro.obs.tracer import TAM_HANDLE, TAM_POST, Tracer
 from repro.programs.matmul import run_matmul
 from repro.programs.queens import run_queens
+from repro.tam.runtime import TamMachine
+from tam_reference import ReferenceMachine, on_machine
 
 
 def small_hotspot():
@@ -65,7 +68,7 @@ class TestRepeatability:
 
 
 class TestPolicyEquivalence:
-    """Reference and codegen TAM backends: same events, same order."""
+    """The TAM machine and the reference: same events, same order."""
 
     def tam_stream(self, tracer):
         return [
@@ -74,18 +77,18 @@ class TestPolicyEquivalence:
             if event.kind in (TAM_POST, TAM_HANDLE)
         ]
 
-    def test_matmul_turn_for_turn(self):
+    def test_matmul_turn_for_turn(self, monkeypatch):
         codegen, ref = Tracer(capacity=None), Tracer(capacity=None)
-        a = run_matmul(n=8, nodes=4, tracer=codegen)
-        b = run_matmul(n=8, nodes=4, backend="reference", tracer=ref)
+        a = on_machine(monkeypatch, TamMachine, run_matmul)(n=8, nodes=4, tracer=codegen)
+        b = on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=8, nodes=4, tracer=ref)
         assert a.total == b.total
         assert a.machine.turns_executed == b.machine.turns_executed
         assert self.tam_stream(codegen) == self.tam_stream(ref)
 
-    def test_queens_turn_for_turn(self):
+    def test_queens_turn_for_turn(self, monkeypatch):
         codegen, ref = Tracer(capacity=None), Tracer(capacity=None)
-        a = run_queens(n=5, nodes=4, tracer=codegen)
-        b = run_queens(n=5, nodes=4, backend="reference", tracer=ref)
+        a = on_machine(monkeypatch, TamMachine, run_queens)(n=5, nodes=4, tracer=codegen)
+        b = on_machine(monkeypatch, ReferenceMachine, run_queens)(n=5, nodes=4, tracer=ref)
         assert a.solutions == b.solutions
         assert a.machine.turns_executed == b.machine.turns_executed
         assert self.tam_stream(codegen) == self.tam_stream(ref)

@@ -2,15 +2,16 @@
 
 The synthetic states here model the TAM shape (a work stack that can
 spawn work on other states) without any TAM machinery, so the policy
-contract is pinned independently of the runtime that uses it.  The
-codegen backend's fused loop is pinned to this order turn for turn by
-the TAM backend-matrix and codegen-differential tests.
+contract (``tam_reference.ReferenceSweep``, the order
+:mod:`repro.sim.sweep` states) is pinned independently of the machine
+that uses it.  The TAM machine's loop is pinned to this order turn for
+turn by the TAM backend-matrix and codegen-differential tests.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import ReferenceSweep
+from tam_reference import ReferenceSweep
 
 
 class Harness:

@@ -1,13 +1,13 @@
-"""The backend equivalence matrix: codegen = reference, bit for bit.
+"""The equivalence matrix: the machine = the reference, bit for bit.
 
-The codegen backend (:mod:`repro.tam.codegen`) and its schedulers are
-pure performance work — every observable quantity must be identical to
-the reference interpreter's.  That is a strong property: the
+Code generation (:mod:`repro.tam.codegen`) and the machine's one loop
+are pure performance work — every observable quantity must be identical
+to the reference interpreter's (``tam_reference.ReferenceMachine``).  That is a strong property: the
 message-outcome mix (full/empty/deferred presence-bit reads) depends on
 the exact interleaving of threads and messages, so these tests fail if
-codegen services even one node out of order.
+the machine services even one node out of order.
 
-Every paper program runs on both backends at one and at five nodes and
+Every paper program runs on both machines at one and at five nodes and
 is compared turn-for-turn on the full statistics object, the
 program-level results (matmul C values, gamteb tallies, queens count),
 and the activation frames themselves (through ``frame_view``, so the
@@ -17,7 +17,7 @@ flat codegen frame is compared slot by slot against the reference
 Also here: repeat-run determinism for the codegen machine (the
 generated-code + scheduler pipeline has no hidden iteration-order
 dependence) and error parity (a malformed program or a bad host query
-fails with the same exception and message on both backends).
+fails with the same exception and message on both machines).
 """
 
 import pytest
@@ -28,10 +28,9 @@ from repro.programs.matmul import run_matmul
 from repro.programs.queens import run_queens
 from repro.tam.codeblock import Codeblock
 from repro.tam.instructions import ConInstr, SelfInstr, SendInstr, StopInstr
-from repro.tam.runtime import TamMachine
 from repro.tam.stats import TamStats
+from tam_reference import MACHINES, ReferenceMachine, each_machine, on_machine
 
-BACKENDS = TamMachine.BACKENDS
 NODES = (1, 5)
 
 
@@ -48,15 +47,9 @@ def stats_as_dict(stats: TamStats) -> dict:
     }
 
 PROGRAMS = {
-    "matmul": lambda backend, nodes: run_matmul(
-        n=8, nodes=nodes, backend=backend
-    ),
-    "gamteb": lambda backend, nodes: run_gamteb(
-        n_photons=8, nodes=nodes, backend=backend
-    ),
-    "queens": lambda backend, nodes: run_queens(
-        n=5, nodes=nodes, backend=backend
-    ),
+    "matmul": (run_matmul, dict(n=8)),
+    "gamteb": (run_gamteb, dict(n_photons=8)),
+    "queens": (run_queens, dict(n=5)),
 }
 
 
@@ -70,12 +63,16 @@ def result_fingerprint(name, result):
 
 @pytest.fixture(scope="module")
 def matrix():
-    """Every program on every backend and node count, run once."""
-    return {
-        (name, nodes): {backend: runner(backend, nodes) for backend in BACKENDS}
-        for name, runner in PROGRAMS.items()
-        for nodes in NODES
-    }
+    """Every program on both machines and every node count, run once."""
+    with pytest.MonkeyPatch.context() as patch:
+        return {
+            (name, nodes): {
+                label: on_machine(patch, Machine, runner)(nodes=nodes, **kwargs)
+                for label, Machine in MACHINES.items()
+            }
+            for name, (runner, kwargs) in PROGRAMS.items()
+            for nodes in NODES
+        }
 
 
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
@@ -96,16 +93,16 @@ def test_results_match_reference(matrix, program, nodes):
     )
 
 
-def test_istructure_outcome_mix_is_order_sensitive_and_matches():
+def test_istructure_outcome_mix_is_order_sensitive_and_matches(monkeypatch):
     """The subtlest equivalence: presence-bit outcomes match exactly.
 
     A pread that arrives before the pwrite is counted empty/deferred; one
     that arrives after is counted full.  Identical counts across
-    backends therefore certify identical scheduling order, not just
+    machines therefore certify identical scheduling order, not just
     identical totals.
     """
     codegen = run_matmul(n=12, nodes=7)
-    reference = run_matmul(n=12, nodes=7, backend="reference")
+    reference = on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=12, nodes=7)
     c, r = codegen.stats.messages, reference.stats.messages
     assert (c.preads_full, c.preads_empty, c.preads_deferred) == (
         r.preads_full,
@@ -123,23 +120,22 @@ def test_istructure_outcome_mix_is_order_sensitive_and_matches():
 
 
 def test_frame_views_match_across_backends():
-    """The driver activation is slot-identical on both backends.
+    """The driver activation is slot-identical on both machines.
 
-    ``frame_view`` exposes the codegen backend's flat frame through the
-    same ``slots`` surface as the reference ``Frame``, so the final
-    frame contents — results, loop indices, counters — compare
-    directly.
+    ``frame_view`` exposes the machine's flat frame through the same
+    ``slots`` surface as the reference ``Frame``, so the final frame
+    contents — results, loop indices, counters — compare directly.
     """
     from repro.programs.queens import build_driver, build_worker
 
     frames = {}
-    for backend in BACKENDS:
-        machine = TamMachine(5, backend=backend)
+    for label, Machine in MACHINES.items():
+        machine = Machine(5)
         machine.load(build_worker(5))
         machine.load(build_driver())
         ref = machine.boot("queens_driver")
         machine.run()
-        frames[backend] = machine.frame_view(ref)
+        frames[label] = machine.frame_view(ref)
     reference, view = frames["reference"], frames["codegen"]
     assert list(view.slots) == list(reference.slots)
     for counter in ("kid_ready", "root_done"):
@@ -148,9 +144,9 @@ def test_frame_views_match_across_backends():
 
 def test_codegen_repeat_runs_are_deterministic():
     """Same program, same machine parameters, identical run every time."""
-    baseline = run_matmul(n=8, nodes=5, backend="codegen")
+    baseline = run_matmul(n=8, nodes=5)
     for _ in range(3):
-        repeat = run_matmul(n=8, nodes=5, backend="codegen")
+        repeat = run_matmul(n=8, nodes=5)
         assert stats_as_dict(repeat.stats) == stats_as_dict(baseline.stats)
         assert (
             repeat.machine.turns_executed
@@ -174,24 +170,24 @@ def _missing_inlet_program():
     return block
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_missing_inlet_error_parity(backend):
-    machine = TamMachine(2, backend=backend)
+@each_machine
+def test_missing_inlet_error_parity(Machine):
+    machine = Machine(2)
     machine.load(_missing_inlet_program())
     machine.boot("bad_send")
     with pytest.raises(TamError, match=r"'bad_send' has no inlet 9"):
         machine.run()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unknown_counter_error_parity(backend):
+@each_machine
+def test_unknown_counter_error_parity(Machine):
     """``frame_view`` raises the RESET error for an undeclared counter."""
     block = Codeblock("counted", frame_size=1)
     block.add_thread("entry", [ConInstr(0, 1), StopInstr()])
     block.add_thread("done", [StopInstr()])
     block.add_counter("k", 2, "done")
     block.set_entry("entry")
-    machine = TamMachine(1, backend=backend)
+    machine = Machine(1)
     machine.load(block)
     ref = machine.boot("counted")
     machine.run()
@@ -202,13 +198,8 @@ def test_unknown_counter_error_parity(backend):
     assert str(raised.value) == f"counted{ref}: no counter 'nope'"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unknown_codeblock_error_parity(backend):
-    machine = TamMachine(2, backend=backend)
+@each_machine
+def test_unknown_codeblock_error_parity(Machine):
+    machine = Machine(2)
     with pytest.raises(TamError, match=r"unknown codeblock"):
         machine.boot("nope")
-
-
-def test_unknown_backend_lists_both_names():
-    with pytest.raises(TamError, match=r"choose from reference, codegen\)$"):
-        TamMachine(1, backend="fast")

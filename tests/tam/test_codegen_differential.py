@@ -1,12 +1,12 @@
-"""Differential property test: the codegen backend against the reference.
+"""Differential property test: the generated-code machine against the reference.
 
-The codegen backend produces every default TAM number, and its
+The generated-code machine produces every TAM number, and its
 optimizations — per-thread slot typing, dropped coercions, integer
 identity folds, the per-thread I-structure descriptor cache, inlined
 posts — are exactly where a silent divergence from the reference
 interpreter would hide.  The three paper programs exercise only the
 shapes their compiler emits, so Hypothesis draws small codeblocks here
-instead and runs each on both backends, unobserved and under a
+instead and runs each on both machines, unobserved and under a
 :class:`~repro.obs.tracer.Tracer`.  Every run must end one of two ways:
 
 * the same final state — frame slots (type and repr), counters,
@@ -60,6 +60,7 @@ from repro.tam.instructions import (
 from repro.tam.messages import IStructRef
 from repro.tam.runtime import TamMachine
 from repro.tam.stats import TamStats
+from tam_reference import ReferenceMachine
 
 # Frame layout: data slots, then the three slots the entry thread banks.
 DATA = tuple(range(4))
@@ -286,16 +287,16 @@ def snapshot(value):
     return type(value).__name__, repr(value)
 
 
-def outcome(program, backend: str, traced: bool) -> dict:
+def outcome(program, Machine: type, traced: bool) -> dict:
     """Run ``program`` once; the observable result or the error."""
     n_nodes, block, length = program
     tracer = Tracer(capacity=None) if traced else None
-    machine = TamMachine(n_nodes, backend=backend, tracer=tracer)
+    machine = Machine(n_nodes, tracer=tracer)
     try:
         machine.load(block)
         ref = machine.boot("fz")
         machine.run(max_turns=100_000)
-    except Exception as error:  # any error must match across backends
+    except Exception as error:  # any error must match across machines
         return {"error": (type(error).__name__, str(error))}
     view = machine.frame_view(ref)
     desc = view.read(DESC)
@@ -315,8 +316,8 @@ def outcome(program, backend: str, traced: bool) -> dict:
 
 def check_equivalent(program) -> None:
     for traced in (False, True):
-        reference = outcome(program, "reference", traced)
-        codegen = outcome(program, "codegen", traced)
+        reference = outcome(program, ReferenceMachine, traced)
+        codegen = outcome(program, TamMachine, traced)
         assert codegen == reference
         result = {key: value for key, value in codegen.items() if key != "events"}
         if traced:
@@ -349,7 +350,7 @@ def test_address_error_precedes_unknown_node():
     """Shrunk draw: a WRITE to a missing node through a FrameRef address.
 
     The reference converts the address before ``_post`` rejects the
-    node, so both backends raise the conversion's TypeError; the inlined
+    node, so both machines raise the conversion's TypeError; the inlined
     codegen post once range-checked the node first.
     """
     block = Codeblock("fz", frame_size=FRAME_SIZE)
@@ -367,5 +368,5 @@ def test_address_error_precedes_unknown_node():
     block.add_thread("t0", [SelfInstr(1), WriteInstr(NODE, 1, 0), StopInstr()])
     block.set_entry("entry")
     program = (1, block, 1)
-    assert outcome(program, "reference", False)["error"][0] == "TypeError"
+    assert outcome(program, ReferenceMachine, False)["error"][0] == "TypeError"
     check_equivalent(program)

@@ -1,11 +1,12 @@
-"""Direct tests for frames, counters, and codeblock structure."""
+"""Direct tests for the reference ``Frame``, its counters, and codeblocks."""
 
 import pytest
 
 from repro.errors import FrameError, TamError
 from repro.tam.codeblock import Codeblock, CounterSpec
-from repro.tam.frame import Frame, FrameRef
+from repro.tam.frame import FrameRef
 from repro.tam.instructions import StopInstr
+from tam_reference import Frame
 
 
 def block_with_counter(count: int = 2) -> Codeblock:

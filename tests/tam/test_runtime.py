@@ -1,8 +1,9 @@
 """Tests for the TAM runtime: threads, inlets, counters, messages.
 
-Behavioural cases run on every backend and read results through the
-host API (``read_slot`` / ``write_slot`` / ``frame_view``), which both
-backends implement over their own frame representation.
+Behavioural cases run on both machines, the generated-code one and the
+reference interpreter, and read results through the host API
+(``read_slot`` / ``write_slot`` / ``frame_view``), which both implement
+over their own frame representation.
 """
 
 import pytest
@@ -27,7 +28,9 @@ from repro.tam.instructions import (
     SwitchInstr,
     WriteInstr,
 )
+from repro.tam.frame import FrameRef
 from repro.tam.runtime import TamMachine
+from tam_reference import Frame, each_machine
 
 
 def simple_block() -> Codeblock:
@@ -47,9 +50,9 @@ def simple_block() -> Codeblock:
 
 
 class TestBasics:
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_boot_and_run(self, backend):
-        machine = TamMachine(1, backend=backend)
+    @each_machine
+    def test_boot_and_run(self, Machine):
+        machine = Machine(1)
         machine.load(simple_block())
         ref = machine.boot("simple")
         machine.run()
@@ -84,9 +87,9 @@ class TestBasics:
         with pytest.raises(TamError):
             machine.run()
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_boot_slots(self, backend):
-        machine = TamMachine(1, backend=backend)
+    @each_machine
+    def test_boot_slots(self, Machine):
+        machine = Machine(1)
         block = Codeblock("args", frame_size=2)
         block.add_thread(
             "entry", [OpInstr(Op.IMUL, 1, 0, Imm(3)), StopInstr()]
@@ -98,8 +101,8 @@ class TestBasics:
 
 
 class TestControlFlow:
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_fork_runs_both_threads_lifo(self, backend):
+    @each_machine
+    def test_fork_runs_both_threads_lifo(self, Machine):
         block = Codeblock("forky", frame_size=3)
         block.add_thread(
             "entry", [ForkInstr("a"), ForkInstr("b"), StopInstr()]
@@ -107,7 +110,7 @@ class TestControlFlow:
         block.add_thread("a", [ConInstr(0, 1), StopInstr()])
         block.add_thread("b", [MovInstr(1, 0), StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1, backend=backend)
+        machine = Machine(1)
         machine.load(block)
         ref = machine.boot("forky")
         machine.run()
@@ -116,8 +119,8 @@ class TestControlFlow:
         assert frame.read(1) == 0
         assert frame.read(0) == 1
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_switch_then_branch(self, backend):
+    @each_machine
+    def test_switch_then_branch(self, Machine):
         block = Codeblock("sw", frame_size=2)
         block.add_thread(
             "entry", [ConInstr(0, 1), SwitchInstr(0, "yes", "no"), StopInstr()]
@@ -125,14 +128,14 @@ class TestControlFlow:
         block.add_thread("yes", [ConInstr(1, 100), StopInstr()])
         block.add_thread("no", [ConInstr(1, 200), StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1, backend=backend)
+        machine = Machine(1)
         machine.load(block)
         ref = machine.boot("sw")
         machine.run()
         assert machine.read_slot(ref, 1) == 100
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_loop_with_counter_reset(self, backend):
+    @each_machine
+    def test_loop_with_counter_reset(self, Machine):
         # Thread loops 5 times via SWITCH; accumulates into slot 1.
         block = Codeblock("loop", frame_size=3)
         block.add_thread(
@@ -150,7 +153,7 @@ class TestControlFlow:
             ],
         )
         block.set_entry("entry")
-        machine = TamMachine(1, backend=backend)
+        machine = Machine(1)
         machine.load(block)
         ref = machine.boot("loop")
         machine.run()
@@ -195,8 +198,8 @@ class TestFrameAllocationAndSends:
         block.set_entry("entry")
         return block
 
-    def run_parent_child(self, n_nodes: int, backend: str) -> TamMachine:
-        machine = TamMachine(n_nodes, backend=backend)
+    def run_parent_child(self, n_nodes: int, Machine: type) -> TamMachine:
+        machine = Machine(n_nodes)
         machine.load(self.child_block())
         machine.load(self.parent_block())
         ref = machine.boot("parent", slots={})
@@ -207,17 +210,17 @@ class TestFrameAllocationAndSends:
         machine.run()
         return machine
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_child_computes_and_replies(self, backend):
-        machine = self.run_parent_child(n_nodes=3, backend=backend)
+    @each_machine
+    def test_child_computes_and_replies(self, Machine):
+        machine = self.run_parent_child(n_nodes=3, Machine=Machine)
         frame = machine.frame_view(self.parent_ref)
         # child received (parent_ref, 2) at inlet 0 and 2 at inlet 1...
         # feed sent values from slots 3 (= parent ref) and 2.
         assert frame.read(1) != 0 or machine.stats.frames_allocated == 2
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_falloc_counts_messages(self, backend):
-        machine = self.run_parent_child(n_nodes=2, backend=backend)
+    @each_machine
+    def test_falloc_counts_messages(self, Machine):
+        machine = self.run_parent_child(n_nodes=2, Machine=Machine)
         # falloc request + frame-ref reply + two argument sends + result.
         assert machine.stats.messages.sends == 5
         assert machine.stats.frames_allocated == 2
@@ -236,7 +239,7 @@ class TestFrameAllocationAndSends:
 
 class TestIStructures:
     def producer_consumer(
-        self, n_nodes: int, produce_first: bool, backend: str = "codegen"
+        self, n_nodes: int, produce_first: bool, Machine: type = TamMachine
     ) -> TamMachine:
         block = Codeblock("pc", frame_size=6)
         # slot 0 = descriptor, slot 1 = fetched value
@@ -263,23 +266,23 @@ class TestIStructures:
         )
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(n_nodes, backend=backend)
+        machine = Machine(n_nodes)
         machine.load(block)
         self.ref = machine.boot("pc")
         machine.run()
         return machine
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_fetch_after_store_is_full(self, backend):
-        machine = self.producer_consumer(2, produce_first=False, backend=backend)
+    @each_machine
+    def test_fetch_after_store_is_full(self, Machine):
+        machine = self.producer_consumer(2, produce_first=False, Machine=Machine)
         # LIFO: "first" thread forks second then first; first runs LAST...
         # either way the value must arrive.
         frame = machine.frame_view(self.ref)
         assert frame.read(1) == 77
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_fetch_before_store_defers_then_satisfies(self, backend):
-        machine = self.producer_consumer(2, produce_first=True, backend=backend)
+    @each_machine
+    def test_fetch_before_store_defers_then_satisfies(self, Machine):
+        machine = self.producer_consumer(2, produce_first=True, Machine=Machine)
         frame = machine.frame_view(self.ref)
         assert frame.read(1) == 77
         mix = machine.stats.messages
@@ -309,8 +312,8 @@ class TestIStructures:
 
 
 class TestPlainMemory:
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_write_then_read(self, backend):
+    @each_machine
+    def test_write_then_read(self, Machine):
         block = Codeblock("mem", frame_size=4)
         block.add_inlet(0, dest_slots=(1,), counter="value")
         block.add_counter("value", 1, "done")
@@ -326,7 +329,7 @@ class TestPlainMemory:
         )
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(2, backend=backend)
+        machine = Machine(2)
         machine.load(block)
         ref = machine.boot("mem")
         machine.run()
@@ -356,8 +359,6 @@ class TestValidation:
             block.validate()
 
     def test_counter_underflow(self):
-        from repro.tam.frame import Frame, FrameRef
-
         block = Codeblock("c", frame_size=1)
         block.add_thread("t", [StopInstr()])
         block.add_counter("k", 1, "t")

@@ -16,6 +16,7 @@ from repro.tam.instructions import (
     WriteInstr,
 )
 from repro.tam.runtime import IStructRef, TamMachine
+from tam_reference import ReferenceMachine, each_machine
 
 
 def trivial_machine() -> TamMachine:
@@ -55,9 +56,9 @@ class TestHostApi:
         with pytest.raises(TamError):
             machine.read_slot(FrameRef(0, 999), 0)
 
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_istructure_peek(self, backend):
-        machine = TamMachine(1, backend=backend)
+    @each_machine
+    def test_istructure_peek(self, Machine):
+        machine = Machine(1)
         block = Codeblock("p", frame_size=3)
         block.add_inlet(0, dest_slots=(0,), counter="d")
         block.add_counter("d", 1, "store")
@@ -120,13 +121,13 @@ class TestBadReferences:
             machine.run(max_turns=100)
 
 
-def failure(backend, block, n_nodes=1, descriptor=False):
+def failure(Machine, block, n_nodes=1, descriptor=False):
     """The exception type and message running ``block`` raises.
 
     ``descriptor`` puts a fresh two-element I-structure's reference in
     slot 0 before the run.
     """
-    machine = TamMachine(n_nodes, backend=backend)
+    machine = Machine(n_nodes)
     machine.load(block)
     ref = machine.boot(block.name)
     if descriptor:
@@ -143,8 +144,8 @@ class TestCodegenColdPaths:
 
     @staticmethod
     def same_failure(block_factory, **kwargs):
-        reference = failure("reference", block_factory(), **kwargs)
-        assert failure("codegen", block_factory(), **kwargs) == reference
+        reference = failure(ReferenceMachine, block_factory(), **kwargs)
+        assert failure(TamMachine, block_factory(), **kwargs) == reference
         return reference
 
     def test_slot_past_the_frame(self):
@@ -208,15 +209,15 @@ class TestTurnBoundExactness:
 
     Regression pin: the pre-kernel scheduler loops tested
     ``turns > max_turns`` after incrementing, silently permitting
-    ``max_turns + 1`` productive turns before raising.  Run on every
-    backend, unobserved and observed, which covers the one codegen loop
-    in both of its modes (observed, every message takes the
+    ``max_turns + 1`` productive turns before raising.  Run on both
+    machines, unobserved and observed, which covers the machine's one
+    loop in both of its modes (observed, every message takes the
     ``_process_message`` branch).
     """
 
     @staticmethod
-    def two_turn_machine(backend: str, observer: str) -> TamMachine:
-        machine = TamMachine(1, backend=backend, **OBSERVERS[observer]())
+    def two_turn_machine(Machine: type, observer: str) -> TamMachine:
+        machine = Machine(1, **OBSERVERS[observer]())
         block = Codeblock("two", frame_size=1)
         block.add_thread("entry", [ForkInstr("second"), StopInstr()])
         block.add_thread("second", [ConInstr(0, 7), StopInstr()])
@@ -226,15 +227,15 @@ class TestTurnBoundExactness:
         return machine
 
     @pytest.mark.parametrize("observer", sorted(OBSERVERS))
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_exact_bound_succeeds(self, backend, observer):
-        machine = self.two_turn_machine(backend, observer)
+    @each_machine
+    def test_exact_bound_succeeds(self, Machine, observer):
+        machine = self.two_turn_machine(Machine, observer)
         machine.run(max_turns=2)
         assert machine.turns_executed == 2
 
     @pytest.mark.parametrize("observer", sorted(OBSERVERS))
-    @pytest.mark.parametrize("backend", TamMachine.BACKENDS)
-    def test_one_below_bound_raises(self, backend, observer):
-        machine = self.two_turn_machine(backend, observer)
+    @each_machine
+    def test_one_below_bound_raises(self, Machine, observer):
+        machine = self.two_turn_machine(Machine, observer)
         with pytest.raises(TamError):
             machine.run(max_turns=1)
