@@ -129,7 +129,6 @@ class NicHandlerEngine(SimComponent):
         self.step_cycles = step_cycles
         self._busy: List[int] = [0] * tree.n_nodes
         self.dispatch_stats = DispatchStats()
-        self.enters = 0
         self._pending: List[Deque[Message]] = [
             deque() for _ in range(tree.n_nodes)
         ]
@@ -152,7 +151,6 @@ class NicHandlerEngine(SimComponent):
 
     def enter(self, node: int, value=0) -> None:
         """The processor enters ``node`` into the collective."""
-        self.enters += 1
         program_enter(self.contexts[node], value)
 
     @property

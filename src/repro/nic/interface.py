@@ -535,8 +535,6 @@ class NetworkInterface:
                 self.status.raise_exception("exc_pin_mismatch")
             elif reason == DIVERT_CAP:
                 self.stats.cap_diverted += 1
-                if self.input_queue.tenant_stats is not None:
-                    self.input_queue.tenant_stats.on_cap_rejection(message.pin)
             else:
                 self.stats.privileged_diverted += 1
             if self.observer is not None:

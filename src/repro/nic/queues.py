@@ -79,36 +79,24 @@ class TenantOccupancy:
 
     The multi-tenant serving study (Section 2.1.3 at scale) needs to know
     *whose* messages fill a shared input queue, not just how deep it is:
-    occupancy caps, fairness metrics, and victim analysis all key on the
-    sending process's PIN.  An instance attaches to one
-    :class:`MessageQueue` via :meth:`MessageQueue.attach_tenant_stats`;
-    with none attached the queue's behaviour and cost are unchanged.
-
-    * ``depth`` — current queued messages per PIN.
-    * ``peak`` — maximum simultaneous occupancy ever observed per PIN.
-    * ``pushes`` — messages enqueued per PIN.
-    * ``cap_rejections`` — deliveries diverted because the PIN was at its
-      occupancy cap (counted by the interface, which owns the cap check).
+    the occupancy cap keys on the sending process's PIN.  An instance
+    attaches to one :class:`MessageQueue` via
+    :meth:`MessageQueue.attach_tenant_stats`; with none attached the
+    queue's behaviour and cost are unchanged.  ``depth`` holds the
+    messages queued per PIN right now.
     """
 
-    __slots__ = ("depth", "peak", "pushes", "cap_rejections")
+    __slots__ = ("depth",)
 
     def __init__(self) -> None:
         self.depth: Dict[int, int] = {}
-        self.peak: Dict[int, int] = {}
-        self.pushes: Dict[int, int] = {}
-        self.cap_rejections: Dict[int, int] = {}
 
     def occupancy(self, pin: int) -> int:
         """How many messages of process ``pin`` are queued right now."""
         return self.depth.get(pin, 0)
 
     def on_push(self, pin: int) -> None:
-        depth = self.depth.get(pin, 0) + 1
-        self.depth[pin] = depth
-        self.pushes[pin] = self.pushes.get(pin, 0) + 1
-        if depth > self.peak.get(pin, 0):
-            self.peak[pin] = depth
+        self.depth[pin] = self.depth.get(pin, 0) + 1
 
     def on_pop(self, pin: int) -> None:
         depth = self.depth.get(pin, 0) - 1
@@ -117,21 +105,9 @@ class TenantOccupancy:
         else:
             self.depth.pop(pin, None)
 
-    def on_cap_rejection(self, pin: int) -> None:
-        self.cap_rejections[pin] = self.cap_rejections.get(pin, 0) + 1
-
     def reset_depths(self) -> None:
-        """Forget current occupancy (queue cleared); history is kept."""
+        """Forget current occupancy (queue cleared)."""
         self.depth.clear()
-
-    def snapshot(self) -> dict:
-        """The accounting as plain dictionaries (for reports)."""
-        return {
-            "depth": dict(self.depth),
-            "peak": dict(self.peak),
-            "pushes": dict(self.pushes),
-            "cap_rejections": dict(self.cap_rejections),
-        }
 
 
 @dataclass

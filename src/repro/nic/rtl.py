@@ -189,10 +189,9 @@ class ClockedNIC:
         self.rx = ReceivePort(self.interface)
         self.tx = TransmitPort(self.interface)
         self.cycle = 0
-        # Registered (previous-cycle) dispatch outputs, like the real
+        # Registered (previous-cycle) dispatch output, like the real
         # pipeline register between the Figure 7 logic and the bus.
         self.msg_ip_wire = self.interface.msg_ip
-        self.next_msg_ip_wire = self.interface.next_msg_ip
 
     @property
     def rx_ready(self) -> bool:
@@ -212,9 +211,8 @@ class ClockedNIC:
                     "must sample the credit signal"
                 )
         out_flit = self.tx.step(tx_credit)
-        # Dispatch logic output registers update at end of cycle.
+        # The dispatch logic's output register updates at end of cycle.
         self.msg_ip_wire = self.interface.msg_ip
-        self.next_msg_ip_wire = self.interface.next_msg_ip
         return out_flit
 
     def run_idle(self, cycles: int) -> List[Flit]:

@@ -483,7 +483,6 @@ class GangTenantScheduler(TenantPolicy):
         self.rotation = 0
         self.slice_start = 0
         self.switch_done = 0
-        self.slices = 0
         for state in self.states:
             state.interface.control["pin_check"] = 0
 
@@ -586,7 +585,6 @@ class GangTenantScheduler(TenantPolicy):
         self.gang.start_slice(pin)
         self.active_pin = pin
         self.slice_start = cycle
-        self.slices += 1
         for state in self.states:
             state.interface.control["active_pin"] = pin
             state.active_pin = pin

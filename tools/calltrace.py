@@ -13,6 +13,14 @@ reaches.  Prints one count line per group and writes the full list to
 ``calltrace.txt``; the eval artifacts land under ``calltrace-out/``.
 Both are written into the working directory.
 
+One more group lists fields rather than ``def``s: the attributes that a
+class under ``src/repro`` stores on ``self`` and that no ``.name`` load
+under ``src/``, ``tests/``, ``bench/``, ``examples/`` or ``tools/``
+reads (:func:`unread_fields`, one pass over the syntax trees, no
+tracing).  It misses a field read only to update itself:
+``self.peak[pin] = ...`` and ``self.hits = self.hits + 1`` load the
+field they write.  The group gates nothing.
+
 Run from the repository root (about 8 minutes on 2 vCPUs)::
 
     python tools/calltrace.py
@@ -113,6 +121,31 @@ def defs():
     return every
 
 
+def unread_fields():
+    """Fields that a class under src/repro stores on ``self`` and that no
+    ``.name`` load reads: (file, line of the first store) -> "Class.field"."""
+    stored, loaded = {}, set()
+
+    def visit(node, path, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                if isinstance(child.ctx, ast.Load):
+                    loaded.add(child.attr)
+                elif path and cls and getattr(child.value, "id", None) == "self":
+                    stored.setdefault((cls, child.attr), (path, child.lineno))
+            visit(child, path, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for directory in ("src", "tests", "bench", "examples", "tools"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            source = os.path.realpath(path) if directory == "src" else None
+            visit(ast.parse(path.read_text()), source, None)
+    return {
+        where: f"{cls}.{field}"
+        for (cls, field), where in stored.items()
+        if field not in loaded
+    }
+
+
 def main():
     surfaces = set()
     for fn in (
@@ -134,6 +167,7 @@ def main():
         "tests only": [k for k in every if k in tests and k not in surfaces],
         "never": [k for k in every if k not in surfaces and k not in tests],
     }
+    fields = unread_fields()
     with open("calltrace.txt", "w") as report:
         for label, keys in groups.items():
             lines = sum(every[k][1] for k in keys)
@@ -143,6 +177,11 @@ def main():
                 name, length = every[(path, line)]
                 relative = os.path.relpath(path, ROOT)
                 report.write(f"{relative}:{line} {name} ({length} lines)\n")
+        print(f"fields never read: {len(fields)}")
+        report.write(f"## fields never read: {len(fields)}\n")
+        for path, line in sorted(fields):
+            relative = os.path.relpath(path, ROOT)
+            report.write(f"{relative}:{line} {fields[(path, line)]}\n")
 
 
 if __name__ == "__main__":
