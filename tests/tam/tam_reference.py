@@ -4,27 +4,20 @@
 original per-instruction interpreter in place of generated code: one
 ``isinstance`` chain per instruction over :class:`Frame` objects, served
 by :class:`ReferenceSweep`, which scans every node each sweep.  It is
-the executable specification that every equivalence test compares the
-machine with.
+the executable specification every equivalence test compares with.
 
-It shares the machine's message handlers and observer wrappers, and it
+It shares the machine's message handlers and observer wrappers and
 generates no code: a reference that compiled would raise a
 code-generation error on both sides of a differential, which would then
-pass.  What runs under ``TamMachine.load`` and ``TamMachine.run`` it
-replaces only through the hooks those two call (``_compile`` and
-``_run_loop``), so the profiler's and the bench's wrappers on them count
-both machines alike.
+pass.  Under ``TamMachine.load`` and ``TamMachine.run`` it replaces only
+the hooks those two call (``_compile``, ``_run_loop``), so the
+profiler's and the bench's wrappers on them count both machines alike.
 
-Tests reach it three ways:
-
-* build it, ``ReferenceMachine(n_nodes, tracer=..., lineage=...)``;
-* parametrize over both machines with :data:`each_machine` (ids
-  ``reference`` and ``codegen``);
-* run a whole program on it with :func:`on_machine`, which patches the
-  runner module's ``TamMachine`` name.
-
-pytest puts this directory on ``sys.path`` (``pythonpath`` in
-pyproject.toml), so a test anywhere imports it as ``tam_reference``.
+Tests build it directly, parametrize over both machines with
+:data:`each_machine`, or run a whole program on it with
+:func:`on_machine`.  pytest puts this directory on ``sys.path``
+(``pythonpath`` in pyproject.toml), so tests anywhere import it as
+``tam_reference``.
 """
 
 import sys
@@ -62,9 +55,6 @@ from repro.tam.runtime import TamMachine
 class Frame:
     """One activation: slots plus live synchronisation counters."""
 
-    # Frames are allocated once per activation and machines allocate many
-    # thousands of them; __slots__ keeps them compact and makes attribute
-    # access in the interpreter hot loop cheaper.
     __slots__ = ("codeblock", "ref", "slots", "_counters")
 
     def __init__(self, codeblock: Codeblock, ref: FrameRef) -> None:
@@ -89,10 +79,6 @@ class Frame:
                 f"{self.codeblock.name}{self.ref}: slot {slot} outside frame "
                 f"of {len(self.slots)}"
             )
-
-    # ------------------------------------------------------------------
-    # Synchronisation counters.
-    # ------------------------------------------------------------------
 
     def decrement(self, counter: str) -> Optional[str]:
         """Decrement ``counter``; returns the thread to post on zero."""
