@@ -2,10 +2,11 @@
 
 Code generation (:mod:`repro.tam.codegen`) and the machine's one loop
 are pure performance work — every observable quantity must be identical
-to the reference interpreter's (``tam_reference.ReferenceMachine``).  That is a strong property: the
-message-outcome mix (full/empty/deferred presence-bit reads) depends on
-the exact interleaving of threads and messages, so these tests fail if
-the machine services even one node out of order.
+to the reference interpreter's (``tam_reference.ReferenceMachine``).
+That is a strong property: the message-outcome mix
+(full/empty/deferred presence-bit reads) depends on the exact
+interleaving of threads and messages, so these tests fail if the
+machine services even one node out of order.
 
 Every paper program runs on both machines at one and at five nodes and
 is compared turn-for-turn on the full statistics object, the

@@ -2,10 +2,10 @@
 
     python tools/sameoutput.py BASE [HEAD]
 
-Exports ``src/`` of each revision with ``git archive`` into
-``same-output/base/`` and ``same-output/head/`` (gitignored), as
-``bench/ab.py`` does, and runs from the repository root, with each
-side's ``src/`` on ``PYTHONPATH``:
+Empties ``same-output/`` (gitignored), exports ``src/`` of each
+revision into ``same-output/base/`` and ``same-output/head/`` with
+``git archive``, as ``bench/ab.py`` does, and runs from the repository
+root, with each side's ``src/`` on ``PYTHONPATH``:
 
 * ``python -m repro --json-dir`` -- the default eval's 12 artifacts;
 * ``--paper-scale --skip netsweep`` -- the paper-scale eval's other 11;
@@ -105,7 +105,8 @@ def compare(root: Path) -> List[str]:
         if count is None:
             for trace in TRACES:
                 base, head = (root / f"{side}-{name}" / "traces" / trace for side in SIDES)
-                if not (base.is_file() and head.is_file()) or base.read_bytes() != head.read_bytes():
+                same = base.is_file() and head.is_file() and base.read_bytes() == head.read_bytes()
+                if not same:
                     failures.append(f"{name} traces/{trace} is missing or not byte-identical")
             continue
         base, head = (
