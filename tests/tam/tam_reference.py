@@ -349,6 +349,8 @@ class ReferenceMachine(TamMachine):
                 state.stack.append((frame, posted))
 
 
+# ALU semantics; the machine's source templates
+# (repro.tam.codegen._OP_TEMPLATES) must compute exactly these values.
 OP_FUNCS: Dict[Op, Callable] = {
     Op.IADD: lambda a, b: int(a) + int(b),
     Op.ISUB: lambda a, b: int(a) - int(b),
