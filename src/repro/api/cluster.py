@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import NetworkError
-from repro.network.fabric import Fabric, _FabricComponent
+from repro.network.fabric import Fabric
 from repro.network.topology import Mesh2D, Topology
 from repro.nic.messages import Message, pack_destination
 from repro.node.handlers import (
@@ -31,7 +31,6 @@ from repro.node.handlers import (
     build_write_request,
 )
 from repro.node.node import Node
-from repro.obs.tracer import Tracer
 from repro.sim import SimComponent, SimKernel
 
 
@@ -78,39 +77,25 @@ class RemoteValue:
 class Cluster:
     """A whole machine: nodes, fabric, and a quiescence driver."""
 
-    def __init__(
-        self,
-        topology: Optional[Topology] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, topology: Optional[Topology] = None) -> None:
         self.topology = topology or Mesh2D(2, 2)
         self.nodes: List[Node] = [
             Node(node_id) for node_id in range(self.topology.n_nodes)
         ]
-        self.fabric = Fabric(
-            self.topology,
-            [node.interface for node in self.nodes],
-            tracer=tracer,
-        )
+        self.fabric = Fabric(self.topology, [node.interface for node in self.nodes])
         for node in self.nodes:
             node.set_drain_hook(self.fabric.step)
         # One kernel for the whole machine, registered in service order:
         # the fabric moves messages first, then every node drains what
         # arrived — the ordering guarantee the kernel pins.
         self._kernel = SimKernel()
-        self._kernel.register(_FabricComponent(self.fabric))
+        self._kernel.register(self.fabric)
         for node in self.nodes:
             self._kernel.register(_NodeComponent(node))
 
     def node(self, node_id: int) -> Node:
         self.topology.check_node(node_id)
         return self.nodes[node_id]
-
-    @property
-    def kernel(self) -> SimKernel:
-        """The cluster's shared simulation kernel.  A component
-        registered on it ticks after the fabric and the nodes."""
-        return self._kernel
 
     @property
     def n_nodes(self) -> int:
@@ -125,17 +110,17 @@ class Cluster:
 
         Runs on the shared :class:`~repro.sim.kernel.SimKernel` and
         returns the number of kernel cycles consumed.  One cycle is one
-        service round — a fabric step (when traffic is pending) followed
-        by every node's service loop — so *every* round that performs
-        work consumes simulated time, including rounds where only nodes
-        progress.  (The legacy loop counted fabric steps only, so
-        node-only service rounds were invisible in the returned count.)
-        Quiescent means: no message in any router, output queue, input
-        queue, or input registers, and no pending exception.
+        service round — a fabric step followed by every node's service
+        loop — so *every* round that performs work consumes simulated
+        time, including rounds where only nodes progress.  (The legacy
+        loop counted fabric steps only, so node-only service rounds were
+        invisible in the returned count.)  Quiescent means: no message
+        in any router, output queue, input queue, or input registers,
+        and no pending exception.  A machine that is not quiescent
+        within ``max_rounds`` raises
+        :class:`~repro.errors.SimStallError`.
         """
-        return self._kernel.run(
-            max_cycles=max_rounds, stall_error=NetworkError, label="cluster"
-        ).cycles
+        return self._kernel.run(max_cycles=max_rounds, label="cluster")
 
     # ------------------------------------------------------------------
     # Remote operations.

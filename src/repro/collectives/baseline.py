@@ -114,6 +114,5 @@ def run_proc_collective(
         events=events,
         fabric_delivered=cluster.fabric.stats.delivered,
         fabric_hops=cluster.fabric.stats.total_hops,
-        fabric_cycles=cluster.fabric.stats.cycles,
         dispatch=None,
     )

@@ -69,7 +69,6 @@ class PricedRun:
     proc_cycles: int
     nic_cycles: int
     total_cycles: int
-    proc_cycles_per_node: float
     overlap: float
 
 
@@ -98,6 +97,5 @@ def price_run(run: CollectiveRun, model: InterfaceModel) -> PricedRun:
         proc_cycles=proc_cycles,
         nic_cycles=nic_cycles,
         total_cycles=total,
-        proc_cycles_per_node=round(proc_cycles / n, 3),
         overlap=round(1.0 - proc_cycles / total, 4) if total else 0.0,
     )

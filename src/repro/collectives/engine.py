@@ -42,8 +42,8 @@ from repro.collectives.programs import (
     enter as program_enter,
 )
 from repro.collectives.tree import CombiningTree
-from repro.errors import CollectiveError, NetworkError
-from repro.network.fabric import Fabric, _FabricComponent
+from repro.errors import CollectiveError
+from repro.network.fabric import Fabric
 from repro.network.topology import Topology
 from repro.nic.dispatch import (
     HANDLER_ID_NO_MESSAGE,
@@ -272,7 +272,6 @@ class CollectiveRun:
     events: Dict[str, int]
     fabric_delivered: int
     fabric_hops: int
-    fabric_cycles: int
     dispatch: Optional[DispatchStats] = None
 
 
@@ -285,34 +284,34 @@ def run_nic_collective(
     arity: int = 2,
     iq_threshold: Optional[int] = None,
     step_cycles: int = 0,
-    lineage=None,
+    observer: Optional[Observer] = None,
 ) -> CollectiveRun:
     """Run one collective entirely NIC-side and return its record.
 
     ``values`` holds each node's contribution (reduce/allreduce) or the
     root's one-word payload (broadcast); it defaults to ``range(n_nodes)``.
+    ``observer`` is attached to the fabric (and so to every interface)
+    and to the engine.
     """
     n = topology.n_nodes
     if values is None:
         values = list(range(n))
-    fabric = Fabric(topology, lineage=lineage)
+    fabric = Fabric(topology)
+    if observer is not None:
+        fabric.attach(observer)
     if iq_threshold is not None:
         for interface in fabric.interfaces:
             interface.control["iq_threshold"] = iq_threshold
     tree = CombiningTree(n, root=root, arity=arity)
     engine = NicHandlerEngine(fabric, tree, kind, op, step_cycles=step_cycles)
-    if lineage is not None:
-        engine.attach(lineage)
+    if observer is not None:
+        engine.attach(observer)
     kernel = SimKernel()
-    kernel.register(_FabricComponent(fabric))
+    kernel.register(fabric)
     kernel.register(engine)
     for node in range(n):
         engine.enter(node, values[node])
-    result = kernel.run(
-        max_cycles=200_000,
-        stall_error=NetworkError,
-        label=f"nic-{kind}",
-    )
+    cycles = kernel.run(max_cycles=200_000, label=f"nic-{kind}")
     if not engine.done:
         missing = [c.node for c in engine.contexts if not c.state.completed]
         raise CollectiveError(
@@ -324,10 +323,9 @@ def run_nic_collective(
         variant="nic",
         n_nodes=n,
         results=engine.results,
-        cycles=result.cycles,
+        cycles=cycles,
         events=engine.events(),
         fabric_delivered=fabric.stats.delivered,
         fabric_hops=fabric.stats.total_hops,
-        fabric_cycles=fabric.stats.cycles,
         dispatch=engine.dispatch_stats,
     )

@@ -29,7 +29,6 @@ import json
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.errors import NetworkError
 from repro.exp.registry import register
 from repro.exp.spec import EvalOptions, ExperimentSpec
 from repro.network.fabric import Fabric
@@ -37,6 +36,7 @@ from repro.network.topology import Mesh2D
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import pack_destination
 from repro.obs.metrics import MetricsRecorder
+from repro.obs.observer import observer_of
 from repro.obs.tracer import ALL_KINDS, REFUSE, SEND_STALL, Tracer
 from repro.obs.breakdown import lineage_report, write_lineage
 from repro.obs.chrome import write_chrome_trace
@@ -173,9 +173,11 @@ def run_hotspot(
     between their offer/service slots), the fabric ticks every cycle,
     and the kernel's default quiescence stop ends the run exactly when
     every offered message has been sent, delivered, and serviced.  A run
-    exceeding ``MAX_CYCLES`` raises with the kernel's diagnostic
-    snapshot — per-queue occupancy, in-flight count, and per-sender
-    remaining quota — instead of a bare timeout.
+    exceeding ``MAX_CYCLES`` raises :class:`~repro.errors.SimStallError`
+    with the kernel's diagnostic snapshot — per-queue occupancy,
+    in-flight count, and per-sender remaining quota — instead of a bare
+    timeout.  ``tracer``, ``metrics`` and ``lineage`` are attached to
+    the fabric in that order.
     """
     hot = params["hot_node"]
     topology = Mesh2D(params["width"], params["height"])
@@ -195,10 +197,10 @@ def run_hotspot(
         interfaces,
         link_buffer_depth=params["link_buffer_depth"],
         serialization_cycles=params["serialization_cycles"],
-        tracer=tracer,
-        metrics=metrics,
-        lineage=lineage,
     )
+    observer = observer_of(tracer, metrics, lineage)
+    if observer is not None:
+        fabric.attach(observer)
 
     # Kernel service order mirrors the workload's intra-cycle order:
     # senders in ascending node id, then the receiver, then the fabric.
@@ -224,16 +226,14 @@ def run_hotspot(
     # metrics sampler, and tracks peak occupancy in its stats.
     kernel.register(fabric)
 
-    result = kernel.run(
-        max_cycles=MAX_CYCLES, stall_error=NetworkError, label="hot-spot workload"
-    )
+    cycles = kernel.run(max_cycles=MAX_CYCLES, label="hot-spot workload")
     offered = params["messages_per_sender"] * len(senders)
     serviced = receiver.serviced
     assert serviced == offered, f"serviced {serviced} of {offered} messages"
 
     sender_nodes = [sender.node for sender in senders]
     payload: Dict = {
-        "cycles": result.cycles,
+        "cycles": cycles,
         "offered": offered,
         "serviced": serviced,
         "delivered": fabric.stats.delivered,

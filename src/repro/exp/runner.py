@@ -41,8 +41,8 @@ class ExperimentOutcome:
     name: str
     title: str
     text: str
+    #: Carries the run's host seconds as ``wall_clock_seconds``.
     artifact: Dict[str, Any]
-    wall_clock_seconds: float
 
 
 def run_one(spec: ExperimentSpec, params: Dict[str, Any]) -> ExperimentOutcome:
@@ -56,7 +56,7 @@ def run_one(spec: ExperimentSpec, params: Dict[str, Any]) -> ExperimentOutcome:
     data = spec.artifact(params, payload) if spec.artifact else to_jsonable(payload)
     wall_clock = time.perf_counter() - start
     artifact = build_artifact(spec.name, params, spec.produces, data, wall_clock)
-    return ExperimentOutcome(spec.name, spec.title, text, artifact, wall_clock)
+    return ExperimentOutcome(spec.name, spec.title, text, artifact)
 
 
 # ---------------------------------------------------------------------------

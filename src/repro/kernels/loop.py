@@ -66,7 +66,6 @@ class ServiceLoop:
     model: InterfaceModel
     sequence: Sequence
     handler_entry: Dict[str, int]  # handler name -> instruction index
-    dispatch_entry: int
 
     def resolve_jump(self, target: int):
         """Map dispatch-jump addresses to instruction indices."""
@@ -154,7 +153,7 @@ def build_service_loop(
         # Inline the dispatch stub as this handler's tail.
         instructions.extend(_relabel(dispatch_instrs, f"after.{name}"))
     sequence = Sequence(f"service-loop[{model.key}]", instructions)
-    return ServiceLoop(model, sequence, handler_entry, dispatch_entry=0)
+    return ServiceLoop(model, sequence, handler_entry)
 
 
 @dataclass

@@ -73,8 +73,14 @@ examples and the flow-control tests exercise it.
 
 Observability is opt-in: the fabric and each interface hold one
 ``observer`` slot (:mod:`repro.obs.observer`), and with it ``None`` the
-cycle loop pays one identity check per event site.  ``tracer=`` /
-``metrics=`` / ``lineage=`` fill it; :meth:`Fabric.attach` adds others.
+cycle loop pays one identity check per event site.  :meth:`Fabric.attach`
+is the one way to fill it.
+
+The fabric is itself a kernel component (:mod:`repro.sim`), and every
+driver registers it as it is: one tick is one :meth:`Fabric.step`.  A
+step with nothing pending moves, injects and draws nothing and raises
+only ``on_step``, so a driver whose endpoints work while the network is
+empty only counts those cycles in ``stats.cycles``.
 
 Deadlock is a first-class diagnostic: :meth:`Fabric.find_deadlock`
 searches the buffer wait-for graph for a cycle of full buffers whose
@@ -97,7 +103,6 @@ from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
 from repro.nic.rtl import FLITS_PER_MESSAGE
 from repro.obs.observer import Observer, observer_of
-from repro.sim.component import SimComponent
 from repro.sim.kernel import SimKernel
 
 
@@ -165,9 +170,6 @@ class Fabric:
         link_buffer_depth: int = 4,
         serialization_cycles: int = FLITS_PER_MESSAGE,
         routing: Optional[RoutingPolicy] = None,
-        tracer: Optional[Observer] = None,
-        metrics: Optional[Observer] = None,
-        lineage: Optional[Observer] = None,
     ) -> None:
         self.topology = topology
         self.routing = routing if routing is not None else DimensionOrder()
@@ -225,9 +227,6 @@ class Fabric:
         self._in_flight = 0
         self.stats = FabricStats()
         self.observer: Optional[Observer] = None
-        observer = observer_of(tracer, metrics, lineage)
-        if observer is not None:
-            self.attach(observer)
 
     def attach(self, observer: Observer) -> None:
         """Subscribe ``observer`` to the whole message path, beside any
@@ -674,7 +673,7 @@ class Fabric:
         return None
 
     # The fabric is itself a kernel component (repro.sim): one tick is
-    # one cycle, quiescence is "no undelivered traffic", and the stall
+    # one step, quiescence is "no undelivered traffic", and the stall
     # snapshot shows where messages are stuck — naming the deadlocked
     # buffer cycle when one exists.
 
@@ -711,34 +710,11 @@ class Fabric:
         """Step until no traffic remains in routers or output queues.
 
         Input queues may remain non-empty (that is endpoint work); raises
-        with the kernel's diagnostic snapshot if the fabric cannot drain
-        — e.g. receivers never accept, or the routing policy deadlocked
-        (the snapshot then names the buffer-wait cycle) — within
-        ``max_cycles``.
+        :class:`~repro.errors.SimStallError` with the kernel's diagnostic
+        snapshot if the fabric cannot drain — e.g. receivers never
+        accept, or the routing policy deadlocked (the snapshot then names
+        the buffer-wait cycle) — within ``max_cycles``.
         """
         kernel = SimKernel()
         kernel.register(self)
-        return kernel.run(
-            max_cycles=max_cycles, stall_error=NetworkError, label="fabric"
-        ).cycles
-
-
-class _FabricComponent(SimComponent):
-    """A fabric that steps only while traffic is pending, so kernel
-    cycles in which only endpoints work do not advance
-    ``fabric.stats.cycles`` (the cluster and the collectives engine)."""
-
-    name = "fabric"
-
-    def __init__(self, fabric: Fabric) -> None:
-        self.fabric = fabric
-
-    def tick(self, cycle: int) -> None:
-        if self.fabric.pending():
-            self.fabric.step()
-
-    def quiescent(self) -> bool:
-        return self.fabric.pending() == 0
-
-    def snapshot(self):
-        return self.fabric.snapshot()
+        return kernel.run(max_cycles=max_cycles, label="fabric")

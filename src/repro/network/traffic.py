@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.errors import NetworkError, RoutingError
+from repro.errors import NetworkError, RoutingError, SimStallError
 from repro.network.fabric import Fabric
 from repro.network.routing import RoutingPolicy
 from repro.network.topology import Topology, build_topology
@@ -281,10 +281,7 @@ def run_traffic(
     kernel.register(fabric)
     kernel.register(sink)
 
-    def until(cycle_bound: int):
-        return lambda: kernel.cycle >= cycle_bound
-
-    kernel.run(until=until(warmup_cycles), max_cycles=warmup_cycles + 1)
+    kernel.run(cycles=warmup_cycles)
     at_warmup = (
         source.offered,
         source.accepted,
@@ -292,7 +289,7 @@ def run_traffic(
         fabric.stats.total_latency,
         fabric.stats.total_hops,
     )
-    kernel.run(until=until(duration), max_cycles=measure_cycles + 1)
+    kernel.run(cycles=measure_cycles)
     offered = source.offered - at_warmup[0]
     accepted = source.accepted - at_warmup[1]
     delivered = fabric.stats.delivered - at_warmup[2]
@@ -310,12 +307,10 @@ def run_traffic(
     # payload, cycle named, rather than raised: the sweep wants the
     # failure boundary on the curve, not a crashed grid.
     try:
-        kernel.run(
-            max_cycles=drain_cycles, stall_error=NetworkError, label="drain"
-        )
+        kernel.run(max_cycles=drain_cycles, label="drain")
         drained = True
         deadlock = None
-    except NetworkError:
+    except SimStallError:
         drained = False
         found = fabric.find_deadlock()
         deadlock = " -> ".join(found) if found else None

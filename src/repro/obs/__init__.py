@@ -25,9 +25,12 @@ All pieces are zero-cost when not attached:
   exported here; nothing imports it unless ``--profile`` is given.
 
 The interfaces, the fabric, the TAM machine and the collectives engine
-each hold one ``observer`` slot with one ``attach`` method; the public
-entry points' ``tracer=`` / ``metrics=`` / ``lineage=`` arguments fill
-it.  ``python -m repro --trace --lineage`` wires everything together.
+each hold one ``observer`` slot, and ``attach`` is the one way to fill
+it.  A runner that builds its machine (``run_matmul``, ``run_queens``,
+``run_nic_collective``) takes one ``observer=`` and attaches it to every
+part it builds; ``run_hotspot`` takes its tracer, recorder and tracker
+by role, because its payload reads them.  ``python -m repro --trace
+--lineage`` wires everything together.
 
 The package exports lazily (:pep:`562`): ``from repro.obs import
 Tracer`` resolves the submodule on first attribute access, so importing

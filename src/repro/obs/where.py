@@ -56,7 +56,6 @@ BOUNDARIES: Tuple[Tuple[str, str], ...] = (
     ("repro.obs.metrics", "MetricsRecorder.on_step"),
     ("repro.obs.lineage", "LineageTracker.on_*"),
     ("repro.network.fabric", "Fabric.tick"),
-    ("repro.network.fabric", "_FabricComponent.tick"),
     ("repro.network.traffic", "TrafficSource.tick"),
     ("repro.network.traffic", "TrafficSink.tick"),
     ("repro.api.cluster", "_NodeComponent.tick"),

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from repro.errors import TamError
 from repro.tam.codeblock import Codeblock
-from repro.tam.frame import FrameRef
 from repro.tam.instructions import (
     ConInstr,
     FallocInstr,
@@ -448,7 +447,6 @@ class GamtebResult:
     escaped: int
     photons_traced: int
     machine: TamMachine
-    driver_ref: FrameRef
 
     def verify(self) -> None:
         """Photon conservation: every photon ever created died exactly once."""
@@ -492,7 +490,6 @@ def run_gamteb(
         escaped=escaped,
         photons_traced=photons,
         machine=machine,
-        driver_ref=ref,
     )
     result.verify()
     return result

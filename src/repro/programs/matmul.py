@@ -27,13 +27,13 @@ accumulated total and the reassembled C are checked against NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TamError
+from repro.obs.observer import Observer
 from repro.tam.codeblock import Codeblock
-from repro.tam.frame import FrameRef
 from repro.tam.instructions import (
     ConInstr,
     FallocInstr,
@@ -425,7 +425,6 @@ class MatmulResult:
     stats: TamStats
     total: float
     machine: TamMachine
-    driver_ref: FrameRef
     dir_c: IStructRef
 
     def reassemble_c(self) -> np.ndarray:
@@ -460,18 +459,22 @@ class MatmulResult:
 
 
 def run_matmul(
-    n: int = 16, nodes: int = 16, verify: bool = True, tracer=None
+    n: int = 16,
+    nodes: int = 16,
+    verify: bool = True,
+    observer: Optional[Observer] = None,
 ) -> MatmulResult:
     """Run an n×n blocked matrix multiply on a TAM machine of ``nodes``.
 
-    ``tracer`` opts the machine into message-path event tracing
-    (:mod:`repro.obs.tracer`); results and statistics are identical with
-    or without it.
+    ``observer`` is attached to the machine (:meth:`TamMachine.attach`);
+    results and statistics are identical with or without it.
     """
     if n % BLOCK:
         raise TamError(f"matrix size {n} must be a multiple of {BLOCK}")
     nb = n // BLOCK
-    machine = TamMachine(nodes, tracer=tracer)
+    machine = TamMachine(nodes)
+    if observer is not None:
+        machine.attach(observer)
     driver = build_driver_codeblock(nb)
     done_inlet = 5  # in_done in the driver's inlet numbering
     machine.load(build_block_codeblock(nb, done_inlet=done_inlet))
@@ -491,7 +494,6 @@ def run_matmul(
         stats=stats,
         total=float(total),
         machine=machine,
-        driver_ref=ref,
         dir_c=dir_c,
     )
     if verify:

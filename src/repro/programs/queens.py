@@ -21,8 +21,10 @@ single message words; the safety test is TAM integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import TamError
+from repro.obs.observer import Observer
 from repro.tam.codeblock import Codeblock
 from repro.tam.instructions import (
     ConInstr,
@@ -361,17 +363,18 @@ class QueensResult:
 def run_queens(
     n: int = 6,
     nodes: int = 16,
-    tracer=None,
+    observer: Optional[Observer] = None,
 ) -> QueensResult:
     """Count the N-Queens solutions with one activation per tree node and
     check the count against the known one (:meth:`QueensResult.verify`).
 
-    ``tracer`` opts the machine into message-path event tracing
-    (:mod:`repro.obs.tracer`).
+    ``observer`` is attached to the machine (:meth:`TamMachine.attach`).
     """
     if n < 1 or n > MAX_N:
         raise TamError(f"board size {n} outside 1..{MAX_N}")
-    machine = TamMachine(nodes, tracer=tracer)
+    machine = TamMachine(nodes)
+    if observer is not None:
+        machine.attach(observer)
     machine.load(build_worker(n))
     machine.load(build_driver())
     ref = machine.boot("queens_driver")

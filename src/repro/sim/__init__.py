@@ -8,21 +8,26 @@ single engine they all run on now:
 * :class:`~repro.sim.kernel.SimKernel` — the cycle engine: component
   registration with stable service ordering, wake/sleep idle-skip
   scheduling (the flag-array trick of the TAM scheduler, generalized),
-  unified stop conditions (quiescence, max-cycles with a diagnostic
-  state snapshot, custom predicates), and one run loop.
+  two stop conditions (quiescence, bounded by ``max_cycles`` with a
+  diagnostic state snapshot, or an exact cycle count), and one run
+  loop.
 * :class:`~repro.sim.component.SimComponent` — the component contract a
   clocked object implements to be driven by the kernel.
 * :mod:`repro.sim.sweep` — turn-based service for the TAM runtime: its
   service order and :class:`~repro.sim.sweep.ActiveSweep`, the flag
   arrays the TAM's one loop serves in that order.
 
-Drivers rebased on this package: ``api.cluster.Cluster.run``, the
-flow-control hot-spot experiment, ``network.fabric.Fabric
-.run_until_quiescent``, and the TAM loop in ``tam.runtime``.
+Every driver builds its machine the same way: it registers its
+components, the fabric itself among them, on one kernel and calls
+``run()`` or ``run(cycles=N)``.  They are ``api.cluster.Cluster.run``,
+the NIC collectives engine, the flow-control hot-spot, the synthetic
+traffic sweep, the multi-tenant study and ``network.fabric.Fabric
+.run_until_quiescent``; the TAM loop in ``tam.runtime`` is turn-based
+and runs on :mod:`repro.sim.sweep`.
 """
 
 from repro.sim.component import SimComponent
-from repro.sim.kernel import SimHandle, SimKernel, SimResult
+from repro.sim.kernel import SimHandle, SimKernel
 from repro.sim.sweep import ActiveSweep
 
 __all__ = [
@@ -30,5 +35,4 @@ __all__ = [
     "SimComponent",
     "SimHandle",
     "SimKernel",
-    "SimResult",
 ]

@@ -19,45 +19,35 @@ makes runs reproducible bit for bit:
   in a min-heap of ``(cycle, index)`` events (lazily invalidated
   against the authoritative index->cycle dict), so promoting
   due wakes costs ``O(due log pending)`` instead of a scan of every
-  pending wake per cycle — and when *nothing* is awake and no custom
-  predicate observes individual cycles, the kernel fast-forwards
-  straight to the next timed wake instead of spinning through idle
-  cycles.  Cycle counts, stop conditions, and stall diagnostics are
-  unchanged by the skip; ``SimKernel(fast_forward=False)`` restores the
-  literal cycle-by-cycle loop.
-* **Stop conditions** — a run ends when every component reports
-  :meth:`~repro.sim.component.SimComponent.quiescent` (the default), or
-  when a caller-supplied predicate fires; if neither happens within
-  ``max_cycles`` the kernel raises with a diagnostic snapshot of every
-  component's state, so a timeout is debuggable instead of a bare
-  "did not finish".
+  pending wake per cycle — and when *nothing* is awake, the kernel
+  fast-forwards straight to the next timed wake (or to the run's end)
+  instead of spinning through idle cycles.  Cycle counts, stop
+  conditions, tick order and stall diagnostics are unchanged by the
+  skip; ``SimKernel(fast_forward=False)`` keeps the literal
+  cycle-by-cycle loop as the tests' oracle.
+* **Stop conditions** — ``run()`` ends when every component reports
+  :meth:`~repro.sim.component.SimComponent.quiescent`; ``run(cycles=N)``
+  ends after exactly ``N`` cycles, quiescent or not.  A quiescence run
+  that has not stopped within ``max_cycles`` raises
+  :class:`~repro.errors.SimStallError` with a diagnostic snapshot of
+  every component's state, so a timeout is debuggable instead of a
+  bare "did not finish".
 * **Observation** — the kernel has one run loop and no observer slot
   of its own.  Observers attach to the components they watch
   (:mod:`repro.obs.observer`), and ``python -m repro --profile`` times
   every component's ``tick`` from outside (:mod:`repro.obs.where`).
 
-Stop conditions are evaluated *before* each cycle, so a machine that is
+Quiescence is evaluated *before* each cycle, so a machine that is
 already quiescent runs zero cycles, and the returned cycle count is
 exactly the number of service rounds executed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimStallError, SimulationError
-
-
-@dataclass
-class SimResult:
-    """What one :meth:`SimKernel.run` call observed."""
-
-    cycles: int
-    """Service rounds executed by this run."""
-    reason: str
-    """Why the run stopped: ``"quiescent"`` or ``"predicate"``."""
 
 
 class SimHandle:
@@ -68,13 +58,11 @@ class SimHandle:
     own.
     """
 
-    __slots__ = ("_kernel", "index", "component", "name")
+    __slots__ = ("_kernel", "index")
 
-    def __init__(self, kernel: "SimKernel", index: int, component, name: str):
+    def __init__(self, kernel: "SimKernel", index: int):
         self._kernel = kernel
         self.index = index
-        self.component = component
-        self.name = name
 
     def wake(self) -> None:
         """Re-enter the per-cycle scan immediately.
@@ -105,7 +93,6 @@ class SimKernel:
     def __init__(self, fast_forward: bool = True) -> None:
         self.cycle = 0
         self._components: List[object] = []
-        self._handles: List[SimHandle] = []
         # Awake flags, one per component, plus the sentinel True that
         # terminates the list.index scan (see sim/sweep's ActiveSweep,
         # which this generalizes).
@@ -123,25 +110,17 @@ class SimKernel:
     # Construction.
     # ------------------------------------------------------------------
 
-    def register(self, component, name: Optional[str] = None) -> SimHandle:
+    def register(self, component) -> SimHandle:
         """Add ``component`` to the machine; service order is registration
         order.  Returns the component's scheduling handle."""
         if self._running:
             raise SimulationError("cannot register components mid-run")
         index = len(self._components)
-        handle = SimHandle(
-            self, index, component, name or getattr(component, "name", "component")
-        )
         self._components.append(component)
-        self._handles.append(handle)
         # Keep the sentinel at the end of the flag array.
         self._awake[index] = True
         self._awake.append(True)
-        return handle
-
-    @property
-    def handles(self) -> List[SimHandle]:
-        return list(self._handles)
+        return SimHandle(self, index)
 
     # ------------------------------------------------------------------
     # Execution.
@@ -149,19 +128,18 @@ class SimKernel:
 
     def run(
         self,
+        cycles: Optional[int] = None,
         max_cycles: int = 100_000,
-        until: Optional[Callable[[], bool]] = None,
-        stall_error: Callable[[str], BaseException] = SimStallError,
         label: str = "simulation",
-    ) -> SimResult:
-        """Execute cycles until the stop condition holds.
+    ) -> int:
+        """Execute cycles until the stop condition holds; returns how many.
 
-        ``until`` replaces the default all-quiescent stop condition with
-        a custom predicate.  ``max_cycles`` bounds *this* run (the
-        kernel's cycle counter accumulates across runs); on exceeding it
-        the kernel raises ``stall_error`` — any exception type taking a
-        message string — with the diagnostic snapshot of every
-        component.
+        With ``cycles`` the run ends after exactly that many cycles.
+        Without it the run ends when every component is quiescent, and
+        raises :class:`SimStallError` with the diagnostic snapshot of
+        every component if that takes more than ``max_cycles`` (which
+        bounds *this* run: the kernel's cycle counter accumulates across
+        runs).
         """
         if self._running:
             raise SimulationError("kernel run re-entered")
@@ -173,22 +151,16 @@ class SimKernel:
         theap = self._timed_heap
         n = len(components)
         start = self.cycle
+        stop = start + (max_cycles if cycles is None else cycles)
         self._running = True
         try:
-            # Idle cycles can only be fast-forwarded when nothing outside
-            # the kernel observes individual cycles: no custom stop
-            # predicate.  The jump lands exactly where the per-cycle loop
-            # would have woken someone (or at the cycle bound, so stall
-            # diagnostics are unchanged).
-            skip_idle = self._fast_forward and until is None
             while True:
-                if until is not None:
-                    if until():
-                        return SimResult(self.cycle - start, "predicate")
-                elif all(c.quiescent() for c in components):
-                    return SimResult(self.cycle - start, "quiescent")
-                if self.cycle - start >= max_cycles:
-                    raise stall_error(self._stall_report(label, max_cycles))
+                if cycles is None and all(c.quiescent() for c in components):
+                    return self.cycle - start
+                if self.cycle >= stop:
+                    if cycles is None:
+                        raise SimStallError(self._stall_report(label, max_cycles))
+                    return cycles
                 self.cycle = cycle = self.cycle + 1
                 while theap and theap[0][0] <= cycle:
                     at, i = heappop(theap)
@@ -196,16 +168,15 @@ class SimKernel:
                         del timed[i]
                         awake[i] = True
                 i = awake.index(True)
-                if i == n and skip_idle:
+                if i == n and self._fast_forward:
                     # Nothing ticks this cycle; drop stale heap entries,
                     # then jump to just before the next timed wake (or to
-                    # the bound when no wake is pending).
+                    # the run's end when no wake is pending before it).
+                    # Nothing ticks in between, so no component's state,
+                    # and no quiescence check, can differ on the way.
                     while theap and timed.get(theap[0][1]) != theap[0][0]:
                         heappop(theap)
-                    if theap:
-                        self.cycle = min(theap[0][0] - 1, start + max_cycles)
-                    else:
-                        self.cycle = start + max_cycles
+                    self.cycle = min(theap[0][0] - 1, stop) if theap else stop
                     continue
                 while i != n:
                     components[i].tick(cycle)
@@ -224,13 +195,12 @@ class SimKernel:
             f"{max_cycles} cycles (kernel cycle {self.cycle})",
             "state at stall:",
         ]
-        for handle in self._handles:
-            state = handle.component.snapshot()
+        for index, component in enumerate(self._components):
+            state = component.snapshot()
             detail = " ".join(f"{key}={value}" for key, value in state.items())
-            status = "awake" if self._awake[handle.index] else (
-                f"wake@{self._timed[handle.index]}"
-                if handle.index in self._timed
-                else "asleep"
+            status = "awake" if self._awake[index] else (
+                f"wake@{self._timed[index]}" if index in self._timed else "asleep"
             )
-            lines.append(f"  - {handle.name} [{status}] {detail}".rstrip())
+            name = getattr(component, "name", "component")
+            lines.append(f"  - {name} [{status}] {detail}".rstrip())
         return "\n".join(lines)

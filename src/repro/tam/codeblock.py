@@ -108,14 +108,6 @@ class Codeblock:
                 return tuple(prefix), True
         return tuple(prefix), False
 
-    def inlet(self, number: int) -> InletSpec:
-        try:
-            return self.inlets[number]
-        except KeyError:
-            raise TamError(
-                f"codeblock {self.name!r} has no inlet {number}"
-            ) from None
-
     def validate(self) -> None:
         """Check internal references before any frame is created."""
         for label, spec in self.counters.items():

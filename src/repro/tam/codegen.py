@@ -254,7 +254,7 @@ def flat_write(frame: list, slot: int, value) -> None:
 
 
 class FlatFrameView:
-    """A flat frame seen as ``codeblock`` / ``ref`` / ``slots`` / ``read`` /
+    """A flat frame seen as ``ref`` / ``slots`` / ``read`` /
     ``counter_value``.
 
     Slots and counters read through to the live flat frame, so the view
@@ -266,10 +266,6 @@ class FlatFrameView:
 
     def __init__(self, frame: list) -> None:
         self._frame = frame
-
-    @property
-    def codeblock(self) -> Codeblock:
-        return self._frame[2].codeblock
 
     @property
     def ref(self) -> FrameRef:

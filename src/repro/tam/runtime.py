@@ -88,21 +88,16 @@ class TamMachine:
     :meth:`load` compiles each codeblock's threads to generated code and
     :meth:`run` serves the nodes to quiescence in one loop.
 
-    ``tracer`` / ``lineage`` fill the machine's one ``observer`` slot
-    (:meth:`attach` adds any :class:`~repro.obs.observer.Observer`):
-    posts raise ``on_tam_post`` and handled messages
-    ``on_tam_handle_begin`` / ``on_tam_handle_end``.  The first attach
+    :meth:`attach` fills the machine's one ``observer`` slot with any
+    :class:`~repro.obs.observer.Observer`: posts raise ``on_tam_post``
+    and handled messages ``on_tam_handle_begin`` /
+    ``on_tam_handle_end``.  The first attach
     swaps the entry points for observed wrappers before ``load()``
     generates code over them, so a machine with nothing attached runs
     byte-identical hot-path code (zero overhead when off).
     """
 
-    def __init__(
-        self,
-        n_nodes: int = 1,
-        tracer: Optional[Observer] = None,
-        lineage: Optional[Observer] = None,
-    ) -> None:
+    def __init__(self, n_nodes: int = 1) -> None:
         if n_nodes < 1:
             raise TamError("a TAM machine needs at least one node")
         self.n_nodes = n_nodes
@@ -122,9 +117,6 @@ class TamMachine:
         self._cg_runs: List[int] = []
         self._cg_meta: List[Tuple[Tuple, Tuple]] = []
         self.observer: Optional[Observer] = None
-        observer = observer_of(tracer, lineage)
-        if observer is not None:
-            self.attach(observer)
 
     def attach(self, observer: Observer) -> None:
         """Subscribe ``observer`` to posts and handled messages, beside any

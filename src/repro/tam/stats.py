@@ -82,9 +82,6 @@ class TamStats:
     frames_allocated: int = 0
     istructures_allocated: int = 0
 
-    def count_instruction(self, kind: Kind) -> None:
-        self.instructions[kind] += 1
-
     @property
     def total_instructions(self) -> int:
         return sum(self.instructions.values())

@@ -33,7 +33,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from collections import deque
 
-from repro.errors import NetworkError, ProtectionError
+from repro.errors import ProtectionError
 from repro.network.fabric import Fabric
 from repro.network.topology import Mesh2D
 from repro.nic.interface import NetworkInterface, SendResult
@@ -432,16 +432,9 @@ class MultiTenantRun:
 
     def run(self) -> int:
         """Advance the machine to the horizon; returns cycles executed."""
-        kernel = self.kernel
-        stop_at = kernel.cycle + self.horizon
-        result = kernel.run(
-            max_cycles=self.horizon + 1,
-            until=lambda: kernel.cycle >= stop_at,
-            stall_error=NetworkError,
-            label=f"multitenant[{self.scheduler_name}]",
-        )
+        cycles = self.kernel.run(cycles=self.horizon)
         self._finalize()
-        return result.cycles
+        return cycles
 
     def _finalize(self) -> None:
         """Fold right-censored arrivals into the latency series.

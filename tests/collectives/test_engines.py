@@ -117,10 +117,7 @@ class TestDispatchFidelity:
         )
 
     def test_all_collective_traffic_is_type_0(self):
-        from repro.collectives.engine import NicHandlerEngine
-        from repro.network.fabric import Fabric, _FabricComponent
         from repro.obs.observer import Observer
-        from repro.sim import SimKernel
 
         class Ejections(Observer):
             def __init__(self):
@@ -130,18 +127,10 @@ class TestDispatchFidelity:
                 self.types.append(message.mtype)
 
         ejections = Ejections()
-        fabric = Fabric(Mesh2D(4, 4), tracer=ejections)
-        engine = NicHandlerEngine(fabric, CombiningTree(16), "allreduce")
-        kernel = SimKernel()
-        kernel.register(_FabricComponent(fabric))
-        kernel.register(engine)
-        for node in range(16):
-            engine.enter(node, node)
-        kernel.run(max_cycles=10_000)
+        nic = run_nic_collective("allreduce", Mesh2D(4, 4), observer=ejections)
         # Everything the collective moved was a type-0 (MsgIp) message.
-        assert engine.done
-        assert fabric.stats.delivered > 0
-        assert ejections.types == [0] * fabric.stats.delivered
+        assert nic.fabric_delivered > 0
+        assert ejections.types == [0] * nic.fabric_delivered
 
 
 class TestProtocolErrors:

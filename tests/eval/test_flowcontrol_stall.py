@@ -7,7 +7,7 @@ traffic — not a bare "exceeded MAX_CYCLES" string.
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import SimStallError
 from repro.eval import flowcontrol
 from repro.exp.spec import EvalOptions
 
@@ -17,7 +17,7 @@ def test_stall_carries_component_snapshots(monkeypatch):
     # mid-flight with known-nonquiescent components to report on.
     monkeypatch.setattr(flowcontrol, "MAX_CYCLES", 50)
     params = flowcontrol.hotspot_params(EvalOptions())
-    with pytest.raises(NetworkError) as err:
+    with pytest.raises(SimStallError) as err:
         flowcontrol.run_hotspot(params)
     message = str(err.value)
     assert "hot-spot workload" in message

@@ -144,14 +144,14 @@ def traced_traffic(policy: str) -> Tracer:
         link_buffer_depth=1,
         serialization_cycles=1,
         routing=make_policy(policy, 7),
-        tracer=tracer,
     )
+    fabric.attach(tracer)
     source = TrafficSource(fabric, "uniform", 0.4, 7, duration=120)
     kernel = SimKernel()
     source.handle = kernel.register(source)
     kernel.register(fabric)
     kernel.register(TrafficSink(fabric))
-    kernel.run(until=lambda: kernel.cycle >= 120, max_cycles=121)
+    kernel.run(cycles=120)
     kernel.run(max_cycles=2_000)
     return tracer
 

@@ -8,7 +8,7 @@ check the escape-channel policy dissolves the identical placement.
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import SimStallError
 from repro.network.fabric import Fabric
 from repro.network.router import InTransit
 from repro.network.routing import AdaptiveRandom, EscapeVC, make_policy
@@ -76,7 +76,7 @@ class TestFindDeadlock:
     def test_stall_report_names_the_cycle(self):
         fabric = make_fabric(AdaptiveRandom(seed=0))
         place_ring(fabric)
-        with pytest.raises(NetworkError, match="deadlock"):
+        with pytest.raises(SimStallError, match="deadlock"):
             fabric.run_until_quiescent(max_cycles=200)
         assert "deadlock" in fabric.snapshot()
 

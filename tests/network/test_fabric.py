@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NetworkError, RoutingError
+from repro.errors import NetworkError, RoutingError, SimStallError
 from repro.network.fabric import Fabric
 from repro.network.router import INJECTION_DEPTH, InTransit
 from repro.network.topology import Mesh2D
@@ -156,7 +156,7 @@ class TestFabricDelivery:
         for tag in range(8):
             self.send_from(fabric, 0, 1, tag=tag)
             fabric.step()
-        with pytest.raises(NetworkError):
+        with pytest.raises(SimStallError):
             fabric.run_until_quiescent(max_cycles=500)
 
 

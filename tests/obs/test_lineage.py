@@ -254,7 +254,7 @@ class TestCollectivesCriticalPath:
     def test_barrier_chain_matches_tree_depth(self):
         topology = Mesh2D(8, 8)
         tracker = LineageTracker(origin="barrier")
-        run_nic_collective("barrier", topology, lineage=tracker)
+        run_nic_collective("barrier", topology, observer=tracker)
         reconcile_lineage(tracker, require_complete=True)
         tree = CombiningTree(64, arity=2)
         path = critical_path(tracker)
@@ -267,7 +267,7 @@ class TestCollectivesCriticalPath:
     def test_barrier_fan_in_parents(self):
         topology = Mesh2D(4, 4)
         tracker = LineageTracker(origin="barrier")
-        run_nic_collective("barrier", topology, arity=4, lineage=tracker)
+        run_nic_collective("barrier", topology, arity=4, observer=tracker)
         # Some emission must have combined multiple children.
         assert any(len(record.parents) > 1 for record in tracker.records)
 
@@ -306,7 +306,8 @@ class TestTamLineage:
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
         tracker = LineageTracker(origin="tam")
-        machine = Machine(2, lineage=tracker)
+        machine = Machine(2)
+        machine.attach(tracker)
         machine.load(block)
         machine.boot("pc")
         machine.run()
@@ -376,7 +377,8 @@ class TestParking:
         from repro.nic.protection import GangScheduler
 
         tracker = LineageTracker(origin="park")
-        fabric = Fabric(Mesh2D(2, 1), lineage=tracker)
+        fabric = Fabric(Mesh2D(2, 1))
+        fabric.attach(tracker)
         sender, receiver = fabric.interfaces
         gang = GangScheduler(fabric.interfaces)
         gang.start_slice(1)

@@ -251,7 +251,7 @@ def test_small_ring_keeps_the_tail_of_the_stream(params, capacity):
 
 def test_small_ring_keeps_the_tail_of_a_tam_stream():
     small, large = Tracer(capacity=50), Tracer(capacity=None)
-    run_matmul(n=8, nodes=4, tracer=observer_of(small, large))
+    run_matmul(n=8, nodes=4, observer=observer_of(small, large))
     assert large.count(TAM_HANDLE) > 50
     assert_tail(small, large, 50)
 

@@ -22,10 +22,14 @@ Every digest was captured on the tree whose components each held one
 attribute per observer family; moving the observers behind one event
 interface must reproduce them byte for byte.  The paper-scale digests
 were captured on the tree whose tracer stored a ``TraceEvent`` per
-event and whose metrics series kept running histograms.
+event and whose metrics series kept running histograms.  The barrier's
+was captured when its fabric stepped only while traffic was pending;
+it now steps on every kernel cycle, and the records must equal the
+golden on the clock of those busy steps (:class:`BusyStepClock`).
 """
 
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -38,6 +42,7 @@ from repro.obs.breakdown import write_lineage
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.lineage import LineageTracker
 from repro.obs.metrics import MetricsRecorder
+from repro.obs.observer import EVENTS, Observer
 from repro.obs.tracer import TAM_HANDLE, TAM_POST, Tracer
 from repro.programs.matmul import run_matmul
 from tam_reference import each_machine, on_machine
@@ -184,7 +189,7 @@ def test_paper_hotspot_metrics_match_golden(paper_hotspot):
 @each_machine
 def test_matmul_tam_stream_matches_golden(monkeypatch, Machine):
     tracer = Tracer(capacity=None)
-    on_machine(monkeypatch, Machine, run_matmul)(n=8, nodes=4, tracer=tracer)
+    on_machine(monkeypatch, Machine, run_matmul)(n=8, nodes=4, observer=tracer)
     stream = [
         [event.ts, event.kind, event.node, event.detail]
         for event in tracer
@@ -221,7 +226,8 @@ def producer_consumer(Machine: type) -> LineageTracker:
     block.add_thread("done", [StopInstr()])
     block.set_entry("entry")
     tracker = LineageTracker(origin="tam")
-    machine = Machine(2, lineage=tracker)
+    machine = Machine(2)
+    machine.attach(tracker)
     machine.load(block)
     machine.boot("pc")
     machine.run()
@@ -234,10 +240,45 @@ def test_tam_lineage_records_match_golden(Machine):
     assert records_digest(tracker) == GOLDEN_TAM_RECORDS
 
 
+class BusyStepClock(Observer):
+    """Hands every event on to ``tracker``, with its cycle counted in
+    fabric steps that had traffic pending: a step that delivered nothing
+    and left nothing pending (``on_step`` ends every step) had none."""
+
+    def __init__(self, tracker: Observer) -> None:
+        self.tracker = tracker
+        self.idle_steps = 0
+
+    def on_step(self, ts, fabric, delivered, link_moves):
+        if not delivered and not fabric.pending():
+            self.idle_steps += 1
+
+
+def _forward(name: str):
+    timed = "ts" in inspect.signature(getattr(Observer, name)).parameters
+
+    def forward(self, *args):
+        if timed:
+            args = (args[0] - self.idle_steps,) + args[1:]
+        getattr(self.tracker, name)(*args)
+
+    return forward
+
+
+for _name in EVENTS:
+    if _name != "on_step":
+        setattr(BusyStepClock, _name, _forward(_name))
+
+
 def test_barrier_lineage_records_match_golden():
     tracker = LineageTracker(origin="barrier")
-    run_nic_collective("barrier", Mesh2D(8, 8), lineage=tracker)
+    clock = BusyStepClock(tracker)
+    run = run_nic_collective("barrier", Mesh2D(8, 8), observer=clock)
     assert records_digest(tracker) == GOLDEN_BARRIER_RECORDS
+    # The engine works alone on the first cycle (its entry sends leave)
+    # and on the cycle after the root combines (the broadcast leaves).
+    assert clock.idle_steps == 2
+    assert run.cycles == 147
 
 
 def observe_tenancy(fabric, tracker: LineageTracker) -> None:

@@ -4,7 +4,8 @@
   defined here, subscribes beside a tracer through the components'
   ``attach`` and sees every event the tracer turns into a trace kind.
 * **Fan-out.**  Two lineage trackers behind one slot record the same
-  spans.
+  spans, and two counters behind a runner's one ``observer=`` count the
+  same events from every part it builds.
 * **Free when off.**  With nothing attached, no workload family calls
   into the protocol: every event method raises, and the runs finish.
 """
@@ -101,7 +102,7 @@ class TestNewObserver:
         run_matmul = on_machine(monkeypatch, Machine, matmul.run_matmul)
         attach_on_build(monkeypatch, matmul, "TamMachine", counter)
         tracer = trace.Tracer(capacity=None)
-        run_matmul(n=8, nodes=4, tracer=tracer)
+        run_matmul(n=8, nodes=4, observer=tracer)
         assert_counts_match(counter, tracer)
         assert tracer.count(trace.TAM_HANDLE) > 0
         assert counter.counts["on_tam_handle_end"] == tracer.count(trace.TAM_HANDLE)
@@ -130,9 +131,25 @@ class TestFanOut:
 
     def test_two_trackers_on_the_barrier(self):
         first, second = LineageTracker(), LineageTracker()
-        run_nic_collective("barrier", Mesh2D(4, 4), lineage=observer_of(first, second))
+        run_nic_collective("barrier", Mesh2D(4, 4), observer=observer_of(first, second))
         assert any(record.parents for record in first.records)
         assert self.records(first) == self.records(second)
+
+    def test_one_observer_reaches_every_part_of_the_nic_collective(self):
+        first, second = EventCounter(), EventCounter()
+        run = run_nic_collective(
+            "allreduce", Mesh2D(4, 4), observer=observer_of(first, second)
+        )
+        for event in (
+            "on_send", "on_dispatch", "on_retire",  # the interfaces
+            "on_inject", "on_hop", "on_eject",  # the fabric
+            "on_handler_begin", "on_emit", "on_bind",  # the engine
+        ):
+            assert first.counts[event] > 0, event
+        assert first.counts["on_handler_begin"] == run.events["handled"]
+        # The fabric is a kernel component itself: one step per cycle.
+        assert first.counts["on_step"] == run.cycles
+        assert first.counts == second.counts
 
     def test_subscribers_skip_events_they_do_not_override(self):
         tracer, metrics = trace.Tracer(), MetricsRecorder()

@@ -146,7 +146,7 @@ class TestZeroCostOff:
         before = set(vars(fabric))
         kernel = SimKernel()
         kernel.register(fabric)
-        cycles = kernel.run(max_cycles=100).cycles
+        cycles = kernel.run(max_cycles=100)
         assert set(vars(fabric)) == before
         assert instrument.take()["Fabric.tick"]["calls"] == cycles
 
@@ -162,7 +162,7 @@ class TestBoundaries:
         [
             ("repro.sim.kernel", "NoSuchKernel.run"),
             ("repro.sim.kernel", "SimKernel.no_such_method"),
-            ("repro.sim.kernel", "SimKernel.handles"),  # a property
+            ("repro.api.cluster", "Cluster.n_nodes"),  # a property
             ("repro.obs.lineage", "LineageTracker.no_such_*"),
             ("repro.exp.runner", "no_such_function"),
         ],
@@ -271,7 +271,7 @@ class TestTamAttribution:
     def test_fast_and_reference_attribute_identically(self, monkeypatch, instrument):
         profiles = []
         for Machine in MACHINES.values():
-            on_machine(monkeypatch, Machine, run_matmul)(n=8, nodes=4, tracer=Tracer())
+            on_machine(monkeypatch, Machine, run_matmul)(n=8, nodes=4, observer=Tracer())
             profiles.append(calls(instrument.take()))
         assert profiles[0] == profiles[1]
         assert profiles[0]["Tracer.emit"] > 0

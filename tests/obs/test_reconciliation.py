@@ -44,9 +44,10 @@ def run_congested_fabric(tracer=None, metrics=None) -> Fabric:
         interfaces,
         link_buffer_depth=1,
         serialization_cycles=2,
-        tracer=tracer,
-        metrics=metrics,
     )
+    for observer in (tracer, metrics):
+        if observer is not None:
+            fabric.attach(observer)
     receiver = fabric.interface(0)
     remaining = {node: 10 for node in (1, 2, 3)}
     for cycle in range(1, 2_000):
@@ -154,14 +155,14 @@ class TestTracerDoesNotPerturb:
 class TestTamReconciliation:
     def test_posts_equal_handles(self):
         tracer = Tracer(capacity=None)
-        result = run_matmul(n=8, nodes=4, tracer=tracer)
+        result = run_matmul(n=8, nodes=4, observer=tracer)
         assert result.machine.observer is tracer
         assert tracer.count(TAM_POST) > 0
         assert tracer.count(TAM_POST) == tracer.count(TAM_HANDLE)
 
     def test_traced_run_identical_to_untraced(self):
         plain = run_matmul(n=8, nodes=4)
-        traced = run_matmul(n=8, nodes=4, tracer=Tracer())
+        traced = run_matmul(n=8, nodes=4, observer=Tracer())
         assert plain.total == traced.total
         assert plain.stats == traced.stats
         assert (
@@ -171,7 +172,7 @@ class TestTamReconciliation:
     def test_both_interpreter_paths_emit_identical_counts(self, monkeypatch):
         codegen_tracer = Tracer(capacity=None)
         ref_tracer = Tracer(capacity=None)
-        on_machine(monkeypatch, TamMachine, run_matmul)(n=8, nodes=4, tracer=codegen_tracer)
-        on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=8, nodes=4, tracer=ref_tracer)
+        on_machine(monkeypatch, TamMachine, run_matmul)(n=8, nodes=4, observer=codegen_tracer)
+        on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=8, nodes=4, observer=ref_tracer)
         assert codegen_tracer.count(TAM_POST) == ref_tracer.count(TAM_POST)
         assert codegen_tracer.count(TAM_HANDLE) == ref_tracer.count(TAM_HANDLE)

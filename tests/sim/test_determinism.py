@@ -32,7 +32,8 @@ def small_hotspot():
 
 def drive_cluster(tracer):
     """A mixed read/write workload with cross-fabric traffic."""
-    cluster = Cluster(Mesh2D(3, 3), tracer=tracer)
+    cluster = Cluster(Mesh2D(3, 3))
+    cluster.fabric.attach(tracer)
     cluster.remote_block_write(source=0, target=8, address=0x100, values=range(12))
     values = cluster.remote_block_read(source=4, target=8, address=0x100, count=12)
     assert values == list(range(12))
@@ -79,16 +80,16 @@ class TestPolicyEquivalence:
 
     def test_matmul_turn_for_turn(self, monkeypatch):
         codegen, ref = Tracer(capacity=None), Tracer(capacity=None)
-        a = on_machine(monkeypatch, TamMachine, run_matmul)(n=8, nodes=4, tracer=codegen)
-        b = on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=8, nodes=4, tracer=ref)
+        a = on_machine(monkeypatch, TamMachine, run_matmul)(n=8, nodes=4, observer=codegen)
+        b = on_machine(monkeypatch, ReferenceMachine, run_matmul)(n=8, nodes=4, observer=ref)
         assert a.total == b.total
         assert a.machine.turns_executed == b.machine.turns_executed
         assert self.tam_stream(codegen) == self.tam_stream(ref)
 
     def test_queens_turn_for_turn(self, monkeypatch):
         codegen, ref = Tracer(capacity=None), Tracer(capacity=None)
-        a = on_machine(monkeypatch, TamMachine, run_queens)(n=5, nodes=4, tracer=codegen)
-        b = on_machine(monkeypatch, ReferenceMachine, run_queens)(n=5, nodes=4, tracer=ref)
+        a = on_machine(monkeypatch, TamMachine, run_queens)(n=5, nodes=4, observer=codegen)
+        b = on_machine(monkeypatch, ReferenceMachine, run_queens)(n=5, nodes=4, observer=ref)
         assert a.solutions == b.solutions
         assert a.machine.turns_executed == b.machine.turns_executed
         assert self.tam_stream(codegen) == self.tam_stream(ref)

@@ -56,50 +56,96 @@ class TestStopConditions:
     def test_quiescent_machine_runs_zero_cycles(self):
         kernel = SimKernel()
         kernel.register(Recorder("a", 0, []))
-        result = kernel.run()
-        assert result.cycles == 0
-        assert result.reason == "quiescent"
+        assert kernel.run() == 0
 
     def test_runs_until_all_components_quiescent(self):
         kernel = SimKernel()
         kernel.register(Recorder("short", 1, []))
         kernel.register(Recorder("long", 5, []))
-        result = kernel.run()
-        assert result.cycles == 5
+        assert kernel.run() == 5
 
-    def test_custom_predicate_overrides_quiescence(self):
+    def test_cycle_bound_overrides_quiescence(self):
         log = []
         kernel = SimKernel()
-        kernel.register(Recorder("a", 100, log))
-        result = kernel.run(until=lambda: len(log) >= 3)
-        assert result.cycles == 3
-        assert result.reason == "predicate"
+        kernel.register(Recorder("busy", 100, log))
+        kernel.register(Recorder("idle", 0, log))
+        assert kernel.run(cycles=3) == 3
+        # Neither the busy component's work nor the idle one's
+        # quiescence ends a bounded run early or late.
+        assert [name for name, _ in log] == ["busy", "idle"] * 3
+        assert kernel.run(cycles=2) == 2
+        assert kernel.cycle == 5
 
     def test_stall_raises_with_component_snapshots(self):
         kernel = SimKernel()
-        kernel.register(Recorder("stuck", 10_000, []), name="stuck")
+        kernel.register(Recorder("stuck", 10_000, []))
         with pytest.raises(SimStallError) as err:
-            kernel.run(max_cycles=7)
+            kernel.run(max_cycles=7, label="probe")
         message = str(err.value)
-        assert "within 7 cycles" in message
-        assert "stuck" in message
-        assert "work=9993" in message
-
-    def test_stall_error_type_is_pluggable(self):
-        kernel = SimKernel()
-        kernel.register(Recorder("stuck", 100, []))
-        with pytest.raises(TimeoutError):
-            kernel.run(max_cycles=3, stall_error=TimeoutError)
+        assert "probe did not reach its stop condition within 7 cycles" in message
+        assert "  - stuck [awake] work=9993" in message
 
     def test_cycle_counter_accumulates_across_runs(self):
         kernel = SimKernel()
         component = Recorder("a", 2, [])
         kernel.register(component)
-        assert kernel.run().cycles == 2
+        assert kernel.run() == 2
         component.work = 3
         # max_cycles bounds the new run, not the accumulated total.
-        assert kernel.run(max_cycles=3).cycles == 3
+        assert kernel.run(max_cycles=3) == 3
         assert kernel.cycle == 5
+
+
+class Periodic(Recorder):
+    """Ticks every ``period`` cycles and sleeps in between."""
+
+    def __init__(self, name, period, log):
+        super().__init__(name, 0, log)
+        self.period = period
+
+    def tick(self, cycle):
+        super().tick(cycle)
+        self.handle.wake_at(cycle + self.period)
+
+
+class TestBoundedRuns:
+    """``run(cycles=N)`` fast-forwards over cycles in which nothing is
+    awake, ends at exactly ``start + N``, and ticks what the literal
+    cycle-by-cycle loop (``fast_forward=False``) ticks."""
+
+    @staticmethod
+    def _bounded(fast_forward, bound, asleep):
+        log = []
+        kernel = SimKernel(fast_forward=fast_forward)
+        periodic = Periodic("p", 5, log)
+        periodic.handle = kernel.register(periodic)
+        periodic.handle.wake_at(3)
+        stale = Recorder("stale", 0, log)
+        stale.handle = kernel.register(stale)
+        # A timed wake cancelled by sleep() leaves a stale heap entry,
+        # inside every window below.
+        stale.handle.wake_at(7)
+        stale.handle.sleep()
+        # Ticks at 3; at cycle 4 its next wake is cycle 8.
+        assert kernel.run(cycles=4) == 4
+        if asleep:
+            periodic.handle.sleep()
+        start = kernel.cycle
+        assert kernel.run(cycles=bound) == bound
+        assert kernel.cycle == start + bound
+        return log
+
+    @pytest.mark.parametrize(
+        "bound", [0, 2, 4, 11], ids=["empty", "before-wake", "at-wake", "after-wake"]
+    )
+    def test_ends_at_the_bound_with_the_literal_loops_ticks(self, bound):
+        log = self._bounded(True, bound, asleep=False)
+        assert log == self._bounded(False, bound, asleep=False)
+        assert log == [("p", 3)] + [("p", c) for c in (8, 13) if c <= 4 + bound]
+
+    def test_nothing_awake(self):
+        log = self._bounded(True, 20, asleep=True)
+        assert log == self._bounded(False, 20, asleep=True) == [("p", 3)]
 
 
 class TestWakeSleep:

@@ -206,8 +206,9 @@ class ReferenceMachine(TamMachine):
 
     def _run_thread(self, state, frame: Frame, label: str) -> None:
         self.stats.threads_run += 1
+        instructions = self.stats.instructions
         for instr in frame.codeblock.thread(label):
-            self.stats.count_instruction(instr.kind)
+            instructions[instr.kind] += 1
             if self._execute(state, frame, instr):
                 return
         raise TamError(
@@ -340,7 +341,13 @@ class ReferenceMachine(TamMachine):
 
     def _deliver(self, state, message: TamMessage) -> None:
         frame = self._frame(state, message.frame_id)
-        spec = frame.codeblock.inlet(message.inlet)
+        codeblock = frame.codeblock
+        spec = codeblock.inlets.get(message.inlet)
+        if spec is None:
+            # The error codegen's _missing_inlet stub raises.
+            raise TamError(
+                f"codeblock {codeblock.name!r} has no inlet {message.inlet}"
+            )
         for slot, value in zip(spec.dest_slots, message.values):
             frame.write(slot, value)
         if spec.counter is not None:

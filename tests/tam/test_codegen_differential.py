@@ -290,8 +290,10 @@ def snapshot(value):
 def outcome(program, Machine: type, traced: bool) -> dict:
     """Run ``program`` once; the observable result or the error."""
     n_nodes, block, length = program
-    tracer = Tracer(capacity=None) if traced else None
-    machine = Machine(n_nodes, tracer=tracer)
+    machine = Machine(n_nodes)
+    if traced:
+        tracer = Tracer(capacity=None)
+        machine.attach(tracer)
     try:
         machine.load(block)
         ref = machine.boot("fz")

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import FrameError, TamError
 from repro.tam.codeblock import Codeblock, CounterSpec
 from repro.tam.frame import FrameRef
-from repro.tam.instructions import StopInstr
-from tam_reference import Frame
+from repro.tam.instructions import ConInstr, SelfInstr, SendInstr, StopInstr
+from tam_reference import Frame, each_machine
 
 
 def block_with_counter(count: int = 2) -> Codeblock:
@@ -91,10 +91,28 @@ class TestCodeblockStructure:
         with pytest.raises(TamError):
             block.thread("ghost")
 
-    def test_unknown_inlet_lookup(self):
-        block = Codeblock("b", frame_size=1)
-        with pytest.raises(TamError):
-            block.inlet(7)
+    @each_machine
+    def test_unknown_inlet_lookup(self, Machine):
+        """A one-value SEND to an inlet the codeblock lacks fails when
+        it is delivered, with the same message on both machines."""
+        block = Codeblock("b", frame_size=2)
+        block.add_inlet(0, dest_slots=(1,))
+        block.add_thread(
+            "go",
+            [
+                SelfInstr(0),
+                ConInstr(1, 5),
+                SendInstr(frame_slot=0, inlet=7, values=(1,)),
+                StopInstr(),
+            ],
+        )
+        block.set_entry("go")
+        machine = Machine(1)
+        machine.load(block)
+        machine.boot("b")
+        with pytest.raises(TamError) as raised:
+            machine.run()
+        assert str(raised.value) == "codeblock 'b' has no inlet 7"
 
     def test_entry_must_exist(self):
         block = Codeblock("b", frame_size=1)

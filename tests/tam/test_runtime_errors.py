@@ -199,8 +199,8 @@ class TestCodegenColdPaths:
 
 
 OBSERVERS = {
-    "none": dict,
-    "tracer": lambda: {"tracer": Tracer()},
+    "none": lambda: None,
+    "tracer": Tracer,
 }
 
 
@@ -217,7 +217,10 @@ class TestTurnBoundExactness:
 
     @staticmethod
     def two_turn_machine(Machine: type, observer: str) -> TamMachine:
-        machine = Machine(1, **OBSERVERS[observer]())
+        machine = Machine(1)
+        attached = OBSERVERS[observer]()
+        if attached is not None:
+            machine.attach(attached)
         block = Codeblock("two", frame_size=1)
         block.add_thread("entry", [ForkInstr("second"), StopInstr()])
         block.add_thread("second", [ConInstr(0, 7), StopInstr()])
