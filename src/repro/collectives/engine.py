@@ -297,14 +297,13 @@ def run_nic_collective(
     if values is None:
         values = list(range(n))
     fabric = Fabric(topology)
-    if observer is not None:
-        fabric.attach(observer)
     if iq_threshold is not None:
         for interface in fabric.interfaces:
             interface.control["iq_threshold"] = iq_threshold
     tree = CombiningTree(n, root=root, arity=arity)
     engine = NicHandlerEngine(fabric, tree, kind, op, step_cycles=step_cycles)
     if observer is not None:
+        fabric.attach(observer)
         engine.attach(observer)
     kernel = SimKernel()
     kernel.register(fabric)

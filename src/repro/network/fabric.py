@@ -79,8 +79,8 @@ is the one way to fill it.
 The fabric is itself a kernel component (:mod:`repro.sim`), and every
 driver registers it as it is: one tick is one :meth:`Fabric.step`.  A
 step with nothing pending moves, injects and draws nothing and raises
-only ``on_step``, so a driver whose endpoints work while the network is
-empty only counts those cycles in ``stats.cycles``.
+only ``on_step``: a cycle in which only a driver's endpoints work shows
+in ``stats.cycles`` and nowhere else.
 
 Deadlock is a first-class diagnostic: :meth:`Fabric.find_deadlock`
 searches the buffer wait-for graph for a cycle of full buffers whose
