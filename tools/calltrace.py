@@ -27,8 +27,8 @@ serializes a payload), ``asdict`` or a tuple index.  Such a field reads
 artifact, which the same-output check (``tools/sameoutput.py``)
 catches.  The group gates nothing.
 
-Run from the repository root (about 4 minutes on 2 vCPUs; 3 min 44 s
-when last timed)::
+Run from the repository root (4 to 5 minutes on 2 vCPUs: 3 min 44 s
+and 4 min 39 s in the last two timed runs)::
 
     python tools/calltrace.py
 

@@ -10,7 +10,7 @@ root, with each side's ``src/`` on ``PYTHONPATH``:
 * ``python -m repro --json-dir`` -- the default eval's 12 artifacts;
 * ``--paper-scale --skip netsweep`` -- the paper-scale eval's other 11;
 * ``--paper-scale --only netsweep`` -- paper-scale netsweep's one
-  artifact, every ``deadlock`` string included (80 s or so a side on
+  artifact, every ``deadlock`` string included (49 to 63 s a side on
   2 vCPUs);
 * ``--only flowcontrol --trace --lineage``, with and without
   ``--paper-scale`` -- the three observer files under ``traces/``.
