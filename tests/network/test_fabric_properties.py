@@ -91,14 +91,20 @@ class TestConservation:
         assert fabric.stats.total_hops == expected_hops
 
 
+IDLE_TOPOLOGIES = [
+    Mesh2D(2, 2),
+    Mesh2D(3, 3),
+    Mesh2D(4, 2),
+    Torus2D(3, 3),
+    Torus2D(4, 4),
+    Hypercube(2),
+    Hypercube(3),
+]
+
+
 @st.composite
 def drained_runs(draw):
-    topology = draw(
-        st.sampled_from(
-            [Mesh2D(2, 2), Mesh2D(3, 3), Mesh2D(4, 2), Torus2D(3, 3), Torus2D(4, 4),
-             Hypercube(2), Hypercube(3)]
-        )
-    )
+    topology = draw(st.sampled_from(IDLE_TOPOLOGIES))
     n = topology.n_nodes
     return dict(
         topology=topology,

@@ -70,8 +70,7 @@ class TestStopConditions:
         kernel.register(Recorder("busy", 100, log))
         kernel.register(Recorder("idle", 0, log))
         assert kernel.run(cycles=3) == 3
-        # Neither the busy component's work nor the idle one's
-        # quiescence ends a bounded run early or late.
+        # Quiescence plays no part: both tick in every cycle of the run.
         assert [name for name, _ in log] == ["busy", "idle"] * 3
         assert kernel.run(cycles=2) == 2
         assert kernel.cycle == 5
@@ -122,8 +121,8 @@ class TestBoundedRuns:
         periodic.handle.wake_at(3)
         stale = Recorder("stale", 0, log)
         stale.handle = kernel.register(stale)
-        # A timed wake cancelled by sleep() leaves a stale heap entry,
-        # inside every window below.
+        # A timed wake cancelled by sleep() leaves a stale heap entry at
+        # cycle 7, which the longer windows below cross.
         stale.handle.wake_at(7)
         stale.handle.sleep()
         # Ticks at 3; at cycle 4 its next wake is cycle 8.
