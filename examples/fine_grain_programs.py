@@ -16,7 +16,7 @@ from repro.programs.matmul import run_matmul
 
 def main() -> None:
     # --- matrix multiply ------------------------------------------------
-    mm = run_matmul(n=24, nodes=16)  # verified against NumPy internally
+    mm = run_matmul(n=24, nodes=16)  # verified against A·B internally
     print(
         f"matmul 24x24 on 16 nodes: checksum {mm.total:,.1f} (verified), "
         f"{mm.stats.messages.total_messages:,} messages, "

@@ -44,9 +44,8 @@ class ArtifactError(EvaluationError):
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert ``obj`` to plain JSON types.
 
-    Handles dataclasses, enums, mappings with non-string keys, tuples,
-    sets, and numpy scalars; everything else must already be a JSON
-    primitive.
+    Handles dataclasses, enums, mappings with non-string keys, tuples
+    and sets; everything else must already be a JSON primitive.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -61,8 +60,6 @@ def to_jsonable(obj: Any) -> Any:
         return [to_jsonable(item) for item in obj]
     if isinstance(obj, (str, bool, int, float)) or obj is None:
         return obj
-    if hasattr(obj, "item") and callable(obj.item):  # numpy scalar
-        return obj.item()
     raise ArtifactError(f"cannot serialise {type(obj).__name__} into an artifact")
 
 

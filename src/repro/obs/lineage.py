@@ -37,12 +37,13 @@ covered ``[inject, deliver]`` with no gaps.
 The tracker is an :class:`~repro.obs.observer.Observer`, so it follows
 the one zero-cost-when-off contract: a component with nothing attached
 pays one identity check per event site, and a TAM machine with nothing
-attached keeps its fused codegen loop and generated code untouched.
+attached keeps plain queues (observed or not, it runs the same loop and
+generated code).
 
 Causality is a DAG over lineage records: a collectives handler's
 emission is caused by *all* child messages it consumed since its last
-emission (combining-tree semantics), and a TAM ``_post`` issued while a
-wrapped handler runs links the request to its response.  Messages
+emission (combining-tree semantics), and a TAM post made while a
+message's handle is open links the request to its response.  Messages
 travel by object identity, so the tracker keys live records on
 ``id(message)`` and keeps a strong reference in the record to prevent
 id reuse.
@@ -292,8 +293,9 @@ class LineageTracker(Observer):
         self._deferred: Dict[int, Tuple[Any, Tuple[LineageRecord, ...]]] = {}
         self._consumed: Dict[int, List[LineageRecord]] = {}
         self._emitted_nodes: set = set()
-        # TAM: handler stack for request->response edges, turn clock.
-        self._tam_stack: List[LineageRecord] = []
+        # TAM: the record whose handle is open (posts made during it are
+        # its responses), and the turn clock.
+        self._tam_open: Optional[LineageRecord] = None
         self._tam_seq = 0
 
     # -- record creation -------------------------------------------------
@@ -493,19 +495,20 @@ class LineageTracker(Observer):
     # -- TAM events (turn timeline) --------------------------------------
 
     def on_tam_post(self, message):
-        """A TAM runtime posted an inter-frame message."""
+        """A TAM runtime posted an inter-frame message: [0] its kind, [1]
+        its node."""
         self._tam_seq += 1
         record = self._new_record(
             message,
             self._tam_seq,
             "turns",
             origin="tam",
-            dest=getattr(message, "node", None),
-            mtype=getattr(getattr(message, "kind", None), "name", None),
+            dest=message[1],
+            mtype=message[0].name,
         )
         record.state = "queued"
-        if self._tam_stack:
-            parent = self._tam_stack[-1]
+        parent = self._tam_open
+        if parent is not None:
             record.parents.append(parent)
             parent.children.append(record)
 
@@ -518,15 +521,15 @@ class LineageTracker(Observer):
         record.close(PHASE_QUEUE, self._tam_seq, {"node": record.dest})
         record.delivered = self._tam_seq
         record.state = "current"
-        self._tam_stack.append(record)
+        self._tam_open = record
 
     def on_tam_handle_end(self, node, message):
-        """The handle of ``message`` ended; handles nest, so a tracked
-        one is on top of the stack."""
-        stack = self._tam_stack
-        if not stack or stack[-1].message is not message:
-            return  # untracked message: its begin pushed nothing
-        record = stack.pop()
+        """The handle of ``message`` ended; the machine ends each handle
+        before it begins the next, so at most one is open."""
+        record = self._tam_open
+        if record is None or record.message is not message:
+            return  # untracked message: its begin opened nothing
+        self._tam_open = None
         end = max(self._tam_seq, record.cursor) + 1
         self._tam_seq = end
         record.close(PHASE_HANDLER, end, {"node": record.dest})
@@ -542,6 +545,6 @@ class LineageTracker(Observer):
         self._deferred.clear()
         self._consumed.clear()
         self._emitted_nodes.clear()
-        self._tam_stack.clear()
+        self._tam_open = None
         self._tam_seq = 0
         self._next_lid = 0

@@ -226,15 +226,16 @@ class Tracer(Observer):
     def on_eject(self, ts, node, message, hops, latency):
         self.emit(ts, EJECT, node, _eject, hops, latency)
 
-    # A TAM message is mutable: its kind is read now, its name later.
+    # A TAM message is read by position: [0] its kind, whose name is
+    # read when the event is, and [1] its node.
 
     def on_tam_post(self, message):
         self._turn += 1
-        self.emit(self._turn, TAM_POST, message.node, _mkind, message.kind)
+        self.emit(self._turn, TAM_POST, message[1], _mkind, message[0])
 
     def on_tam_handle_begin(self, node, message):
         self._turn += 1
-        self.emit(self._turn, TAM_HANDLE, node, _mkind, message.kind)
+        self.emit(self._turn, TAM_HANDLE, node, _mkind, message[0])
 
     def clear(self) -> None:
         """Discard all events, counts and first timestamps."""

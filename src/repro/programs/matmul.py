@@ -21,15 +21,14 @@ Structure of this reproduction (all cross-frame traffic is messages):
 
 Matrices are synthetic but dense and verifiable: ``A[i][j] = 0.5·i +
 0.25·j + 1`` and ``B[i][j] = 0.125·i − 0.0625·j + 2``; the driver's
-accumulated total and the reassembled C are checked against NumPy.
+accumulated total and the reassembled C are checked against the closed
+form of ``A·B`` (:func:`reference_product`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import TamError
 from repro.obs.observer import Observer
@@ -57,13 +56,31 @@ BLOCK = 4
 BLOCK_ELEMS = BLOCK * BLOCK
 
 
-def reference_matrices(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The NumPy ground truth for an n×n run."""
-    i = np.arange(n).reshape(-1, 1)
-    j = np.arange(n).reshape(1, -1)
-    a = 0.5 * i + 0.25 * j + 1.0
-    b = 0.125 * i - 0.0625 * j + 2.0
+def reference_matrices(n: int) -> Tuple[List[List[float]], List[List[float]]]:
+    """A and B of an n×n run, as lists of rows."""
+    a = [[0.5 * i + 0.25 * j + 1.0 for j in range(n)] for i in range(n)]
+    b = [[0.125 * i - 0.0625 * j + 2.0 for j in range(n)] for i in range(n)]
     return a, b
+
+
+def reference_product(n: int) -> List[List[float]]:
+    """``A·B`` of an n×n run, in closed form.
+
+    ``A[i][k] = a_i + 0.25·k`` and ``B[k][j] = b_j + 0.125·k`` with
+    ``a_i = 0.5·i + 1`` and ``b_j = 2 − 0.0625·j``, so with ``S1 = Σk``
+    and ``S2 = Σk²`` over ``k < n``, ``C[i][j] = n·a_i·b_j + (0.125·a_i
+    + 0.25·b_j)·S1 + 0.03125·S2``.  Every term is a multiple of 1/64
+    small enough for float64 to hold exactly, so this equals the product
+    by definition bit for bit.
+    """
+    s1 = n * (n - 1) // 2
+    s2 = (n - 1) * n * (2 * n - 1) // 6
+    bs = [2.0 - 0.0625 * j for j in range(n)]
+    rows = []
+    for i in range(n):
+        a = 0.5 * i + 1.0
+        rows.append([n * a * b + (0.125 * a + 0.25 * b) * s1 + 0.03125 * s2 for b in bs])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +444,10 @@ class MatmulResult:
     machine: TamMachine
     dir_c: IStructRef
 
-    def reassemble_c(self) -> np.ndarray:
-        """Rebuild C from the distributed I-structure blocks."""
+    def reassemble_c(self) -> List[List[float]]:
+        """Rebuild C, as rows, from the distributed I-structure blocks."""
         nb = self.n // BLOCK
-        c = np.zeros((self.n, self.n))
+        c = [[0.0] * self.n for _ in range(self.n)]
         for index in range(nb * nb):
             block_ref = self.machine.istructure_peek(self.dir_c, index)
             if block_ref is None:
@@ -443,19 +460,20 @@ class MatmulResult:
         return c
 
     def verify(self) -> None:
-        """Raise unless the distributed result matches NumPy to 1e-6 per
+        """Raise unless the distributed result matches ``A·B`` to 1e-6 per
         element (and the accumulated total to 1e-6 per element summed)."""
         tolerance = 1e-6
-        a, b = reference_matrices(self.n)
-        expected = a @ b
-        actual = self.reassemble_c()
-        error = float(np.max(np.abs(expected - actual)))
+        expected = reference_product(self.n)
+        error = max(
+            abs(want - got)
+            for want_row, got_row in zip(expected, self.reassemble_c())
+            for want, got in zip(want_row, got_row)
+        )
         if error > tolerance:
             raise TamError(f"matmul result error {error} exceeds {tolerance}")
-        if abs(self.total - float(expected.sum())) > tolerance * expected.size:
-            raise TamError(
-                f"accumulated total {self.total} != {float(expected.sum())}"
-            )
+        total = sum(map(sum, expected))
+        if abs(self.total - total) > tolerance * self.n * self.n:
+            raise TamError(f"accumulated total {self.total} != {total}")
 
 
 def run_matmul(

@@ -42,11 +42,12 @@ the same execution points (out-of-range slots, bad SEND/IFETCH/ISTORE
 references, counter underflow, missing threads, threads without STOP)
 and reproduces the reference service order exactly.  Every machine
 runs the fused loop in :meth:`TamMachine._run_loop` over the
-:class:`repro.sim.sweep.ActiveSweep` flag arrays; machines with an
-observer attached post through ``machine._post`` captured at compile
-time, and the loop sends each of their messages through the observed
-handlers, so a run is bit-identical to a reference run either way
-(``tests/tam/test_backend_matrix``,
+:class:`repro.sim.sweep.ActiveSweep` flag arrays, and generated code
+posts into it inline: it appends to the target node's inbox and sets
+the node's sweep flag.  There is one emission for every machine; an
+observer sees the posts through the watched inboxes that
+:meth:`TamMachine.attach` installs, so a run is bit-identical to a
+reference run either way (``tests/tam/test_backend_matrix``,
 ``tests/tam/test_codegen_differential``).
 """
 
@@ -297,11 +298,12 @@ class _Emitter:
 
     def __init__(self, codeblock: Codeblock, machine) -> None:
         self.codeblock = codeblock
-        self.machine = machine
-        # The exec namespace: restricted builtins plus the machine hooks
-        # every message instruction needs.  ``post`` is whatever
-        # machine._post resolves to *now* — the observed wrapper when an
-        # observer was attached before load().
+        # The exec namespace: restricted builtins plus the machine state
+        # every message instruction needs.  Generated message
+        # instructions inline the post transport into _run_loop's flags:
+        # they append to the target inbox and set the sweep flag
+        # directly, and build plain tuples instead of TamMessages for the
+        # kinds the fused loop consumes positionally (SEND, PREAD).
         self.namespace = {
             "__builtins__": {},
             "int": int,
@@ -319,32 +321,18 @@ class _Emitter:
             "PWRITE": MsgKind.PWRITE,
             "READ": MsgKind.READ,
             "WRITE": MsgKind.WRITE,
-            "post": machine._post,
             "rr": machine._round_robin,
             "tr": machine._cg_runs,
+            "nodes": machine.nodes,
+            "sched": machine._sched,
+            "NN": machine.n_nodes,
+            "_badnode": _bad_node,
             "_oob": _oob,
             "_undf": _underflow,
             "_ck_send": _check_send_ref,
             "_ck_ifetch": _check_ifetch_ref,
             "_ck_istore": _check_istore_ref,
         }
-        # Unobserved machines get the post transport inlined into
-        # _run_loop's flags: generated message instructions
-        # append to the target inbox and set the sweep flag directly,
-        # skipping the closure call, and build plain tuples instead of
-        # TamMessages for the kinds the fused loop consumes positionally
-        # (SEND, PREAD).
-        # Observed machines keep the ``post`` call so the observed
-        # wrapper sees every message and _on_pread's attribute access
-        # keeps working.
-        self.inline_post = machine.observer is None
-        if self.inline_post:
-            self.namespace.update({
-                "nodes": machine.nodes,
-                "sched": machine._sched,
-                "NN": machine.n_nodes,
-                "_badnode": _bad_node,
-            })
         self.frame_size = codeblock.frame_size
         self.counter_order = tuple(codeblock.counters)
         # Per-thread slot typing: slot -> "int" | "float" | None, valid
@@ -354,7 +342,7 @@ class _Emitter:
         # coerced_operand drop ``int(...)``/``float(...)`` around slots
         # whose current value provably has the target type.
         self.slot_types: Dict[int, Optional[str]] = {}
-        # Per-thread descriptor cache (inline mode): desc slot ->
+        # Per-thread descriptor cache: desc slot ->
         # (ref local, node local) already emitted for this thread body.
         # Straight-line threads fetch from the same I-structure slot
         # many times (matmul's dot-product threads issue dozens of
@@ -467,10 +455,9 @@ class _Emitter:
         """Statements that post ``message`` to node ``node_expr``.
 
         ``message`` is a source template with ``{n}`` standing for the
-        target-node expression; ``node_expr`` is evaluated exactly once
-        in both modes.  Observed machines emit one ``post(...)`` call;
-        unobserved ones inline the transport — inbox append plus the
-        sweep wake rule over the flag arrays.  ``checked=False`` skips
+        target-node expression; ``node_expr`` is evaluated exactly once.
+        The transport is inlined: an inbox append plus the sweep wake
+        rule over the flag arrays.  ``checked=False`` skips
         the bounds test for targets the round-robin allocator produced;
         ``node_var`` names a local already holding a bounds-checked
         node id (the descriptor cache, READ/WRITE), skipping both the
@@ -483,8 +470,6 @@ class _Emitter:
         swaps the flag arrays between turns, so the hoisted values
         stay live for every post the thread makes.
         """
-        if not self.inline_post:
-            return [f"post({message.format(n=node_expr)})"]
         lines = []
         if not self.uses_sched_locals:
             self.uses_sched_locals = True
@@ -510,7 +495,7 @@ class _Emitter:
         return lines
 
     def desc_lines(self, slot: int, check_fn: str) -> Tuple[str, str, List[str]]:
-        """A checked descriptor/node local pair for ``slot`` (inline mode).
+        """A checked descriptor/node local pair for ``slot``.
 
         Returns ``(ref_var, node_var, lines)``; ``lines`` is empty when
         an earlier IFETCH/ISTORE in this thread body already verified
@@ -666,14 +651,12 @@ def _emit_instr(e: _Emitter, instr) -> List[str]:
         if bad is not None:
             return lines + [f"_oob(f, {bad})"]
         values = "".join(f"{e.slot_expr(s)}, " for s in instr.values)
-        # Inlined posts build a plain tuple: the fused loop consumes
-        # SEND/REPLY positionally, and skipping the NamedTuple
-        # constructor is measurable at this call frequency.
-        ctor = "(" if e.inline_post else "TamMessage(SEND, "
-        head = "SEND, " if e.inline_post else ""
+        # A plain tuple: the fused loop consumes SEND/REPLY
+        # positionally, and skipping the NamedTuple constructor is
+        # measurable at this call frequency.
         return lines + e.post_lines(
             "_r.node",
-            f"{ctor}{head}{{n}}, {instr.inlet}, _r.frame_id, ({values}))",
+            f"(SEND, {{n}}, {instr.inlet}, _r.frame_id, ({values}))",
         )
     if kind is IallocInstr:
         bad = e.first_oob([instr.length])
@@ -689,74 +672,42 @@ def _emit_instr(e: _Emitter, instr) -> List[str]:
         bad = e.first_oob([instr.desc_slot])
         if bad is not None:
             return [f"_oob(f, {bad})"]
-        if e.inline_post:
-            dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_ifetch")
-            bad = e.first_oob([instr.index])
-            if bad is not None:
-                return lines + [f"_oob(f, {bad})"]
-            if lines:
-                lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
-            # The inline PREAD carries the bound single-value reply
-            # inlet, the frame list itself, and the owner node id
-            # (``f[3]``): the fused loop replies without any frame or
-            # inlet lookup and defers readers without packing a
-            # DeferredReader.  Compact layout: [2] inlet fn, [3] frame,
-            # [4] owner node, [5] descriptor, [6] index.
-            # coerced_operand folds the index coercion away for
-            # immediates and provably-int slots (loop counters), the
-            # two common cases.
-            return lines + e.post_lines(
-                nvar,
-                f"(PREAD, {{n}}, {e.inlet_fn(instr.reply_inlet)}, f, "
-                f"f[3], {dvar}.descriptor, "
-                f"{e.coerced_operand(instr.index, 'int')})",
-                node_var=nvar,
-            )
-        lines = [
-            f"_d = {e.slot_expr(instr.desc_slot)}",
-            "if _d.__class__ is not IStructRef:",
-            f"    _ck_ifetch(_d, {instr.desc_slot})",
-        ]
+        dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_ifetch")
         bad = e.first_oob([instr.index])
         if bad is not None:
             return lines + [f"_oob(f, {bad})"]
+        if lines:
+            lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
+        # The PREAD carries the bound single-value reply inlet, the frame
+        # list itself, and the owner node id (``f[3]``): the fused loop
+        # replies without any frame or inlet lookup and defers readers
+        # without packing a DeferredReader.  Compact layout: [2] inlet
+        # fn, [3] frame, [4] owner node, [5] descriptor, [6] index.
+        # coerced_operand folds the index coercion away for immediates
+        # and provably-int slots (loop counters), the two common cases.
         return lines + e.post_lines(
-            "_d.node",
-            "TamMessage(PREAD, {n}, 0, 0, (), '', "
-            f"(f[1], {instr.reply_inlet}), _d.descriptor, "
-            f"int({e.operand(instr.index)}))",
+            nvar,
+            f"(PREAD, {{n}}, {e.inlet_fn(instr.reply_inlet)}, f, "
+            f"f[3], {dvar}.descriptor, "
+            f"{e.coerced_operand(instr.index, 'int')})",
+            node_var=nvar,
         )
     if kind is IstoreInstr:
         bad = e.first_oob([instr.desc_slot])
         if bad is not None:
             return [f"_oob(f, {bad})"]
-        if e.inline_post:
-            dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_istore")
-            bad = e.first_oob([instr.index, instr.value])
-            if bad is not None:
-                return lines + [f"_oob(f, {bad})"]
-            if lines:
-                lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
-            return lines + e.post_lines(
-                nvar,
-                "TamMessage(PWRITE, {n}, 0, 0, "
-                f"({e.slot_expr(instr.value)},), '', None, {dvar}.descriptor, "
-                f"{e.coerced_operand(instr.index, 'int')})",
-                node_var=nvar,
-            )
-        lines = [
-            f"_d = {e.slot_expr(instr.desc_slot)}",
-            "if _d.__class__ is not IStructRef:",
-            f"    _ck_istore(_d, {instr.desc_slot})",
-        ]
+        dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_istore")
         bad = e.first_oob([instr.index, instr.value])
         if bad is not None:
             return lines + [f"_oob(f, {bad})"]
+        if lines:
+            lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
         return lines + e.post_lines(
-            "_d.node",
+            nvar,
             "TamMessage(PWRITE, {n}, 0, 0, "
-            f"({e.slot_expr(instr.value)},), '', None, _d.descriptor, "
-            f"int({e.operand(instr.index)}))",
+            f"({e.slot_expr(instr.value)},), '', None, {dvar}.descriptor, "
+            f"{e.coerced_operand(instr.index, 'int')})",
+            node_var=nvar,
         )
     if kind is ReadInstr:
         bad = e.first_oob([instr.node_slot, instr.address])
@@ -793,9 +744,9 @@ def _memory_post_lines(e: _Emitter, instr, message: str) -> List[str]:
     lines = [
         f"_t = int({e.slot_expr(instr.node_slot)})",
         f"_a = int({e.operand(instr.address)})",
+        "if _t < 0 or _t >= NN:",
+        "    _badnode(_t)",
     ]
-    if e.inline_post:
-        lines += ["if _t < 0 or _t >= NN:", "    _badnode(_t)"]
     return lines + e.post_lines("_t", message, node_var="_t")
 
 
@@ -886,8 +837,6 @@ def _with_single_value_variant(
     unconditional store (reference semantics bank ``zip(dest_slots,
     values)``, so one value lands in the first destination slot).
     """
-    if not e.inline_post:
-        return lines
     variant = [f"def i{number}s(stack, f, v):"]
     body_start = len(variant)
     dest = spec.dest_slots
@@ -913,8 +862,8 @@ def _with_single_value_variant(
 
 
 # Source-text -> code-object cache.  The emitted source is a pure
-# function of the codeblock and the emission mode (machine identity only
-# enters through namespace *bindings*), so re-loading the same program
+# function of the codeblock (machine identity only enters through
+# namespace *bindings*), so re-loading the same program
 # on a fresh machine — every benchmark repeat, every experiment run —
 # skips CPython's parser, which costs more than executing the compiled
 # module.  Bounded so pathological workloads cannot grow it forever.
@@ -937,7 +886,8 @@ def compile_codegen(codeblock: Codeblock, machine) -> CodegenBlock:
     """Compile a validated codeblock into generated functions.
 
     Compilation is per *machine*: the generated source closes over the
-    machine's post/round-robin hooks and its thread-run-count list, and
+    machine's nodes, sweep flags, round-robin hook and thread-run-count
+    list, and
     registers each thread's static instruction and send-word mixes with
     the machine for end-of-run stats folding.
     """

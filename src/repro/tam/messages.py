@@ -5,6 +5,14 @@ code (:mod:`repro.tam.codegen`) can construct messages without an import
 cycle.  A message is what the paper's network would carry between
 nodes: argument Sends, frame/I-structure allocation requests,
 presence-bit reads and writes, and plain remote memory accesses.
+
+Every message is a tuple with its kind at ``[0]`` and its target node at
+``[1]``, which is all an observer reads.  Four shapes exist:
+:class:`TamMessage`; the SEND tuple generated code builds, ``(kind,
+node, inlet, frame_id, values)``, which is :class:`TamMessage`'s layout
+without its defaults; the PREAD tuple generated code builds; and the
+reply the machine builds for a PREAD that finds its element full, or for
+a deferred reader a PWRITE satisfies, whose kind is named ``REPLY``.
 """
 
 from __future__ import annotations
@@ -14,10 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from repro.tam.frame import FrameRef
-
-#: Bits of a frame pointer reserved for the local frame id when a
-#: (node, frame) pair is packed into one word for deferred-read lists.
-FRAME_ID_BITS = 22
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,6 @@ class _NodeState:
         "busy_until",
         "slice_start",
         "rotation",
-        "switches",
-        "redelivered",
     )
 
     def __init__(self, index: int, interface: NetworkInterface) -> None:
@@ -104,8 +102,6 @@ class _NodeState:
         self.busy_until = 0
         self.slice_start = 0
         self.rotation = 0
-        self.switches = 0
-        self.redelivered = 0
 
 
 class TenantPolicy(SimComponent):
@@ -269,7 +265,6 @@ class TenantPolicy(SimComponent):
         delivered = restore(state.interface, stored)
         state.store.file_front(pin, stored[delivered:])
         self._count_stored(pin, -delivered)
-        state.redelivered += delivered
         self.redelivered += delivered
         return delivered
 
@@ -298,7 +293,6 @@ class TenantPolicy(SimComponent):
         ni.control["active_pin"] = pin
         ni.control["pin_check"] = 1
         state.busy_until = max(state.busy_until, cycle) + self.costs.switch_cycles
-        state.switches += 1
         self.switches += 1
         self._redeliver(state, pin)
 

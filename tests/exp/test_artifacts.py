@@ -48,11 +48,6 @@ class TestToJsonable:
             "kind": "blue",
         }
 
-    def test_numpy_scalars(self):
-        numpy = pytest.importorskip("numpy")
-        assert to_jsonable(numpy.int64(7)) == 7
-        assert to_jsonable(numpy.float64(0.5)) == 0.5
-
     def test_unserialisable_rejected(self):
         with pytest.raises(ArtifactError, match="cannot serialise"):
             to_jsonable(object())

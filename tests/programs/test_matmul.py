@@ -1,36 +1,47 @@
 """Tests for the TAM matrix-multiply program."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import repro
 from repro.errors import TamError
 from repro.programs.matmul import (
     BLOCK,
     reference_matrices,
+    reference_product,
     run_matmul,
 )
 from repro.tam.messages import IStructRef
 
 
-class TestCorrectness:
-    def test_8x8_matches_numpy(self):
-        result = run_matmul(n=8, nodes=4)
-        a, b = reference_matrices(8)
-        expected = a @ b
-        actual = result.reassemble_c()
-        assert np.allclose(actual, expected)
+def product(a, b):
+    """``A·B`` by definition."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, column)) for column in columns] for row in a]
 
-    def test_16x16_matches_numpy(self):
+
+class TestCorrectness:
+    def test_8x8_matches_the_product(self):
+        result = run_matmul(n=8, nodes=4)
+        assert result.reassemble_c() == product(*reference_matrices(8))
+
+    def test_16x16_matches_the_product(self):
         result = run_matmul(n=16, nodes=16)
-        a, b = reference_matrices(16)
-        assert np.allclose(result.reassemble_c(), a @ b)
+        assert result.reassemble_c() == product(*reference_matrices(16))
 
     def test_total_is_sum_of_c(self):
         result = run_matmul(n=8, nodes=4)
-        a, b = reference_matrices(8)
-        assert result.total == pytest.approx(float((a @ b).sum()))
+        expected = product(*reference_matrices(8))
+        assert result.total == pytest.approx(sum(map(sum, expected)))
+
+    @pytest.mark.parametrize("n", [4, 8, 24, 100])
+    def test_closed_form_is_the_product(self, n):
+        assert reference_product(n) == product(*reference_matrices(n))
 
     def test_single_node(self):
         # All frames on one node: still every interaction is a message.
@@ -51,6 +62,22 @@ class TestCorrectness:
         r2 = run_matmul(n=8, nodes=4)
         assert r1.stats.messages.as_dict() == r2.stats.messages.as_dict()
         assert r1.stats.total_instructions == r2.stats.total_instructions
+
+    def test_verifying_and_serialising_import_no_numpy(self):
+        # A subprocess: the test session itself may have imported NumPy.
+        code = (
+            "import sys\n"
+            "from repro.exp.artifacts import to_jsonable\n"
+            "from repro.programs.matmul import run_matmul\n"
+            "to_jsonable(run_matmul(n=8, nodes=4, verify=True).stats)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestVerifyFails:

@@ -6,12 +6,17 @@ original per-instruction interpreter in place of generated code: one
 by :class:`ReferenceSweep`, which scans every node each sweep.  It is
 the executable specification every equivalence test compares with.
 
-It shares the machine's message handlers and observer wrappers and
-generates no code: a reference that compiled would raise a
+It generates no code: a reference that compiled would raise a
 code-generation error on both sides of a differential, which would then
-pass.  Under ``TamMachine.load`` and ``TamMachine.run`` it replaces only
-the hooks those two call (``_compile``, ``_run_loop``), so the
-profiler's and the bench's wrappers on them count both machines alike.
+pass.  The machine handles SEND, REPLY, PREAD and PWRITE inline in its
+fused loop; the reference handles them here, one handler per kind, over
+:class:`~repro.node.istructure.IStructureMemory`'s ``read`` and
+``write``, and shares the machine's FALLOC, IALLOC, READ and WRITE
+handlers.  Its events come from the same watched queues that
+``TamMachine.attach`` installs.  Under ``TamMachine.load`` and
+``TamMachine.run`` it replaces only the hooks those two call
+(``_compile``, ``_run_loop``), so the profiler's and the bench's
+wrappers on them count both machines alike.
 
 Tests build it directly, parametrize over both machines with
 :data:`each_machine`, or run a whole program on it with
@@ -26,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import pytest
 
 from repro.errors import FrameError, TamError
+from repro.node.istructure import DeferredReader
 from repro.tam.codeblock import Codeblock
 from repro.tam.frame import FrameRef
 from repro.tam.instructions import (
@@ -50,6 +56,10 @@ from repro.tam.instructions import (
 )
 from repro.tam.messages import IStructRef, MsgKind, TamMessage
 from repro.tam.runtime import TamMachine
+
+#: Bits of a frame pointer reserved for the local frame id when a
+#: (node, frame) pair is packed into one word for deferred-read lists.
+FRAME_ID_BITS = 22
 
 
 class Frame:
@@ -339,6 +349,17 @@ class ReferenceMachine(TamMachine):
             raise TamError(f"unimplemented instruction {instr!r}")
         return False
 
+    def _process_message(self, state, message: TamMessage) -> None:
+        kind = message.kind
+        if kind is MsgKind.SEND or kind is MsgKind.REPLY:
+            self._deliver(state, message)
+        elif kind is MsgKind.PREAD:
+            self._on_pread(state, message)
+        elif kind is MsgKind.PWRITE:
+            self._on_pwrite(state, message)
+        else:
+            super()._process_message(state, message)
+
     def _deliver(self, state, message: TamMessage) -> None:
         frame = self._frame(state, message.frame_id)
         codeblock = frame.codeblock
@@ -354,6 +375,41 @@ class ReferenceMachine(TamMachine):
             posted = frame.decrement(spec.counter)
             if posted is not None:
                 state.stack.append((frame, posted))
+
+    def _on_pread(self, state, message: TamMessage) -> None:
+        mix = self.stats.messages
+        ref, inlet = message.reply_to
+        reader = DeferredReader((ref.node << FRAME_ID_BITS) | ref.frame_id, inlet)
+        outcome, value = state.istructures.read(
+            message.descriptor, message.index, reader
+        )
+        if outcome == "full":
+            mix.preads_full += 1
+            self._reply(message.reply_to, (value,))
+        elif outcome == "empty":
+            mix.preads_empty += 1
+        else:
+            mix.preads_deferred += 1
+
+    def _on_pwrite(self, state, message: TamMessage) -> None:
+        mix = self.stats.messages
+        outcome, satisfied = state.istructures.write(
+            message.descriptor, message.index, message.values[0]
+        )
+        if outcome == "empty":
+            mix.pwrites_empty += 1
+        else:
+            mix.pwrites_deferred += 1
+            mix.deferred_readers_satisfied += len(satisfied)
+        for reader in satisfied:
+            self._reply(_decode_reader(reader), (message.values[0],))
+
+
+def _decode_reader(reader: DeferredReader):
+    """The ``(FrameRef, inlet)`` a deferred reader replies to."""
+    node = reader.frame_pointer >> FRAME_ID_BITS
+    frame_id = reader.frame_pointer & ((1 << FRAME_ID_BITS) - 1)
+    return FrameRef(node, frame_id), reader.instruction_pointer
 
 
 # ALU semantics; the machine's source templates

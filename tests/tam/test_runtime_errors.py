@@ -210,9 +210,8 @@ class TestTurnBoundExactness:
     Regression pin: the pre-kernel scheduler loops tested
     ``turns > max_turns`` after incrementing, silently permitting
     ``max_turns + 1`` productive turns before raising.  Run on both
-    machines, unobserved and observed, which covers the machine's one
-    loop in both of its modes (observed, every message takes the
-    ``_process_message`` branch).
+    machines, unobserved and observed: an observed machine runs the same
+    loop over watched queues, and the bound must not count their events.
     """
 
     @staticmethod

@@ -18,11 +18,10 @@ root, with each side's ``src/`` on ``PYTHONPATH``:
 Then :func:`compare` checks that each artifact equals the base's once
 every ``wall_clock_seconds`` is dropped, that each report equals the
 base's once its ``[artifact]`` lines are removed, and that the three
-trace files are byte-identical at both scales.  It prints each
-section's ``wall_clock_seconds`` on both sides and their ratio (one run
-a side on a shared host, so it gates nothing) and exits 1 on any
-difference or failed run.  HEAD defaults to ``HEAD``.  Commit first: the
-tool never sees uncommitted edits.
+trace files are byte-identical at both scales.  It exits 1 on any
+difference or failed run.  It says nothing about host time: one run a
+side on a shared host cannot, so ask ``bench/ab.py``.  HEAD defaults to
+``HEAD``.  Commit first: the tool never sees uncommitted edits.
 """
 
 from __future__ import annotations
@@ -91,10 +90,7 @@ def timeless(value):
 
 
 def compare(root: Path) -> List[str]:
-    """Every difference between the two sides' outputs under ``root``.
-
-    Prints each section's ``wall_clock_seconds`` on both sides.
-    """
+    """Every difference between the two sides' outputs under ``root``."""
     failures = []
 
     def report(side, name):
@@ -119,11 +115,6 @@ def compare(root: Path) -> List[str]:
             a, b = (json.loads(side[artifact].read_text()) for side in (base, head))
             if timeless(a) != timeless(b):
                 failures.append(f"{name} {artifact} differs beyond wall_clock_seconds")
-            print(
-                f"{name:<9} {artifact:<18} wall clock: base {a['wall_clock_seconds']:7.2f} s, "
-                f"head {b['wall_clock_seconds']:7.2f} s, "
-                f"ratio {b['wall_clock_seconds'] / max(a['wall_clock_seconds'], 1e-9):.3f}"
-            )
         if report("base", name) != report("head", name):
             failures.append(f"the {name} report differs beyond its [artifact] lines")
     return failures
