@@ -77,13 +77,15 @@ class Observer:
     # -- TAM machine (turn timeline) -------------------------------------
 
     def on_tam_post(self, message: Any) -> None:
-        """An inter-frame message was posted."""
+        """An inter-frame message was posted; ``message[0]`` is its kind
+        (``.name`` a ``MsgKind`` name) and ``message[1]`` its node."""
 
     def on_tam_handle_begin(self, node: int, message: Any) -> None:
         """``node`` starts handling ``message``."""
 
     def on_tam_handle_end(self, node: int, message: Any) -> None:
-        """``node`` finished handling ``message`` (also when it raised)."""
+        """``node`` finished handling ``message`` (also when it raised),
+        raised before the machine's next turn."""
 
     # -- collectives engine ----------------------------------------------
 
