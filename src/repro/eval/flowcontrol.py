@@ -57,6 +57,8 @@ class _Sender(SimComponent):
     is zero — staggered across senders so injections do not arrive in
     lockstep waves.  Between slots the sender sleeps on a timed wake, so
     the kernel never scans it; once its quota is sent it sleeps for good.
+    Every offer is the same message, and neither a SEND nor a stalled one
+    changes the output registers, so ``o0``/``o1`` are written once.
     """
 
     def __init__(
@@ -64,8 +66,9 @@ class _Sender(SimComponent):
     ) -> None:
         self.name = f"sender{node}"
         self.interface = fabric.interface(node)
+        self.interface.write_output(0, pack_destination(hot))
+        self.interface.write_output(1, node)
         self.node = node
-        self.destination = pack_destination(hot)
         self.remaining = quota
         self.interval = interval
         self.handle = None  # bound by run_hotspot after registration
@@ -76,10 +79,7 @@ class _Sender(SimComponent):
         return slot if slot else self.interval
 
     def tick(self, cycle: int) -> None:
-        ni = self.interface
-        ni.write_output(0, self.destination)
-        ni.write_output(1, self.node)
-        if ni.send(HOTSPOT_MTYPE) is SendResult.SENT:
+        if self.interface.send(HOTSPOT_MTYPE) is SendResult.SENT:
             self.remaining -= 1
         if self.remaining:
             self.handle.wake_at(cycle + self.interval)

@@ -44,7 +44,13 @@ from typing import Callable, List, Optional, Protocol
 from repro.errors import MessageFormatError, QueueOverflowError, ReservedTypeError
 from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
 from repro.nic.dispatch import DispatchConditions, compute_msg_ip, describe_dispatch
-from repro.nic.messages import MESSAGE_WORDS, TYPE_EXCEPTION, Message, check_type
+from repro.nic.messages import (
+    MESSAGE_WORDS,
+    TYPE_EXCEPTION,
+    Message,
+    check_type,
+    unpack_destination,
+)
 from repro.nic.queues import DEFAULT_CAPACITY, MessageQueue
 from repro.obs.observer import Observer, observer_of
 from repro.utils.bitfield import to_word
@@ -396,11 +402,8 @@ class NetworkInterface:
         return substitution
 
     def compose(self, mtype: int, mode: SendMode = SendMode.NORMAL) -> Message:
-        """Build (but do not queue) the message SEND would emit.
-
-        Exposed separately so the RTL model and the tests can check the
-        substitution logic without touching queue state.
-        """
+        """Build (but do not queue) the message SEND would emit; only
+        :meth:`send` calls it, once the output queue has room."""
         substitution = self._substitution(mtype, mode)
         words = list(self.output_registers)
         for position, source in substitution.items():
@@ -438,9 +441,8 @@ class NetworkInterface:
         *not* performed and :data:`SendResult.STALLED` is returned so the
         caller (processor model or node run loop) can retry after the
         network drains — the architectural equivalent of a stalled pipeline.
-        The message is composed only for an attached observer.
         """
-        self._substitution(mtype, mode)
+        substitution = self._substitution(mtype, mode)
         check_type(mtype)
         if self.control["full_policy"] == SendFullPolicy.EXCEPTION:
             self.status.raise_exception("exc_output_overflow")
@@ -449,7 +451,9 @@ class NetworkInterface:
             )
         self.stats.send_stalls += 1
         if self.observer is not None:
-            self.observer.on_stall(self._clock(), self.node, self.compose(mtype, mode))
+            source = substitution.get(0)
+            m0 = self.output_registers[0] if source is None else self._current.word(source)
+            self.observer.on_stall(self._clock(), self.node, unpack_destination(m0)[0])
         return SendResult.STALLED
 
     def next(self) -> None:

@@ -29,8 +29,9 @@ class Observer:
     def on_send(self, ts: int, node: int, message: Any, mode: Any) -> None:
         """``SEND`` queued ``message``; ``mode`` is its ``SendMode``."""
 
-    def on_stall(self, ts: int, node: int, message: Any) -> None:
-        """``SEND`` found the output queue full and queued nothing."""
+    def on_stall(self, ts: int, node: int, destination: int) -> None:
+        """``SEND`` found the output queue full and queued nothing;
+        ``destination`` is the node the message would have gone to."""
 
     def on_refuse(self, ts: int, node: int, message: Any) -> None:
         """A delivery met a full input queue and stayed in the network."""

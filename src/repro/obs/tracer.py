@@ -108,6 +108,10 @@ def _dest(message):
     return {"dest": message.destination}
 
 
+def _stall(destination):
+    return {"dest": destination}
+
+
 def _send(message, mode):
     return {"dest": message.destination, "mtype": message.mtype, "mode": mode.value}
 
@@ -193,8 +197,8 @@ class Tracer(Observer):
     def on_send(self, ts, node, message, mode):
         self.emit(ts, SEND, node, _send, message, mode)
 
-    def on_stall(self, ts, node, message):
-        self.emit(ts, SEND_STALL, node, _dest, message)
+    def on_stall(self, ts, node, destination):
+        self.emit(ts, SEND_STALL, node, _stall, destination)
 
     def on_refuse(self, ts, node, message):
         self.emit(ts, REFUSE, node, _dest, message)

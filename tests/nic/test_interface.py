@@ -9,6 +9,7 @@ from repro.nic.control import SendFullPolicy
 from repro.nic.dispatch import decode_table_address
 from repro.nic.interface import NetworkInterface, SendMode, SendResult
 from repro.nic.messages import TYPE_EXCEPTION, Message, pack_destination
+from repro.obs.tracer import SEND_STALL, Tracer
 
 IP_BASE = 0x0010_0000
 
@@ -167,6 +168,42 @@ class TestStallChecksTheCommandFirst:
         ni = full_ni(SendFullPolicy.STALL)
         with pytest.raises(MessageFormatError, match="SEND reply requires a message"):
             ni.send(16, SendMode.REPLY)
+
+
+class TestObservedStallComposesNoMessage:
+    """An observed SEND that finds the output queue full builds no
+    message: its stall event names the destination that a SEND with room
+    would queue from the same registers."""
+
+    @pytest.mark.parametrize(
+        "mode, node",
+        [(SendMode.NORMAL, 5), (SendMode.REPLY, 9), (SendMode.FORWARD, 5)],
+        ids=str,
+    )
+    def test_stall_event_carries_the_destination(self, monkeypatch, mode, node):
+        ni = full_ni(SendFullPolicy.STALL)
+        ni.write_output(0, pack_destination(5))
+        ni.deliver(request(words=(pack_destination(9), 0, 0, 0)))  # i1 names node 9
+        tracer = Tracer(capacity=None)
+        ni.attach(tracer)
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(Message(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("repro.nic.interface.Message", counting)
+        for _ in range(3):
+            assert ni.send(2, mode) is SendResult.STALLED
+        assert built == []
+
+        ni.transmit()
+        assert ni.send(2, mode) is SendResult.SENT
+        assert len(built) == 1
+        destination = ni.transmit().destination
+        assert destination == node
+        stalls = [event.detail for event in tracer if event.kind == SEND_STALL]
+        assert stalls == [{"dest": destination}] * 3
 
 
 class TestDeliveryAndInputRegisters:

@@ -231,7 +231,7 @@ def compose_first_send(ni, clock, mtype, mode):
             )
         ni.stats.send_stalls += 1
         if ni.observer is not None:
-            ni.observer.on_stall(clock(), ni.node, message)
+            ni.observer.on_stall(clock(), ni.node, message.destination)
         return SendResult.STALLED
     ni.output_queue.push(message)
     ni.stats.sends += 1
@@ -250,8 +250,8 @@ class Events(Observer):
     def on_send(self, ts, node, message, mode):
         self.events.append(("send", ts, node, message, mode))
 
-    def on_stall(self, ts, node, message):
-        self.events.append(("stall", ts, node, message))
+    def on_stall(self, ts, node, destination):
+        self.events.append(("stall", ts, node, destination))
 
     def on_refuse(self, ts, node, message):
         self.events.append(("refuse", ts, node, message))
