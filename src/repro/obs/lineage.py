@@ -335,7 +335,7 @@ class LineageTracker(Observer):
             ts,
             "cycles",
             src=node,
-            dest=getattr(message, "dest", None),
+            dest=message.destination,
             mtype=_mtype_name(message),
         )
         record.state = "output"

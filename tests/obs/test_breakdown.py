@@ -16,8 +16,8 @@ from repro.obs.lineage import LineageTracker
 
 
 class FakeMessage:
-    def __init__(self, dest=1):
-        self.dest = dest
+    def __init__(self, destination=1):
+        self.destination = destination
         self.mtype = None
 
 
@@ -25,9 +25,9 @@ def tracked_message(tracker, send_ts, deliver_ts, retire_ts, node=0):
     message = FakeMessage()
     tracker.on_send(send_ts, node, message, None)
     tracker.on_inject(send_ts, node, message)
-    tracker.on_deliver(deliver_ts, message.dest, message)
-    tracker.on_dispatch(deliver_ts + 1, message.dest, message, None)
-    tracker.on_retire(retire_ts, message.dest, message)
+    tracker.on_deliver(deliver_ts, message.destination, message)
+    tracker.on_dispatch(deliver_ts + 1, message.destination, message, None)
+    tracker.on_retire(retire_ts, message.destination, message)
     return tracker.records[-1]
 
 

@@ -124,21 +124,21 @@ class TestLineageExport:
         from repro.obs.lineage import LineageTracker
 
         class Msg:
-            dest = 1
+            destination = 1
             mtype = None
 
         tracker = LineageTracker(origin="unit")
         parent, child = Msg(), Msg()
         tracker.on_send(0, 0, parent, None)
         tracker.on_inject(1, 0, parent)
-        tracker.on_deliver(4, parent.dest, parent)
-        tracker.on_dispatch(5, parent.dest, parent, None)
-        tracker.on_retire(6, parent.dest, parent)
+        tracker.on_deliver(4, parent.destination, parent)
+        tracker.on_dispatch(5, parent.destination, parent, None)
+        tracker.on_retire(6, parent.destination, parent)
         tracker.on_send(7, 1, child, None)
         tracker.on_inject(8, 1, child)
-        tracker.on_deliver(11, child.dest, child)
-        tracker.on_dispatch(12, child.dest, child, None)
-        tracker.on_retire(13, child.dest, child)
+        tracker.on_deliver(11, child.destination, child)
+        tracker.on_dispatch(12, child.destination, child, None)
+        tracker.on_retire(13, child.destination, child)
         tracker.records[1].parents.append(tracker.records[0])
         return tracker
 

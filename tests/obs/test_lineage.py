@@ -34,8 +34,8 @@ from tam_reference import MACHINES, each_machine
 
 
 class FakeMessage:
-    def __init__(self, dest=3):
-        self.dest = dest
+    def __init__(self, destination=3):
+        self.destination = destination
         self.mtype = None
 
 
@@ -50,9 +50,9 @@ class TestSpanStateMachine:
         tracker.on_inject(14, 0, message)
         tracker.on_block(16, 0, message, 1)
         tracker.on_hop(18, 1, message, src=0, vc=0, hops=1)
-        tracker.on_deliver(20, message.dest, message)
-        tracker.on_dispatch(22, message.dest, message, {"case": 1})
-        tracker.on_retire(25, message.dest, message)
+        tracker.on_deliver(20, message.destination, message)
+        tracker.on_dispatch(22, message.destination, message, {"case": 1})
+        tracker.on_retire(25, message.destination, message)
         return tracker, tracker.records[0]
 
     def test_phases_in_order(self):
@@ -102,9 +102,9 @@ class TestSpanStateMachine:
         message = FakeMessage()
         tracker.on_send(0, 0, message, None)
         tracker.on_inject(1, 0, message)
-        tracker.on_deliver(5, message.dest, message)
-        tracker.on_dispatch(5, message.dest, message, None)
-        tracker.on_retire(9, message.dest, message)
+        tracker.on_deliver(5, message.destination, message)
+        tracker.on_dispatch(5, message.destination, message, None)
+        tracker.on_retire(9, message.destination, message)
         reconcile_lineage(tracker, require_complete=True)
         record = tracker.records[0]
         assert record.phase_totals()[PHASE_HANDLER] == 3  # [6, 9)
@@ -114,11 +114,11 @@ class TestSpanStateMachine:
         message = FakeMessage()
         tracker.on_send(0, 0, message, None)
         tracker.on_inject(2, 0, message)
-        tracker.on_divert(6, message.dest, message, "pin")
+        tracker.on_divert(6, message.destination, message, "pin")
         assert tracker.records[0].state == "diverted"
-        tracker.on_deliver(30, message.dest, message)  # ordered redelivery
-        tracker.on_dispatch(31, message.dest, message, None)
-        tracker.on_retire(33, message.dest, message)
+        tracker.on_deliver(30, message.destination, message)  # ordered redelivery
+        tracker.on_dispatch(31, message.destination, message, None)
+        tracker.on_retire(33, message.destination, message)
         record = tracker.records[0]
         diverts = [s for s in record.spans if s.phase == PHASE_DIVERT]
         assert len(diverts) == 1
@@ -131,11 +131,11 @@ class TestSpanStateMachine:
         message = FakeMessage()
         tracker.on_send(0, 0, message, None)
         tracker.on_inject(1, 0, message)
-        tracker.on_deliver(4, message.dest, message)
-        tracker.on_park(10, message.dest, message)  # scheduler parks the queue
-        tracker.on_deliver(50, message.dest, message)
-        tracker.on_dispatch(51, message.dest, message, None)
-        tracker.on_retire(52, message.dest, message)
+        tracker.on_deliver(4, message.destination, message)
+        tracker.on_park(10, message.destination, message)  # scheduler parks the queue
+        tracker.on_deliver(50, message.destination, message)
+        tracker.on_dispatch(51, message.destination, message, None)
+        tracker.on_retire(52, message.destination, message)
         record = tracker.records[0]
         parks = [s for s in record.spans if s.phase == PHASE_DIVERT]
         assert len(parks) == 1
@@ -145,9 +145,9 @@ class TestSpanStateMachine:
     def test_unknown_message_hooks_are_noops(self):
         tracker = LineageTracker()
         stranger = FakeMessage()
-        tracker.on_deliver(5, stranger.dest, stranger)
-        tracker.on_dispatch(6, stranger.dest, stranger, None)
-        tracker.on_retire(7, stranger.dest, stranger)
+        tracker.on_deliver(5, stranger.destination, stranger)
+        tracker.on_dispatch(6, stranger.destination, stranger, None)
+        tracker.on_retire(7, stranger.destination, stranger)
         assert tracker.records == []
 
     def test_clear_resets_everything(self):
@@ -167,9 +167,9 @@ class TestReconciliationRejectsTampering:
         message = FakeMessage()
         tracker.on_send(0, 0, message, None)
         tracker.on_inject(2, 0, message)
-        tracker.on_deliver(6, message.dest, message)
-        tracker.on_dispatch(8, message.dest, message, None)
-        tracker.on_retire(9, message.dest, message)
+        tracker.on_deliver(6, message.destination, message)
+        tracker.on_dispatch(8, message.destination, message, None)
+        tracker.on_retire(9, message.destination, message)
         return tracker
 
     def test_gap_detected(self):
@@ -248,6 +248,20 @@ class TestHotspotAcceptance:
             if span.phase == PHASE_VC_BLOCK
         )
         assert vc_cycles == untraced["blocked_moves"]
+
+    def test_records_name_the_hot_node(self, lineage_run):
+        # Every message goes to the hot node; the record reads its
+        # destination from the interface message's m0, and the eject and
+        # dispatch spans name that node.
+        _, _, tracker = lineage_run
+        hot = hotspot_params(EvalOptions())["hot_node"]
+        assert {record.dest for record in tracker.records} == {hot}
+        assert {
+            span.detail["node"]
+            for record in tracker.records
+            for span in record.spans
+            if span.phase in (PHASE_EJECT, PHASE_DISPATCH)
+        } == {hot}
 
 
 class TestCollectivesCriticalPath:

@@ -26,6 +26,11 @@ event and whose metrics series kept running histograms.  The barrier's
 was captured when its fabric stepped only while traffic was pending;
 it now steps on every kernel cycle, and the records must equal the
 golden on the clock of those busy steps (:class:`BusyStepClock`).
+The default hot-spot's Chrome trace, lineage report and records, and
+the barrier's and the tenancy runs' records were re-captured when a
+lineage record began to name the interface message's ``destination``:
+before, every fabric-path record had ``dest`` None, and so did the
+``node`` of its eject, dispatch and divert spans; nothing else changed.
 """
 
 import hashlib
@@ -48,13 +53,13 @@ from repro.programs.matmul import run_matmul
 from tam_reference import each_machine, on_machine
 
 GOLDEN_CHROME_TRACE = (
-    "d0feebc847949f8faeaa06b98d858b46c1d52ff10f62392bb65c17f741f18853"
+    "b61cf3a502e4a313a94c816b8babbc7931e540996b0e6e4c977da61cb976b58c"
 )
 GOLDEN_LINEAGE_JSON = (
-    "0d11646e3201bd7cd7df76899c21812c873c2f5d67b276dcec01bea7895aa39d"
+    "7481d09c1464a2484cb3b65f9866e471f2a92da68ee612f21f313709e98112eb"
 )
 GOLDEN_HOTSPOT_RECORDS = (
-    "146203c791659d625a5f52a2ef173aa0a7ab823af9629aea0ced819e398bd992"
+    "d8fe63a2de004fa76dad09d192c26c27723ac0f20df68cdbcd09df0a930457d0"
 )
 GOLDEN_METRICS = (
     "bb198f5876fdac99a4a874af7dd11c4798abf471654c0cd322c3fed4c5e3b8b6"
@@ -85,16 +90,16 @@ GOLDEN_TAM_RECORDS = (
 )
 
 GOLDEN_BARRIER_RECORDS = (
-    "f27147a4fba131f53fbeff72b1c17265bfe875f60851ab67e8abb7bd6679b1c4"
+    "8e787153bad8db1daf2e43b77c67b77d2467b3194da752d26f54530617059764"
 )
 
 #: tenancy policy -> sha256 of its 32-tenant run's lineage records.
 GOLDEN_TENANCY_RECORDS = {
     "quantum": (
-        "36c5c0728aef093c7fd881a27406141b3039c2fad6472d093ec82af41aec588e"
+        "f55a5e39d40385c797a658d7b574adf48d427caff85a61532bffedb2c478e6e0"
     ),
     "round-robin": (
-        "e054b5f54d9725cea46fd12d77aa7c2727ce9c4925823ad885030798f2e45900"
+        "0f88b5734c531cd9299231535cb1c854ede9558815bc0498cf0c5f1ad236231c"
     ),
 }
 
