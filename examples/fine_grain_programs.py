@@ -9,7 +9,7 @@ metrics.
 Run:  python examples/fine_grain_programs.py
 """
 
-from repro.eval import render_figure
+from repro.eval.figure12 import render_figure
 from repro.programs.gamteb import run_gamteb
 from repro.programs.matmul import run_matmul
 

@@ -11,8 +11,8 @@ against the basic *on-chip* model.
 Run:  python examples/future_processors.py
 """
 
-from repro.eval import run_program
-from repro.eval import latency_sweep as sweep, render_sweep
+from repro.eval.latency import render_sweep, sweep
+from repro.exp.runcache import run_program
 from repro.impls.base import BASIC_ON_CHIP, OPTIMIZED_OFF_CHIP, OPTIMIZED_ON_CHIP
 from repro.tam.costmap import breakdown
 

@@ -12,7 +12,7 @@ rates of all six models.
 Run:  python examples/service_loop.py
 """
 
-from repro.eval import render_throughput
+from repro.eval.throughput import render_throughput
 from repro.impls.base import OPTIMIZED_REGISTER
 from repro.kernels.harness import measure_dispatch, measure_processing
 from repro.kernels.loop import build_service_loop, measure_stream

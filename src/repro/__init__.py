@@ -22,22 +22,3 @@ full evaluation stack around it:
 * :mod:`repro.api` — a high-level user API for building small machines and
   issuing remote operations.
 """
-
-from repro.nic import (
-    ClockedNIC,
-    Message,
-    NetworkInterface,
-    SendMode,
-    SendResult,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "ClockedNIC",
-    "Message",
-    "NetworkInterface",
-    "SendMode",
-    "SendResult",
-    "__version__",
-]

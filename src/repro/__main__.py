@@ -34,7 +34,6 @@ from repro.exp.spec import EvalOptions
 
 
 def main(argv=None) -> int:
-    registry.load_all()
     section_names = registry.names()
 
     parser = argparse.ArgumentParser(

@@ -1,5 +1,1 @@
 """High-level user API: clusters and remote operations."""
-
-from repro.api.cluster import Cluster, RemoteValue
-
-__all__ = ["Cluster", "RemoteValue"]

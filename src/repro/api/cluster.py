@@ -31,7 +31,8 @@ from repro.node.handlers import (
     build_write_request,
 )
 from repro.node.node import Node
-from repro.sim import SimComponent, SimKernel
+from repro.sim.component import SimComponent
+from repro.sim.kernel import SimKernel
 
 
 class _NodeComponent(SimComponent):
@@ -111,10 +112,10 @@ class Cluster:
         Runs on the shared :class:`~repro.sim.kernel.SimKernel` and
         returns the number of kernel cycles consumed.  One cycle is one
         service round — a fabric step followed by every node's service
-        loop — so *every* round that performs work consumes simulated
-        time, including rounds where only nodes progress.  (The legacy
-        loop counted fabric steps only, so node-only service rounds were
-        invisible in the returned count.)  Quiescent means: no message
+        loop — including rounds where only nodes progress.  The fabric
+        steps a stalled SEND takes through the drain hook
+        (:meth:`~repro.node.node.Node.send_with_retry`) happen inside a
+        node's round and are not counted.  Quiescent means: no message
         in any router, output queue, input queue, or input registers,
         and no pending exception.  A machine that is not quiescent
         within ``max_rounds`` raises

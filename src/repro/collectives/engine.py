@@ -53,7 +53,8 @@ from repro.nic.dispatch import (
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import Message
 from repro.obs.observer import Observer, observer_of
-from repro.sim import SimComponent, SimKernel
+from repro.sim.component import SimComponent
+from repro.sim.kernel import SimKernel
 
 #: Where the engine parks each interface's dispatch table; any
 #: table-aligned address outside the program-IP region works.

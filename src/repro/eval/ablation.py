@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.exp.registry import register
 from repro.exp.runcache import resolve_key, run_program
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import model_by_key
@@ -133,19 +132,17 @@ def _exp_artifact(params: dict, payload: dict) -> dict:
     }
 
 
-register(
-    ExperimentSpec(
-        name="ablation",
-        title="Per-optimization ablation (extension)",
-        produces=("rows", "variants"),
-        params=lambda options: {"program": "matmul", "size": 24, "nodes": 16},
-        programs=lambda params: (
-            resolve_key(params["program"], params["size"], params["nodes"]),
-        ),
-        compute=_exp_compute,
-        render=lambda params, payload: render_ablation(
-            params["program"], payload["rows"]
-        ),
-        artifact=_exp_artifact,
-    )
+SPEC = ExperimentSpec(
+    name="ablation",
+    title="Per-optimization ablation (extension)",
+    produces=("rows", "variants"),
+    params=lambda options: {"program": "matmul", "size": 24, "nodes": 16},
+    programs=lambda params: (
+        resolve_key(params["program"], params["size"], params["nodes"]),
+    ),
+    compute=_exp_compute,
+    render=lambda params, payload: render_ablation(
+        params["program"], payload["rows"]
+    ),
+    artifact=_exp_artifact,
 )

@@ -35,16 +35,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.collectives import (
-    COLLECTIVES,
-    CombiningTree,
-    expected_result,
-    run_nic_collective,
-    run_proc_collective,
-)
+from repro.collectives.baseline import run_proc_collective
 from repro.collectives.costs import price_run
+from repro.collectives.engine import run_nic_collective
+from repro.collectives.programs import COLLECTIVES, expected_result
+from repro.collectives.tree import CombiningTree
 from repro.errors import EvaluationError
-from repro.exp.registry import register
 from repro.exp.spec import EvalOptions, ExperimentSpec
 from repro.impls.base import ALL_MODELS, OPTIMIZED_REGISTER
 from repro.network.topology import Mesh2D
@@ -207,13 +203,11 @@ def render_collectives(params: Dict, payload: Dict) -> str:
     return table + "\n\n" + note
 
 
-register(
-    ExperimentSpec(
-        name="collectives",
-        title="NIC-offloaded collectives via MsgIp handler programs (extension)",
-        produces=("op", "models", "cells"),
-        params=collectives_params,
-        compute=compute_collectives,
-        render=render_collectives,
-    )
+SPEC = ExperimentSpec(
+    name="collectives",
+    title="NIC-offloaded collectives via MsgIp handler programs (extension)",
+    produces=("op", "models", "cells"),
+    params=collectives_params,
+    compute=compute_collectives,
+    render=render_collectives,
 )

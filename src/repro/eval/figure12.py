@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.exp.artifacts import to_jsonable
-from repro.exp.registry import register
 from repro.exp.runcache import (
     DEFAULT_SIZES,
     PAPER_SIZES,
@@ -137,7 +136,7 @@ def render_figure(
 
 
 # ---------------------------------------------------------------------------
-# Experiment registration.
+# The experiment spec.
 # ---------------------------------------------------------------------------
 
 
@@ -201,15 +200,13 @@ def _exp_artifact(params: dict, payload: dict) -> dict:
     return {"figures": figures}
 
 
-register(
-    ExperimentSpec(
-        name="figure12",
-        title="Figure 12 (Section 4.2.3)",
-        produces=("figures",),
-        params=_exp_params,
-        programs=_exp_programs,
-        compute=_exp_compute,
-        render=_exp_render,
-        artifact=_exp_artifact,
-    )
+SPEC = ExperimentSpec(
+    name="figure12",
+    title="Figure 12 (Section 4.2.3)",
+    produces=("figures",),
+    params=_exp_params,
+    programs=_exp_programs,
+    compute=_exp_compute,
+    render=_exp_render,
+    artifact=_exp_artifact,
 )

@@ -29,7 +29,6 @@ import json
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.exp.registry import register
 from repro.exp.spec import EvalOptions, ExperimentSpec
 from repro.network.fabric import Fabric
 from repro.network.topology import Mesh2D
@@ -41,7 +40,8 @@ from repro.obs.tracer import ALL_KINDS, REFUSE, SEND_STALL, Tracer
 from repro.obs.breakdown import lineage_report, write_lineage
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.lineage import LineageTracker
-from repro.sim import SimComponent, SimKernel
+from repro.sim.component import SimComponent
+from repro.sim.kernel import SimKernel
 from repro.utils.tables import render_table
 
 #: Message type used by the synthetic hot-spot traffic.
@@ -404,13 +404,11 @@ def render_flowcontrol(params: Dict, payload: Dict) -> str:
     return "\n".join(lines)
 
 
-register(
-    ExperimentSpec(
-        name="flowcontrol",
-        title="Hot-spot flow control (extension, traced)",
-        produces=("chain", "cycles", "send_stalls", "deliveries_refused"),
-        params=hotspot_params,
-        compute=compute_flowcontrol,
-        render=render_flowcontrol,
-    )
+SPEC = ExperimentSpec(
+    name="flowcontrol",
+    title="Hot-spot flow control (extension, traced)",
+    produces=("chain", "cycles", "send_stalls", "deliveries_refused"),
+    params=hotspot_params,
+    compute=compute_flowcontrol,
+    render=render_flowcontrol,
 )

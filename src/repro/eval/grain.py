@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.exp.artifacts import to_jsonable
-from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import BASIC_OFF_CHIP, OPTIMIZED_REGISTER
 from repro.programs.microbench import run_grain_sweep_point
@@ -98,17 +97,15 @@ def render_grain(results: List[GrainResult]) -> str:
     )
 
 
-register(
-    ExperimentSpec(
-        name="grain",
-        title="Grain-size sensitivity (extension)",
-        produces=("results", "crossover"),
-        params=lambda options: {"flops": tuple(DEFAULT_FLOPS)},
-        compute=lambda params: {"results": sweep(params["flops"])},
-        render=lambda params, payload: render_grain(payload["results"]),
-        artifact=lambda params, payload: {
-            "results": to_jsonable(payload["results"]),
-            "crossover": crossover_grain(payload["results"]),
-        },
-    )
+SPEC = ExperimentSpec(
+    name="grain",
+    title="Grain-size sensitivity (extension)",
+    produces=("results", "crossover"),
+    params=lambda options: {"flops": tuple(DEFAULT_FLOPS)},
+    compute=lambda params: {"results": sweep(params["flops"])},
+    render=lambda params, payload: render_grain(payload["results"]),
+    artifact=lambda params, payload: {
+        "results": to_jsonable(payload["results"]),
+        "crossover": crossover_grain(payload["results"]),
+    },
 )

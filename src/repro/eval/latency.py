@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.exp.artifacts import to_jsonable
-from repro.exp.registry import register
 from repro.exp.runcache import resolve_key, run_program
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import OPTIMIZED_OFF_CHIP
@@ -118,19 +117,17 @@ def _exp_artifact(params: dict, payload: dict) -> dict:
     }
 
 
-register(
-    ExperimentSpec(
-        name="latency",
-        title="Off-chip latency sensitivity (Section 4.2.3)",
-        produces=("points", "relative_overheads"),
-        params=_exp_params,
-        programs=lambda params: (
-            resolve_key(params["program"], params["size"], params["nodes"]),
-        ),
-        compute=_exp_compute,
-        render=lambda params, payload: render_sweep(
-            params["program"], payload["points"]
-        ),
-        artifact=_exp_artifact,
-    )
+SPEC = ExperimentSpec(
+    name="latency",
+    title="Off-chip latency sensitivity (Section 4.2.3)",
+    produces=("points", "relative_overheads"),
+    params=_exp_params,
+    programs=lambda params: (
+        resolve_key(params["program"], params["size"], params["nodes"]),
+    ),
+    compute=_exp_compute,
+    render=lambda params, payload: render_sweep(
+        params["program"], payload["points"]
+    ),
+    artifact=_exp_artifact,
 )

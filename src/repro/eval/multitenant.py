@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.exp.registry import register
 from repro.exp.spec import EvalOptions, ExperimentSpec
-from repro.tenancy import SCHEDULER_NAMES, MultiTenantRun, make_tenants
-from repro.tenancy.workload import ROLE_VICTIM
+from repro.tenancy.scheduler import SCHEDULER_NAMES
+from repro.tenancy.workload import ROLE_VICTIM, MultiTenantRun, make_tenants
 from repro.utils.tables import render_table
 
 
@@ -218,13 +217,11 @@ def render_multitenant(params: Dict, payload: Dict) -> str:
     return "\n".join(lines)
 
 
-register(
-    ExperimentSpec(
-        name="multitenant",
-        title="Multi-tenant serving QoS (extension)",
-        produces=("runs", "victim_p99"),
-        params=multitenant_params,
-        compute=compute_multitenant,
-        render=render_multitenant,
-    )
+SPEC = ExperimentSpec(
+    name="multitenant",
+    title="Multi-tenant serving QoS (extension)",
+    produces=("runs", "victim_p99"),
+    params=multitenant_params,
+    compute=compute_multitenant,
+    render=render_multitenant,
 )

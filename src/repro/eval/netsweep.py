@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.exp.registry import register
 from repro.exp.spec import EvalOptions, ExperimentSpec
 from repro.network.routing import POLICY_NAMES, make_policy
 from repro.network.traffic import run_traffic_named, saturation_throughput
@@ -143,13 +142,11 @@ def render_netsweep(params: Dict, payload: Dict) -> str:
     return "\n\n".join(blocks)
 
 
-register(
-    ExperimentSpec(
-        name="netsweep",
-        title="Topology x routing x load sweep (extension, synthetic traffic)",
-        produces=("pattern", "rates", "curves"),
-        params=netsweep_params,
-        compute=compute_netsweep,
-        render=render_netsweep,
-    )
+SPEC = ExperimentSpec(
+    name="netsweep",
+    title="Topology x routing x load sweep (extension, synthetic traffic)",
+    produces=("pattern", "rates", "curves"),
+    params=netsweep_params,
+    compute=compute_netsweep,
+    render=render_netsweep,
 )

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import ALL_MODELS
 from repro.tam.costmap import MessageCostTable, cost_table
@@ -114,16 +113,14 @@ def _exp_artifact(params: dict, payload: dict) -> dict:
     }
 
 
-register(
-    ExperimentSpec(
-        name="roundtrip",
-        title="End-to-end operation costs (derived from Table 1)",
-        produces=("operations",),
-        params=lambda options: {"source": "measured"},
-        compute=lambda params: {"rows": collect(params["source"])},
-        render=lambda params, payload: render_roundtrips(
-            payload["rows"], source=params["source"]
-        ),
-        artifact=_exp_artifact,
-    )
+SPEC = ExperimentSpec(
+    name="roundtrip",
+    title="End-to-end operation costs (derived from Table 1)",
+    produces=("operations",),
+    params=lambda options: {"source": "measured"},
+    compute=lambda params: {"rows": collect(params["source"])},
+    render=lambda params, payload: render_roundtrips(
+        payload["rows"], source=params["source"]
+    ),
+    artifact=_exp_artifact,
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import BASIC_OFF_CHIP, OPTIMIZED_REGISTER
 from repro.kernels.harness import measure_column
@@ -97,21 +96,19 @@ def render_survey(
     )
 
 
-register(
-    ExperimentSpec(
-        name="survey",
-        title="Section 1 survey (extension)",
-        produces=("rows", "columns"),
-        params=lambda options: {"clock_mhz": DEFAULT_CLOCK_MHZ},
-        compute=lambda params: {"rows": collect_survey(params["clock_mhz"])},
-        render=lambda params, payload: render_survey(
-            params["clock_mhz"], rows=payload["rows"]
-        ),
-        artifact=lambda params, payload: {
-            "rows": [
-                dict(zip(SURVEY_COLUMNS, row)) for row in payload["rows"]
-            ],
-            "columns": list(SURVEY_COLUMNS),
-        },
-    )
+SPEC = ExperimentSpec(
+    name="survey",
+    title="Section 1 survey (extension)",
+    produces=("rows", "columns"),
+    params=lambda options: {"clock_mhz": DEFAULT_CLOCK_MHZ},
+    compute=lambda params: {"rows": collect_survey(params["clock_mhz"])},
+    render=lambda params, payload: render_survey(
+        params["clock_mhz"], rows=payload["rows"]
+    ),
+    artifact=lambda params, payload: {
+        "rows": [
+            dict(zip(SURVEY_COLUMNS, row)) for row in payload["rows"]
+        ],
+        "columns": list(SURVEY_COLUMNS),
+    },
 )

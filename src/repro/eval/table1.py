@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import ALL_MODELS
 from repro.kernels import expected as X
@@ -140,16 +139,14 @@ def rows_as_records(rows: List[Table1Row] | None = None) -> List[dict]:
     return records
 
 
-register(
-    ExperimentSpec(
-        name="table1",
-        title="Table 1 (Section 4.1)",
-        produces=("records",),
-        params=lambda options: {},
-        compute=lambda params: {"rows": collect_rows()},
-        render=lambda params, payload: render_report(payload["rows"]),
-        artifact=lambda params, payload: {
-            "records": rows_as_records(payload["rows"])
-        },
-    )
+SPEC = ExperimentSpec(
+    name="table1",
+    title="Table 1 (Section 4.1)",
+    produces=("records",),
+    params=lambda options: {},
+    compute=lambda params: {"rows": collect_rows()},
+    render=lambda params, payload: render_report(payload["rows"]),
+    artifact=lambda params, payload: {
+        "records": rows_as_records(payload["rows"])
+    },
 )

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.exp.registry import register
 from repro.exp.spec import ExperimentSpec
 from repro.impls.base import ALL_MODELS
 from repro.kernels.loop import measure_stream
@@ -105,17 +104,15 @@ def _exp_artifact(params: dict, payload: dict) -> dict:
     }
 
 
-register(
-    ExperimentSpec(
-        name="throughput",
-        title="Steady-state service-loop throughput (derived)",
-        produces=("models",),
-        params=lambda options: {
-            "stream": tuple(STANDARD_STREAM),
-            "clock_mhz": CLOCK_MHZ,
-        },
-        compute=lambda params: {"rows": collect(params["stream"])},
-        render=lambda params, payload: render_throughput(payload["rows"]),
-        artifact=_exp_artifact,
-    )
+SPEC = ExperimentSpec(
+    name="throughput",
+    title="Steady-state service-loop throughput (derived)",
+    produces=("models",),
+    params=lambda options: {
+        "stream": tuple(STANDARD_STREAM),
+        "clock_mhz": CLOCK_MHZ,
+    },
+    compute=lambda params: {"rows": collect(params["stream"])},
+    render=lambda params, payload: render_throughput(payload["rows"]),
+    artifact=_exp_artifact,
 )

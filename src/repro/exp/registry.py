@@ -1,24 +1,26 @@
 """The experiment registry: evaluation studies as data, not scripts.
 
-Each ``repro.eval`` module registers its :class:`ExperimentSpec` at
-import time; :func:`load_all` imports the canonical module list so the
-registry is populated in the paper's section order.  ``python -m repro``
-then becomes a thin driver: select names, hand the specs to the runner.
-Adding a new study to the evaluation grid is one module with one
-``register()`` call — no new script, no new CLI.
+Each section is one module, ``repro.eval.<name>``, that binds its
+:class:`ExperimentSpec` as ``SPEC``.  :data:`EVAL_MODULES` lists the
+sections in the paper's report order, and :func:`get` imports a
+section's module the first time its spec is asked for, so a run imports
+only the sections it selects.  ``python -m repro`` is a thin driver:
+select names, hand the specs to the runner.  Adding a study to the
+evaluation grid is one module binding ``SPEC`` plus its name here — no
+new script, no new CLI.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from repro.errors import EvaluationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:
     from repro.exp.spec import ExperimentSpec
 
-#: Evaluation modules in report order; imports populate the registry.
+#: Evaluation sections in report order; each is ``repro.eval.<name>``.
 EVAL_MODULES = (
     "table1",
     "roundtrip",
@@ -34,48 +36,16 @@ EVAL_MODULES = (
     "multitenant",
 )
 
-_REGISTRY: Dict[str, "ExperimentSpec"] = {}
-
-
-def register(spec: "ExperimentSpec") -> "ExperimentSpec":
-    """Add ``spec`` to the registry; usable as a plain call or decorator.
-
-    Re-registering the same name is allowed (module reloads) and simply
-    replaces the entry; registration order is preserved for the first
-    occurrence so driver output stays deterministic.
-    """
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def load_all() -> None:
-    """Import every evaluation module, populating the registry."""
-    for module in EVAL_MODULES:
-        importlib.import_module(f"repro.eval.{module}")
-
-
-def _canonical_order(name: str) -> tuple:
-    """Report order: the paper's section sequence, then registration order."""
-    try:
-        return (0, EVAL_MODULES.index(name))
-    except ValueError:
-        return (1, list(_REGISTRY).index(name))
-
 
 def names() -> List[str]:
-    """Registered experiment names, in report order."""
-    return sorted(_REGISTRY, key=_canonical_order)
+    """Every experiment name, in report order."""
+    return list(EVAL_MODULES)
 
 
 def get(name: str) -> "ExperimentSpec":
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """The spec of section ``name``, importing its module on first use."""
+    if name not in EVAL_MODULES:
         raise EvaluationError(
-            f"unknown experiment {name!r}; registered: {', '.join(_REGISTRY) or 'none'}"
-        ) from None
-
-
-def all_specs() -> List["ExperimentSpec"]:
-    """Every registered spec, in report order."""
-    return [_REGISTRY[name] for name in names()]
+            f"unknown experiment {name!r}; known: {', '.join(EVAL_MODULES)}"
+        )
+    return importlib.import_module(f"repro.eval.{name}").SPEC

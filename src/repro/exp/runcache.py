@@ -13,10 +13,12 @@ across processes by executing each run in one worker and handing its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import EvaluationError
-from repro.tam.stats import TamStats
+
+if TYPE_CHECKING:
+    from repro.tam.stats import TamStats
 
 DEFAULT_SIZES = {"matmul": 40, "gamteb": 64, "queens": 6}
 PAPER_SIZES = {"matmul": 100, "gamteb": 16, "queens": 6}

@@ -25,13 +25,15 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence
 
 from repro.exp import registry
 from repro.exp.artifacts import build_artifact, to_jsonable
 from repro.exp.runcache import ProgramKey, get_cache
 from repro.exp.spec import EvalOptions, ExperimentSpec
-from repro.tam.stats import TamStats
+
+if TYPE_CHECKING:
+    from repro.tam.stats import TamStats
 
 
 @dataclass
@@ -104,7 +106,7 @@ def iter_experiments(
             yield run_one(spec, params_by_name[spec.name])
         return
 
-    with ProcessPoolExecutor(max_workers=jobs, initializer=registry.load_all) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         # Every required program run, submitted exactly once.
         keys = dict.fromkeys(
             key

@@ -11,9 +11,10 @@ and what its JSON artifact contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.exp.runcache import ProgramKey
+if TYPE_CHECKING:
+    from repro.exp.runcache import ProgramKey
 
 Params = Dict[str, Any]
 Payload = Dict[str, Any]

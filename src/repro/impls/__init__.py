@@ -1,27 +1,1 @@
 """The three placements × two architectures: the six evaluated models."""
-
-from repro.impls.base import (
-    ALL_MODELS,
-    BASIC_OFF_CHIP,
-    BASIC_ON_CHIP,
-    BASIC_REGISTER,
-    OPTIMIZED_OFF_CHIP,
-    OPTIMIZED_ON_CHIP,
-    OPTIMIZED_REGISTER,
-    Architecture,
-    InterfaceModel,
-    model_by_key,
-)
-
-__all__ = [
-    "ALL_MODELS",
-    "Architecture",
-    "BASIC_OFF_CHIP",
-    "BASIC_ON_CHIP",
-    "BASIC_REGISTER",
-    "InterfaceModel",
-    "OPTIMIZED_OFF_CHIP",
-    "OPTIMIZED_ON_CHIP",
-    "OPTIMIZED_REGISTER",
-    "model_by_key",
-]

@@ -1,34 +1,1 @@
 """The 88100-flavoured RISC substrate: instructions, costs, executor."""
-
-from repro.isa.assembler import SequenceBuilder
-from repro.isa.costs import (
-    OFF_CHIP_COSTS,
-    ON_CHIP_COSTS,
-    REGISTER_COSTS,
-    CostModel,
-    off_chip_with_latency,
-)
-from repro.isa.instructions import AluFn, Cond, Instruction, Opcode, Riders, Sequence
-from repro.isa.machine import Machine, Placement, RunResult
-from repro.isa.registers import RegisterFile, is_ni_register, resolve
-
-__all__ = [
-    "AluFn",
-    "Cond",
-    "CostModel",
-    "Instruction",
-    "Machine",
-    "OFF_CHIP_COSTS",
-    "ON_CHIP_COSTS",
-    "Opcode",
-    "Placement",
-    "REGISTER_COSTS",
-    "RegisterFile",
-    "Riders",
-    "RunResult",
-    "Sequence",
-    "SequenceBuilder",
-    "is_ni_register",
-    "off_chip_with_latency",
-    "resolve",
-]

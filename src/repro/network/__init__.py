@@ -1,37 +1,1 @@
 """Interconnection-network substrate: topologies, routing, routers, fabric."""
-
-from repro.network.fabric import Fabric, FabricStats
-from repro.network.router import InTransit, Router
-from repro.network.routing import (
-    POLICY_NAMES,
-    AdaptiveRandom,
-    DimensionOrder,
-    EscapeVC,
-    RoutingPolicy,
-    make_policy,
-)
-from repro.network.topology import (
-    Hypercube,
-    Mesh2D,
-    Topology,
-    Torus2D,
-    build_topology,
-)
-
-__all__ = [
-    "AdaptiveRandom",
-    "DimensionOrder",
-    "EscapeVC",
-    "Fabric",
-    "FabricStats",
-    "Hypercube",
-    "InTransit",
-    "Mesh2D",
-    "POLICY_NAMES",
-    "Router",
-    "RoutingPolicy",
-    "Topology",
-    "Torus2D",
-    "build_topology",
-    "make_policy",
-]

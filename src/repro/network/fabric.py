@@ -100,8 +100,7 @@ from repro.network.router import INJECTION_DEPTH, InTransit, Router
 from repro.network.routing import DimensionOrder, RoutingPolicy, StaticRoute
 from repro.network.topology import Topology
 from repro.nic.interface import NetworkInterface
-from repro.nic.messages import Message
-from repro.nic.rtl import FLITS_PER_MESSAGE
+from repro.nic.messages import FLITS_PER_MESSAGE, Message
 from repro.obs.observer import Observer, observer_of
 from repro.sim.kernel import SimKernel
 

@@ -39,7 +39,8 @@ from repro.network.routing import RoutingPolicy
 from repro.network.topology import Topology, build_topology
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import pack_destination
-from repro.sim import SimComponent, SimKernel
+from repro.sim.component import SimComponent
+from repro.sim.kernel import SimKernel
 
 #: Message type used by all synthetic traffic.
 TRAFFIC_MTYPE = 3

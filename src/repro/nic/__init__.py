@@ -1,6 +1,6 @@
 """The paper's contribution: the tightly-coupled network interface.
 
-Public surface of the subpackage:
+Its parts, each imported from the module that defines it:
 
 * :class:`~repro.nic.interface.NetworkInterface` — the architectural model
   (Figure 1): registers, queues, SEND / NEXT, REPLY / FORWARD modes, and
@@ -16,33 +16,3 @@ Every message is five words.  The SCROLL-IN / SCROLL-OUT extension for
 longer messages (Section 2.1.2) is not modelled: no experiment sends more
 than five words.
 """
-
-from repro.nic.control import ControlRegister, SendFullPolicy, StatusRegister
-from repro.nic.dispatch import DispatchConditions, handler_table_address
-from repro.nic.interface import NetworkInterface, Riders, SendMode, SendResult
-from repro.nic.messages import Message, pack_destination, unpack_destination
-from repro.nic.mmio import MemoryMappedInterface, decode_address, encode_address
-from repro.nic.queues import MessageQueue
-from repro.nic.rtl import ClockedNIC, Flit, FlitKind
-
-__all__ = [
-    "ClockedNIC",
-    "ControlRegister",
-    "DispatchConditions",
-    "Flit",
-    "FlitKind",
-    "MemoryMappedInterface",
-    "Message",
-    "MessageQueue",
-    "NetworkInterface",
-    "Riders",
-    "SendFullPolicy",
-    "SendMode",
-    "SendResult",
-    "StatusRegister",
-    "decode_address",
-    "encode_address",
-    "handler_table_address",
-    "pack_destination",
-    "unpack_destination",
-]

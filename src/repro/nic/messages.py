@@ -30,6 +30,9 @@ from repro.utils.bitfield import WORD_MASK, to_word
 MESSAGE_WORDS = 5
 """Number of 32-bit data words in every message (Figure 2)."""
 
+FLITS_PER_MESSAGE = MESSAGE_WORDS + 1
+"""Link flits per message: one HEAD flit plus five DATA flits."""
+
 TYPE_BITS = 4
 """Width of the message type field."""
 

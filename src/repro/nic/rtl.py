@@ -70,10 +70,6 @@ class Flit:
         return cls(FlitKind.DATA, word)
 
 
-FLITS_PER_MESSAGE = MESSAGE_WORDS + 1
-"""One HEAD flit plus five DATA flits."""
-
-
 def serialize(message: Message) -> List[Flit]:
     """Break a message into its link flits, HEAD first."""
     return [Flit.head(message)] + [Flit.data(w) for w in message.words]

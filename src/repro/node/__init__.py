@@ -1,28 +1,1 @@
 """A processor node: local memory, I-structures, handlers, run loop."""
-
-from repro.node.handlers import (
-    DEFAULT_HANDLERS,
-    build_pread_request,
-    build_pwrite_request,
-    build_read_request,
-    build_send,
-    build_write_request,
-)
-from repro.node.istructure import DeferredReader, IStructureMemory, IStructureStats
-from repro.node.memory import Memory
-from repro.node.node import Node, NodeStats
-
-__all__ = [
-    "DEFAULT_HANDLERS",
-    "DeferredReader",
-    "IStructureMemory",
-    "IStructureStats",
-    "Memory",
-    "Node",
-    "NodeStats",
-    "build_pread_request",
-    "build_pwrite_request",
-    "build_read_request",
-    "build_send",
-    "build_write_request",
-]

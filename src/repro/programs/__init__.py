@@ -1,14 +1,1 @@
 """The evaluation programs: matmul, Gamteb, and N-Queens on TAM."""
-
-from repro.programs.gamteb import GamtebResult, run_gamteb
-from repro.programs.matmul import MatmulResult, run_matmul
-from repro.programs.queens import QueensResult, run_queens
-
-__all__ = [
-    "GamtebResult",
-    "MatmulResult",
-    "QueensResult",
-    "run_gamteb",
-    "run_matmul",
-    "run_queens",
-]

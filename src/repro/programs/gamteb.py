@@ -27,6 +27,7 @@ is messages — as the paper's compilation demanded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import TamError
 from repro.tam.codeblock import Codeblock
@@ -297,7 +298,8 @@ def build_photon_codeblock(done_inlet: int) -> Codeblock:
 DRIVER_SELF_SLOT = 0
 
 
-def build_driver_codeblock(n_photons: int, seed: int) -> Codeblock:
+def build_driver_codeblock(n_photons: int, seed: int) -> Tuple[Codeblock, Slots]:
+    """The driver, with its frame-slot numbering."""
     s = Slots()
     assert s.one("self") == DRIVER_SELF_SLOT
     table = s.one("table")
@@ -429,7 +431,7 @@ def build_driver_codeblock(n_photons: int, seed: int) -> Codeblock:
     )
     driver.add_thread("finish", [ConInstr(done_flag, 1), StopInstr()])
     driver.set_entry("entry")
-    return driver
+    return driver, s
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +469,17 @@ def run_gamteb(
     """Run the Gamteb reproduction with ``n_photons`` source particles
     and check photon conservation (:meth:`GamtebResult.verify`)."""
     machine = TamMachine(nodes)
-    driver = build_driver_codeblock(n_photons, seed)
+    driver, slots = build_driver_codeblock(n_photons, seed)
     machine.load(build_photon_codeblock(done_inlet=PHOTON_DONE_INLET))
     machine.load(driver)
     ref = machine.boot("gamteb_driver")
     machine.write_slot(ref, DRIVER_SELF_SLOT, ref)
     stats = machine.run()
-    slot_map = _driver_slot_map()
-    done = machine.read_slot(ref, slot_map["done_flag"])
+    done = machine.read_slot(ref, slots["done_flag"])
     if not done:
         raise TamError("gamteb driver never reached its finish thread")
-    absorbed = int(machine.read_slot(ref, slot_map["total_abs"]))
-    escaped = int(machine.read_slot(ref, slot_map["total_esc"]))
+    absorbed = int(machine.read_slot(ref, slots["total_abs"]))
+    escaped = int(machine.read_slot(ref, slots["total_esc"]))
     # Photons = all frames except the driver's.
     photons = stats.frames_allocated - 1
     result = GamtebResult(
@@ -493,26 +494,3 @@ def run_gamteb(
     )
     result.verify()
     return result
-
-
-def _driver_slot_map() -> dict:
-    s = Slots()
-    for name in (
-        "self",
-        "table",
-        "fill_i",
-        "spawn_i",
-        "child",
-        "val",
-        "t",
-        "seed",
-        "cond",
-        "total_abs",
-        "total_esc",
-        "ca",
-        "ce",
-        "remaining",
-        "done_flag",
-    ):
-        s.one(name)
-    return {name: s[name] for name in ("total_abs", "total_esc", "done_flag")}

@@ -209,7 +209,8 @@ def build_block_codeblock(nb: int, done_inlet: int) -> Codeblock:
 DRIVER_SELF_SLOT = 0
 
 
-def build_driver_codeblock(nb: int) -> Codeblock:
+def build_driver_codeblock(nb: int) -> Tuple[Codeblock, Slots, InletNumbers]:
+    """The driver, with its frame-slot and inlet numbering."""
     s = Slots()
     assert s.one("self") == DRIVER_SELF_SLOT
     dir_a = s.one("dirA")
@@ -425,7 +426,7 @@ def build_driver_codeblock(nb: int) -> Codeblock:
     )
     driver.add_thread("finish", [ConInstr(done_flag, 1), StopInstr()])
     driver.set_entry("entry")
-    return driver
+    return driver, s, inlets
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +494,15 @@ def run_matmul(
     machine = TamMachine(nodes)
     if observer is not None:
         machine.attach(observer)
-    driver = build_driver_codeblock(nb)
-    done_inlet = 5  # in_done in the driver's inlet numbering
-    machine.load(build_block_codeblock(nb, done_inlet=done_inlet))
+    driver, slots, inlets = build_driver_codeblock(nb)
+    machine.load(build_block_codeblock(nb, done_inlet=inlets["done"]))
     machine.load(driver)
     ref = machine.boot("mm_driver")
     machine.write_slot(ref, DRIVER_SELF_SLOT, ref)
     stats = machine.run()
-    driver_slots = _driver_slot_map()
-    total = machine.read_slot(ref, driver_slots["total"])
-    dir_c = machine.read_slot(ref, driver_slots["dirC"])
-    done = machine.read_slot(ref, driver_slots["done_flag"])
+    total = machine.read_slot(ref, slots["total"])
+    dir_c = machine.read_slot(ref, slots["dirC"])
+    done = machine.read_slot(ref, slots["done_flag"])
     if not done:
         raise TamError("matmul driver never reached its finish thread")
     result = MatmulResult(
@@ -517,30 +516,3 @@ def run_matmul(
     if verify:
         result.verify()
     return result
-
-
-def _driver_slot_map() -> dict:
-    """Recompute the driver's named slot assignment."""
-    s = Slots()
-    for name in (
-        "self",
-        "dirA",
-        "dirB",
-        "dirC",
-        "bi",
-        "blk",
-        "ci",
-        "child",
-        "t",
-        "t2",
-        "row",
-        "col",
-        "val",
-        "cond",
-        "total",
-        "sum_in",
-        "remaining",
-        "done_flag",
-    ):
-        s.one(name)
-    return {name: s[name] for name in ("total", "dirC", "done_flag")}

@@ -21,7 +21,7 @@ single message words; the safety test is TAM integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import TamError
 from repro.obs.observer import Observer
@@ -41,6 +41,7 @@ from repro.tam.instructions import (
 )
 from repro.tam.runtime import TamMachine
 from repro.tam.stats import TamStats
+from repro.programs.support import Slots
 
 MAX_N = 7
 """4-bit column packing bounds the board size."""
@@ -306,9 +307,11 @@ def build_worker(n: int) -> Codeblock:
     return worker
 
 
-def build_driver() -> Codeblock:
-    self_slot, child, total, ca, done = range(5)
-    driver = Codeblock("queens_driver", frame_size=5)
+def build_driver() -> Tuple[Codeblock, Slots]:
+    """The driver, with its frame-slot numbering."""
+    s = Slots()
+    self_slot, child, total, ca, done = map(s.one, ("self", "child", "total", "ca", "done"))
+    driver = Codeblock("queens_driver", frame_size=s.size)
     driver.add_inlet(2, dest_slots=(child,), counter="kid_ready")
     driver.add_counter("kid_ready", 1, "feed")
     driver.add_inlet(DONE_INLET, dest_slots=(ca,), counter="root_done")
@@ -341,7 +344,7 @@ def build_driver() -> Codeblock:
         ],
     )
     driver.set_entry("entry")
-    return driver
+    return driver, s
 
 
 @dataclass
@@ -375,16 +378,17 @@ def run_queens(
     machine = TamMachine(nodes)
     if observer is not None:
         machine.attach(observer)
+    driver, slots = build_driver()
     machine.load(build_worker(n))
-    machine.load(build_driver())
+    machine.load(driver)
     ref = machine.boot("queens_driver")
     stats = machine.run()
-    if not machine.read_slot(ref, 4):
+    if not machine.read_slot(ref, slots["done"]):
         raise TamError("queens driver never finished")
     result = QueensResult(
         n=n,
         nodes=nodes,
-        solutions=int(machine.read_slot(ref, 2)),
+        solutions=int(machine.read_slot(ref, slots["total"])),
         stats=stats,
         machine=machine,
     )

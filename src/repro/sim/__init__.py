@@ -25,14 +25,3 @@ traffic sweep, the multi-tenant study and ``network.fabric.Fabric
 .run_until_quiescent``; the TAM loop in ``tam.runtime`` is turn-based
 and runs on :mod:`repro.sim.sweep`.
 """
-
-from repro.sim.component import SimComponent
-from repro.sim.kernel import SimHandle, SimKernel
-from repro.sim.sweep import ActiveSweep
-
-__all__ = [
-    "ActiveSweep",
-    "SimComponent",
-    "SimHandle",
-    "SimKernel",
-]

@@ -1,7 +1,7 @@
 """The contract a clocked object implements to run under the kernel.
 
-A component is anything with per-cycle behaviour: a fabric, a NIC link,
-a synthetic traffic source, a processor's service loop.  The kernel only
+A component is anything with per-cycle behaviour: a fabric, a
+synthetic traffic source, a processor's service loop.  The kernel only
 ever calls the three methods below, always in the component's
 registration order, so a component never needs to know what else is in
 the machine.

@@ -1,5 +1,1 @@
 """Analytic models of the surveyed interface categories (paper Section 1)."""
-
-from repro.survey.models import SURVEY, SurveyInterface, survey_principles_satisfied
-
-__all__ = ["SURVEY", "SurveyInterface", "survey_principles_satisfied"]

@@ -9,34 +9,6 @@ tenant traffic and the :class:`~repro.tenancy.workload.MultiTenantRun`
 harness the ``multitenant`` eval section drives.
 """
 
-from repro.tenancy.scheduler import (
-    SCHEDULER_NAMES,
-    GangTenantScheduler,
-    QuantumScheduler,
-    RoundRobinScheduler,
-    SwitchCosts,
-    TenantPolicy,
-    make_scheduler,
-)
-from repro.tenancy.workload import (
-    Arrival,
-    MultiTenantRun,
-    TenantSpec,
-    build_schedule,
-    make_tenants,
-)
-
-__all__ = [
-    "SCHEDULER_NAMES",
-    "GangTenantScheduler",
-    "QuantumScheduler",
-    "RoundRobinScheduler",
-    "SwitchCosts",
-    "TenantPolicy",
-    "make_scheduler",
-    "Arrival",
-    "MultiTenantRun",
-    "TenantSpec",
-    "build_schedule",
-    "make_tenants",
-]
+# bench/workloads.py imports make_tenants from here; everything else
+# imports it from repro.tenancy.workload.
+from repro.tenancy.workload import make_tenants  # noqa: F401

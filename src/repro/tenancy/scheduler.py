@@ -46,7 +46,7 @@ from repro.errors import ProtectionError
 from repro.nic.interface import DIVERT_CAP, DIVERT_PIN, NetworkInterface
 from repro.nic.messages import Message
 from repro.nic.protection import GangScheduler, PrivilegedStore, check_pin, restore
-from repro.sim import SimComponent
+from repro.sim.component import SimComponent
 
 SCHEDULER_NAMES = ("gang", "round-robin", "quantum")
 """The policy names :func:`make_scheduler` (and the eval grid) accept."""
@@ -108,7 +108,7 @@ class TenantPolicy(SimComponent):
     """Shared machinery: stores, switch accounting, ordered redelivery.
 
     Subclasses implement :meth:`tick` (the scheduling decision) and may
-    override :meth:`may_inject` (gang gates injection; the independent
+    override :meth:`injectable` (gang gates injection; the independent
     policies accept traffic for any tenant at any time).
 
     Scheduling decisions never probe the whole tenant list: a node's
@@ -210,10 +210,6 @@ class TenantPolicy(SimComponent):
     def stalled(self, node: int, cycle: int) -> bool:
         """Whether ``node`` is inside a context-switch window."""
         return cycle < self._by_node[node].busy_until
-
-    def may_inject(self, pin: int) -> bool:
-        """Whether the workload may inject tenant ``pin``'s traffic now."""
-        return True
 
     def injectable(self, pins):
         """The subset of ``pins`` allowed to inject right now.
@@ -487,9 +483,6 @@ class GangTenantScheduler(TenantPolicy):
     # ------------------------------------------------------------------
     # Workload contract overrides: gang decisions are global.
     # ------------------------------------------------------------------
-
-    def may_inject(self, pin: int) -> bool:
-        return self.phase == self.ACTIVE and pin == self.active_pin
 
     def injectable(self, pins):
         if self.phase == self.ACTIVE and self.active_pin in pins:

@@ -40,7 +40,8 @@ from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import pack_destination
 from repro.nic.protection import check_pin
 from repro.obs.metrics import Histogram
-from repro.sim import SimComponent, SimKernel
+from repro.sim.component import SimComponent
+from repro.sim.kernel import SimKernel
 from repro.tenancy.scheduler import SwitchCosts, TenantPolicy, make_scheduler
 from repro.utils.rng import SplitMix64, stream_for
 
@@ -295,8 +296,6 @@ class _ArrivalPump(SimComponent):
             self.handle.sleep()
 
     def _inject(self, arrival: Arrival, pin: int) -> bool:
-        if not self.scheduler.may_inject(pin):
-            return False
         ni = self.interfaces[arrival.source]
         if ni.output_queue.is_full:
             return False

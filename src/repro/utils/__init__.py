@@ -1,15 +1,1 @@
 """Shared low-level utilities: bit fields, deterministic RNG, report tables."""
-
-from repro.utils.bitfield import BitField, BitLayout, Register
-from repro.utils.rng import SplitMix64, stream_for
-from repro.utils.tables import render_bar_chart, render_table
-
-__all__ = [
-    "BitField",
-    "BitLayout",
-    "Register",
-    "SplitMix64",
-    "render_bar_chart",
-    "render_table",
-    "stream_for",
-]

@@ -8,15 +8,11 @@ handler-driven variants charge the processor strictly fewer cycles.
 
 import pytest
 
-from repro.collectives import (
-    COLLECTIVES,
-    CombiningTree,
-    expected_result,
-    run_nic_collective,
-    run_proc_collective,
-)
+from repro.collectives.baseline import run_proc_collective
 from repro.collectives.costs import price_run
-from repro.collectives.programs import HandlerContext
+from repro.collectives.engine import run_nic_collective
+from repro.collectives.programs import COLLECTIVES, HandlerContext, expected_result
+from repro.collectives.tree import CombiningTree
 from repro.errors import CollectiveError
 from repro.impls.base import ALL_MODELS, OPTIMIZED_REGISTER
 from repro.network.topology import Mesh2D, Torus2D

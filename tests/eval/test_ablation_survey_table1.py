@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.eval import (
-    ABLATIONS,
-    collect_rows,
-    render_ablation,
-    render_report,
-    render_survey,
-    run_ablation,
-    run_program,
-)
-from repro.eval.table1 import format_cell
+from repro.eval.ablation import ABLATIONS, render_ablation, run_ablation
+from repro.eval.survey import render_survey
+from repro.eval.table1 import collect_rows, format_cell, render_report, rows_as_records
+from repro.exp.runcache import run_program
 from repro.survey.models import SURVEY, survey_principles_satisfied
 
 
@@ -121,8 +115,6 @@ class TestTable1Report:
 class TestJsonExport:
     def test_records_roundtrip(self):
         import json
-
-        from repro.eval import rows_as_records
 
         records = rows_as_records(collect_rows())
         assert len(records) == 18

@@ -68,7 +68,6 @@ def test_non_square_node_count_rejected():
 def test_registered_in_the_experiment_registry():
     from repro.exp import registry
 
-    registry.load_all()
     assert "collectives" in registry.names()
     spec = registry.get("collectives")
     assert spec.produces == ("op", "models", "cells")

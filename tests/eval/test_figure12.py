@@ -7,7 +7,8 @@ asserted here as bands and orderings — see DESIGN.md's fidelity targets.
 
 import pytest
 
-from repro.eval import headline_metrics, render_figure, run_program
+from repro.eval.figure12 import headline_metrics, render_figure
+from repro.exp.runcache import run_program
 from repro.impls.base import ALL_MODELS
 from repro.tam.costmap import breakdown_all_models
 

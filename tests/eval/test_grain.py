@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import crossover_grain, grain_sweep as sweep, render_grain
+from repro.eval.grain import crossover_grain, render_grain, sweep
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.eval import (
-    latency_sweep as sweep,
-    relative_overheads,
-    render_sweep,
-    run_program,
-)
+from repro.eval.latency import relative_overheads, render_sweep, sweep
+from repro.exp.runcache import run_program
 from repro.impls.base import OPTIMIZED_OFF_CHIP
 from repro.kernels.harness import measure_column
 from repro.tam.costmap import measured_cost_table

@@ -36,7 +36,6 @@ class TestParams:
     def test_registered(self):
         from repro.exp import registry
 
-        registry.load_all()
         assert "multitenant" in registry.names()
         spec = registry.get("multitenant")
         assert spec.produces == ("runs", "victim_p99")

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.eval import (
-    collect_roundtrips as collect,
-    render_roundtrips,
-    roundtrip_cost,
-)
-from repro.eval.roundtrip import OPERATIONS
+from repro.eval.roundtrip import OPERATIONS, collect, render_roundtrips, roundtrip_cost
 from repro.impls.base import OPTIMIZED_ON_CHIP
 from repro.tam.costmap import measured_cost_table, paper_cost_table
 

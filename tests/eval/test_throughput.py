@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.eval import (
-    STANDARD_STREAM,
-    collect_throughput as collect,
-    render_throughput,
-)
+from repro.eval.throughput import STANDARD_STREAM, collect, render_throughput
 
 
 @pytest.fixture(scope="module")

@@ -36,7 +36,6 @@ class TestProgramsExecuteAtMostOnce:
         """The pre-framework driver executed matmul three times across the
         figure12/latency/ablation sections; the run cache collapses that
         to one execution per (program, size, nodes)."""
-        registry.load_all()
         fresh = RunCache()
         monkeypatch.setattr(runcache, "_CACHE", fresh)
         specs = [registry.get(name) for name in ("figure12", "latency", "ablation")]
@@ -57,7 +56,6 @@ class TestProgramsExecuteAtMostOnce:
     def test_worker_reads_the_runs_it_was_given(self, monkeypatch):
         """A ``--jobs`` experiment worker prices the stats its parent
         handed it and executes no program itself."""
-        registry.load_all()
         params = registry.get("latency").params(EvalOptions())
         key = ProgramKey("matmul", params["size"], params["nodes"])
         stats = run_program("matmul", size=params["size"], nodes=params["nodes"])
@@ -83,7 +81,6 @@ class TestProgramsExecuteAtMostOnce:
                 out.write(f"{key.program}@{key.size}\n")
             return execute(key)
 
-        registry.load_all()
         monkeypatch.setattr(runcache, "_CACHE", RunCache())
         monkeypatch.setattr(runcache, "_execute", logged)
         specs = [registry.get(name) for name in ("figure12", "latency", "ablation")]

@@ -1,17 +1,12 @@
-"""Registry round-trip: specs in, ordered specs out."""
+"""Registry lookup: section names in, each module's spec out, in report order."""
 
 import pytest
 
 from repro.exp import registry
 from repro.exp.registry import EVAL_MODULES
 from repro.exp.runcache import DEFAULT_SIZES, PAPER_SIZES
-from repro.exp.spec import EvalOptions, ExperimentSpec
+from repro.exp.spec import EvalOptions
 from repro.errors import EvaluationError
-
-
-@pytest.fixture(autouse=True)
-def _loaded():
-    registry.load_all()
 
 
 class TestRegistryRoundTrip:
@@ -25,51 +20,15 @@ class TestRegistryRoundTrip:
             assert spec.title
             assert spec.produces
 
-    def test_all_specs_matches_names(self):
-        assert [spec.name for spec in registry.all_specs()] == registry.names()
-
     def test_unknown_name_raises(self):
         with pytest.raises(EvaluationError, match="unknown experiment"):
             registry.get("nonesuch")
-
-    def test_custom_spec_round_trips_and_orders_after_builtins(self):
-        spec = ExperimentSpec(
-            name="custom-study",
-            title="A custom study",
-            produces=("data",),
-            params=lambda options: {},
-            compute=lambda params: {"data": 1},
-            render=lambda params, payload: "custom",
-        )
-        registry.register(spec)
-        try:
-            assert registry.get("custom-study") is spec
-            assert registry.names()[-1] == "custom-study"
-            assert registry.names()[:-1] == list(EVAL_MODULES)
-        finally:
-            del registry._REGISTRY["custom-study"]
-
-    def test_reregistration_replaces(self):
-        original = registry.get("survey")
-        try:
-            replacement = ExperimentSpec(
-                name="survey",
-                title=original.title,
-                produces=original.produces,
-                params=original.params,
-                compute=original.compute,
-                render=original.render,
-            )
-            registry.register(replacement)
-            assert registry.get("survey") is replacement
-        finally:
-            registry.register(original)
 
 
 class TestSpecParams:
     def test_params_resolve_for_both_scales(self):
         for options in (EvalOptions(), EvalOptions(paper_scale=True)):
-            for spec in registry.all_specs():
+            for spec in map(registry.get, registry.names()):
                 params = spec.params(options)
                 assert isinstance(params, dict)
                 # Required program runs must be resolvable from params.

@@ -96,7 +96,7 @@ class TestRtlIntoSystem:
         assert receiver_node.memory.load(0x40) == 0xBEEF
 
     def test_rtl_serialization_matches_fabric_model(self):
-        from repro.nic.rtl import FLITS_PER_MESSAGE
+        from repro.nic.messages import FLITS_PER_MESSAGE
 
         message = Message(2, (pack_destination(0), 1, 2, 3, 4))
         assert len(serialize(message)) == FLITS_PER_MESSAGE
@@ -160,12 +160,9 @@ class TestClusterScenarios:
 
 class TestWholePipeline:
     def test_matmul_to_figure12_to_latency(self):
-        from repro.eval import (
-            headline_metrics,
-            latency_sweep as sweep,
-            relative_overheads,
-            run_program,
-        )
+        from repro.eval.figure12 import headline_metrics
+        from repro.eval.latency import relative_overheads, sweep
+        from repro.exp.runcache import run_program
         from repro.tam.costmap import breakdown_all_models
 
         stats = run_program("matmul", size=8, nodes=4)

@@ -271,7 +271,6 @@ class TestMeasureColumn:
             monkeypatch.setattr(harness, name, counted)
         measure_column.cache_clear()
         measured_cost_table.cache_clear()
-        registry.load_all()
         for section in ("table1", "roundtrip", "survey", "collectives"):
             spec = registry.get(section)
             run_one(spec, spec.params(EvalOptions()))

@@ -32,7 +32,7 @@ from repro.network.traffic import TrafficSink, TrafficSource, run_traffic
 from repro.nic.interface import NetworkInterface
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.tracer import Tracer
-from repro.sim import SimKernel
+from repro.sim.kernel import SimKernel
 
 #: sha256 of run_hotspot(hotspot_params(EvalOptions()))'s event stream.
 GOLDEN_HOTSPOT_STREAM = (

@@ -19,9 +19,9 @@ from repro.isa.assembler import SequenceBuilder
 from repro.isa.machine import Machine, Placement
 from repro.nic.control import EXCEPTION_FIELDS
 from repro.nic.interface import REGISTER_NAMES, NetworkInterface, Riders, SendMode
-from repro.nic.messages import Message, pack_destination
+from repro.nic.messages import FLITS_PER_MESSAGE, Message, pack_destination
 from repro.nic.mmio import MemoryMappedInterface, encode_address
-from repro.nic.rtl import FLITS_PER_MESSAGE, ClockedNIC, serialize
+from repro.nic.rtl import ClockedNIC, serialize
 
 WORDS = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 READ_ONLY = ("i0", "i1", "i2", "i3", "i4", "MsgIp", "NextMsgIp")

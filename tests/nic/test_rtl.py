@@ -4,14 +4,8 @@ import pytest
 
 from repro.errors import MessageFormatError
 from repro.nic.interface import NetworkInterface, SendMode, SendResult
-from repro.nic.messages import Message, pack_destination
-from repro.nic.rtl import (
-    FLITS_PER_MESSAGE,
-    ClockedNIC,
-    Flit,
-    FlitKind,
-    serialize,
-)
+from repro.nic.messages import FLITS_PER_MESSAGE, Message, pack_destination
+from repro.nic.rtl import ClockedNIC, Flit, FlitKind, serialize
 from repro.nic.mmio import DEFAULT_BASE_ADDRESS, encode_address
 
 

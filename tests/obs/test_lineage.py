@@ -363,7 +363,7 @@ class TestTamLineage:
 
 class TestTenancyLineage:
     def test_policies_reconcile_and_stay_identical(self):
-        from repro.tenancy import MultiTenantRun, make_tenants
+        from repro.tenancy.workload import MultiTenantRun, make_tenants
 
         tenants = make_tenants(32, 16, 7)
         kwargs = dict(seed=7, gen_window=1500, horizon=2500)
@@ -416,7 +416,7 @@ class TestParking:
         ]
 
     def test_gang_tenancy_books_parked_time_as_divert(self):
-        from repro.tenancy import MultiTenantRun, make_tenants
+        from repro.tenancy.workload import MultiTenantRun, make_tenants
 
         tenants = make_tenants(32, 16, 7)
         kwargs = dict(seed=7, gen_window=1500, horizon=2500)

@@ -299,7 +299,7 @@ def observe_tenancy(fabric, tracker: LineageTracker) -> None:
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_TENANCY_RECORDS))
 def test_tenancy_lineage_records_match_golden(policy):
-    from repro.tenancy import MultiTenantRun, make_tenants
+    from repro.tenancy.workload import MultiTenantRun, make_tenants
 
     run = MultiTenantRun(
         policy, make_tenants(32, 16, 7), seed=7, gen_window=1500, horizon=2500

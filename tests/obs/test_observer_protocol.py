@@ -200,7 +200,7 @@ class TestFreeWhenOff:
         assert run_nic_collective("barrier", Mesh2D(4, 4)).results
 
     def test_gang_tenancy(self):
-        from repro.tenancy import MultiTenantRun, make_tenants
+        from repro.tenancy.workload import MultiTenantRun, make_tenants
 
         run = MultiTenantRun(
             "gang", make_tenants(32, 16, 7), seed=7, gen_window=1500, horizon=2500

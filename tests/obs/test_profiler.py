@@ -42,7 +42,7 @@ from repro.obs.where import (
     write_where,
 )
 from repro.programs.matmul import run_matmul
-from repro.sim import SimKernel
+from repro.sim.kernel import SimKernel
 from tam_reference import MACHINES, on_machine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -279,7 +279,6 @@ class TestTamAttribution:
 
 class TestReport:
     def test_render_where_works_on_plain_payload(self, instrument, tmp_path):
-        registry.load_all()
         spec = registry.get("flowcontrol")
         runner.run_one(spec, spec.params(EvalOptions()))
         path = write_where(tmp_path, {"flowcontrol": instrument.take()})

@@ -66,3 +66,28 @@ class TestTracer:
 
     def test_kind_constants_distinct(self):
         assert len(set(ALL_KINDS)) == len(ALL_KINDS)
+
+
+class TestTracerClear:
+    def test_clear_resets_dropped(self):
+        tracer = Tracer(capacity=2)
+        for ts in range(5):
+            tracer.emit(ts, SEND, 0)
+        assert tracer.dropped == 3
+        tracer.clear()
+        assert tracer.dropped == 0
+        assert tracer.emitted == 0
+        assert len(tracer) == 0
+
+    def test_clear_resets_per_kind_counts(self):
+        tracer = Tracer()
+        tracer.emit(0, SEND, 0)
+        tracer.emit(1, HOP, 0)
+        tracer.emit(2, HOP, 0)
+        tracer.clear()
+        assert tracer.count(SEND) == 0
+        assert tracer.count(HOP) == 0
+        # The tracer is reusable after clear with exact counts again.
+        tracer.emit(3, HOP, 0)
+        assert tracer.count(HOP) == 1
+        assert tracer.dropped == 0

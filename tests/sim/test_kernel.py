@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimStallError, SimulationError
-from repro.sim import SimComponent, SimKernel
+from repro.sim.component import SimComponent
+from repro.sim.kernel import SimKernel
 
 
 class Recorder(SimComponent):

@@ -133,7 +133,7 @@ def test_frame_views_match_across_backends():
     for label, Machine in MACHINES.items():
         machine = Machine(5)
         machine.load(build_worker(5))
-        machine.load(build_driver())
+        machine.load(build_driver()[0])
         ref = machine.boot("queens_driver")
         machine.run()
         frames[label] = machine.frame_view(ref)

@@ -40,13 +40,14 @@ class Posts(Observer):
 
 
 def matmul_blocks():
-    return [matmul.build_block_codeblock(2, done_inlet=5), matmul.build_driver_codeblock(2)]
+    driver, _, inlets = matmul.build_driver_codeblock(2)
+    return [matmul.build_block_codeblock(2, done_inlet=inlets["done"]), driver]
 
 
 def gamteb_blocks():
     return [
         gamteb.build_photon_codeblock(done_inlet=gamteb.PHOTON_DONE_INLET),
-        gamteb.build_driver_codeblock(4, 7),
+        gamteb.build_driver_codeblock(4, 7)[0],
     ]
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.eval.multitenant import multitenant_params, run_policy
 from repro.exp.spec import EvalOptions
-from repro.tenancy import make_tenants
+from repro.tenancy.workload import make_tenants
 
 #: label -> parameter overrides on the default multitenant grid.
 POPULATIONS = {
